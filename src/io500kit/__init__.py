@@ -9,7 +9,6 @@ from .types import (
     ProcessTimingTable,
     Submission,
     SubmissionMeta,
-    TimingRow,
 )
 
 __version__ = "0.1.0"
@@ -23,6 +22,5 @@ __all__ = [
     "ProcessTimingTable",
     "Submission",
     "SubmissionMeta",
-    "TimingRow",
     "__version__",
 ]

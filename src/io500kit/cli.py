@@ -70,7 +70,7 @@ def cmd_ingest(args) -> int:
     if args.format == "repo-csv":
         cmap = ingest.load_column_map(args.column_map) if args.column_map else None
         for raw in args.paths:
-            text = Path(raw).read_text(encoding="utf-8")
+            text = ingest.read_text(raw)
             result = ingest.parse_repo_csv(text, cmap)
             submissions.extend(result.submissions)
             skipped.extend(f"{raw}: row {n}: {reason}" for n, reason in result.skipped)

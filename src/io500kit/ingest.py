@@ -11,10 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
+
+import numpy as np
 
 from .errors import (
     EmptyInputError,
@@ -31,10 +35,9 @@ from .types import (
     ProcessTimingTable,
     Submission,
     SubmissionMeta,
-    TimingRow,
 )
 
-MANIFEST_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 2
 
 SUMMARY_FILENAME = "result_summary.txt"
 META_FILENAME = "meta.txt"
@@ -144,8 +147,21 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
     lines may carry `stonewall_s`. Rows violating end >= start (or with
     negative close/items) are rejected individually and reported in the
     returned warnings; duplicate ranks are a hard error.
+
+    The data lines are converted a whole column at a time. Only when a cell
+    fails to convert or a rank repeats does the row-by-row scan run, to
+    raise the error for the first offending line.
     """
-    warnings: list[str] = []
+    stonewall_s, width, col, body, first_line = _timing_layout(text, phase)
+    parsed = _timing_columns(body, width, col, phase)
+    if parsed is None:
+        parsed = _scan_timing_rows(body, first_line, width, col, phase)
+    columns, warnings = parsed
+    return ProcessTimingTable(phase=phase, stonewall_s=stonewall_s, **columns), warnings
+
+
+def _timing_layout(text: str, phase: Phase):
+    """Stonewall, header width, column index, data lines and the first data line's number."""
     stonewall_s: float | None = None
     lines = text.splitlines()
     idx = 0
@@ -165,34 +181,128 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
             f"{phase}: missing required columns {missing}; found {header}"
         )
     col = {name: header.index(name) for name in header}
-    has_close = "close" in col
-    has_items = "items" in col
+    return stonewall_s, len(header), col, lines[idx + 1 :], idx + 2
 
-    rows: list[TimingRow] = []
+
+_INT64_BOUND = 2.0**63
+_count_commas = operator.methodcaller("count", ",")
+
+
+def _optional_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Values of an optional column (NaN where blank) and its blank-cell mask."""
+    n = len(cells)
+    try:
+        return np.fromiter(map(float, cells), np.float64, n), np.zeros(n, dtype=bool)
+    except ValueError:
+        stripped = [c.strip() for c in cells]
+        values = np.fromiter((float(c) if c else np.nan for c in stripped), np.float64, n)
+        return values, np.fromiter((not c for c in stripped), bool, n)
+
+
+def _timing_columns(body: list[str], width: int, col: dict[str, int], phase: Phase):
+    """Whole-column conversion of the data lines: (columns, warnings), or None
+    when some cell does not convert or a rank repeats."""
+    if any("#" in line for line in body) or set(map(_count_commas, body)) != {width - 1}:
+        # Drop blank and comment lines and cut extra cells, so that every line has width cells.
+        cells = [
+            line.split(",") for line in body if line.strip() and not line.lstrip().startswith("#")
+        ]
+        if any(len(row) < width for row in cells):
+            return None
+        body = [",".join(row[:width]) for row in cells]
+    n = len(body)
+    flat = ",".join(body).split(",") if n else []
+
+    def column(name: str) -> list[str]:
+        return flat[col[name] :: width]
+
+    try:
+        rank = np.fromiter(map(int, column("rank")), np.int64, n)
+        start = np.fromiter(map(float, column("start")), np.float64, n)
+        end = np.fromiter(map(float, column("end")), np.float64, n)
+        close, no_close = _optional_floats(column("close")) if "close" in col else (None, None)
+        items, no_items = _optional_floats(column("items")) if "items" in col else (None, None)
+    except (ValueError, OverflowError):
+        return None
+    if not (np.all(np.isfinite(start)) and np.all(np.isfinite(end))):
+        return None
+    if close is not None and not np.all(np.isfinite(close) | no_close):
+        return None
+    if items is not None:
+        if not np.all((np.abs(items) < _INT64_BOUND) | no_items):
+            return None
+        items = np.ma.MaskedArray(np.where(no_items, 0.0, items).astype(np.int64), mask=no_items)
+    ordered = np.sort(rank)
+    if np.any(ordered[1:] == ordered[:-1]):
+        return None
+
+    # A row is rejected for the first of these that holds, in this order.
+    reasons = [end < start, rank < 0]
+    reasons.append(np.zeros(n, dtype=bool) if close is None else close < 0)
+    reasons.append(np.zeros(n, dtype=bool) if items is None else items.filled(0) < 0)
+    rejected = np.logical_or.reduce(reasons)
+    warnings = []
+    for i in np.flatnonzero(rejected).tolist():
+        r = int(rank[i])
+        if reasons[0][i]:
+            warnings.append(f"{phase}: rank {r} rejected (end {float(end[i])} < start {float(start[i])})")
+        elif reasons[1][i]:
+            warnings.append(f"{phase}: rank {r} rejected (negative rank)")
+        elif reasons[2][i]:
+            warnings.append(f"{phase}: rank {r} rejected (negative close {float(close[i])})")
+        else:
+            warnings.append(f"{phase}: rank {r} rejected (negative items {int(items[i])})")
+    keep = ~rejected
+    columns = {
+        "rank": rank[keep],
+        "start_s": start[keep],
+        "end_s": end[keep],
+        "close_s": None if close is None else close[keep],
+        "items": None if items is None else items[keep],
+    }
+    return columns, warnings
+
+
+def _scan_timing_rows(
+    body: list[str], first_line: int, width: int, col: dict[str, int], phase: Phase
+):
+    """Row-by-row conversion of the data lines, raising for the first bad line."""
+    warnings: list[str] = []
+    rank_col: list[int] = []
+    start_col: list[float] = []
+    end_col: list[float] = []
+    close_col: list[float] = []
+    items_col: list[int] = []
+    no_items: list[bool] = []
     seen_ranks: set[int] = set()
-    for line_no, line in enumerate(lines[idx + 1 :], start=idx + 2):
+    for line_no, line in enumerate(body, start=first_line):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = [c.strip() for c in line.split(",")]
-        if len(cells) < len(header):
+        if len(cells) < width:
             raise ParseError(
-                f"{phase}: expected {len(header)} cells, got {len(cells)}", line=line_no
+                f"{phase}: expected {width} cells, got {len(cells)}", line=line_no
             )
         try:
             rank = int(cells[col["rank"]])
         except ValueError:
-            raise ParseError(f"{phase}: malformed rank {cells[col['rank']]!r}", line=line_no) from None
+            rank = None
+        if rank is None or not -_INT64_BOUND <= rank < _INT64_BOUND:
+            raise ParseError(f"{phase}: malformed rank {cells[col['rank']]!r}", line=line_no)
         start = _parse_float(cells[col["start"]], "start", line_no)
         end = _parse_float(cells[col["end"]], "end", line_no)
         close = None
-        if has_close and cells[col["close"]] != "":
+        if "close" in col and cells[col["close"]] != "":
             close = _parse_float(cells[col["close"]], "close", line_no)
         items = None
-        if has_items and cells[col["items"]] != "":
+        if "items" in col and cells[col["items"]] != "":
             try:
-                items = int(float(cells[col["items"]]))
+                value = float(cells[col["items"]])
             except ValueError:
-                raise ParseError(f"{phase}: malformed items {cells[col['items']]!r}", line=line_no) from None
+                value = math.nan
+            if not abs(value) < _INT64_BOUND:  # also false for NaN
+                raise ParseError(f"{phase}: malformed items {cells[col['items']]!r}", line=line_no)
+            items = int(value)
         if rank in seen_ranks:
             raise ValidationError(f"{phase}: duplicate rank {rank} on line {line_no}")
         seen_ranks.add(rank)
@@ -208,9 +318,24 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
         if items is not None and items < 0:
             warnings.append(f"{phase}: rank {rank} rejected (negative items {items})")
             continue
-        rows.append(TimingRow(rank=rank, start_s=start, end_s=end, close_s=close, items=items))
-    table = ProcessTimingTable(phase=phase, rows=rows, stonewall_s=stonewall_s)
-    return table, warnings
+        rank_col.append(rank)
+        start_col.append(start)
+        end_col.append(end)
+        close_col.append(math.nan if close is None else close)
+        items_col.append(0 if items is None else items)
+        no_items.append(items is None)
+    columns = {
+        "rank": np.array(rank_col, dtype=np.int64),
+        "start_s": np.array(start_col, dtype=np.float64),
+        "end_s": np.array(end_col, dtype=np.float64),
+        "close_s": np.array(close_col, dtype=np.float64) if "close" in col else None,
+        "items": None,
+    }
+    if "items" in col:
+        columns["items"] = np.ma.MaskedArray(
+            np.array(items_col, dtype=np.int64), mask=np.array(no_items, dtype=bool)
+        )
+    return columns, warnings
 
 
 # --- metadata normalization -------------------------------------------------
@@ -527,24 +652,35 @@ def _match_timing_phase(filename: str) -> Phase | None:
     return None
 
 
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 input file; a file that cannot be read or decoded raises LoadError."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path.name}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise LoadError(f"{path.name}: {exc.strerror or exc}") from None
+
+
 def load_submission(package_dir: str | Path) -> Submission:
     """Assemble a Submission from a package directory.
 
     Requires `result_summary.txt`; `meta.txt` and per-phase `<phase>*.csv`
     timing files are optional. A corrupt timing CSV degrades to a warning;
-    a missing or unparseable summary is fatal.
+    a missing, unreadable or unparseable summary or meta file is fatal.
     """
     package_dir = Path(package_dir)
     summary_path = package_dir / SUMMARY_FILENAME
     if not summary_path.is_file():
         raise LoadError(f"{package_dir}: missing {SUMMARY_FILENAME}")
-    summary = parse_result_summary(summary_path.read_text(encoding="utf-8"))
+    summary = parse_result_summary(read_text(summary_path))
     warnings = list(summary.warnings)
 
     meta_path = package_dir / META_FILENAME
     raw_meta: dict[str, Any] = {}
     if meta_path.is_file():
-        raw_meta = dict(_parse_meta_file(meta_path.read_text(encoding="utf-8")))
+        raw_meta = dict(_parse_meta_file(read_text(meta_path)))
     else:
         warnings.append(f"{META_FILENAME} missing; metadata defaults used")
     raw_meta.setdefault("submission_id", package_dir.name)
@@ -560,10 +696,8 @@ def load_submission(package_dir: str | Path) -> Submission:
             warnings.append(f"{csv_path.name}: duplicate timing file for {phase}, ignored")
             continue
         try:
-            table, table_warnings = parse_process_timing(
-                csv_path.read_text(encoding="utf-8"), phase
-            )
-        except (ParseError, SchemaError, ValidationError) as exc:
+            table, table_warnings = parse_process_timing(read_text(csv_path), phase)
+        except (LoadError, ParseError, SchemaError, ValidationError) as exc:
             warnings.append(f"{csv_path.name}: timing discarded ({exc})")
             continue
         warnings.extend(table_warnings)
@@ -584,7 +718,7 @@ def load_submission(package_dir: str | Path) -> Submission:
 
 
 def to_manifest(sub: Submission) -> dict[str, Any]:
-    """Serialize a Submission into the manifest document tree."""
+    """Serialize a Submission into the manifest document tree (format v2)."""
     meta = sub.meta
     doc: dict[str, Any] = {
         "format_version": MANIFEST_FORMAT_VERSION,
@@ -617,16 +751,11 @@ def to_manifest(sub: Submission) -> dict[str, Any]:
         "timing": {
             phase.value: {
                 "stonewall_s": table.stonewall_s,
-                "rows": [
-                    {
-                        "rank": row.rank,
-                        "start_s": row.start_s,
-                        "end_s": row.end_s,
-                        "close_s": row.close_s,
-                        "items": row.items,
-                    }
-                    for row in table.rows
-                ],
+                "rank": table.rank.tolist(),
+                "start_s": table.start_s.tolist(),
+                "end_s": table.end_s.tolist(),
+                "close_s": np.ma.masked_invalid(table.close_s).tolist(),  # NaN -> null
+                "items": table.items.tolist(),
             }
             for phase, table in sorted(sub.timing.items(), key=lambda kv: kv[0].value)
         },
@@ -635,67 +764,132 @@ def to_manifest(sub: Submission) -> dict[str, Any]:
     return doc
 
 
+# JSON value kinds a manifest field may hold. bool is not a number here.
+_STR, _INT, _NUM, _BOOL, _LIST, _OBJ = (str,), (int,), (int, float), (bool,), (list,), (dict,)
+
+
+def _get(obj: Any, key: str, kinds: tuple[type, ...], where: str, nullable: bool = False) -> Any:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValidationError(f"{where}: missing {key!r}")
+    value = obj[key]
+    if value is None and nullable:
+        return None
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ValidationError(f"{where}.{key}: unexpected {type(value).__name__} value")
+    return value
+
+
+def _enum(cls, value: str, where: str):
+    try:
+        return cls(value)
+    except ValueError:
+        raise ValidationError(f"{where}: unknown value {value!r}") from None
+
+
+def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = False):
+    """A timing column from its JSON list: float64 (NaN where null) or, for an
+    integer column, int64 (masked where null when nullable)."""
+    values = _get(spec, key, _LIST, where)
+    n = len(values)
+    absent = values.count(None)
+    if nullable and n and absent == n:
+        if integer:
+            return np.ma.MaskedArray(np.zeros(n, dtype=np.int64), mask=np.ones(n, dtype=bool))
+        return np.full(n, np.nan)
+    if not absent:
+        try:
+            arr = np.array(values)
+        except ValueError:  # nested lists of unequal length
+            arr = None
+        if arr is not None and arr.ndim == 1 and (arr.dtype.kind in ("i" if integer else "if") or not n):
+            return arr.astype(np.int64 if integer else np.float64)
+    elif nullable:
+        kinds = _INT if integer else _NUM
+        if all(v is None or (type(v) in kinds and (not integer or abs(v) < _INT64_BOUND)) for v in values):
+            if not integer:
+                return np.array(values, dtype=np.float64)
+            data = np.array([0 if v is None else v for v in values], dtype=np.int64)
+            return np.ma.MaskedArray(data, mask=np.array([v is None for v in values], dtype=bool))
+    raise ValidationError(f"{where}.{key}: expected a list of {'integers' if integer else 'numbers'}")
+
+
 def from_manifest(doc: Mapping[str, Any]) -> Submission:
-    """Reconstruct a Submission from a manifest document tree."""
+    """Reconstruct a Submission from a manifest document tree.
+
+    Only format_version 2 is read; any shape error raises ValidationError.
+    """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"manifest: expected an object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version is None:
         raise ValidationError("manifest missing format_version")
-    if version > MANIFEST_FORMAT_VERSION:
-        raise ValidationError(f"unsupported manifest format_version {version}")
-    m = doc["meta"]
+    if type(version) is int and version == 1:
+        raise ValidationError(
+            f"manifest format_version {version} is no longer read; "
+            "re-run `io500kit ingest` to regenerate it"
+        )
+    if version != MANIFEST_FORMAT_VERSION or type(version) is not int:
+        raise ValidationError(f"unsupported manifest format_version {version!r}")
+    m = _get(doc, "meta", _OBJ, "manifest")
     meta = SubmissionMeta(
-        submission_id=m["submission_id"],
-        list_label=m["list_label"],
-        institution=m.get("institution"),
-        filesystem_raw=m.get("filesystem_raw", ""),
-        filesystem_norm=Filesystem(m.get("filesystem_norm", "other")),
-        interconnect_raw=m.get("interconnect_raw", ""),
-        interconnect_gbps=m.get("interconnect_gbps"),
-        nic_count_reported=m.get("nic_count_reported"),
-        client_nodes=m["client_nodes"],
-        procs_per_node=m.get("procs_per_node"),
-        total_procs=m.get("total_procs"),
+        submission_id=_get(m, "submission_id", _STR, "meta"),
+        list_label=_get(m, "list_label", _STR, "meta"),
+        institution=_get(m, "institution", _STR, "meta", nullable=True),
+        filesystem_raw=_get(m, "filesystem_raw", _STR, "meta"),
+        filesystem_norm=_enum(Filesystem, _get(m, "filesystem_norm", _STR, "meta"), "meta.filesystem_norm"),
+        interconnect_raw=_get(m, "interconnect_raw", _STR, "meta"),
+        interconnect_gbps=_get(m, "interconnect_gbps", _NUM, "meta", nullable=True),
+        nic_count_reported=_get(m, "nic_count_reported", _INT, "meta", nullable=True),
+        client_nodes=_get(m, "client_nodes", _INT, "meta"),
+        procs_per_node=_get(m, "procs_per_node", _INT, "meta", nullable=True),
+        total_procs=_get(m, "total_procs", _INT, "meta", nullable=True),
     )
     phases: dict[Phase, PhaseResult] = {}
-    for entry in doc.get("phases", []):
-        phase = Phase(entry["phase"])
+    for i, entry in enumerate(_get(doc, "phases", _LIST, "manifest")):
+        where = f"phases[{i}]"
+        phase = _enum(Phase, _get(entry, "phase", _STR, where), f"{where}.phase")
         phases[phase] = PhaseResult(
             phase=phase,
-            value=entry["value"],
-            unit=entry["unit"],
-            runtime_s=entry.get("runtime_s"),
-            cache_flag=bool(entry.get("cache_flag", False)),
+            value=_get(entry, "value", _NUM, where),
+            unit=_get(entry, "unit", _STR, where),
+            runtime_s=_get(entry, "runtime_s", _NUM, where, nullable=True),
+            cache_flag=_get(entry, "cache_flag", _BOOL, where),
         )
     timing: dict[Phase, ProcessTimingTable] = {}
-    for phase_name, spec in doc.get("timing", {}).items():
-        phase = Phase(phase_name)
-        timing[phase] = ProcessTimingTable(
-            phase=phase,
-            stonewall_s=spec.get("stonewall_s"),
-            rows=[
-                TimingRow(
-                    rank=r["rank"],
-                    start_s=r["start_s"],
-                    end_s=r["end_s"],
-                    close_s=r.get("close_s"),
-                    items=r.get("items"),
-                )
-                for r in spec.get("rows", [])
-            ],
-        )
+    for phase_name, spec in _get(doc, "timing", _OBJ, "manifest").items():
+        where = f"timing.{phase_name}"
+        phase = _enum(Phase, phase_name, where)
+        columns = {
+            "stonewall_s": _get(spec, "stonewall_s", _NUM, where, nullable=True),
+            "rank": _column(spec, "rank", where, integer=True),
+            "start_s": _column(spec, "start_s", where, integer=False),
+            "end_s": _column(spec, "end_s", where, integer=False),
+            "close_s": _column(spec, "close_s", where, integer=False, nullable=True),
+            "items": _column(spec, "items", where, integer=True, nullable=True),
+        }
+        try:
+            timing[phase] = ProcessTimingTable(phase=phase, **columns)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+    warnings = _get(doc, "warnings", _LIST, "manifest")
+    if not all(isinstance(w, str) for w in warnings):
+        raise ValidationError("manifest.warnings: expected a list of strings")
     return Submission(
         meta=meta,
         phases=phases,
-        reported_score_bw=doc.get("reported_score_bw"),
-        reported_score_md=doc.get("reported_score_md"),
-        reported_score_overall=doc.get("reported_score_overall"),
+        reported_score_bw=_get(doc, "reported_score_bw", _NUM, "manifest", nullable=True),
+        reported_score_md=_get(doc, "reported_score_md", _NUM, "manifest", nullable=True),
+        reported_score_overall=_get(doc, "reported_score_overall", _NUM, "manifest", nullable=True),
         timing=timing,
-        warnings=list(doc.get("warnings", [])),
+        warnings=list(warnings),
     )
 
 
 def dumps_manifest(sub: Submission) -> str:
-    return json.dumps(to_manifest(sub), indent=2, sort_keys=True) + "\n"
+    """Compact JSON with sorted keys; the compact form keeps the stdlib's C encoder."""
+    return json.dumps(to_manifest(sub), separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def write_manifest(sub: Submission, path: str | Path) -> None:
@@ -703,8 +897,16 @@ def write_manifest(sub: Submission, path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> Submission:
-    with open(path, encoding="utf-8") as f:
-        return from_manifest(json.load(f))
+    """Load one manifest; errors name the file."""
+    text = read_text(path)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not a JSON manifest ({exc})") from None
+    try:
+        return from_manifest(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def read_manifest_dir(directory: str | Path) -> list[Submission]:

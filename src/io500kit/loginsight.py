@@ -75,28 +75,21 @@ class CloseTimeReport:
 
 def close_time_report(timing: ProcessTimingTable) -> CloseTimeReport:
     """Per-rank file-close durations and their share of each rank's runtime."""
-    ranks: list[int] = []
-    closes: list[float] = []
-    fractions: list[float] = []
-    omitted = 0
-    for row in timing.rows:
-        if row.close_s is None:
-            omitted += 1
-            continue
-        ranks.append(row.rank)
-        closes.append(row.close_s)
-        runtime = row.runtime_s
-        fraction = row.close_s / runtime if runtime > 0 else 0.0
-        fractions.append(min(max(fraction, 0.0), 1.0))
-    if not closes:
+    present = ~np.isnan(timing.close_s)
+    closes = timing.close_s[present]
+    if not closes.size:
         raise NotAvailableError(f"{timing.phase}: no close times recorded")
+    runtime = timing.runtime_s[present]
+    fractions = np.zeros(closes.size)
+    np.divide(closes, runtime, out=fractions, where=runtime > 0)
+    closes_list = closes.tolist()
     return CloseTimeReport(
         phase=timing.phase,
-        ranks=ranks,
-        close_s_per_rank=closes,
-        stats=summary_stats(closes),
-        fraction_of_runtime=fractions,
-        omitted_ranks=omitted,
+        ranks=timing.rank[present].tolist(),
+        close_s_per_rank=closes_list,
+        stats=summary_stats(closes_list),
+        fraction_of_runtime=np.clip(fractions, 0.0, 1.0).tolist(),
+        omitted_ranks=int(timing.n_ranks - closes.size),
     )
 
 
@@ -121,15 +114,18 @@ def stonewall_ratios(
         )
     if stonewall <= 0:
         raise ValueError(f"stonewall_s must be > 0, got {stonewall}")
-    if not timing.rows:
+    n = timing.n_ranks
+    if not n:
         raise SampleSizeError(f"{timing.phase}: timing table has no rows")
-    ranks = [row.rank for row in timing.rows]
-    ratios = [row.runtime_s / stonewall for row in timing.rows]
-    n = len(ratios)
-    ordered = sorted(ratios)
-    qq = [((k + 1) / n, ordered[k]) for k in range(n)]
+    ratios = timing.runtime_s / stonewall
+    quantiles = np.arange(1, n + 1) / n
+    qq = list(zip(quantiles.tolist(), np.sort(ratios).tolist()))
     return StonewallRatios(
-        phase=timing.phase, stonewall_s=stonewall, ranks=ranks, ratios=ratios, qq=qq
+        phase=timing.phase,
+        stonewall_s=stonewall,
+        ranks=timing.rank.tolist(),
+        ratios=ratios.tolist(),
+        qq=qq,
     )
 
 
@@ -150,7 +146,7 @@ def detect_stragglers(
     if arr.size < 4:
         raise SampleSizeError(f"straggler detection needs n >= 4, got {arr.size}")
     if ranks is None:
-        ranks = range(arr.size)
+        ranks = np.arange(arr.size)
     elif len(ranks) != arr.size:
         raise ValueError("ranks and ratios must have equal length")
     q1, q3 = np.percentile(arr, [25.0, 75.0])
@@ -158,7 +154,7 @@ def detect_stragglers(
     mask = arr > fence
     if ratio_floor is not None:
         mask &= arr >= ratio_floor
-    return {int(rank) for rank, hit in zip(ranks, mask) if hit}
+    return set(np.asarray(ranks)[mask].tolist())
 
 
 @dataclass
@@ -241,11 +237,11 @@ def straggler_report(
     ratios = stonewall_ratios(timing, stonewall_s=stonewall_s)
     stragglers = detect_stragglers(
         ratios.ratios,
-        ranks=ratios.ranks,
+        ranks=timing.rank,
         iqr_multiplier=iqr_multiplier,
         ratio_floor=ratio_floor,
     )
-    n_ranks = max(ratios.ranks) + 1 if ratios.ranks else 0
+    n_ranks = int(timing.rank[-1]) + 1
     result = classify_straggler_pattern(
         stragglers,
         n_ranks,
@@ -307,22 +303,13 @@ def pfind_imbalance(
     gives per-rank active traversal time; utilization is active/elapsed and
     the median waiting fraction is 1 - median utilization.
     """
-    ranks: list[int] = []
-    items: list[int] = []
-    runtimes: list[float] = []
-    omitted = 0
-    for row in timing.rows:
-        if row.items is None:
-            omitted += 1
-            continue
-        ranks.append(row.rank)
-        items.append(row.items)
-        runtimes.append(row.runtime_s)
-    if not items:
+    present = ~np.ma.getmaskarray(timing.items)
+    items = timing.items.data[present]
+    if not items.size:
         raise NotAvailableError(f"{timing.phase}: no item counts recorded")
-    if len(items) < 2:
+    if items.size < 2:
         raise SampleSizeError(f"{timing.phase}: imbalance needs n >= 2 ranks with items")
-    arr = np.asarray(items, dtype=float)
+    arr = items.astype(float)
     if not np.any(arr > 0):
         raise DegenerateInputError(f"{timing.phase}: all item counts are zero")
     median = float(np.median(arr))
@@ -331,22 +318,22 @@ def pfind_imbalance(
     utilization: list[float] | None = None
     waiting_median: float | None = None
     if active_s is not None:
-        if len(active_s) != len(items):
+        if len(active_s) != items.size:
             raise ValueError("active_s must align with the rows carrying items")
-        utilization = [
-            min(max(a / t, 0.0), 1.0) if t > 0 else 0.0
-            for a, t in zip(active_s, runtimes)
-        ]
+        runtimes = timing.runtime_s[present]
+        shares = np.zeros(items.size)
+        np.divide(np.asarray(active_s, dtype=float), runtimes, out=shares, where=runtimes > 0)
+        utilization = np.clip(shares, 0.0, 1.0).tolist()
         waiting_median = 1.0 - float(np.median(np.asarray(utilization)))
     return ImbalanceReport(
         phase=timing.phase,
-        ranks=ranks,
-        items_per_rank=items,
+        ranks=timing.rank[present].tolist(),
+        items_per_rank=items.tolist(),
         max_over_median=max_over_median,
         gini=gini(arr),
         utilization_per_rank=utilization,
         waiting_fraction_median=waiting_median,
-        omitted_ranks=omitted,
+        omitted_ranks=int(timing.n_ranks - items.size),
     )
 
 

@@ -26,7 +26,6 @@ from .types import (
     ProcessTimingTable,
     Submission,
     SubmissionMeta,
-    TimingRow,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -177,6 +176,11 @@ def _r6(x: float) -> float:
     return round(float(x), 6)
 
 
+def _r6_array(values: np.ndarray) -> np.ndarray:
+    # Python's correctly rounded round(), not np.round, which can differ in the last bit.
+    return np.array([round(x, 6) for x in values.tolist()])
+
+
 def gen_timing(
     phase: Phase,
     n_ranks: int,
@@ -211,44 +215,33 @@ def gen_timing(
         items = np.maximum(1, np.round(100_000.0 * weights)).astype(int)
         rate = rng.uniform(2000.0, 4000.0)  # items per second, shared scan rate
         runtimes = items / rate
-        rows = [
-            TimingRow(
-                rank=i,
-                start_s=_r6(starts[i]),
-                end_s=_r6(starts[i] + runtimes[i]),
-                items=int(items[i]),
-            )
-            for i in range(n_ranks)
-        ]
-        return ProcessTimingTable(phase=phase, rows=rows, stonewall_s=None), frozenset()
+        table = ProcessTimingTable(
+            phase=phase,
+            rank=np.arange(n_ranks),
+            start_s=_r6_array(starts),
+            end_s=_r6_array(starts + runtimes),
+            items=items,
+        )
+        return table, frozenset()
 
     # Band floor 1.001 keeps runtimes above the stonewall even after the
     # 6-decimal quantization of start/end.
     factors = rng.uniform(1.001, 1.05, size=n_ranks)
     slow = rng.uniform(0.9, 1.1, size=n_ranks)
-    runtimes = np.empty(n_ranks)
-    for i in range(n_ranks):
-        if i in true_set:
-            runtimes[i] = stonewall_s * model.slow_factor * slow[i]
-        else:
-            runtimes[i] = stonewall_s * factors[i]
+    slow_mask = np.isin(np.arange(n_ranks), list(true_set))
+    runtimes = np.where(slow_mask, stonewall_s * model.slow_factor * slow, stonewall_s * factors)
     closes: np.ndarray | None = None
     if close is not None:
         closes = rng.lognormal(mean=np.log(close.median_s), sigma=close.sigma, size=n_ranks)
-        closes = np.minimum(closes, runtimes)
-    rows = []
-    for i in range(n_ranks):
-        start = _r6(starts[i])
-        end = _r6(starts[i] + runtimes[i])
-        rows.append(
-            TimingRow(
-                rank=i,
-                start_s=start,
-                end_s=end,
-                close_s=_r6(closes[i]) if closes is not None else None,
-            )
-        )
-    table = ProcessTimingTable(phase=phase, rows=rows, stonewall_s=float(stonewall_s))
+        closes = _r6_array(np.minimum(closes, runtimes))
+    table = ProcessTimingTable(
+        phase=phase,
+        rank=np.arange(n_ranks),
+        start_s=_r6_array(starts),
+        end_s=_r6_array(starts + runtimes),
+        close_s=closes,
+        stonewall_s=float(stonewall_s),
+    )
     return table, true_set
 
 
@@ -512,7 +505,7 @@ def gen_corpus(config: SynthConfig) -> list[GeneratedSubmission]:
         phases: dict[Phase, PhaseResult] = {}
         for phase in Phase:
             if phase in timing:
-                runtime = max(row.runtime_s for row in timing[phase].rows)
+                runtime = float(np.max(timing[phase].runtime_s))
             elif phase.is_write:
                 runtime = rng.uniform(config.stonewall_s + 1.0, config.stonewall_s + 200.0)
             elif phase.is_read_or_stat:
@@ -577,20 +570,23 @@ def _meta_text(meta: SubmissionMeta) -> str:
 
 
 def _timing_text(table: ProcessTimingTable) -> str:
-    has_close = any(row.close_s is not None for row in table.rows)
-    has_items = any(row.items is not None for row in table.rows)
+    columns = [
+        [str(r) for r in table.rank.tolist()],
+        [f"{x:.6f}" for x in table.start_s.tolist()],
+        [f"{x:.6f}" for x in table.end_s.tolist()],
+    ]
+    header = "rank,start,end"
+    if not np.all(np.isnan(table.close_s)):
+        header += ",close"
+        columns.append(["" if x != x else f"{x:.6f}" for x in table.close_s.tolist()])
+    if table.items.count():
+        header += ",items"
+        columns.append(["" if x is None else str(x) for x in table.items.tolist()])
     lines = []
     if table.stonewall_s is not None:
         lines.append(f"# stonewall_s = {table.stonewall_s:.6f}")
-    header = "rank,start,end" + (",close" if has_close else "") + (",items" if has_items else "")
     lines.append(header)
-    for row in table.rows:
-        cells = [str(row.rank), f"{row.start_s:.6f}", f"{row.end_s:.6f}"]
-        if has_close:
-            cells.append("" if row.close_s is None else f"{row.close_s:.6f}")
-        if has_items:
-            cells.append("" if row.items is None else str(row.items))
-        lines.append(",".join(cells))
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 

@@ -1,13 +1,16 @@
 """Core domain records: benchmark phases, submission metadata, timing tables.
 
 These are plain dataclasses with no behavior beyond construction-time
-validation; parsing lives in `ingest`, math in `metrics`/`stats`/`loginsight`.
+validation; timing tables hold numpy columns. Parsing lives in `ingest`,
+math in `metrics`/`stats`/`loginsight`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -125,47 +128,91 @@ class PhaseResult:
             raise ValidationError(f"{self.phase}: runtime_s must be >= 0")
 
 
-@dataclass
-class TimingRow:
-    rank: int
-    start_s: float
-    end_s: float
-    close_s: float | None = None
-    items: int | None = None
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValidationError(f"rank must be >= 0, got {self.rank}")
-        if self.end_s < self.start_s:
-            raise ValidationError(f"rank {self.rank}: end {self.end_s} < start {self.start_s}")
-        if self.close_s is not None and self.close_s < 0:
-            raise ValidationError(f"rank {self.rank}: close_s must be >= 0")
-        if self.items is not None and self.items < 0:
-            raise ValidationError(f"rank {self.rank}: items must be >= 0")
-
-    @property
-    def runtime_s(self) -> float:
-        return self.end_s - self.start_s
+def _first(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask)[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class ProcessTimingTable:
+    """Per-process timing for one phase, one numpy column per field.
+
+    `rank` is int64, sorted and unique; `start_s`, `end_s` and `close_s` are
+    float64, with NaN marking an absent close time; `items` is an int64
+    masked array, masked where a rank reports no item count. The constructor
+    converts its arguments to these columns (sorting by rank when needed)
+    and is the one place the table invariants are checked.
+    """
+
     phase: Phase
-    rows: list[TimingRow]
+    rank: np.ndarray
+    start_s: np.ndarray
+    end_s: np.ndarray
+    close_s: np.ndarray | None = None
+    items: np.ma.MaskedArray | None = None
     stonewall_s: float | None = None
 
     def __post_init__(self):
-        if self.stonewall_s is not None and self.stonewall_s <= 0:
+        if self.stonewall_s is not None and not self.stonewall_s > 0:
             raise ValidationError(f"stonewall_s must be > 0, got {self.stonewall_s}")
-        ranks = [r.rank for r in self.rows]
-        if len(set(ranks)) != len(ranks):
-            dupes = sorted({r for r in ranks if ranks.count(r) > 1})
-            raise ValidationError(f"duplicate ranks: {dupes}")
-        self.rows = sorted(self.rows, key=lambda r: r.rank)
+        rank = np.asarray(self.rank, dtype=np.int64)
+        start = np.asarray(self.start_s, dtype=np.float64)
+        end = np.asarray(self.end_s, dtype=np.float64)
+        n = rank.size
+        close = np.full(n, np.nan) if self.close_s is None else np.asarray(self.close_s, dtype=np.float64)
+        if self.items is None:
+            items = np.ma.MaskedArray(np.zeros(n, dtype=np.int64), mask=np.ones(n, dtype=bool))
+        else:
+            items = np.ma.MaskedArray(self.items, dtype=np.int64)
+        if any(col.shape != (n,) for col in (rank, start, end, close, items)):
+            raise ValidationError("timing columns must be 1-d and of equal length")
+        if n and not np.all(rank[1:] > rank[:-1]):
+            order = np.argsort(rank, kind="stable")
+            rank, start, end, close, items = (col[order] for col in (rank, start, end, close, items))
+            dupes = rank[1:] == rank[:-1]
+            if np.any(dupes):
+                raise ValidationError(f"duplicate ranks: {np.unique(rank[1:][dupes]).tolist()}")
+        if not (np.all(np.isfinite(start)) and np.all(np.isfinite(end))) or np.any(np.isinf(close)):
+            raise ValidationError("start, end and close times must be finite")
+        if n and rank[0] < 0:
+            raise ValidationError(f"rank must be >= 0, got {rank[0]}")
+        bad = end < start
+        if np.any(bad):
+            i = _first(bad)
+            raise ValidationError(f"rank {rank[i]}: end {end[i]} < start {start[i]}")
+        bad = close < 0
+        if np.any(bad):
+            raise ValidationError(f"rank {rank[_first(bad)]}: close_s must be >= 0")
+        bad = items.filled(0) < 0
+        if np.any(bad):
+            raise ValidationError(f"rank {rank[_first(bad)]}: items must be >= 0")
+        self.rank, self.start_s, self.end_s, self.close_s, self.items = rank, start, end, close, items
+
+    def __eq__(self, other):
+        if not isinstance(other, ProcessTimingTable):
+            return NotImplemented
+        return (
+            self.phase == other.phase
+            and self.stonewall_s == other.stonewall_s
+            and np.array_equal(self.rank, other.rank)
+            and np.array_equal(self.start_s, other.start_s)
+            and np.array_equal(self.end_s, other.end_s)
+            and np.array_equal(self.close_s, other.close_s, equal_nan=True)
+            and np.array_equal(np.ma.getmaskarray(self.items), np.ma.getmaskarray(other.items))
+            and np.array_equal(self.items.filled(0), other.items.filled(0))
+        )
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The rank column: `len(table.rows)` counts the table's ranks."""
+        return self.rank
 
     @property
     def n_ranks(self) -> int:
-        return len(self.rows)
+        return self.rank.size
+
+    @property
+    def runtime_s(self) -> np.ndarray:
+        return self.end_s - self.start_s
 
 
 @dataclass

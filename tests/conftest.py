@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from io500kit.types import Phase, ProcessTimingTable, TimingRow
+import numpy as np
+
+from io500kit.types import Phase, ProcessTimingTable
 
 
 SUMMARY_BASIC = """\
@@ -33,18 +35,16 @@ def summary_basic():
 
 def make_timing(phase=Phase.IOR_EASY_WRITE, runtimes=(310.0, 312.0, 309.0, 311.0),
                 stonewall=300.0, closes=None, items=None):
-    rows = []
-    for rank, runtime in enumerate(runtimes):
-        rows.append(
-            TimingRow(
-                rank=rank,
-                start_s=0.0,
-                end_s=float(runtime),
-                close_s=None if closes is None else float(closes[rank]),
-                items=None if items is None else int(items[rank]),
-            )
-        )
-    return ProcessTimingTable(phase=phase, rows=rows, stonewall_s=stonewall)
+    n = len(runtimes)
+    return ProcessTimingTable(
+        phase=phase,
+        rank=np.arange(n),
+        start_s=np.zeros(n),
+        end_s=np.asarray(runtimes, dtype=float),
+        close_s=None if closes is None else np.asarray(closes, dtype=float),
+        items=None if items is None else np.asarray(items, dtype=np.int64),
+        stonewall_s=stonewall,
+    )
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,26 @@ def test_ingest_corrupt_package_among_valid_exits_1(corpus, tmp_path):
     assert run("ingest", corpus, "--out", out) == 1
     assert len(list(out.glob("*.json"))) == 10  # valid ones still written
     assert "ERROR" in (out / "validation.txt").read_text()
+
+
+@pytest.mark.parametrize("bad_file", ["meta.txt", "result_summary.txt", "ior-easy-write.csv"])
+def test_ingest_undecodable_file_costs_only_its_package(tmp_path, capsys, bad_file):
+    fixture = Path(__file__).parent / "fixtures" / "packages" / "p04_timing_full"
+    packages = tmp_path / "packages"
+    for name in ("good", "bad"):
+        shutil.copytree(fixture, packages / name)
+    (packages / "bad" / bad_file).write_bytes(b"\xff\xfe not utf-8\n")
+    out = tmp_path / "m"
+    code = run("ingest", packages, "--out", out)
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    if bad_file.endswith(".csv"):  # a bad timing file only loses that table
+        assert code == 0 and errors == []
+        assert "timing discarded (ior-easy-write.csv: not UTF-8 text" in (out / "validation.txt").read_text()
+        assert len(list(out.glob("*.json"))) == 2
+    else:
+        assert code == 1
+        assert len(list(out.glob("*.json"))) == 1
+        assert len(errors) == 1 and f"{bad_file}: not UTF-8 text" in errors[0]
 
 
 def test_stats_corr_groups_logs(manifests, tmp_path):

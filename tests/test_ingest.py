@@ -112,14 +112,14 @@ def test_parse_timing_basic():
     table, warnings = ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
     assert warnings == []
     assert table.n_ranks == 2
-    row = table.rows[0]
-    assert (row.rank, row.start_s, row.end_s, row.close_s, row.items) == (0, 0.0, 300.1, 2.5, 1000)
+    row = (table.rank[0], table.start_s[0], table.end_s[0], table.close_s[0], table.items[0])
+    assert row == (0, 0.0, 300.1, 2.5, 1000)
 
 
 def test_parse_timing_sorted_by_rank_and_extra_columns_ignored():
     text = "start,rank,end,hostname\n10.0,2,310.0,n2\n0.0,0,300.0,n0\n5.0,1,305.0,n1\n"
     table, _ = ingest.parse_process_timing(text, Phase.IOR_HARD_WRITE)
-    assert [r.rank for r in table.rows] == [0, 1, 2]
+    assert table.rank.tolist() == [0, 1, 2]
 
 
 def test_parse_timing_stonewall_comment():
@@ -131,7 +131,7 @@ def test_parse_timing_stonewall_comment():
 def test_parse_timing_rejects_bad_rows_individually():
     text = "rank,start,end\n0,0.0,300.0\n1,500.0,400.0\n2,0.0,299.0\n"
     table, warnings = ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
-    assert [r.rank for r in table.rows] == [0, 2]
+    assert table.rank.tolist() == [0, 2]
     assert len(warnings) == 1 and "end" in warnings[0]
 
 
@@ -150,8 +150,8 @@ def test_parse_timing_missing_column_schema_error():
 def test_parse_timing_blank_optional_cells():
     text = "rank,start,end,close\n0,0.0,300.0,\n1,0.0,300.0,2.0\n"
     table, _ = ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
-    assert table.rows[0].close_s is None
-    assert table.rows[1].close_s == 2.0
+    assert np.isnan(table.close_s[0])
+    assert table.close_s[1] == 2.0
 
 
 def test_parse_timing_malformed_number_is_error():
@@ -440,3 +440,99 @@ def test_manifest_requires_format_version(tmp_path, summary_basic):
     del doc["format_version"]
     with pytest.raises(ValidationError):
         ingest.from_manifest(doc)
+
+
+def _set(path, value):
+    """Mutation that sets doc[path[0]][path[1]]... = value."""
+
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+
+    return mutate
+
+
+def _drop(key):
+    def mutate(doc):
+        del doc[key]
+        return doc
+
+    return mutate
+
+
+EASY = ("timing", "ior-easy-write")
+MALFORMED_MANIFESTS = [
+    (_set(("format_version",), "x"), "unsupported manifest format_version 'x'"),
+    (_set(("format_version",), 3), "unsupported manifest format_version 3"),
+    (
+        _set(("format_version",), 1),
+        "manifest format_version 1 is no longer read; re-run `io500kit ingest` to regenerate it",
+    ),
+    (_drop("format_version"), "manifest missing format_version"),
+    (_drop("meta"), "manifest: missing 'meta'"),
+    (_drop("timing"), "manifest: missing 'timing'"),
+    (lambda doc: [doc], "manifest: expected an object, got list"),
+    (_set(("meta", "client_nodes"), "3"), "meta.client_nodes: unexpected str value"),
+    (_set(("meta", "filesystem_norm"), "zfs"), "meta.filesystem_norm: unknown value 'zfs'"),
+    (_set(("phases", 0, "phase"), "ior-medium"), "phases[0].phase: unknown value 'ior-medium'"),
+    (_set(("phases", 0, "value"), None), "phases[0].value: unexpected NoneType value"),
+    (_set(("phases", 0), []), "phases[0]: expected an object, got list"),
+    (_set(("warnings",), [1]), "manifest.warnings: expected a list of strings"),
+    (_set((*EASY, "rank"), ["0", "1"]), "timing.ior-easy-write.rank: expected a list of integers"),
+    (_set((*EASY, "start_s"), None), "timing.ior-easy-write.start_s: unexpected NoneType value"),
+    (_set((*EASY, "items"), [1.5, None]), "timing.ior-easy-write.items: expected a list of integers"),
+    (_set((*EASY, "end_s"), [0.0]), "timing.ior-easy-write: timing columns must be 1-d and of equal length"),
+    (_set((*EASY, "items"), [None]), "timing.ior-easy-write: timing columns must be 1-d and of equal length"),
+    (_set((*EASY, "rank"), [0, 0]), "timing.ior-easy-write: duplicate ranks: [0]"),
+    (_set((*EASY, "end_s"), [0.0, 0.0]), "timing.ior-easy-write: rank 0: end 0.0 < start 0.25"),
+    (_set(("timing", "ior-easier-write"), {}), "timing.ior-easier-write: unknown value 'ior-easier-write'"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED_MANIFESTS)
+def test_malformed_manifest_is_validation_error(tmp_path, summary_basic, mutate, message):
+    timing = "# stonewall_s=300\nrank,start,end,close,items\n0,0.25,310.5,2.5,1000\n1,0.5,312.25,,\n"
+    pkg = _write_package(tmp_path, summary_basic, meta=META_BASIC, csvs={"ior-easy-write.csv": timing})
+    doc = mutate(json.loads(ingest.dumps_manifest(ingest.load_submission(pkg))))
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.from_manifest(doc)
+    assert str(excinfo.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.read_manifest(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_unreadable_manifest_names_the_file(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"format_version": 2,')
+    with pytest.raises(ValidationError, match=f"^{path}: not a JSON manifest"):
+        ingest.read_manifest(path)
+    path.write_bytes(b'{"format_version": "\xff"}')
+    with pytest.raises(LoadError, match="broken.json: not UTF-8 text"):
+        ingest.read_manifest(path)
+
+
+def test_manifest_is_compact_strict_json_v2(tmp_path, summary_basic):
+    timing = "# stonewall_s=300\nrank,start,end,close,items\n0,0.25,310.5,2.5,1000\n1,0.5,312.25,,\n"
+    pkg = _write_package(tmp_path, summary_basic, meta=META_BASIC, csvs={"ior-easy-write.csv": timing})
+    text = ingest.dumps_manifest(ingest.load_submission(pkg))
+
+    def reject(token):
+        raise AssertionError(f"non-strict JSON constant {token}")
+
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["format_version"] == 2
+    assert doc["timing"]["ior-easy-write"] == {
+        "stonewall_s": 300.0,
+        "rank": [0, 1],
+        "start_s": [0.25, 0.5],
+        "end_s": [310.5, 312.25],
+        "close_s": [2.5, None],
+        "items": [1000, None],
+    }
+    assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"

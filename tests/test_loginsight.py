@@ -69,7 +69,7 @@ def test_close_report_fraction(timing_factory):
 
 def test_close_report_missing_rank_omitted(timing_factory):
     table = timing_factory(runtimes=[300, 310, 320], closes=[1.0, 2.0, 3.0])
-    table.rows[1].close_s = None
+    table.close_s[1] = np.nan
     rep = loginsight.close_time_report(table)
     assert rep.stats.n == 2
     assert rep.omitted_ranks == 1
