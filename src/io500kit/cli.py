@@ -1,14 +1,16 @@
 """Subcommand front end: ingest -> stats/corr/groups/logs, plus synth.
 
-Stages exchange data through a manifest directory (one JSON document per
-submission) so every intermediate is inspectable. Exit codes are stable for
-CI use: 0 success, 1 hard error, 2 empty or degenerate dataset.
+Stages exchange data through a manifest directory (one JSON Lines file per
+submission: a header line, then one line per timing table) so every
+intermediate is inspectable; each stage decodes only the timing tables it
+reads. Exit codes are stable for CI use: 0 success, 1 hard error, 2 empty
+or degenerate dataset.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, loginsight, metrics, report, stats, synth
-from .config import default_outdir, load_config
+from .config import default_outdir, load_config, read_json_object
 from .errors import EmptyInputError, Io500KitError, NotAvailableError, SampleSizeError
 from .ingest import SUMMARY_FILENAME, interconnect_class
 from .types import Phase
@@ -61,6 +63,7 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 def cmd_ingest(args) -> int:
     config = load_config(args.config)
+    cmap = ingest.load_column_map(args.column_map) if args.column_map else None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     submissions = []
@@ -68,7 +71,6 @@ def cmd_ingest(args) -> int:
     skipped: list[str] = []
 
     if args.format == "repo-csv":
-        cmap = ingest.load_column_map(args.column_map) if args.column_map else None
         for raw in args.paths:
             text = ingest.read_text(raw)
             result = ingest.parse_repo_csv(text, cmap)
@@ -140,7 +142,7 @@ def _column_stats(names, table) -> list[tuple[str, metrics.SummaryStats]]:
 
 
 def cmd_stats(args) -> int:
-    subs = ingest.read_manifest_dir(args.manifest_dir)
+    subs = ingest.read_manifest_dir(args.manifest_dir, phases=())
     names, table = metrics.metric_table(subs, args.normalize)
     stats_rows = _column_stats(names, table)
     if not stats_rows:
@@ -182,7 +184,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_corr(args) -> int:
-    subs = ingest.read_manifest_dir(args.manifest_dir)
+    subs = ingest.read_manifest_dir(args.manifest_dir, phases=())
     names, table = metrics.metric_table(subs, args.normalize)
     corr = stats.correlation_matrix(names, table, method=args.method, alpha=args.alpha)
     spec = report.RenderSpec(
@@ -204,7 +206,7 @@ def cmd_corr(args) -> int:
 
 def cmd_groups(args) -> int:
     config = load_config(args.config)
-    subs = ingest.read_manifest_dir(args.manifest_dir)
+    subs = ingest.read_manifest_dir(args.manifest_dir, phases=())
     names, table = metrics.metric_table(subs, args.normalize)
     if args.metric not in names:
         raise EmptyInputError(f"unknown metric {args.metric!r}")
@@ -252,10 +254,10 @@ def cmd_groups(args) -> int:
 # --- log-derived analyses --------------------------------------------------------
 
 
-def _load_submissions_any(path: str) -> list:
+def _load_submissions_any(path: str, phases) -> list:
     p = Path(path)
     if p.is_dir() and sorted(p.glob("*.json")):
-        return ingest.read_manifest_dir(p)
+        return ingest.read_manifest_dir(p, phases=phases)
     if (p / SUMMARY_FILENAME).is_file():
         return [ingest.load_submission(p)]
     packages = _discover_packages([path])
@@ -485,25 +487,24 @@ def _logs_pfind(subs, args, config) -> int:
 
 def cmd_logs(args) -> int:
     config = load_config(args.config)
-    subs = _load_submissions_any(args.path)
+    # Each analysis with the timing tables it reads from manifests (None: all).
+    write_phases = [phase for phase in Phase if phase.is_write]
     dispatch = {
-        "runtime": _logs_runtime,
-        "close": _logs_close,
-        "stonewall": _logs_stonewall,
-        "stragglers": _logs_stragglers,
-        "pfind": _logs_pfind,
+        "runtime": (_logs_runtime, ()),
+        "close": (_logs_close, None),
+        "stonewall": (_logs_stonewall, write_phases),
+        "stragglers": (_logs_stragglers, write_phases),
+        "pfind": (_logs_pfind, [Phase.FIND]),
     }
-    return dispatch[args.analysis](subs, args, config)
+    analysis, phases = dispatch[args.analysis]
+    return analysis(_load_submissions_any(args.path, phases), args, config)
 
 
 # --- synth --------------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    spec: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            spec = json.load(f)
+    spec = read_json_object(args.config, "synth config") if args.config else {}
     if args.seed is not None:
         spec["seed"] = args.seed
     if args.n is not None:
@@ -516,6 +517,21 @@ def cmd_synth(args) -> int:
 
 
 # --- argument parsing ------------------------------------------------------------
+
+
+def _float_between(lo: float, hi: float, requirement: str):
+    """An argparse type: a float strictly between lo and hi."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not lo < value < hi:  # also false for NaN
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,7 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest_dir")
     p.add_argument("--method", choices=("spearman", "pearson"), default="spearman")
     p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="per-node")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument(
+        "--alpha", type=_float_between(0.0, 1.0, "must lie strictly between 0 and 1"), default=0.05
+    )
     p.add_argument("--out", default=outdir)
     p.set_defaults(func=cmd_corr)
 
@@ -564,7 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("close", "stonewall", "stragglers", "pfind", "runtime"),
         required=True,
     )
-    p.add_argument("--stonewall", type=float, help="explicit stonewall seconds when logs lack it")
+    p.add_argument(
+        "--stonewall",
+        type=_float_between(0.0, math.inf, "must be a positive finite number of seconds"),
+        help="explicit stonewall seconds when logs lack it",
+    )
     p.add_argument("--out", default=outdir)
     p.add_argument("--config", help="pipeline config JSON overriding defaults")
     p.set_defaults(func=cmd_logs)

@@ -22,16 +22,25 @@ def load_defaults() -> dict:
         return json.load(f)
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in a user-supplied file. A file that cannot be read,
+    is not UTF-8 JSON, or holds another kind of value raises ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            value = json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} {path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_config(path: str | Path | None = None) -> dict:
     """Defaults merged with an optional user config file (user wins)."""
     merged = load_defaults()
     if path is None:
         return merged
-    try:
-        with open(path, encoding="utf-8") as f:
-            user = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    user = read_json_object(path, "config")
     for key, value in user.items():
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
             merged[key].update(value)

@@ -16,11 +16,13 @@ import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 import numpy as np
 
+from .config import read_json_object
 from .errors import (
+    ConfigError,
     EmptyInputError,
     LoadError,
     ParseError,
@@ -37,7 +39,7 @@ from .types import (
     SubmissionMeta,
 )
 
-MANIFEST_FORMAT_VERSION = 2
+MANIFEST_FORMAT_VERSION = 3
 
 SUMMARY_FILENAME = "result_summary.txt"
 META_FILENAME = "meta.txt"
@@ -428,7 +430,7 @@ def _coerce_int(value: Any) -> int | None:
         return None
     try:
         out = int(float(str(value).strip()))
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):  # OverflowError: "inf"
         return None
     return out
 
@@ -490,15 +492,19 @@ DEFAULT_COLUMN_MAP: dict[str, Any] = {
 
 
 def load_column_map(path: str | Path) -> dict[str, Any]:
-    """Read a column map JSON file; missing keys fall back to the default."""
-    with open(path, encoding="utf-8") as f:
-        user = json.load(f)
-    merged = dict(DEFAULT_COLUMN_MAP)
-    phases = dict(DEFAULT_COLUMN_MAP["phases"])
-    phases.update(user.pop("phases", {}))
-    merged.update(user)
-    merged["phases"] = phases
-    return merged
+    """Read a column map JSON file; missing keys fall back to the default.
+
+    Column names are strings, or null for a field the export lacks; any
+    other shape, and a file that cannot be read or parsed, is a ConfigError.
+    """
+    user = read_json_object(path, "column map")
+    user_phases = user.pop("phases", {})
+    if not isinstance(user_phases, dict):
+        raise ConfigError(f"column map {path}: 'phases' must be an object")
+    bad = [k for k, v in [*user.items(), *user_phases.items()] if v is not None and not isinstance(v, str)]
+    if bad:
+        raise ConfigError(f"column map {path}: columns must be strings or null: {', '.join(bad)}")
+    return {**DEFAULT_COLUMN_MAP, **user, "phases": {**DEFAULT_COLUMN_MAP["phases"], **user_phases}}
 
 
 @dataclass
@@ -590,6 +596,9 @@ def parse_repo_csv(text: str, column_map: Mapping[str, Any] | None = None) -> Re
             except ValueError:
                 warnings.append(f"{phase}: unparseable value {raw_val!r}, dropped")
                 continue
+            if not math.isfinite(value):
+                warnings.append(f"{phase}: non-finite value {raw_val!r}, dropped")
+                continue
             if value < 0:
                 warnings.append(f"{phase}: negative value {value}, dropped")
                 continue
@@ -604,7 +613,13 @@ def parse_repo_csv(text: str, column_map: Mapping[str, Any] | None = None) -> Re
             except ValueError:
                 warnings.append(f"{field_name}: unparseable value {raw_val!r}, dropped")
                 return None
-            return value if value >= 0 else None
+            if not math.isfinite(value):
+                warnings.append(f"{field_name}: non-finite value {raw_val!r}, dropped")
+                return None
+            if value < 0:
+                warnings.append(f"{field_name}: negative value {value}, dropped")
+                return None
+            return value
 
         submissions.append(
             Submission(
@@ -718,7 +733,11 @@ def load_submission(package_dir: str | Path) -> Submission:
 
 
 def to_manifest(sub: Submission) -> dict[str, Any]:
-    """Serialize a Submission into the manifest document tree (format v2)."""
+    """Serialize a Submission into the manifest document tree.
+
+    The tree holds `timing` as a dict from phase name to table;
+    `dumps_manifest` writes each table on a line of its own.
+    """
     meta = sub.meta
     doc: dict[str, Any] = {
         "format_version": MANIFEST_FORMAT_VERSION,
@@ -815,23 +834,27 @@ def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = Fa
     raise ValidationError(f"{where}.{key}: expected a list of {'integers' if integer else 'numbers'}")
 
 
-def from_manifest(doc: Mapping[str, Any]) -> Submission:
-    """Reconstruct a Submission from a manifest document tree.
-
-    Only format_version 2 is read; any shape error raises ValidationError.
-    """
+def _check_version(doc: Any) -> None:
     if not isinstance(doc, dict):
         raise ValidationError(f"manifest: expected an object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version is None:
         raise ValidationError("manifest missing format_version")
-    if type(version) is int and version == 1:
+    if type(version) is int and version in (1, 2):
         raise ValidationError(
             f"manifest format_version {version} is no longer read; "
             "re-run `io500kit ingest` to regenerate it"
         )
     if version != MANIFEST_FORMAT_VERSION or type(version) is not int:
         raise ValidationError(f"unsupported manifest format_version {version!r}")
+
+
+def from_manifest(doc: Mapping[str, Any]) -> Submission:
+    """Reconstruct a Submission from a manifest document tree.
+
+    Only format_version 3 is read; any shape error raises ValidationError.
+    """
+    _check_version(doc)
     m = _get(doc, "meta", _OBJ, "manifest")
     meta = SubmissionMeta(
         submission_id=_get(m, "submission_id", _STR, "meta"),
@@ -888,31 +911,83 @@ def from_manifest(doc: Mapping[str, Any]) -> Submission:
 
 
 def dumps_manifest(sub: Submission) -> str:
-    """Compact JSON with sorted keys; the compact form keeps the stdlib's C encoder."""
-    return json.dumps(to_manifest(sub), separators=(",", ":"), sort_keys=True) + "\n"
+    """The manifest text: JSON Lines, a header line and then one line per timing table.
+
+    The header is the document tree with `timing` replaced by the list of
+    the tables' phase names, in line order; each table line is the table's
+    object plus its `phase`. Every line is compact JSON with sorted keys, a
+    form that keeps the stdlib's C encoder.
+    """
+    doc = to_manifest(sub)
+    tables = doc["timing"]
+    doc["timing"] = list(tables)
+    parts = [doc, *({"phase": name, **table} for name, table in tables.items())]
+    return "".join(json.dumps(part, separators=(",", ":"), sort_keys=True) + "\n" for part in parts)
 
 
 def write_manifest(sub: Submission, path: str | Path) -> None:
     Path(path).write_text(dumps_manifest(sub), encoding="utf-8", newline="\n")
 
 
-def read_manifest(path: str | Path) -> Submission:
-    """Load one manifest; errors name the file."""
+_JSON = json.JSONDecoder()
+
+
+def _manifest_tree(text: str, phases: Collection[Phase] | None) -> dict[str, Any]:
+    """The document tree of a manifest text, holding only the tables of `phases`
+    (all when None). Table lines of other phases are counted, not decoded."""
+    try:
+        # The first JSON value: the header line, or the whole of an older single-document manifest.
+        header, end = _JSON.raw_decode(text)
+    except ValueError as exc:
+        raise ValidationError(f"not a JSON manifest ({exc})") from None
+    _check_version(header)
+    index = _get(header, "timing", _LIST, "manifest")
+    index_phases = [_enum(Phase, name, f"timing.{name}") for name in index]
+    if len(set(index_phases)) != len(index_phases):
+        raise ValidationError("manifest.timing: a phase is listed twice")
+    # lines[0] is the rest of the header line and lines[-1] what follows the last newline.
+    lines = text[end:].split("\n")
+    if lines[0]:
+        raise ValidationError("manifest: line 1 holds more than the header")
+    if lines[-1] or len(lines) != len(index) + 2:
+        tail = " and an unterminated one" if lines[-1] else ""
+        raise ValidationError(
+            f"manifest: expected {len(index) + 1} complete lines (a header and {len(index)} "
+            f"tables), found {len(lines) - 1}{tail}; the file is truncated or damaged"
+        )
+    tables: dict[str, Any] = {}
+    for line_no, (phase, line) in enumerate(zip(index_phases, lines[1:-1]), start=2):
+        if phases is not None and phase not in phases:
+            continue
+        where = f"timing.{phase.value}"
+        try:
+            table = json.loads(line)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: line {line_no} is not JSON ({exc})") from None
+        if _get(table, "phase", _STR, where) != phase.value:
+            raise ValidationError(f"{where}: line {line_no} holds phase {table['phase']!r}")
+        del table["phase"]
+        tables[phase.value] = table
+    return {**header, "timing": tables}
+
+
+def read_manifest(path: str | Path, phases: Collection[Phase] | None = None) -> Submission:
+    """Load one manifest, decoding only the timing tables of `phases` (all when
+    None); the others are left out of the Submission. Errors name the file."""
     text = read_text(path)
     try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: not a JSON manifest ({exc})") from None
-    try:
-        return from_manifest(doc)
+        return from_manifest(_manifest_tree(text, phases))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def read_manifest_dir(directory: str | Path) -> list[Submission]:
-    """Load every `*.json` manifest in a directory, sorted by filename."""
+def read_manifest_dir(
+    directory: str | Path, phases: Collection[Phase] | None = None
+) -> list[Submission]:
+    """Load every `*.json` manifest in a directory, sorted by filename, with
+    the timing tables of `phases` (all when None)."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise EmptyInputError(f"no manifests found in {directory}")
-    return [read_manifest(p) for p in paths]
+    return [read_manifest(p, phases) for p in paths]

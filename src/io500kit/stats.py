@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtrc, stdtr
 
 from .errors import DegenerateInputError, SampleSizeError
 
@@ -59,6 +58,10 @@ def _validate_pair(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, 
 
 
 def _t_pvalue(r: float, n: int) -> float:
+    # scipy is imported here and in kruskal_wallis, not at module level: it
+    # costs about 0.3 s, and most CLI stages never compute a p-value.
+    from scipy.special import stdtr
+
     df = n - 2
     denom = 1.0 - r * r
     if denom <= 0.0:
@@ -132,6 +135,8 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> GroupTestResult:
 
     All-identical data degenerates to H = 0, p = 1 rather than erroring.
     """
+    from scipy.special import chdtrc  # deferred, see _t_pvalue
+
     if len(groups) < 2:
         raise SampleSizeError("kruskal_wallis needs at least two groups")
     arrays = [np.asarray(g, dtype=float) for g in groups]

@@ -1,9 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import io500kit
 from io500kit import cli, ingest, metrics, report, stats
 from io500kit.ingest import SUMMARY_FILENAME
 
@@ -317,5 +321,121 @@ def test_ingest_config_overrides_cache_threshold(corpus, tmp_path):
     out = tmp_path / "m"
     assert run("ingest", corpus, "--config", config, "--out", out) == 0
     for manifest in out.glob("*.json"):
-        doc = json.loads(manifest.read_text())
+        doc = json.loads(manifest.read_text().split("\n", 1)[0])  # the header line
         assert all(not p["cache_flag"] for p in doc["phases"])
+
+
+def test_repo_csv_unusable_values_dropped_with_a_warning(tmp_path):
+    csv_file = tmp_path / "export.csv"
+    csv_file.write_text(
+        "id,list,filesystem,client_nodes,ior_easy_write,score\n"
+        "x,SC22,lustre,4,nan,inf\n"
+        "y,SC22,lustre,inf,1.5,2.5\n"
+        "z,SC22,lustre,4,1.5,-3\n"
+    )
+    out = tmp_path / "m"
+    assert run("ingest", csv_file, "--format", "repo-csv", "--out", out) == 0
+    validation = (out / "validation.txt").read_text()
+    assert "WARN x: ior-easy-write: non-finite value 'nan', dropped" in validation
+    assert "WARN x: score_overall: non-finite value 'inf', dropped" in validation
+    assert "WARN z: score_overall: negative value -3.0, dropped" in validation
+    assert "SKIP " in validation and "row 2: invalid client_nodes 'inf'" in validation
+
+    def reject(token):
+        raise AssertionError(f"non-strict JSON constant {token}")
+
+    header = json.loads((out / "x.json").read_text().splitlines()[0], parse_constant=reject)
+    assert header["phases"] == [] and header["reported_score_overall"] is None
+
+
+def _exit_code(argv):
+    try:
+        return run(*argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        return exc.code
+
+
+# `{f}` is a file holding the case's content, `{csv}` a valid repo CSV and `{out}` an unused directory.
+COLUMN_MAP = ["ingest", "{csv}", "--out", "{out}", "--format", "repo-csv", "--column-map"]
+BAD_INPUT_CASES = [
+    # (argv, file content, exit code, error message)
+    (["synth", "--config", "{f}"], "{bad", 1, "error: cannot read synth config"),
+    (["synth", "--config", "{f}.missing"], "", 1, "error: cannot read synth config"),
+    (["synth", "--config", "{f}"], "[1]", 1, "expected a JSON object, got list"),
+    ([*COLUMN_MAP, "{f}"], "{bad", 1, "error: cannot read column map"),
+    ([*COLUMN_MAP, "{f}.missing"], "", 1, "error: cannot read column map"),
+    ([*COLUMN_MAP, "{f}"], '{"phases": []}', 1, "'phases' must be an object"),
+    ([*COLUMN_MAP, "{f}"], '{"list_label": 3}', 1, "columns must be strings or null: list_label"),
+    (["ingest", "{csv}", "--out", "{out}", "--config", "{f}"], "[]", 1, "error: config"),
+    (["corr", "{f}", "--alpha", "7"], "", 2, "argument --alpha: must lie strictly between 0 and 1"),
+    (["corr", "{f}", "--alpha", "0"], "", 2, "argument --alpha: must lie strictly between 0 and 1"),
+    (["corr", "{f}", "--alpha", "nan"], "", 2, "argument --alpha: must lie strictly between 0 and 1"),
+    (["logs", "{f}", "--analysis", "stonewall", "--stonewall", "-5"], "", 2, "argument --stonewall: must be a positive"),
+    (["logs", "{f}", "--analysis", "stonewall", "--stonewall", "inf"], "", 2, "argument --stonewall: must be a positive"),
+]
+
+
+@pytest.mark.parametrize("argv, content, code, message", BAD_INPUT_CASES)
+def test_bad_config_or_flag_is_one_error_line(tmp_path, capsys, argv, content, code, message):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    csv_file = tmp_path / "export.csv"
+    csv_file.write_text("id,list,filesystem,client_nodes\nx,SC22,lustre,4\n")
+    assert _exit_code([a.format(f=path, csv=csv_file, out=tmp_path / "m") for a in argv]) == code
+    assert not (tmp_path / "m").exists()  # rejected before any output is written
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+# --- start-up cost and per-stage manifest reads -------------------------------------------
+
+
+def test_cli_import_defers_scipy():
+    # bench/tracer.py wraps these six modules through sys.modules, so the import
+    # must load each of them; scipy it must not, only two p-value kernels need it.
+    code = "import json, sys, io500kit.cli; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(io500kit.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    for name in ("ingest", "loginsight", "metrics", "report", "stats", "synth"):
+        assert f"io500kit.{name}" in loaded
+
+
+ANALYSIS_STAGES = [
+    ["stats"],
+    ["corr"],
+    ["groups"],
+    *(["logs", "--analysis", a] for a in ("runtime", "close", "stonewall", "stragglers", "pfind")),
+]
+
+
+def _stage(argv, manifests, out):
+    return [argv[0], manifests, *argv[1:], "--out", out]
+
+
+def test_truncated_manifest_fails_every_stage(manifests, tmp_path, capsys):
+    path = sorted(manifests.glob("*.json"))[3]
+    text = path.read_text()
+    path.write_text(text[: text.rindex("\n", 0, -1) + 10])  # cut inside the last table line
+    for argv in ANALYSIS_STAGES:
+        assert run(*_stage(argv, manifests, tmp_path / "out")) == 1, argv
+        assert f"error: {path}: manifest: expected" in capsys.readouterr().err
+
+
+def test_corrupt_table_line_fails_only_stages_reading_it(manifests, tmp_path, capsys):
+    path = sorted(manifests.glob("*.json"))[3]
+    lines = path.read_text().split("\n")
+    index = json.loads(lines[0])["timing"]
+    k = 1 + index.index("find")
+    lines[k] = lines[k][: len(lines[k]) // 2]  # a damaged line, still in place
+    path.write_text("\n".join(lines))
+    failing = {"close", "pfind"}  # the analyses that decode the find table
+    for argv in ANALYSIS_STAGES:
+        code = run(*_stage(argv, manifests, tmp_path / "out"))
+        err = capsys.readouterr().err
+        if argv[-1] in failing:
+            assert code == 1 and f"error: {path}: timing.find: line {k + 1} is not JSON" in err, argv
+        else:
+            assert code == 0 and err == "", argv

@@ -466,10 +466,14 @@ def _drop(key):
 EASY = ("timing", "ior-easy-write")
 MALFORMED_MANIFESTS = [
     (_set(("format_version",), "x"), "unsupported manifest format_version 'x'"),
-    (_set(("format_version",), 3), "unsupported manifest format_version 3"),
+    (_set(("format_version",), 4), "unsupported manifest format_version 4"),
     (
         _set(("format_version",), 1),
         "manifest format_version 1 is no longer read; re-run `io500kit ingest` to regenerate it",
+    ),
+    (
+        _set(("format_version",), 2),
+        "manifest format_version 2 is no longer read; re-run `io500kit ingest` to regenerate it",
     ),
     (_drop("format_version"), "manifest missing format_version"),
     (_drop("meta"), "manifest: missing 'meta'"),
@@ -492,24 +496,82 @@ MALFORMED_MANIFESTS = [
 ]
 
 
+def _manifest_lines(doc) -> str:
+    """A document tree in the manifest's line layout: the header, then one
+    line per timing table. A tree without a timing object stays one line."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("timing"), dict):
+        return json.dumps(doc) + "\n"
+    tables = doc["timing"]
+    parts = [{**doc, "timing": list(tables)}, *({"phase": k, **v} for k, v in tables.items())]
+    return "".join(json.dumps(part) + "\n" for part in parts)
+
+
 @pytest.mark.parametrize("mutate, message", MALFORMED_MANIFESTS)
 def test_malformed_manifest_is_validation_error(tmp_path, summary_basic, mutate, message):
     timing = "# stonewall_s=300\nrank,start,end,close,items\n0,0.25,310.5,2.5,1000\n1,0.5,312.25,,\n"
     pkg = _write_package(tmp_path, summary_basic, meta=META_BASIC, csvs={"ior-easy-write.csv": timing})
-    doc = mutate(json.loads(ingest.dumps_manifest(ingest.load_submission(pkg))))
+    doc = mutate(ingest.to_manifest(ingest.load_submission(pkg)))
     with pytest.raises(ValidationError) as excinfo:
         ingest.from_manifest(doc)
     assert str(excinfo.value) == message
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(_manifest_lines(doc))
     with pytest.raises(ValidationError) as excinfo:
         ingest.read_manifest(path)
     assert str(excinfo.value) == f"{path}: {message}"
 
 
+def _swap_tables(lines):
+    lines[1], lines[2] = lines[2], lines[1]
+    return lines
+
+
+def _list_twice(lines):
+    header = json.loads(lines[0])
+    header["timing"] = ["find", "find"]
+    return [json.dumps(header), *lines[1:]]
+
+
+# Mutations of a manifest's lines (header, find, ior-easy-write, "") and the error after the file name.
+DAMAGED_LINES = [
+    (lambda lines: lines[:2] + [""], "expected 3 complete lines (a header and 2 tables), found 2"),
+    (lambda lines: lines[:3], "expected 3 complete lines (a header and 2 tables), found 2 and an unterminated one"),
+    (lambda lines: lines[:3] + ["{}", ""], "expected 3 complete lines (a header and 2 tables), found 4"),
+    (lambda lines: [lines[0] + " {}", *lines[1:]], "manifest: line 1 holds more than the header"),
+    (_swap_tables, "timing.find: line 2 holds phase 'ior-easy-write'"),
+    (_list_twice, "manifest.timing: a phase is listed twice"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", DAMAGED_LINES)
+def test_damaged_manifest_lines_are_validation_errors(tmp_path, summary_basic, mutate, message):
+    timing = "rank,start,end,close,items\n0,0.25,310.5,2.5,1000\n1,0.5,312.25,,\n"
+    csvs = {"ior-easy-write.csv": timing, "find.csv": timing}
+    pkg = _write_package(tmp_path, summary_basic, meta=META_BASIC, csvs=csvs)
+    path = tmp_path / "bad.json"
+    path.write_text("\n".join(mutate(ingest.dumps_manifest(ingest.load_submission(pkg)).split("\n"))))
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.read_manifest(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    assert message in str(excinfo.value)
+
+
+@pytest.mark.parametrize("version, indent", [(1, 2), (2, None)])
+def test_single_document_manifests_are_no_longer_read(tmp_path, summary_basic, version, indent):
+    # v1 was one indented document and v2 one compact line, timing included.
+    timing = "rank,start,end\n0,0.25,310.5\n"
+    pkg = _write_package(tmp_path, summary_basic, meta=META_BASIC, csvs={"ior-easy-write.csv": timing})
+    doc = {**ingest.to_manifest(ingest.load_submission(pkg)), "format_version": version}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+    for phases in (None, ()):
+        with pytest.raises(ValidationError, match=f"format_version {version} is no longer read; re-run"):
+            ingest.read_manifest(path, phases=phases)
+
+
 def test_unreadable_manifest_names_the_file(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text('{"format_version": 2,')
+    path.write_text('{"format_version": 3,')
     with pytest.raises(ValidationError, match=f"^{path}: not a JSON manifest"):
         ingest.read_manifest(path)
     path.write_bytes(b'{"format_version": "\xff"}')
@@ -517,17 +579,24 @@ def test_unreadable_manifest_names_the_file(tmp_path):
         ingest.read_manifest(path)
 
 
-def test_manifest_is_compact_strict_json_v2(tmp_path, summary_basic):
+def test_manifest_is_compact_strict_json_lines(tmp_path, summary_basic):
     timing = "# stonewall_s=300\nrank,start,end,close,items\n0,0.25,310.5,2.5,1000\n1,0.5,312.25,,\n"
-    pkg = _write_package(tmp_path, summary_basic, meta=META_BASIC, csvs={"ior-easy-write.csv": timing})
+    pkg = _write_package(
+        tmp_path, summary_basic, meta=META_BASIC, csvs={"ior-easy-write.csv": timing, "find.csv": timing}
+    )
     text = ingest.dumps_manifest(ingest.load_submission(pkg))
 
     def reject(token):
         raise AssertionError(f"non-strict JSON constant {token}")
 
-    doc = json.loads(text, parse_constant=reject)
-    assert doc["format_version"] == 2
-    assert doc["timing"]["ior-easy-write"] == {
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    header, *tables = [json.loads(line, parse_constant=reject) for line in lines]
+    assert header["format_version"] == 3
+    assert header["timing"] == ["find", "ior-easy-write"]
+    assert [t["phase"] for t in tables] == header["timing"]
+    assert tables[1] == {
+        "phase": "ior-easy-write",
         "stonewall_s": 300.0,
         "rank": [0, 1],
         "start_s": [0.25, 0.5],
@@ -535,4 +604,4 @@ def test_manifest_is_compact_strict_json_v2(tmp_path, summary_basic):
         "close_s": [2.5, None],
         "items": [1000, None],
     }
-    assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    assert lines == [json.dumps(part, separators=(",", ":"), sort_keys=True) for part in [header, *tables]]

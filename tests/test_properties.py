@@ -1,9 +1,12 @@
-"""Property tests for the columnar timing parser and the v2 manifest codec.
+"""Property tests for the columnar timing parser and the manifest codec.
 
 Derandomized, so every run checks the same examples.
 """
 
-import json
+import dataclasses
+import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -150,9 +153,12 @@ def timing_table(draw, phase):
     )
 
 
+TABLE_PHASES = (Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE, Phase.FIND)
+
+
 @st.composite
 def submission(draw):
-    phases = draw(st.sets(st.sampled_from([Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE, Phase.FIND])))
+    phases = draw(st.sets(st.sampled_from(TABLE_PHASES)))
     return Submission(
         meta=SubmissionMeta(submission_id=draw(st.text(max_size=8)), client_nodes=draw(st.integers(1, 64))),
         phases={
@@ -168,6 +174,14 @@ def submission(draw):
 @given(submission())
 def test_manifest_round_trip(sub):
     text = ingest.dumps_manifest(sub)
-    again = ingest.from_manifest(json.loads(text))
-    assert again == sub
-    assert ingest.dumps_manifest(again) == text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(text, encoding="utf-8", newline="\n")
+        again = ingest.read_manifest(path)
+        assert again == sub
+        assert ingest.dumps_manifest(again) == text
+        # A read of some phases equals the full read with its timing restricted to them.
+        for k in range(len(TABLE_PHASES) + 1):
+            for selected in itertools.combinations(TABLE_PHASES, k):
+                timing = {p: t for p, t in again.timing.items() if p in selected}
+                assert ingest.read_manifest(path, phases=selected) == dataclasses.replace(again, timing=timing)

@@ -1,18 +1,21 @@
-"""Convert format_version 1 manifests to format_version 2, in place.
+"""Convert format_version 1 or 2 manifests to the current format (3), in place.
 
-    PYTHONPATH=src python tools/convert_manifest_v1.py tests/golden/p0*.json
+    PYTHONPATH=src python tools/convert_manifest.py tests/golden/p0*.json
 
 Version 1 stored each timing table as a list of per-rank row objects and was
-written with indent=2. This script decodes a v1 document into a Submission
-on its own (the package no longer reads v1), writes it back with
-`ingest.dumps_manifest`, and checks that the v2 text decodes to a
-Submission equal to the v1 one. It exits 1 and leaves the file untouched
-when they differ.
+written with indent=2. Version 2 was one compact JSON document whose tree is
+the version 3 tree: version 3 only moves each timing table onto a line of
+its own. The package reads neither, so this script decodes them on its own,
+writes the Submission with `ingest.dumps_manifest` to a temporary file
+beside the original, and reads that back with `ingest.read_manifest`. Only
+when the result equals the old Submission does the new file replace the
+old one; otherwise the script reports the file, leaves it as is and exits 1.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -47,8 +50,6 @@ def _v1_table(phase: Phase, spec: dict) -> ProcessTimingTable:
 
 
 def decode_v1(doc: dict) -> Submission:
-    if doc.get("format_version") != 1:
-        raise ValueError(f"not a v1 manifest: format_version {doc.get('format_version')!r}")
     m = doc["meta"]
     meta = SubmissionMeta(
         submission_id=m["submission_id"],
@@ -85,18 +86,28 @@ def decode_v1(doc: dict) -> Submission:
     )
 
 
+def decode(doc: dict) -> Submission:
+    version = doc.get("format_version")
+    if version == 1:
+        return decode_v1(doc)
+    if version == 2:
+        return ingest.from_manifest({**doc, "format_version": ingest.MANIFEST_FORMAT_VERSION})
+    raise ValueError(f"not a v1 or v2 manifest: format_version {version!r}")
+
+
 def main(paths: list[str]) -> int:
     status = 0
     for raw in paths:
         path = Path(raw)
-        old = decode_v1(json.loads(path.read_text(encoding="utf-8")))
-        text = ingest.dumps_manifest(old)
-        new = ingest.from_manifest(json.loads(text))
-        if new != old:
-            print(f"{path}: v2 decodes to a different Submission, left as is", file=sys.stderr)
+        old = decode(json.loads(path.read_text(encoding="utf-8")))
+        tmp = path.with_name(path.name + ".tmp")
+        ingest.write_manifest(old, tmp)
+        if ingest.read_manifest(tmp) != old:
+            tmp.unlink()
+            print(f"{path}: v3 decodes to a different Submission, left as is", file=sys.stderr)
             status = 1
             continue
-        path.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
         n_rows = sum(t.n_ranks for t in old.timing.values())
         print(f"{path}: converted, equal Submission ({len(old.timing)} tables, {n_rows} ranks)")
     return status
