@@ -298,7 +298,7 @@ def _logs_runtime(subs, args, config) -> int:
 
 def _logs_close(subs, args, config) -> int:
     rows = []
-    fs_groups: dict[str, list[float]] = {}
+    fs_groups: dict[str, list[np.ndarray]] = {}
     for sub in subs:
         for phase, table in sorted(sub.timing.items(), key=lambda kv: kv[0].value):
             try:
@@ -315,7 +315,7 @@ def _logs_close(subs, args, config) -> int:
                     report.fmt_csv(report.q6(float(np.median(rep.fraction_of_runtime)))),
                 ]
             )
-            fs_groups.setdefault(sub.meta.filesystem_norm.value, []).extend(rep.close_s_per_rank)
+            fs_groups.setdefault(sub.meta.filesystem_norm.value, []).append(rep.close_s_per_rank)
     if not rows:
         print("no close-time data available")
         return 0
@@ -326,7 +326,8 @@ def _logs_close(subs, args, config) -> int:
     spec = report.RenderSpec(
         kind="close_box", title="close time by filesystem", scale="log10", y_label="close seconds"
     )
-    svg, sidecar = report.render_group_box(sorted(fs_groups.items()), spec, annotate=False)
+    groups = [(fs, np.concatenate(closes)) for fs, closes in sorted(fs_groups.items())]
+    svg, sidecar = report.render_group_box(groups, spec, annotate=False)
     report.write_render(args.out, "logs", "close_box", svg=svg, csv_text=sidecar)
     print(f"close-time summary for {len(rows)} phase tables")
     return 0
@@ -355,8 +356,8 @@ def _logs_stonewall(subs, args, config) -> int:
                     sub.meta.submission_id,
                     phase.value,
                     str(len(rat.ratios)),
-                    report.fmt_csv(report.q6(min(rat.ratios))),
-                    report.fmt_csv(report.q6(max(rat.ratios))),
+                    report.fmt_csv(report.q6(float(rat.ratios.min()))),
+                    report.fmt_csv(report.q6(float(rat.ratios.max()))),
                 ]
             )
     if not rows:
@@ -449,7 +450,7 @@ def _logs_pfind(subs, args, config) -> int:
             notes.append(str(exc))
             continue
         detail_csv, detail_txt = report.render_imbalance_table(
-            rep.items_per_rank, rep.max_over_median, rep.gini, rep.waiting_fraction_median
+            rep.items_per_rank, rep.max_over_median, rep.gini
         )
         report.write_render(
             args.out,
@@ -462,8 +463,8 @@ def _logs_pfind(subs, args, config) -> int:
             [
                 sub.meta.submission_id,
                 str(len(rep.items_per_rank)),
-                str(int(np.median(np.asarray(rep.items_per_rank)))),
-                str(max(rep.items_per_rank)),
+                str(int(np.median(rep.items_per_rank))),
+                str(int(rep.items_per_rank.max())),
                 "inf" if np.isinf(rep.max_over_median) else report.fmt_csv(report.q6(rep.max_over_median)),
                 report.fmt_csv(report.q6(rep.gini)),
             ]
@@ -568,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("groups", help="group comparison by interconnect class")
     p.add_argument("manifest_dir")
-    p.add_argument("--by", choices=("interconnect-class",), default="interconnect-class")
     p.add_argument("--metric", default="score_overall", choices=metrics.METRIC_NAMES)
     p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="per-node")
     p.add_argument("--out", default=outdir)

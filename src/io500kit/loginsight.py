@@ -66,10 +66,10 @@ def flag_cache_affected(
 @dataclass
 class CloseTimeReport:
     phase: Phase
-    ranks: list[int]
-    close_s_per_rank: list[float]
+    ranks: np.ndarray  # int64, the ranks with a close value
+    close_s_per_rank: np.ndarray  # float64, aligned with ranks
     stats: SummaryStats
-    fraction_of_runtime: list[float]
+    fraction_of_runtime: np.ndarray  # float64 in [0, 1], aligned with ranks
     omitted_ranks: int = 0  # rows without a close value
 
 
@@ -82,13 +82,12 @@ def close_time_report(timing: ProcessTimingTable) -> CloseTimeReport:
     runtime = timing.runtime_s[present]
     fractions = np.zeros(closes.size)
     np.divide(closes, runtime, out=fractions, where=runtime > 0)
-    closes_list = closes.tolist()
     return CloseTimeReport(
         phase=timing.phase,
-        ranks=timing.rank[present].tolist(),
-        close_s_per_rank=closes_list,
-        stats=summary_stats(closes_list),
-        fraction_of_runtime=np.clip(fractions, 0.0, 1.0).tolist(),
+        ranks=timing.rank[present],
+        close_s_per_rank=closes,
+        stats=summary_stats(closes),
+        fraction_of_runtime=np.clip(fractions, 0.0, 1.0),
         omitted_ranks=int(timing.n_ranks - closes.size),
     )
 
@@ -97,9 +96,9 @@ def close_time_report(timing: ProcessTimingTable) -> CloseTimeReport:
 class StonewallRatios:
     phase: Phase
     stonewall_s: float
-    ranks: list[int]
-    ratios: list[float]  # rank order, runtime / stonewall
-    qq: list[tuple[float, float]]  # (k/n, sorted ratio), k = 1..n
+    ranks: np.ndarray  # int64, sorted
+    ratios: np.ndarray  # float64, rank order, runtime / stonewall
+    qq: np.ndarray  # (n, 2): rows (k/n, k-th smallest ratio), k = 1..n
 
 
 def stonewall_ratios(
@@ -118,14 +117,12 @@ def stonewall_ratios(
     if not n:
         raise SampleSizeError(f"{timing.phase}: timing table has no rows")
     ratios = timing.runtime_s / stonewall
-    quantiles = np.arange(1, n + 1) / n
-    qq = list(zip(quantiles.tolist(), np.sort(ratios).tolist()))
     return StonewallRatios(
         phase=timing.phase,
         stonewall_s=stonewall,
-        ranks=timing.rank.tolist(),
-        ratios=ratios.tolist(),
-        qq=qq,
+        ranks=timing.rank,
+        ratios=ratios,
+        qq=np.column_stack((np.arange(1, n + 1) / n, np.sort(ratios))),
     )
 
 
@@ -214,13 +211,13 @@ def classify_straggler_pattern(
 class StragglerReport:
     phase: Phase
     stonewall_s: float
-    ranks: list[int]
-    ratios: list[float]
+    ranks: np.ndarray  # int64, sorted
+    ratios: np.ndarray  # float64, rank order
     straggler_ranks: set[int]
     pattern: Pattern
     adjacency_index: float
     run_count: int
-    qq: list[tuple[float, float]]
+    qq: np.ndarray  # (n, 2), as in StonewallRatios
 
 
 def straggler_report(
@@ -285,24 +282,15 @@ def gini(counts: Sequence[float]) -> float:
 @dataclass
 class ImbalanceReport:
     phase: Phase
-    ranks: list[int]
-    items_per_rank: list[int]
+    ranks: np.ndarray  # int64, the ranks with an item count
+    items_per_rank: np.ndarray  # int64, aligned with ranks
     max_over_median: float  # inf when the median is zero but the max is not
     gini: float
-    utilization_per_rank: list[float] | None = None
-    waiting_fraction_median: float | None = None
     omitted_ranks: int = 0
 
 
-def pfind_imbalance(
-    timing: ProcessTimingTable, active_s: Sequence[float] | None = None
-) -> ImbalanceReport:
-    """Item-count imbalance across find processes.
-
-    active_s, when supplied (same order as the table rows that carry items),
-    gives per-rank active traversal time; utilization is active/elapsed and
-    the median waiting fraction is 1 - median utilization.
-    """
+def pfind_imbalance(timing: ProcessTimingTable) -> ImbalanceReport:
+    """Item-count imbalance across find processes."""
     present = ~np.ma.getmaskarray(timing.items)
     items = timing.items.data[present]
     if not items.size:
@@ -314,25 +302,12 @@ def pfind_imbalance(
         raise DegenerateInputError(f"{timing.phase}: all item counts are zero")
     median = float(np.median(arr))
     max_over_median = float(np.max(arr)) / median if median > 0 else math.inf
-
-    utilization: list[float] | None = None
-    waiting_median: float | None = None
-    if active_s is not None:
-        if len(active_s) != items.size:
-            raise ValueError("active_s must align with the rows carrying items")
-        runtimes = timing.runtime_s[present]
-        shares = np.zeros(items.size)
-        np.divide(np.asarray(active_s, dtype=float), runtimes, out=shares, where=runtimes > 0)
-        utilization = np.clip(shares, 0.0, 1.0).tolist()
-        waiting_median = 1.0 - float(np.median(np.asarray(utilization)))
     return ImbalanceReport(
         phase=timing.phase,
-        ranks=timing.rank[present].tolist(),
-        items_per_rank=items.tolist(),
+        ranks=timing.rank[present],
+        items_per_rank=items,
         max_over_median=max_over_median,
         gini=gini(arr),
-        utilization_per_rank=utilization,
-        waiting_fraction_median=waiting_median,
         omitted_ranks=int(timing.n_ranks - items.size),
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,6 +65,30 @@ def fmt_csv(x: float | None) -> str:
     return f"{x:.6g}"
 
 
+def _quantize(values) -> tuple[np.ndarray, list[str]]:
+    """q6 of a whole column, and fmt_csv of each quantized value.
+
+    Each value is formatted once and the text parsed back. `.6g` is
+    idempotent on a q6 value, so that text is also the sidecar cell, except
+    that fmt_csv leaves a NaN's cell empty.
+    """
+    text = list(map(format, np.asarray(values, dtype=float).ravel().tolist(), itertools.repeat(".6g")))
+    quantized = np.fromiter(map(float, text), dtype=float, count=len(text))
+    if np.isnan(quantized).any():
+        text = list(map(fmt_csv, quantized.tolist()))
+    return quantized, text
+
+
+def _first_min(values: np.ndarray) -> float:
+    """min() of a column: the first smallest value, so a zero keeps its sign."""
+    return float(values[values.argmin()])
+
+
+def _first_max(values: np.ndarray) -> float:
+    """max() of a column: the first largest value, so a zero keeps its sign."""
+    return float(values[values.argmax()])
+
+
 def fmt_label(x: float) -> str:
     return f"{x:.3g}"
 
@@ -81,8 +106,7 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -139,23 +163,19 @@ def render_composition_table(submissions: Sequence[Submission]) -> tuple[str, st
 
 
 def render_imbalance_table(
-    items_per_rank: Sequence[int],
-    max_over_median: float,
-    gini_value: float,
-    waiting_fraction_median: float | None = None,
+    items_per_rank: Sequence[int], max_over_median: float, gini_value: float
 ) -> tuple[str, str]:
+    counts = np.asarray(items_per_rank)
     header = ["Quantity", "Value"]
     rows = [
-        ["ranks", str(len(items_per_rank))],
-        ["items_total", str(int(sum(items_per_rank)))],
-        ["items_min", str(int(min(items_per_rank)))],
-        ["items_median", fmt_csv(q6(float(np.median(np.asarray(items_per_rank)))))],
-        ["items_max", str(int(max(items_per_rank)))],
+        ["ranks", str(counts.size)],
+        ["items_total", str(int(sum(counts.tolist())))],  # Python ints: no int64 overflow
+        ["items_min", str(int(counts.min()))],
+        ["items_median", fmt_csv(q6(float(np.median(counts))))],
+        ["items_max", str(int(counts.max()))],
         ["max_over_median", "inf" if math.isinf(max_over_median) else fmt_csv(q6(max_over_median))],
         ["gini", fmt_csv(q6(gini_value))],
     ]
-    if waiting_fraction_median is not None:
-        rows.append(["waiting_fraction_median", fmt_csv(q6(waiting_fraction_median))])
     return csv_table(header, rows), aligned_table(header, rows)
 
 
@@ -208,7 +228,8 @@ class _Axis:
             self.lo = math.log10(self.lo)
             self.hi = math.log10(self.hi)
         if self.hi == self.lo:
-            self.hi = self.lo + 1.0
+            # One unit, or one float step where a unit no longer changes lo (|lo| >= 2**53).
+            self.hi = self.lo + max(1.0, math.ulp(self.lo))
 
     def __call__(self, value: float) -> tuple[float, bool]:
         """Pixel position plus a flag when the value was pinned to the floor."""
@@ -221,12 +242,35 @@ class _Axis:
         frac = (value - self.lo) / (self.hi - self.lo)
         return self.px_lo + frac * (self.px_hi - self.px_lo), clamped
 
+    def column(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """__call__ over a whole column: the same IEEE operations in the same
+        order, so every position is bit-equal to the per-value one."""
+        clamped = np.zeros(values.shape, dtype=bool)
+        if self.log:
+            clamped = values <= 0
+            # math.log10 per value: np.log10 is not guaranteed to round alike.
+            floored = np.maximum(values, self.floor).tolist()
+            values = np.fromiter(map(math.log10, floored), dtype=float, count=len(floored))
+        frac = (values - self.lo) / (self.hi - self.lo)
+        return self.px_lo + frac * (self.px_hi - self.px_lo), clamped
+
 
 def _log_floor(values: Sequence[float]) -> float:
-    positive = [v for v in values if v > 0]
-    if not positive:
+    values = np.asarray(values, dtype=float)
+    positive = values[values > 0]
+    if not positive.size:
         raise ValueError("log scale needs at least one positive value")
-    return min(positive) / 10.0
+    return float(positive.min()) / 10.0
+
+
+def _points(circle: str, clamped_circle: str, xs: list[float], ys: list[float], clamped: np.ndarray) -> list[str]:
+    """One SVG line per point from a %-format taking (cx, cy); a point
+    pinned to the log floor gets clamped_circle and a "0" label above it."""
+    lines = list(map(circle.__mod__, zip(xs, ys)))
+    for i in np.flatnonzero(clamped).tolist():
+        x, y = xs[i], ys[i]
+        lines[i] = clamped_circle % (x, y) + "\n" + _text(x, y - 5.0, "0", size=8, anchor="middle")
+    return lines
 
 
 # --- correlation heatmap ---------------------------------------------------------
@@ -363,20 +407,25 @@ def heatmap_from_sidecar(sidecar: str) -> HeatmapData:
 # --- Q-Q plot ---------------------------------------------------------------------
 
 
-def render_qq(qq_pairs: Sequence[tuple[float, float]], spec: RenderSpec | None = None) -> tuple[str, str]:
-    """Stonewall-ratio Q-Q plot with a reference line at ratio 1.0."""
-    if not qq_pairs:
+def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: RenderSpec | None = None) -> tuple[str, str]:
+    """Stonewall-ratio Q-Q plot with a reference line at ratio 1.0.
+
+    qq_pairs is an (n, 2) array of (quantile, ratio) rows, such as
+    StonewallRatios.qq, or a list of pairs, such as qq_from_sidecar returns.
+    """
+    pairs = np.asarray(qq_pairs, dtype=float)
+    if not pairs.size:
         raise EmptyInputError("no quantile pairs to plot")
     spec = spec or RenderSpec(kind="qq_plot")
-    pairs = [(q6(q), q6(r)) for q, r in qq_pairs]
-    log_y = spec.scale == "log10" and any(r > 0 for _, r in pairs)
+    quantiles, q_cells = _quantize(pairs[:, 0])
+    ratios, r_cells = _quantize(pairs[:, 1])
+    log_y = spec.scale == "log10" and bool(np.any(ratios > 0))
 
     width, height = 460.0, 340.0
     px = _Axis(0.0, 1.0, 70.0, width - 30.0)
-    ratios = [r for _, r in pairs]
-    floor = _log_floor(ratios + [1.0]) if log_y else 0.0
-    y_hi = max(max(ratios), 1.0)
-    y_lo = floor if log_y else min(min(ratios), 1.0, 0.0)
+    floor = _log_floor(np.append(ratios, 1.0)) if log_y else 0.0
+    y_hi = max(_first_max(ratios), 1.0)
+    y_lo = floor if log_y else min(_first_min(ratios), 1.0, 0.0)
     py = _Axis(y_lo, y_hi, height - 50.0, 40.0, log=log_y)
 
     parts = _svg_open(width, height)
@@ -391,15 +440,15 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]], spec: RenderSpec | None =
         f'<line x1="{_c(70.0)}" y1="{_c(ref_y)}" x2="{_c(width - 30.0)}" y2="{_c(ref_y)}" '
         f'stroke="#bb4444" stroke-width="1" stroke-dasharray="4 3"/>'
     )
-    clamped_flags = []
-    for q, r in pairs:
-        x, _ = px(q)
-        y, clamped = py(r)
-        clamped_flags.append(clamped)
-        fill = "#d09040" if clamped else "#33668c"
-        parts.append(f'<circle cx="{_c(x)}" cy="{_c(y)}" r="2.2" fill="{fill}"/>')
-        if clamped:
-            parts.append(_text(x, y - 5.0, "0", size=8, anchor="middle"))
+    xs, _ = px.column(quantiles)
+    ys, clamped = py.column(ratios)
+    parts += _points(
+        '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#33668c"/>',
+        '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#d09040"/>',
+        xs.tolist(),
+        ys.tolist(),
+        clamped,
+    )
     parts.append(_text(width / 2.0, height - 16.0, spec.x_label or "empirical quantile", size=11, anchor="middle"))
     parts.append(
         _text(
@@ -416,13 +465,8 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]], spec: RenderSpec | None =
     parts.append("</svg>")
     svg = "\n".join(parts) + "\n"
 
-    sidecar = csv_table(
-        ["quantile", "ratio", "clamped"],
-        [
-            [fmt_csv(q), fmt_csv(r), "true" if flag else "false"]
-            for (q, r), flag in zip(pairs, clamped_flags)
-        ],
-    )
+    flags = np.where(clamped, "true", "false").tolist()
+    sidecar = csv_table(["quantile", "ratio", "clamped"], zip(q_cells, r_cells, flags))
     return svg, sidecar
 
 
@@ -450,26 +494,26 @@ def render_group_box(
 ) -> tuple[str, str]:
     """Box plot per group (median, quartiles, Tukey whiskers, outlier dots).
 
-    With two or more groups and annotate=True, a Kruskal-Wallis line
-    (H, p, eta-squared plus the independence caveat) is drawn under the title.
+    Each group's values may be a list or a numpy column. With two or more
+    groups and annotate=True, a Kruskal-Wallis line (H, p, eta-squared plus
+    the independence caveat) is drawn under the title.
     """
     if not groups:
         raise EmptyInputError("no groups to plot")
     spec = spec or RenderSpec(kind="group_box")
     ordered = sorted(
-        ((label, [q6(v) for v in values]) for label, values in groups),
-        key=lambda kv: _natural_label_key(kv[0]),
+        ((label, *_quantize(values)) for label, values in groups),
+        key=lambda group: _natural_label_key(group[0]),
     )
-    for label, values in ordered:
-        if not values:
+    for label, values, _ in ordered:
+        if not values.size:
             raise EmptyInputError(f"group {label!r} is empty")
 
-    all_values = [v for _, values in ordered for v in values]
-    log_y = spec.scale == "log10" and any(v > 0 for v in all_values)
-    floor = _log_floor(all_values) if log_y else 0.0
-    positives = [v for v in all_values if v > 0] or [1.0]
-    y_lo = floor if log_y else min(all_values)
-    y_hi = max(positives) if log_y else max(all_values)
+    pooled = np.concatenate([values for _, values, _ in ordered])
+    log_y = spec.scale == "log10" and bool(np.any(pooled > 0))
+    floor = _log_floor(pooled) if log_y else 0.0
+    y_lo = floor if log_y else _first_min(pooled)
+    y_hi = float(pooled[pooled > 0].max()) if log_y else _first_max(pooled)
 
     n_groups = len(ordered)
     box_w = 46.0
@@ -482,21 +526,20 @@ def render_group_box(
         parts.append(_text(width / 2.0, 20.0, spec.title, size=13, anchor="middle"))
     annotation = ""
     if annotate and n_groups >= 2:
-        test = kruskal_wallis([values for _, values in ordered])
+        test = kruskal_wallis([values for _, values, _ in ordered])
         annotation = (
             f"H={fmt_label(q6(test.h))}, p={fmt_label(q6(test.p))}, "
             f"η²={fmt_label(q6(test.eta_sq))}; {INDEPENDENCE_CAVEAT}"
         )
         parts.append(_text(width / 2.0, 38.0, annotation, size=9, anchor="middle"))
-    for g, (label, values) in enumerate(ordered):
-        arr = np.asarray(values, dtype=float)
+    for g, (label, arr, _) in enumerate(ordered):
         q1, med, q3 = (float(v) for v in np.percentile(arr, [25.0, 50.0, 75.0]))
         iqr = q3 - q1
         in_lo = arr[arr >= q1 - 1.5 * iqr]
         in_hi = arr[arr <= q3 + 1.5 * iqr]
         whisk_lo = float(np.min(in_lo)) if in_lo.size else q1
         whisk_hi = float(np.max(in_hi)) if in_hi.size else q3
-        outliers = arr[(arr < q1 - 1.5 * iqr) | (arr > q3 + 1.5 * iqr)]
+        outliers = np.sort(arr[(arr < q1 - 1.5 * iqr) | (arr > q3 + 1.5 * iqr)])
 
         cx = 90.0 + g * (box_w + 34.0) + box_w / 2.0
         x0 = cx - box_w / 2.0
@@ -522,14 +565,9 @@ def render_group_box(
                 f'<line x1="{_c(cx - box_w / 4.0)}" y1="{_c(w_y)}" '
                 f'x2="{_c(cx + box_w / 4.0)}" y2="{_c(w_y)}" stroke="#333333" stroke-width="1"/>'
             )
-        for v in sorted(outliers.tolist()):
-            y, clamped = py(float(v))
-            parts.append(
-                f'<circle cx="{_c(cx)}" cy="{_c(y)}" r="2.0" fill="none" '
-                f'stroke="#b2502d" stroke-width="1"/>'
-            )
-            if clamped:
-                parts.append(_text(cx, y - 5.0, "0", size=8, anchor="middle"))
+        ring = '<circle cx="%.2f" cy="%.2f" r="2.0" fill="none" stroke="#b2502d" stroke-width="1"/>'
+        ys, clamped = py.column(outliers)
+        parts += _points(ring, ring, [cx] * outliers.size, ys.tolist(), clamped)
         note = f" (n={arr.size})"
         parts.append(_text(cx, height - 36.0, label + note, size=10, anchor="middle"))
     parts.append(
@@ -549,7 +587,7 @@ def render_group_box(
 
     sidecar = csv_table(
         ["label", "value"],
-        [[label, fmt_csv(v)] for label, values in ordered for v in values],
+        itertools.chain.from_iterable(zip(itertools.repeat(label), cells) for label, _, cells in ordered),
     )
     return svg, sidecar
 

@@ -3,11 +3,33 @@
 These deliberately use different algorithms from the package: ranks by
 counting comparisons, Kruskal-Wallis via mean-rank deviations, BH by the
 literal step-up definition, Gini by the O(n^2) pairwise-difference sum.
+The Q-Q and box plot renderers at the end draw one point at a time, as the
+package did before its renderers worked on whole columns; the package's
+renderers must produce the same SVG and sidecar bytes.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from typing import Sequence
+
+import numpy as np
+
+from io500kit.errors import EmptyInputError
+from io500kit.report import (
+    RenderSpec,
+    _Axis,
+    _c,
+    _natural_label_key,
+    _svg_open,
+    _text,
+    fmt_csv,
+    fmt_label,
+    q6,
+)
+from io500kit.stats import INDEPENDENCE_CAVEAT, kruskal_wallis
 
 
 def rank_oracle(values):
@@ -87,3 +109,192 @@ def gini_oracle(counts):
         for b in counts:
             total += abs(a - b)
     return total / (2.0 * n * n * mean)
+
+
+# --- per-point renderers ------------------------------------------------------------
+
+
+def _csv_table(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def _log_floor(values):
+    positive = [v for v in values if v > 0]
+    if not positive:
+        raise ValueError("log scale needs at least one positive value")
+    return min(positive) / 10.0
+
+
+def render_qq_oracle(qq_pairs: Sequence[tuple[float, float]], spec: RenderSpec | None = None) -> tuple[str, str]:
+    """Per-point reference for report.render_qq."""
+    if not qq_pairs:
+        raise EmptyInputError("no quantile pairs to plot")
+    spec = spec or RenderSpec(kind="qq_plot")
+    pairs = [(q6(q), q6(r)) for q, r in qq_pairs]
+    log_y = spec.scale == "log10" and any(r > 0 for _, r in pairs)
+
+    width, height = 460.0, 340.0
+    px = _Axis(0.0, 1.0, 70.0, width - 30.0)
+    ratios = [r for _, r in pairs]
+    floor = _log_floor(ratios + [1.0]) if log_y else 0.0
+    y_hi = max(max(ratios), 1.0)
+    y_lo = floor if log_y else min(min(ratios), 1.0, 0.0)
+    py = _Axis(y_lo, y_hi, height - 50.0, 40.0, log=log_y)
+
+    parts = _svg_open(width, height)
+    if spec.title:
+        parts.append(_text(width / 2.0, 20.0, spec.title, size=13, anchor="middle"))
+    parts.append(
+        f'<rect x="{_c(70.0)}" y="{_c(40.0)}" width="{_c(width - 100.0)}" '
+        f'height="{_c(height - 90.0)}" fill="none" stroke="#333333" stroke-width="1"/>'
+    )
+    ref_y, _ = py(1.0)
+    parts.append(
+        f'<line x1="{_c(70.0)}" y1="{_c(ref_y)}" x2="{_c(width - 30.0)}" y2="{_c(ref_y)}" '
+        f'stroke="#bb4444" stroke-width="1" stroke-dasharray="4 3"/>'
+    )
+    clamped_flags = []
+    for q, r in pairs:
+        x, _ = px(q)
+        y, clamped = py(r)
+        clamped_flags.append(clamped)
+        fill = "#d09040" if clamped else "#33668c"
+        parts.append(f'<circle cx="{_c(x)}" cy="{_c(y)}" r="2.2" fill="{fill}"/>')
+        if clamped:
+            parts.append(_text(x, y - 5.0, "0", size=8, anchor="middle"))
+    parts.append(_text(width / 2.0, height - 16.0, spec.x_label or "empirical quantile", size=11, anchor="middle"))
+    parts.append(
+        _text(
+            16.0,
+            height / 2.0,
+            spec.y_label or "runtime / stonewall",
+            size=11,
+            anchor="middle",
+            extra=f' transform="rotate(-90 16.00 {_c(height / 2.0)})"',
+        )
+    )
+    parts.append(_text(66.0, height - 44.0, fmt_label(y_lo if not log_y else floor), size=9, anchor="end"))
+    parts.append(_text(66.0, 46.0, fmt_label(y_hi), size=9, anchor="end"))
+    parts.append("</svg>")
+    svg = "\n".join(parts) + "\n"
+
+    sidecar = _csv_table(
+        ["quantile", "ratio", "clamped"],
+        [
+            [fmt_csv(q), fmt_csv(r), "true" if flag else "false"]
+            for (q, r), flag in zip(pairs, clamped_flags)
+        ],
+    )
+    return svg, sidecar
+
+
+def render_group_box_oracle(
+    groups: Sequence[tuple[str, Sequence[float]]],
+    spec: RenderSpec | None = None,
+    annotate: bool = True,
+) -> tuple[str, str]:
+    """Per-point reference for report.render_group_box."""
+    if not groups:
+        raise EmptyInputError("no groups to plot")
+    spec = spec or RenderSpec(kind="group_box")
+    ordered = sorted(
+        ((label, [q6(v) for v in values]) for label, values in groups),
+        key=lambda kv: _natural_label_key(kv[0]),
+    )
+    for label, values in ordered:
+        if not values:
+            raise EmptyInputError(f"group {label!r} is empty")
+
+    all_values = [v for _, values in ordered for v in values]
+    log_y = spec.scale == "log10" and any(v > 0 for v in all_values)
+    floor = _log_floor(all_values) if log_y else 0.0
+    positives = [v for v in all_values if v > 0] or [1.0]
+    y_lo = floor if log_y else min(all_values)
+    y_hi = max(positives) if log_y else max(all_values)
+
+    n_groups = len(ordered)
+    box_w = 46.0
+    width = 90.0 + n_groups * (box_w + 34.0) + 30.0
+    height = 360.0
+    py = _Axis(y_lo, y_hi, height - 70.0, 56.0, log=log_y)
+
+    parts = _svg_open(width, height)
+    if spec.title:
+        parts.append(_text(width / 2.0, 20.0, spec.title, size=13, anchor="middle"))
+    annotation = ""
+    if annotate and n_groups >= 2:
+        test = kruskal_wallis([values for _, values in ordered])
+        annotation = (
+            f"H={fmt_label(q6(test.h))}, p={fmt_label(q6(test.p))}, "
+            f"η²={fmt_label(q6(test.eta_sq))}; {INDEPENDENCE_CAVEAT}"
+        )
+        parts.append(_text(width / 2.0, 38.0, annotation, size=9, anchor="middle"))
+    for g, (label, values) in enumerate(ordered):
+        arr = np.asarray(values, dtype=float)
+        q1, med, q3 = (float(v) for v in np.percentile(arr, [25.0, 50.0, 75.0]))
+        iqr = q3 - q1
+        in_lo = arr[arr >= q1 - 1.5 * iqr]
+        in_hi = arr[arr <= q3 + 1.5 * iqr]
+        whisk_lo = float(np.min(in_lo)) if in_lo.size else q1
+        whisk_hi = float(np.max(in_hi)) if in_hi.size else q3
+        outliers = arr[(arr < q1 - 1.5 * iqr) | (arr > q3 + 1.5 * iqr)]
+
+        cx = 90.0 + g * (box_w + 34.0) + box_w / 2.0
+        x0 = cx - box_w / 2.0
+        yq1, _ = py(q1)
+        yq3, _ = py(q3)
+        ymed, _ = py(med)
+        ylo, _ = py(whisk_lo)
+        yhi, _ = py(whisk_hi)
+        parts.append(
+            f'<line x1="{_c(cx)}" y1="{_c(ylo)}" x2="{_c(cx)}" y2="{_c(yhi)}" '
+            f'stroke="#333333" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<rect x="{_c(x0)}" y="{_c(yq3)}" width="{_c(box_w)}" height="{_c(yq1 - yq3)}" '
+            f'fill="#9ecae9" stroke="#333333" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<line x1="{_c(x0)}" y1="{_c(ymed)}" x2="{_c(x0 + box_w)}" y2="{_c(ymed)}" '
+            f'stroke="#13304a" stroke-width="1.6"/>'
+        )
+        for w_y in (ylo, yhi):
+            parts.append(
+                f'<line x1="{_c(cx - box_w / 4.0)}" y1="{_c(w_y)}" '
+                f'x2="{_c(cx + box_w / 4.0)}" y2="{_c(w_y)}" stroke="#333333" stroke-width="1"/>'
+            )
+        for v in sorted(outliers.tolist()):
+            y, clamped = py(float(v))
+            parts.append(
+                f'<circle cx="{_c(cx)}" cy="{_c(y)}" r="2.0" fill="none" '
+                f'stroke="#b2502d" stroke-width="1"/>'
+            )
+            if clamped:
+                parts.append(_text(cx, y - 5.0, "0", size=8, anchor="middle"))
+        note = f" (n={arr.size})"
+        parts.append(_text(cx, height - 36.0, label + note, size=10, anchor="middle"))
+    parts.append(
+        _text(
+            16.0,
+            height / 2.0,
+            spec.y_label + (" (log10)" if log_y else ""),
+            size=11,
+            anchor="middle",
+            extra=f' transform="rotate(-90 16.00 {_c(height / 2.0)})"',
+        )
+    )
+    parts.append(_text(84.0, height - 66.0, fmt_label(y_lo if not log_y else floor), size=9, anchor="end"))
+    parts.append(_text(84.0, 60.0, fmt_label(y_hi), size=9, anchor="end"))
+    parts.append("</svg>")
+    svg = "\n".join(parts) + "\n"
+
+    sidecar = _csv_table(
+        ["label", "value"],
+        [[label, fmt_csv(v)] for label, values in ordered for v in values],
+    )
+    return svg, sidecar

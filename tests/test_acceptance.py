@@ -7,6 +7,7 @@ ISC21-SC22 lists; membership of the original corpus is not published, so
 those checks are directional, not exact.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -312,27 +313,44 @@ def test_c07_dataset_directional_checks():
 # --- criterion 8: end-to-end determinism --------------------------------------------------------------
 
 
+C08_TREE = GOLDEN / "c08_tree.json"  # written by tools/capture_tree_digest.py
+
+
+def run_c08_pipeline(root: Path) -> dict[str, bytes]:
+    """The criterion-8 chain from seed 61 under root: every file it writes,
+    keyed by its path relative to root."""
+    corpus = root / "corpus"
+    manifests = root / "manifests"
+    out = root / "out"
+    chain = [
+        ["synth", "--seed", "61", "--n", "61", "--out", str(corpus)],
+        ["ingest", str(corpus), "--out", str(manifests)],
+        ["stats", str(manifests), "--normalize", "per-node", "--out", str(out)],
+        ["corr", str(manifests), "--normalize", "per-node", "--out", str(out)],
+        *(
+            ["logs", str(manifests), "--analysis", analysis, "--out", str(out)]
+            for analysis in ("runtime", "close", "stonewall", "stragglers", "pfind")
+        ),
+    ]
+    for argv in chain:
+        code = cli.main(argv)
+        if code != 0:
+            raise AssertionError(f"io500kit {argv[0]} exited {code}")
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def tree_sha256(tree: dict[str, bytes]) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in tree.items()}
+
+
 def test_c08_end_to_end_determinism(tmp_path):
     t0 = time.perf_counter()
-
-    def run_pipeline(root: Path) -> dict[str, bytes]:
-        corpus = root / "corpus"
-        manifests = root / "manifests"
-        out = root / "out"
-        assert cli.main(["synth", "--seed", "61", "--n", "61", "--out", str(corpus)]) == 0
-        assert cli.main(["ingest", str(corpus), "--out", str(manifests)]) == 0
-        assert cli.main(["stats", str(manifests), "--normalize", "per-node", "--out", str(out)]) == 0
-        assert cli.main(["corr", str(manifests), "--normalize", "per-node", "--out", str(out)]) == 0
-        for analysis in ("runtime", "close", "stonewall", "stragglers", "pfind"):
-            assert cli.main(["logs", str(manifests), "--analysis", analysis, "--out", str(out)]) == 0
-        return {
-            str(p.relative_to(root)): p.read_bytes()
-            for p in sorted(root.rglob("*"))
-            if p.is_file()
-        }
-
-    tree1 = run_pipeline(tmp_path / "run1")
-    tree2 = run_pipeline(tmp_path / "run2")
+    tree1 = run_c08_pipeline(tmp_path / "run1")
+    tree2 = run_c08_pipeline(tmp_path / "run2")
     elapsed = time.perf_counter() - t0
     identical = tree1 == tree2
     n_manifests = sum(
@@ -342,6 +360,14 @@ def test_c08_end_to_end_determinism(tmp_path):
         identical and n_manifests == 61 and elapsed < 120.0,
         "criterion 8: full pipeline twice from one seed is byte-identical, <2min",
         f"{len(tree1)} files, {n_manifests} manifests, {elapsed:.1f}s",
+    )
+    pinned = json.loads(C08_TREE.read_text(encoding="utf-8"))
+    digests = tree_sha256(tree1)
+    drifted = sorted(name for name in pinned.keys() | digests.keys() if pinned.get(name) != digests.get(name))
+    _report(
+        not drifted,
+        f"criterion 8: output tree matches {C08_TREE.name}",
+        f"{len(drifted)} of {len(pinned)} files differ: {drifted[:5]}",
     )
 
 

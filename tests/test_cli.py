@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import io500kit
-from io500kit import cli, ingest, metrics, report, stats
+from io500kit import cli, config, ingest, metrics, report, stats
 from io500kit.ingest import SUMMARY_FILENAME
 
 
@@ -357,6 +357,8 @@ def _exit_code(argv):
 
 # `{f}` is a file holding the case's content, `{csv}` a valid repo CSV and `{out}` an unused directory.
 COLUMN_MAP = ["ingest", "{csv}", "--out", "{out}", "--format", "repo-csv", "--column-map"]
+INGEST = ["ingest", "{csv}", "--out", "{out}", "--format", "repo-csv", "--config"]
+STRAGGLERS = ["logs", "{f}", "--analysis", "stragglers", "--out", "{out}", "--config"]
 BAD_INPUT_CASES = [
     # (argv, file content, exit code, error message)
     (["synth", "--config", "{f}"], "{bad", 1, "error: cannot read synth config"),
@@ -367,6 +369,18 @@ BAD_INPUT_CASES = [
     ([*COLUMN_MAP, "{f}"], '{"phases": []}', 1, "'phases' must be an object"),
     ([*COLUMN_MAP, "{f}"], '{"list_label": 3}', 1, "columns must be strings or null: list_label"),
     (["ingest", "{csv}", "--out", "{out}", "--config", "{f}"], "[]", 1, "error: config"),
+    # The pipeline config is closed and typed by the shape of defaults.json.
+    ([*STRAGGLERS, "{f}"], '{"straggler": {"iqr_multiplier": "q"}}', 1, 'straggler.iqr_multiplier must be a number, got "q"'),
+    ([*INGEST, "{f}"], '{"cache_threshold_s": "x"}', 1, 'cache_threshold_s must be a number, got "x"'),
+    (["groups", "{f}", "--out", "{out}", "--config", "{f}"], '{"min_group_size_warn": "3"}', 1, 'min_group_size_warn must be an integer, got "3"'),
+    ([*INGEST, "{f}"], '{"cache_treshold_s": 0}', 1, "unknown key 'cache_treshold_s'"),
+    ([*INGEST, "{f}"], '{"alpha": 0.01}', 1, "unknown key 'alpha'"),
+    ([*STRAGGLERS, "{f}"], '{"straggler": {"ratio_floor": true}}', 1, "straggler.ratio_floor must be a number, got true"),
+    ([*STRAGGLERS, "{f}"], '{"straggler": {"min_run_length": 2.5}}', 1, "straggler.min_run_length must be an integer, got 2.5"),
+    ([*STRAGGLERS, "{f}"], '{"straggler": {"iqr_multipler": 2}}', 1, "unknown key 'straggler.iqr_multipler'"),
+    ([*STRAGGLERS, "{f}"], '{"straggler": 1.5}', 1, "straggler must be an object, got 1.5"),
+    ([*INGEST, "{f}"], '{"stonewall_nominal_s": NaN}', 1, "stonewall_nominal_s must be finite, got nan"),
+    ([*INGEST, "{f}"], '{"recompute_rel_tol": -Infinity}', 1, "recompute_rel_tol must be finite, got -inf"),
     (["corr", "{f}", "--alpha", "7"], "", 2, "argument --alpha: must lie strictly between 0 and 1"),
     (["corr", "{f}", "--alpha", "0"], "", 2, "argument --alpha: must lie strictly between 0 and 1"),
     (["corr", "{f}", "--alpha", "nan"], "", 2, "argument --alpha: must lie strictly between 0 and 1"),
@@ -386,6 +400,15 @@ def test_bad_config_or_flag_is_one_error_line(tmp_path, capsys, argv, content, c
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_config_overrides_merge_into_defaults(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"cache_threshold_s": 0, "straggler": {"ratio_floor": 0, "min_run_length": 3}}')
+    want = config.load_defaults()
+    want["cache_threshold_s"] = 0
+    want["straggler"].update(ratio_floor=0, min_run_length=3)
+    assert config.load_config(path) == want
 
 
 # --- start-up cost and per-stage manifest reads -------------------------------------------

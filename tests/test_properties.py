@@ -1,10 +1,12 @@
-"""Property tests for the columnar timing parser and the manifest codec.
+"""Property tests for the columnar timing parser, the manifest codec and
+the columnar Q-Q and box plot renderers.
 
 Derandomized, so every run checks the same examples.
 """
 
 import dataclasses
 import itertools
+import math
 import tempfile
 from pathlib import Path
 
@@ -12,9 +14,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from io500kit import ingest
+from io500kit import ingest, report
 from io500kit.errors import Io500KitError
 from io500kit.types import Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
+from oracles import render_group_box_oracle, render_qq_oracle
 
 PHASE = Phase.IOR_EASY_WRITE
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -185,3 +188,107 @@ def test_manifest_round_trip(sub):
             for selected in itertools.combinations(TABLE_PHASES, k):
                 timing = {p: t for p, t in again.timing.items() if p in selected}
                 assert ingest.read_manifest(path, phases=selected) == dataclasses.replace(again, timing=timing)
+
+
+# --- columnar renderers against the per-point ones ---------------------------------------
+
+# Zeros of both signs and negatives (pinned to the floor on a log scale),
+# values that round to a tie at 6 digits, the largest float and subnormals,
+# besides arbitrary floats, infinities included. No NaN: the reports and metric
+# tables the renderers draw hold finite values, and a sidecar cannot carry one.
+PLOT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 1.2, 2.5, 300.0, 1.0000001, 1.00000049, 1.7976931348623157e308, 5e-324]),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(allow_nan=False),
+)
+LABELS = st.sampled_from(["lustre", "a,b", 'say "hi"', "<&>", "100 Gb/s", "20 Gb/s", "unknown", ""])
+SPEC_TEXT = st.sampled_from(["", "t", 'x<&>"y', "a,b"])
+
+
+def _render(render, *args, **kwargs):
+    """The output, or the error, of one render call."""
+    try:
+        return render(*args, **kwargs)
+    except (Io500KitError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def plot_spec(draw, kind):
+    return report.RenderSpec(
+        kind=kind,
+        title=draw(SPEC_TEXT),
+        scale=draw(st.sampled_from(["linear", "log10"])),
+        x_label=draw(SPEC_TEXT),
+        y_label=draw(SPEC_TEXT),
+    )
+
+
+@st.composite
+def qq_pairs(draw):
+    ratios = draw(st.lists(PLOT_VALUES, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        n = len(ratios)
+        return [((k + 1) / n, r) for k, r in enumerate(sorted(ratios))]
+    return [(draw(st.floats(0.0, 1.0)), r) for r in ratios]
+
+
+@st.composite
+def box_groups(draw):
+    """One to four groups; some are a tight cluster with many outliers."""
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = draw(st.lists(PLOT_VALUES, min_size=1, max_size=30))
+        if draw(st.booleans()):
+            spread = draw(st.lists(PLOT_VALUES, min_size=1, max_size=25))
+            values = [draw(st.floats(1.0, 1.001))] * draw(st.integers(4, 30)) + spread
+        groups.append((draw(LABELS), values))
+    return groups
+
+
+@PROPERTY
+@example([(1.0, 0.0)], report.RenderSpec(kind="qq_plot", scale="log10"), False)
+@example([(0.5, -0.0), (1.0, 0.0)], report.RenderSpec(kind="qq_plot"), True)
+@example([(0.5, -3.0), (1.0, 2.0)], report.RenderSpec(kind="qq_plot", scale="log10"), True)
+@example([(0.5, 2.0), (1.0, 1.7976931348623157e308)], report.RenderSpec(kind="qq_plot"), False)
+@given(qq_pairs(), plot_spec("qq_plot"), st.booleans())
+def test_render_qq_matches_per_point_oracle(pairs, spec, as_array):
+    got = _render(report.render_qq, np.array(pairs) if as_array else pairs, spec)
+    assert got == _render(render_qq_oracle, pairs, spec)
+
+
+@PROPERTY
+@example([("a", [1.0])], report.RenderSpec(kind="group_box"), True, False)
+@example([("a", [0.0, -0.0]), ("b", [-0.0, 0.0])], report.RenderSpec(kind="group_box"), True, False)
+@example([("a", [-1.0, 0.0, 2.0, 2.0]), ("b", [5.0])], report.RenderSpec(kind="group_box", scale="log10"), True, True)
+@example([("g", [1.0] * 20 + [0.0, -5.0, 50.0, 90.0])], report.RenderSpec(kind="group_box", scale="log10"), False, True)
+@example([("g", [1.0, 1.7976931348623157e308, -math.inf])], report.RenderSpec(kind="group_box"), False, False)
+@given(box_groups(), plot_spec("group_box"), st.booleans(), st.booleans())
+def test_render_group_box_matches_per_point_oracle(groups, spec, annotate, as_array):
+    columns = [(label, np.array(values)) for label, values in groups] if as_array else groups
+    got = _render(report.render_group_box, columns, spec, annotate=annotate)
+    assert got == _render(render_group_box_oracle, groups, spec, annotate=annotate)
+
+
+# Spread values: one in a few dozen sits where np.log10 rounds unlike math.log10.
+SPREAD = np.random.default_rng(0).uniform(-1.0, 10.0, 2000).tolist()
+
+
+@PROPERTY
+@example(SPREAD, 0.1, 10.0, True)
+@example(SPREAD, -1.0, 10.0, False)
+@given(
+    st.lists(PLOT_VALUES, min_size=1, max_size=40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+)
+def test_axis_column_is_bit_equal_to_per_value(values, lo, hi, log):
+    if log:  # as the renderers build a log axis: a positive floor below a positive top
+        lo, hi = abs(lo) or 1.0, abs(hi) or 1.0
+        lo, hi = min(lo, hi), max(lo, hi)
+    axis = report._Axis(lo, hi, 290.0, 56.0, log=log)
+    positions, clamped = axis.column(np.array(values))
+    want = [axis(v) for v in values]
+    assert positions.tobytes() == np.array([p for p, _ in want]).tobytes()
+    assert clamped.tolist() == [c for _, c in want]

@@ -136,6 +136,11 @@ def test_qq_log_scale_pins_zero():
     assert ">0</text>" in svg  # pinned-point annotation
 
 
+def test_qq_nan_ratio_has_empty_cell():
+    _, sidecar = report.render_qq(np.array([[0.5, np.nan], [1.0, 2.0]]))
+    assert sidecar.splitlines()[1:] == ["0.5,,false", "1,2,false"]
+
+
 def test_qq_sidecar_round_trip():
     rng = np.random.default_rng(40)
     ratios = np.sort(rng.uniform(1.0, 5.0, size=25))
@@ -181,6 +186,13 @@ def test_group_box_outliers_drawn():
     groups = [("g", [1.0, 1.1, 1.2, 1.05, 1.15, 9.0])]
     svg, _ = report.render_group_box(groups)
     assert svg.count("<circle") == 1  # the outlier dot
+
+
+def test_group_box_single_value_beyond_float_unit_spacing():
+    # Above 2**53, lo + 1.0 == lo: the flat axis must still get a nonzero span.
+    svg, sidecar = report.render_group_box([("g", [9007195000000000.0, 9007195000000000.0])])
+    assert sidecar.splitlines()[1] == "g,9.0072e+15"
+    assert svg.count('y1="290.00"') == 4  # whisker, median and caps on the axis floor
 
 
 def test_group_box_sidecar_round_trip():
