@@ -10,6 +10,7 @@ or degenerate dataset.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -162,10 +163,7 @@ def cmd_stats(args) -> int:
     notes: list[str] = []
     if strip_rows:
         spec = report.RenderSpec(
-            kind="score_strip",
-            title=f"overall score ({args.normalize})",
-            scale="log10",
-            y_label="score",
+            title=f"overall score ({args.normalize})", scale="log10", y_label="score"
         )
         svg, sidecar = report.render_score_strip(strip_rows, spec)
         report.write_render(
@@ -188,8 +186,7 @@ def cmd_corr(args) -> int:
     names, table = metrics.metric_table(subs, args.normalize)
     corr = stats.correlation_matrix(names, table, method=args.method, alpha=args.alpha)
     spec = report.RenderSpec(
-        kind="corr_heatmap",
-        title=f"{args.method} correlations ({args.normalize}, alpha={args.alpha:g})",
+        title=f"{args.method} correlations ({args.normalize}, alpha={args.alpha:g})"
     )
     svg, sidecar = report.render_corr_heatmap(corr, spec)
     name = f"{args.method}_{args.normalize}"
@@ -226,7 +223,6 @@ def cmd_groups(args) -> int:
     test = stats.kruskal_wallis([values for _, values in groups])
 
     spec = report.RenderSpec(
-        kind="group_box",
         title=f"{args.metric} ({args.normalize}) by interconnect class",
         scale="log10",
         y_label=args.metric,
@@ -252,253 +248,184 @@ def cmd_groups(args) -> int:
 
 
 # --- log-derived analyses --------------------------------------------------------
+# Each analysis takes the submissions and returns the line cmd_logs prints. An
+# analysis with no rows writes nothing, not even its notes.
 
 
 def _load_submissions_any(path: str, phases) -> list:
     p = Path(path)
     if p.is_dir() and sorted(p.glob("*.json")):
         return ingest.read_manifest_dir(p, phases=phases)
-    if (p / SUMMARY_FILENAME).is_file():
-        return [ingest.load_submission(p)]
     packages = _discover_packages([path])
     if packages:
         return [ingest.load_submission(pkg) for pkg in packages]
     raise EmptyInputError(f"no manifests or packages found under {path}")
 
 
-def _logs_runtime(subs, args, config) -> int:
+def _per_table(subs, phases, analyze, noted):
+    """(sub, phase, analyze(table)) for each timing table of `phases`, in phase-name
+    order, and the messages of the `noted` exceptions, whose tables are left out."""
+    results, notes = [], []
+    for sub in subs:
+        for phase in sorted(sub.timing.keys() & phases, key=lambda p: p.value):
+            try:
+                results.append((sub, phase, analyze(sub.timing[phase])))
+            except noted as exc:
+                notes.append(str(exc))
+    return results, notes
+
+
+def _emit(out, name: str, tables: tuple[str, str], notes_file="", notes=()) -> None:
+    """Write a summary's tables as logs/<name>.csv and .txt, and any notes as logs/<notes_file>."""
+    csv_text, txt = tables
+    report.write_render(out, "logs", name, csv_text=csv_text, txt=txt)
+    if notes:
+        _write_lines(Path(out) / "logs" / notes_file, notes)
+
+
+def _table(header: list[str], rows: list[list[str]]) -> tuple[str, str]:
+    return report.csv_table(header, rows), report.aligned_table(header, rows)
+
+
+def _logs_runtime(subs, phases, args, config) -> str:
     dist = loginsight.runtime_distribution(
         subs, config["stonewall_nominal_s"], config["stonewall_tolerance_s"]
     )
     if not dist.per_phase:
-        print("no runtime data available")
-        return 0
+        return "no runtime data available"
     stats_rows = [(phase.value, s) for phase, s in dist.per_phase.items()]
-    csv_text, txt = report.render_summary_table(stats_rows)
-    report.write_render(args.out, "logs", "runtime_summary", csv_text=csv_text, txt=txt)
+    _emit(args.out, "runtime_summary", report.render_summary_table(stats_rows))
     lines = [f"stonewall violations: {len(dist.violations)}"] + [
-        f"{v.submission_id} {v.phase}: runtime {v.runtime_s:.6g} s"
-        for v in dist.violations
+        f"{v.submission_id} {v.phase}: runtime {v.runtime_s:.6g} s" for v in dist.violations
     ]
     _write_lines(Path(args.out) / "logs" / "runtime_violations.txt", lines)
-    runtimes: dict[Phase, list[float]] = {}
-    for sub in subs:
-        for phase, result in sub.phases.items():
-            if result.runtime_s is not None:
-                runtimes.setdefault(phase, []).append(result.runtime_s)
-    groups = [(phase.value, values) for phase, values in sorted(runtimes.items(), key=lambda kv: kv[0].value)]
-    spec = report.RenderSpec(
-        kind="runtime_box", title="phase runtimes", scale="log10", y_label="seconds"
-    )
+    groups = [(phase.value, values) for phase, values in dist.runtimes.items()]
+    spec = report.RenderSpec(title="phase runtimes", scale="log10", y_label="seconds")
     svg, sidecar = report.render_group_box(groups, spec, annotate=False)
     report.write_render(args.out, "logs", "runtime_box", svg=svg, csv_text=sidecar)
-    print(f"runtime summary over {len(subs)} submissions, {len(dist.violations)} violations")
-    return 0
+    return f"runtime summary over {len(subs)} submissions, {len(dist.violations)} violations"
 
 
-def _logs_close(subs, args, config) -> int:
-    rows = []
-    fs_groups: dict[str, list[np.ndarray]] = {}
-    for sub in subs:
-        for phase, table in sorted(sub.timing.items(), key=lambda kv: kv[0].value):
-            try:
-                rep = loginsight.close_time_report(table)
-            except NotAvailableError:
-                continue
-            rows.append(
-                [
-                    sub.meta.submission_id,
-                    phase.value,
-                    str(rep.stats.n),
-                    report.fmt_csv(report.q6(rep.stats.mean)),
-                    report.fmt_csv(report.q6(rep.stats.max)),
-                    report.fmt_csv(report.q6(float(np.median(rep.fraction_of_runtime)))),
-                ]
-            )
-            fs_groups.setdefault(sub.meta.filesystem_norm.value, []).append(rep.close_s_per_rank)
-    if not rows:
-        print("no close-time data available")
-        return 0
+def _logs_close(subs, phases, args, config) -> str:
+    # A table without close times is skipped silently: close writes no notes.
+    results, _ = _per_table(subs, phases, loginsight.close_time_report, NotAvailableError)
+    if not results:
+        return "no close-time data available"
+    rows = [
+        [
+            sub.meta.submission_id,
+            phase.value,
+            str(rep.stats.n),
+            report.fmt_csv(report.q6(rep.stats.mean)),
+            report.fmt_csv(report.q6(rep.stats.max)),
+            report.fmt_csv(report.q6(float(np.median(rep.fraction_of_runtime)))),
+        ]
+        for sub, phase, rep in results
+    ]
     header = ["Submission", "Phase", "N", "MeanClose_s", "MaxClose_s", "MedianFraction"]
-    csv_text = report.csv_table(header, rows)
-    txt = report.aligned_table(header, rows)
-    report.write_render(args.out, "logs", "close_summary", csv_text=csv_text, txt=txt)
-    spec = report.RenderSpec(
-        kind="close_box", title="close time by filesystem", scale="log10", y_label="close seconds"
-    )
+    _emit(args.out, "close_summary", _table(header, rows))
+    fs_groups: dict[str, list[np.ndarray]] = {}
+    for sub, _, rep in results:
+        fs_groups.setdefault(sub.meta.filesystem_norm.value, []).append(rep.close_s_per_rank)
     groups = [(fs, np.concatenate(closes)) for fs, closes in sorted(fs_groups.items())]
+    spec = report.RenderSpec(
+        title="close time by filesystem", scale="log10", y_label="close seconds"
+    )
     svg, sidecar = report.render_group_box(groups, spec, annotate=False)
     report.write_render(args.out, "logs", "close_box", svg=svg, csv_text=sidecar)
-    print(f"close-time summary for {len(rows)} phase tables")
-    return 0
+    return f"close-time summary for {len(rows)} phase tables"
 
 
-def _logs_stonewall(subs, args, config) -> int:
+def _logs_stonewall(subs, phases, args, config) -> str:
+    analyze = functools.partial(loginsight.stonewall_ratios, stonewall_s=args.stonewall)
+    results, notes = _per_table(subs, phases, analyze, (NotAvailableError, SampleSizeError))
+    if not results:
+        return "no stonewall timing data available"
     rows = []
-    notes = []
-    for sub in subs:
-        for phase, table in sorted(sub.timing.items(), key=lambda kv: kv[0].value):
-            if not phase.is_write:
-                continue
-            try:
-                rat = loginsight.stonewall_ratios(table, stonewall_s=args.stonewall)
-            except (NotAvailableError, SampleSizeError) as exc:
-                notes.append(str(exc))
-                continue
-            name = f"qq_{_sanitize(sub.meta.submission_id)}_{phase.value}"
-            spec = report.RenderSpec(
-                kind="qq_plot", title=f"{sub.meta.submission_id} {phase.value}"
-            )
-            svg, sidecar = report.render_qq(rat.qq, spec)
-            report.write_render(args.out, "logs", name, svg=svg, csv_text=sidecar)
-            rows.append(
-                [
-                    sub.meta.submission_id,
-                    phase.value,
-                    str(len(rat.ratios)),
-                    report.fmt_csv(report.q6(float(rat.ratios.min()))),
-                    report.fmt_csv(report.q6(float(rat.ratios.max()))),
-                ]
-            )
-    if not rows:
-        print("no stonewall timing data available")
-        return 0
+    for sub, phase, rat in results:
+        spec = report.RenderSpec(title=f"{sub.meta.submission_id} {phase.value}")
+        svg, sidecar = report.render_qq(rat.qq, spec)
+        name = f"qq_{_sanitize(sub.meta.submission_id)}_{phase.value}"
+        report.write_render(args.out, "logs", name, svg=svg, csv_text=sidecar)
+        rows.append(
+            [
+                sub.meta.submission_id,
+                phase.value,
+                str(len(rat.ratios)),
+                report.fmt_csv(report.q6(float(rat.ratios.min()))),
+                report.fmt_csv(report.q6(float(rat.ratios.max()))),
+            ]
+        )
     header = ["Submission", "Phase", "Ranks", "MinRatio", "MaxRatio"]
-    report.write_render(
-        args.out,
-        "logs",
-        "stonewall_summary",
-        csv_text=report.csv_table(header, rows),
-        txt=report.aligned_table(header, rows),
+    _emit(args.out, "stonewall_summary", _table(header, rows), "stonewall_notes.txt", notes)
+    return f"stonewall ratios for {len(rows)} write-phase tables"
+
+
+def _logs_stragglers(subs, phases, args, config) -> str:
+    analyze = functools.partial(
+        loginsight.straggler_report, stonewall_s=args.stonewall, **config["straggler"]
     )
-    if notes:
-        _write_lines(Path(args.out) / "logs" / "stonewall_notes.txt", notes)
-    print(f"stonewall ratios for {len(rows)} write-phase tables")
-    return 0
-
-
-def _logs_stragglers(subs, args, config) -> int:
-    s_cfg = config["straggler"]
-    rows = []
-    notes = []
-    for sub in subs:
-        for phase, table in sorted(sub.timing.items(), key=lambda kv: kv[0].value):
-            if not phase.is_write:
-                continue
-            try:
-                rep = loginsight.straggler_report(
-                    table,
-                    stonewall_s=args.stonewall,
-                    iqr_multiplier=s_cfg["iqr_multiplier"],
-                    ratio_floor=s_cfg["ratio_floor"],
-                    min_pattern_size=s_cfg["min_pattern_size"],
-                    contiguous_fraction=s_cfg["contiguous_fraction"],
-                    clustered_fraction=s_cfg["clustered_fraction"],
-                    min_run_length=s_cfg["min_run_length"],
-                )
-            except (NotAvailableError, SampleSizeError) as exc:
-                notes.append(str(exc))
-                continue
-            rows.append(
-                [
-                    sub.meta.submission_id,
-                    phase.value,
-                    str(len(rep.ranks)),
-                    str(len(rep.straggler_ranks)),
-                    rep.pattern.value,
-                    report.fmt_csv(report.q6(rep.adjacency_index)),
-                    str(rep.run_count),
-                    ";".join(str(r) for r in sorted(rep.straggler_ranks)),
-                ]
-            )
-    if not rows:
-        print("no straggler timing data available")
-        return 0
-    header = [
-        "Submission",
-        "Phase",
-        "Ranks",
-        "Stragglers",
-        "Pattern",
-        "Adjacency",
-        "Runs",
-        "StragglerRanks",
+    results, notes = _per_table(subs, phases, analyze, (NotAvailableError, SampleSizeError))
+    if not results:
+        return "no straggler timing data available"
+    rows = [
+        [
+            sub.meta.submission_id,
+            phase.value,
+            str(len(rep.ranks)),
+            str(len(rep.straggler_ranks)),
+            rep.pattern.value,
+            report.fmt_csv(report.q6(rep.adjacency_index)),
+            str(rep.run_count),
+            ";".join(str(r) for r in sorted(rep.straggler_ranks)),
+        ]
+        for sub, phase, rep in results
     ]
-    report.write_render(
-        args.out,
-        "logs",
-        "stragglers",
-        csv_text=report.csv_table(header, rows),
-        txt=report.aligned_table(header, rows),
-    )
-    if notes:
-        _write_lines(Path(args.out) / "logs" / "straggler_notes.txt", notes)
-    print(f"straggler analysis for {len(rows)} write-phase tables")
-    return 0
+    header = "Submission Phase Ranks Stragglers Pattern Adjacency Runs StragglerRanks".split()
+    _emit(args.out, "stragglers", _table(header, rows), "straggler_notes.txt", notes)
+    return f"straggler analysis for {len(rows)} write-phase tables"
 
 
-def _logs_pfind(subs, args, config) -> int:
+def _logs_pfind(subs, phases, args, config) -> str:
+    # Io500KitError: missing items, tiny tables, all-zero counts.
+    results, notes = _per_table(subs, phases, loginsight.pfind_imbalance, Io500KitError)
+    if not results:
+        return "no find-phase item data available"
     rows = []
-    notes = []
-    for sub in subs:
-        table = sub.timing.get(Phase.FIND)
-        if table is None:
-            continue
-        try:
-            rep = loginsight.pfind_imbalance(table)
-        except Io500KitError as exc:  # missing items, tiny tables, all-zero counts
-            notes.append(str(exc))
-            continue
-        detail_csv, detail_txt = report.render_imbalance_table(
-            rep.items_per_rank, rep.max_over_median, rep.gini
-        )
-        report.write_render(
-            args.out,
-            "logs",
-            f"pfind_{_sanitize(sub.meta.submission_id)}",
-            csv_text=detail_csv,
-            txt=detail_txt,
-        )
+    for sub, _, rep in results:
+        detail = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
+        _emit(args.out, f"pfind_{_sanitize(sub.meta.submission_id)}", detail)
         rows.append(
             [
                 sub.meta.submission_id,
                 str(len(rep.items_per_rank)),
                 str(int(np.median(rep.items_per_rank))),
                 str(int(rep.items_per_rank.max())),
-                "inf" if np.isinf(rep.max_over_median) else report.fmt_csv(report.q6(rep.max_over_median)),
+                report.fmt_csv(report.q6(rep.max_over_median)),  # "inf" when the median is zero
                 report.fmt_csv(report.q6(rep.gini)),
             ]
         )
-    if not rows:
-        print("no find-phase item data available")
-        return 0
     header = ["Submission", "Ranks", "MedianItems", "MaxItems", "MaxOverMedian", "Gini"]
-    report.write_render(
-        args.out,
-        "logs",
-        "pfind",
-        csv_text=report.csv_table(header, rows),
-        txt=report.aligned_table(header, rows),
-    )
-    if notes:
-        _write_lines(Path(args.out) / "logs" / "pfind_notes.txt", notes)
-    print(f"pfind imbalance for {len(rows)} submissions")
-    return 0
+    _emit(args.out, "pfind", _table(header, rows), "pfind_notes.txt", notes)
+    return f"pfind imbalance for {len(rows)} submissions"
+
+
+# Each analysis with the timing tables it reads.
+_WRITE_PHASES = [phase for phase in Phase if phase.is_write]
+LOG_ANALYSES = {
+    "close": (_logs_close, list(Phase)),
+    "stonewall": (_logs_stonewall, _WRITE_PHASES),
+    "stragglers": (_logs_stragglers, _WRITE_PHASES),
+    "pfind": (_logs_pfind, [Phase.FIND]),
+    "runtime": (_logs_runtime, ()),
+}
 
 
 def cmd_logs(args) -> int:
     config = load_config(args.config)
-    # Each analysis with the timing tables it reads from manifests (None: all).
-    write_phases = [phase for phase in Phase if phase.is_write]
-    dispatch = {
-        "runtime": (_logs_runtime, ()),
-        "close": (_logs_close, None),
-        "stonewall": (_logs_stonewall, write_phases),
-        "stragglers": (_logs_stragglers, write_phases),
-        "pfind": (_logs_pfind, [Phase.FIND]),
-    }
-    analysis, phases = dispatch[args.analysis]
-    return analysis(_load_submissions_any(args.path, phases), args, config)
+    analysis, phases = LOG_ANALYSES[args.analysis]
+    print(analysis(_load_submissions_any(args.path, phases), phases, args, config))
+    return 0
 
 
 # --- synth --------------------------------------------------------------------
@@ -577,11 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("logs", help="per-process log analyses")
     p.add_argument("path", help="manifest dir, package dir, or dir of packages")
-    p.add_argument(
-        "--analysis",
-        choices=("close", "stonewall", "stragglers", "pfind", "runtime"),
-        required=True,
-    )
+    p.add_argument("--analysis", choices=tuple(LOG_ANALYSES), required=True)
     p.add_argument(
         "--stonewall",
         type=_float_between(0.0, math.inf, "must be a positive finite number of seconds"),

@@ -187,6 +187,10 @@ def classify_straggler_pattern(
     CONTIGUOUS when one run covers nearly all stragglers, CLUSTERED when two
     or more multi-rank runs cover most of them, DISPERSED otherwise; sets
     below the minimum size are NONE.
+
+    Runs are counted in rank space, not in table rows: a rank missing from
+    the timing table (never written, or rejected at parse time) splits the
+    run around it, so a contiguous block with a gap is two runs.
     """
     ranks = sorted(set(int(r) for r in stragglers))
     for r in ranks:
@@ -322,6 +326,7 @@ class StonewallViolation:
 @dataclass
 class RuntimeDistribution:
     per_phase: dict[Phase, SummaryStats]
+    runtimes: dict[Phase, list[float]]  # the values summarized in per_phase, same order
     violations: list[StonewallViolation] = field(default_factory=list)
 
 
@@ -330,7 +335,7 @@ def runtime_distribution(
     stonewall_nominal_s: float = NOMINAL_STONEWALL_S,
     tolerance_s: float = 1.0,
 ) -> RuntimeDistribution:
-    """Per-phase runtime summaries plus stonewall-compliance violations.
+    """Per-phase runtimes and their summaries, plus stonewall-compliance violations.
 
     A write phase finishing more than tolerance_s below the nominal
     stonewall is listed as a violation (it can never legitimately happen,
@@ -351,8 +356,6 @@ def runtime_distribution(
                         runtime_s=result.runtime_s,
                     )
                 )
-    per_phase = {
-        phase: summary_stats(values)
-        for phase, values in sorted(runtimes.items(), key=lambda kv: kv[0].value)
-    }
-    return RuntimeDistribution(per_phase=per_phase, violations=violations)
+    runtimes = dict(sorted(runtimes.items(), key=lambda kv: kv[0].value))
+    per_phase = {phase: summary_stats(values) for phase, values in runtimes.items()}
+    return RuntimeDistribution(per_phase=per_phase, runtimes=runtimes, violations=violations)

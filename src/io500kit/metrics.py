@@ -38,12 +38,6 @@ class SummaryStats:
     cv: float | None  # sample (n-1) std / |mean|; None when mean == 0 or n < 2
 
 
-@dataclass
-class NormalizedValue:
-    value: float
-    mixed_unit_caveat: bool = False
-
-
 def _geometric_mean(values: Sequence[float]) -> float:
     for v in values:
         if v < 0:
@@ -89,6 +83,29 @@ def recompute_scores(sub: Submission) -> ScoreSet:
     return ScoreSet(score_bw=bw, score_md=md, score_overall=score_overall(bw, md))
 
 
+def _recomputed(sub: Submission) -> dict[str, float]:
+    """The composites computable from a submission's phase values, by metric
+    name: each of bw and md whose phases are all present, overall when both are."""
+    values = phase_values(sub)
+    out: dict[str, float] = {}
+    for name, fn in (("score_bw", score_bw), ("score_md", score_md)):
+        try:
+            out[name] = fn(values)
+        except IncompletePhasesError:
+            pass
+    if "score_bw" in out and "score_md" in out:
+        out["score_overall"] = score_overall(out["score_bw"], out["score_md"])
+    return out
+
+
+def _reported(sub: Submission) -> dict[str, float | None]:
+    return {
+        "score_bw": sub.reported_score_bw,
+        "score_md": sub.reported_score_md,
+        "score_overall": sub.reported_score_overall,
+    }
+
+
 def recomputation_findings(sub: Submission, rel_tol: float = 5e-3) -> list[str]:
     """Compare recomputed composites against reported ones.
 
@@ -96,47 +113,24 @@ def recomputation_findings(sub: Submission, rel_tol: float = 5e-3) -> list[str]:
     phases or missing reported scores simply produce no finding.
     """
     findings: list[str] = []
-    values = phase_values(sub)
-    checks = (
-        ("score_bw", score_bw, sub.reported_score_bw),
-        ("score_md", score_md, sub.reported_score_md),
-    )
-    computed: dict[str, float] = {}
-    for name, fn, reported in checks:
-        try:
-            computed[name] = fn(values)
-        except IncompletePhasesError:
+    reported = _reported(sub)
+    for name, computed in _recomputed(sub).items():
+        if reported[name] in (None, 0):
             continue
-        if reported is None or reported == 0:
-            continue
-        rel = abs(computed[name] - reported) / reported
+        rel = abs(computed - reported[name]) / reported[name]
         if rel > rel_tol:
             findings.append(
-                f"{sub.meta.submission_id}: {name} recomputed {computed[name]:.6g} "
-                f"vs reported {reported:.6g} (rel err {rel:.2e})"
+                f"{sub.meta.submission_id}: {name} recomputed {computed:.6g} "
+                f"vs reported {reported[name]:.6g} (rel err {rel:.2e})"
             )
-    if "score_bw" in computed and "score_md" in computed:
-        overall = score_overall(computed["score_bw"], computed["score_md"])
-        reported = sub.reported_score_overall
-        if reported not in (None, 0):
-            rel = abs(overall - reported) / reported
-            if rel > rel_tol:
-                findings.append(
-                    f"{sub.meta.submission_id}: score_overall recomputed {overall:.6g} "
-                    f"vs reported {reported:.6g} (rel err {rel:.2e})"
-                )
     return findings
 
 
-def per_node(value: float, meta: SubmissionMeta, composite: bool = False) -> NormalizedValue:
-    """Divide a metric by the client node count.
-
-    Set composite=True for the overall score, whose per-node form is a
-    mixed-unit ratio; the flag is carried on the result.
-    """
+def per_node(value: float, meta: SubmissionMeta) -> float:
+    """Divide a metric by the client node count."""
     if meta.client_nodes is None or meta.client_nodes < 1:
         raise NormalizationError(f"{meta.submission_id}: no usable client node count")
-    return NormalizedValue(value=value / meta.client_nodes, mixed_unit_caveat=composite)
+    return value / meta.client_nodes
 
 
 def per_process(value: float, meta: SubmissionMeta) -> float:
@@ -183,25 +177,8 @@ NORMALIZATIONS = ("raw", "per-node", "per-process")
 def submission_scores(sub: Submission) -> dict[str, float]:
     """Reported scores when present, recomputed otherwise (where possible)."""
     out: dict[str, float] = {}
-    values = phase_values(sub)
-    recomputed: dict[str, float] = {}
-    try:
-        recomputed["score_bw"] = score_bw(values)
-    except IncompletePhasesError:
-        pass
-    try:
-        recomputed["score_md"] = score_md(values)
-    except IncompletePhasesError:
-        pass
-    if "score_bw" in recomputed and "score_md" in recomputed:
-        recomputed["score_overall"] = score_overall(
-            recomputed["score_bw"], recomputed["score_md"]
-        )
-    reported = {
-        "score_bw": sub.reported_score_bw,
-        "score_md": sub.reported_score_md,
-        "score_overall": sub.reported_score_overall,
-    }
+    recomputed = _recomputed(sub)
+    reported = _reported(sub)
     for name in SCORE_METRICS:
         if reported[name] is not None:
             out[name] = float(reported[name])
@@ -231,7 +208,7 @@ def metric_table(
                 continue
             value = raw[name]
             if normalize == "per-node":
-                value = per_node(value, sub.meta, composite=name == "score_overall").value
+                value = per_node(value, sub.meta)
             elif normalize == "per-process":
                 try:
                     value = per_process(value, sub.meta)

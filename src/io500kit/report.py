@@ -24,30 +24,15 @@ from .metrics import SummaryStats
 from .stats import INDEPENDENCE_CAVEAT, kruskal_wallis
 from .types import Submission
 
-RENDER_KINDS = (
-    "summary_table",
-    "composition_table",
-    "score_strip",
-    "corr_heatmap",
-    "group_box",
-    "runtime_box",
-    "close_box",
-    "qq_plot",
-    "imbalance_table",
-)
-
 
 @dataclass
 class RenderSpec:
-    kind: str
     title: str = ""
     scale: str = "linear"  # or "log10"
     x_label: str = ""
     y_label: str = ""
 
     def __post_init__(self):
-        if self.kind not in RENDER_KINDS:
-            raise ValueError(f"unknown render kind {self.kind!r}")
         if self.scale not in ("linear", "log10"):
             raise ValueError(f"unknown scale {self.scale!r}")
 
@@ -302,7 +287,7 @@ def render_corr_heatmap(report, spec: RenderSpec | None = None) -> tuple[str, st
     Accepts a stats.CorrelationReport or a HeatmapData re-read from a sidecar.
     """
     data = _as_heatmap_data(report)
-    spec = spec or RenderSpec(kind="corr_heatmap")
+    spec = spec or RenderSpec()
     k = len(data.variables)
     coeff = np.vectorize(q6)(data.coeff) if k else data.coeff
     p_raw = np.vectorize(q6)(data.p_raw) if k else data.p_raw
@@ -416,7 +401,7 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     pairs = np.asarray(qq_pairs, dtype=float)
     if not pairs.size:
         raise EmptyInputError("no quantile pairs to plot")
-    spec = spec or RenderSpec(kind="qq_plot")
+    spec = spec or RenderSpec()
     quantiles, q_cells = _quantize(pairs[:, 0])
     ratios, r_cells = _quantize(pairs[:, 1])
     log_y = spec.scale == "log10" and bool(np.any(ratios > 0))
@@ -500,7 +485,7 @@ def render_group_box(
     """
     if not groups:
         raise EmptyInputError("no groups to plot")
-    spec = spec or RenderSpec(kind="group_box")
+    spec = spec or RenderSpec()
     ordered = sorted(
         ((label, *_quantize(values)) for label, values in groups),
         key=lambda group: _natural_label_key(group[0]),
@@ -614,7 +599,7 @@ def render_score_strip(
     """
     if not rows:
         raise EmptyInputError("no values to plot")
-    spec = spec or RenderSpec(kind="score_strip", scale="log10")
+    spec = spec or RenderSpec(scale="log10")
     data = sorted(((label, q6(v)) for label, v in rows), key=lambda kv: (kv[1], kv[0]))
     values = [v for _, v in data]
     log_y = spec.scale == "log10" and any(v > 0 for v in values)

@@ -229,7 +229,3 @@ class Submission:
         for phase, result in self.phases.items():
             if result.phase != phase:
                 raise ValidationError(f"phase map key {phase} holds result for {result.phase}")
-
-    def phase_value(self, phase: Phase) -> float | None:
-        result = self.phases.get(phase)
-        return None if result is None else result.value

@@ -134,7 +134,7 @@ def render_qq_oracle(qq_pairs: Sequence[tuple[float, float]], spec: RenderSpec |
     """Per-point reference for report.render_qq."""
     if not qq_pairs:
         raise EmptyInputError("no quantile pairs to plot")
-    spec = spec or RenderSpec(kind="qq_plot")
+    spec = spec or RenderSpec()
     pairs = [(q6(q), q6(r)) for q, r in qq_pairs]
     log_y = spec.scale == "log10" and any(r > 0 for _, r in pairs)
 
@@ -201,7 +201,7 @@ def render_group_box_oracle(
     """Per-point reference for report.render_group_box."""
     if not groups:
         raise EmptyInputError("no groups to plot")
-    spec = spec or RenderSpec(kind="group_box")
+    spec = spec or RenderSpec()
     ordered = sorted(
         ((label, [q6(v) for v in values]) for label, values in groups),
         key=lambda kv: _natural_label_key(kv[0]),

@@ -1,3 +1,6 @@
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import shutil
@@ -8,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import io500kit
-from io500kit import cli, config, ingest, metrics, report, stats
+from io500kit import cli, config, ingest, loginsight, metrics, report, stats
 from io500kit.ingest import SUMMARY_FILENAME
 
 
@@ -147,9 +150,7 @@ def test_corr_cli_is_thin_wrapper(manifests, tmp_path):
     subs = ingest.read_manifest_dir(manifests)
     names, table = metrics.metric_table(subs, "per-node")
     corr = stats.correlation_matrix(names, table, method="spearman", alpha=0.05)
-    spec = report.RenderSpec(
-        kind="corr_heatmap", title="spearman correlations (per-node, alpha=0.05)"
-    )
+    spec = report.RenderSpec(title="spearman correlations (per-node, alpha=0.05)")
     svg, sidecar = report.render_corr_heatmap(corr, spec)
     assert (out / "corr" / "spearman_per-node.svg").read_text() == svg
     assert (out / "corr" / "spearman_per-node.csv").read_text() == sidecar
@@ -240,6 +241,121 @@ def test_logs_stonewall_flag_supplies_missing_value(tmp_path, summary_basic):
     assert not (out / "logs" / "stonewall_summary.csv").exists()  # skipped, noted
     assert run("logs", pkg, "--analysis", "stonewall", "--stonewall", 300, "--out", out) == 0
     assert (out / "logs" / "stonewall_summary.csv").is_file()
+
+
+# Hand-built packages (the id is the directory name): {package: {file: content}}.
+# Each one reaches a note or a silent skip of one or more log analyses.
+NO_STONEWALL = "rank,start,end,close\n0,0,310,1.5\n1,0,312,2\n2,0,309,1\n3,0,311,3\n"
+LOG_CORPORA = {
+    "mixed": {
+        "a-mixed": {
+            "ior-easy-write.csv": NO_STONEWALL,  # stonewall and straggler notes
+            "ior-hard-write.csv": (  # no close column: close skips it silently
+                "# stonewall_s = 300\nrank,start,end\n0,0,310\n1,0,312\n2,0,309\n3,0,311\n4,0,400\n"
+            ),
+            "find.csv": "rank,start,end,items\n0,0,5,\n1,0,5,100\n2,0,5,\n",  # one item count
+        },
+        "b-find": {
+            "ior-easy-write.csv": "# stonewall_s = 300\nrank,start,end,close\n0,0,310,1\n1,0,305,2\n2,0,320,4\n",
+            "find.csv": "rank,start,end,items\n0,0,5,10\n1,0,6,10\n2,0,9,40\n3,0,5,10\n",
+        },
+        "c-zero": {"find.csv": "rank,start,end,items\n0,0,5,0\n1,0,5,0\n"},
+    },
+    # Notes but no rows: nothing is written, notes included.
+    "bare": {
+        "d-bare": {
+            "ior-easy-write.csv": "rank,start,end\n0,0,310\n1,0,312\n2,0,309\n3,0,311\n",
+            "find.csv": "rank,start,end\n0,0,5\n1,0,6\n",
+        },
+    },
+}
+RUNTIME_FILES = {
+    "runtime_summary.csv",
+    "runtime_summary.txt",
+    "runtime_violations.txt",
+    "runtime_box.svg",
+    "runtime_box.csv",
+}
+NO_STONEWALL_NOTE = (
+    "ior-easy-write: timing table carries no stonewall duration; "
+    "pass stonewall_s=300 explicitly to use the nominal value"
+)
+LOG_CASES = [
+    # (corpus, analysis, stdout, files written under logs/ besides the notes, {notes file: text})
+    ("mixed", "runtime", "runtime summary over 3 submissions, 0 violations", RUNTIME_FILES, {}),
+    (
+        "mixed",
+        "close",
+        "close-time summary for 2 phase tables",
+        {"close_summary.csv", "close_summary.txt", "close_box.svg", "close_box.csv"},
+        {},
+    ),
+    (
+        "mixed",
+        "stonewall",
+        "stonewall ratios for 2 write-phase tables",
+        {
+            "stonewall_summary.csv",
+            "stonewall_summary.txt",
+            "qq_a-mixed_ior-hard-write.svg",
+            "qq_a-mixed_ior-hard-write.csv",
+            "qq_b-find_ior-easy-write.svg",
+            "qq_b-find_ior-easy-write.csv",
+        },
+        {"stonewall_notes.txt": NO_STONEWALL_NOTE + "\n"},
+    ),
+    (
+        "mixed",
+        "stragglers",
+        "straggler analysis for 1 write-phase tables",
+        {"stragglers.csv", "stragglers.txt"},
+        {
+            "straggler_notes.txt": NO_STONEWALL_NOTE
+            + "\nstraggler detection needs n >= 4, got 3\n"
+        },
+    ),
+    (
+        "mixed",
+        "pfind",
+        "pfind imbalance for 1 submissions",
+        {"pfind.csv", "pfind.txt", "pfind_b-find.csv", "pfind_b-find.txt"},
+        {
+            "pfind_notes.txt": "find: imbalance needs n >= 2 ranks with items\n"
+            "find: all item counts are zero\n"
+        },
+    ),
+    ("bare", "runtime", "runtime summary over 1 submissions, 0 violations", RUNTIME_FILES, {}),
+    ("bare", "close", "no close-time data available", set(), {}),
+    ("bare", "stonewall", "no stonewall timing data available", set(), {}),
+    ("bare", "stragglers", "no straggler timing data available", set(), {}),
+    ("bare", "pfind", "no find-phase item data available", set(), {}),
+]
+
+
+@pytest.mark.parametrize("source", ["packages", "manifests"])
+@pytest.mark.parametrize("corpus_name, analysis, stdout, files, notes", LOG_CASES)
+def test_logs_files_and_notes_per_analysis(
+    tmp_path, capsys, summary_basic, source, corpus_name, analysis, stdout, files, notes
+):
+    packages = tmp_path / "packages"
+    for name, tables in LOG_CORPORA[corpus_name].items():
+        (packages / name).mkdir(parents=True)
+        (packages / name / SUMMARY_FILENAME).write_text(summary_basic)
+        for filename, text in tables.items():
+            (packages / name / filename).write_text(text)
+    path = packages
+    if source == "manifests":
+        path = tmp_path / "manifests"
+        assert run("ingest", packages, "--out", path) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("logs", path, "--analysis", analysis, "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.out == stdout + "\n" and captured.err == ""
+    written = {p.name for p in (out / "logs").iterdir()} if (out / "logs").exists() else set()
+    assert written == files | set(notes)
+    for name, text in notes.items():
+        assert (out / "logs" / name).read_text() == text
 
 
 def test_synth_config_straggler_pipeline(tmp_path):
@@ -424,6 +540,25 @@ def test_cli_import_defers_scipy():
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
     for name in ("ingest", "loginsight", "metrics", "report", "stats", "synth"):
         assert f"io500kit.{name}" in loaded
+
+
+def test_bench_hooks_name_existing_functions():
+    # bench/tracer.py wraps these functions by name; a rename must fail here,
+    # not in a traced benchmark run. The loginsight ones take the table first.
+    bench = Path(__file__).parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_tracer", bench / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+    finally:
+        sys.path.remove(str(bench))
+        sys.modules.pop("workloads", None)
+    assert len(tracer.HOOKS) > 30
+    for module, func, _, _ in tracer.HOOKS:
+        assert callable(getattr(importlib.import_module(f"io500kit.{module}"), func, None)), func
+    for func in tracer.LOGINSIGHT_TABLE_FUNCS:
+        assert next(iter(inspect.signature(getattr(loginsight, func)).parameters)) == "timing"
 
 
 ANALYSIS_STAGES = [

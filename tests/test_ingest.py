@@ -264,7 +264,7 @@ def test_parse_repo_csv_basic():
     # per-node overall available downstream
     from io500kit.metrics import per_node
 
-    assert per_node(sub.reported_score_overall, sub.meta, composite=True).value == 3685.0
+    assert per_node(sub.reported_score_overall, sub.meta) == 3685.0
 
 
 def test_parse_repo_csv_skips_and_counts():

@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from io500kit import loginsight
+from io500kit.config import load_defaults
 from io500kit.errors import (
     DegenerateInputError,
     NotAvailableError,
@@ -11,7 +13,7 @@ from io500kit.errors import (
 )
 from io500kit.ingest import normalize_metadata
 from io500kit.loginsight import Pattern
-from io500kit.types import Phase, PhaseResult, Submission
+from io500kit.types import Phase, PhaseResult, ProcessTimingTable, Submission
 
 
 def _phase(phase, runtime, value=1.0):
@@ -222,6 +224,31 @@ def test_straggler_report_end_to_end(timing_factory):
     assert len(rep.qq) == 20
 
 
+def test_straggler_report_missing_rank_splits_run():
+    # Runs are counted in rank space: rank 15 is absent from the table, so the
+    # stragglers at 10-19 form two runs, 10-14 and 16-19.
+    ranks = np.array([r for r in range(100) if r != 15])
+    runtimes = np.where((ranks >= 10) & (ranks <= 19), 900.0, 305.0)
+    table = ProcessTimingTable(
+        phase=Phase.IOR_EASY_WRITE,
+        rank=ranks,
+        start_s=np.zeros(ranks.size),
+        end_s=runtimes,
+        stonewall_s=300.0,
+    )
+    rep = loginsight.straggler_report(table)
+    assert rep.straggler_ranks == set(range(10, 20)) - {15}
+    assert rep.pattern is Pattern.CLUSTERED
+    assert rep.run_count == 2
+
+
+def test_straggler_report_tuning_keywords_are_the_config_keys():
+    # The CLI passes config["straggler"] as keyword arguments.
+    params = list(inspect.signature(loginsight.straggler_report).parameters)
+    assert params[:2] == ["timing", "stonewall_s"]
+    assert set(params[2:]) == set(load_defaults()["straggler"])
+
+
 # --- pfind imbalance ----------------------------------------------------------------------
 
 
@@ -318,3 +345,18 @@ def test_runtime_distribution_read_phases_not_checked():
     subs = [_sub("r", {Phase.IOR_EASY_READ: 5.0})]
     dist = loginsight.runtime_distribution(subs)
     assert dist.violations == []
+
+
+def test_runtime_distribution_returns_the_runtimes_it_summarizes():
+    subs = [
+        _sub("a", {Phase.IOR_HARD_WRITE: 320.0, Phase.IOR_EASY_WRITE: 316.6}),
+        _sub("b", {Phase.IOR_EASY_WRITE: 250.0, Phase.FIND: 5.0}),
+    ]
+    dist = loginsight.runtime_distribution(subs)
+    assert dist.runtimes == {
+        Phase.FIND: [5.0],
+        Phase.IOR_EASY_WRITE: [316.6, 250.0],
+        Phase.IOR_HARD_WRITE: [320.0],
+    }
+    assert list(dist.runtimes) == list(dist.per_phase)  # phase-name order
+    assert dist.per_phase[Phase.IOR_EASY_WRITE].n == 2

@@ -140,15 +140,11 @@ def _meta(nodes=10, ppn=None, total=None):
 
 
 def test_per_node_with_composite_caveat():
-    out = metrics.per_node(36850, _meta(nodes=10), composite=True)
-    assert out.value == 3685.0
-    assert out.mixed_unit_caveat
+    assert metrics.per_node(36850, _meta(nodes=10)) == 3685.0
 
 
 def test_per_node_identity_no_caveat():
-    out = metrics.per_node(113.0, _meta(nodes=1))
-    assert out.value == 113.0
-    assert not out.mixed_unit_caveat
+    assert metrics.per_node(113.0, _meta(nodes=1)) == 113.0
 
 
 def test_per_node_missing_nodes_error():

@@ -214,9 +214,8 @@ def _render(render, *args, **kwargs):
 
 
 @st.composite
-def plot_spec(draw, kind):
+def plot_spec(draw):
     return report.RenderSpec(
-        kind=kind,
         title=draw(SPEC_TEXT),
         scale=draw(st.sampled_from(["linear", "log10"])),
         x_label=draw(SPEC_TEXT),
@@ -247,23 +246,23 @@ def box_groups(draw):
 
 
 @PROPERTY
-@example([(1.0, 0.0)], report.RenderSpec(kind="qq_plot", scale="log10"), False)
-@example([(0.5, -0.0), (1.0, 0.0)], report.RenderSpec(kind="qq_plot"), True)
-@example([(0.5, -3.0), (1.0, 2.0)], report.RenderSpec(kind="qq_plot", scale="log10"), True)
-@example([(0.5, 2.0), (1.0, 1.7976931348623157e308)], report.RenderSpec(kind="qq_plot"), False)
-@given(qq_pairs(), plot_spec("qq_plot"), st.booleans())
+@example([(1.0, 0.0)], report.RenderSpec(scale="log10"), False)
+@example([(0.5, -0.0), (1.0, 0.0)], report.RenderSpec(), True)
+@example([(0.5, -3.0), (1.0, 2.0)], report.RenderSpec(scale="log10"), True)
+@example([(0.5, 2.0), (1.0, 1.7976931348623157e308)], report.RenderSpec(), False)
+@given(qq_pairs(), plot_spec(), st.booleans())
 def test_render_qq_matches_per_point_oracle(pairs, spec, as_array):
     got = _render(report.render_qq, np.array(pairs) if as_array else pairs, spec)
     assert got == _render(render_qq_oracle, pairs, spec)
 
 
 @PROPERTY
-@example([("a", [1.0])], report.RenderSpec(kind="group_box"), True, False)
-@example([("a", [0.0, -0.0]), ("b", [-0.0, 0.0])], report.RenderSpec(kind="group_box"), True, False)
-@example([("a", [-1.0, 0.0, 2.0, 2.0]), ("b", [5.0])], report.RenderSpec(kind="group_box", scale="log10"), True, True)
-@example([("g", [1.0] * 20 + [0.0, -5.0, 50.0, 90.0])], report.RenderSpec(kind="group_box", scale="log10"), False, True)
-@example([("g", [1.0, 1.7976931348623157e308, -math.inf])], report.RenderSpec(kind="group_box"), False, False)
-@given(box_groups(), plot_spec("group_box"), st.booleans(), st.booleans())
+@example([("a", [1.0])], report.RenderSpec(), True, False)
+@example([("a", [0.0, -0.0]), ("b", [-0.0, 0.0])], report.RenderSpec(), True, False)
+@example([("a", [-1.0, 0.0, 2.0, 2.0]), ("b", [5.0])], report.RenderSpec(scale="log10"), True, True)
+@example([("g", [1.0] * 20 + [0.0, -5.0, 50.0, 90.0])], report.RenderSpec(scale="log10"), False, True)
+@example([("g", [1.0, 1.7976931348623157e308, -math.inf])], report.RenderSpec(), False, False)
+@given(box_groups(), plot_spec(), st.booleans(), st.booleans())
 def test_render_group_box_matches_per_point_oracle(groups, spec, annotate, as_array):
     columns = [(label, np.array(values)) for label, values in groups] if as_array else groups
     got = _render(report.render_group_box, columns, spec, annotate=annotate)

@@ -105,7 +105,7 @@ def test_heatmap_hatches_non_significant():
 
 def test_heatmap_deterministic_and_sidecar_round_trip():
     corr = _identity_report()
-    spec = report.RenderSpec(kind="corr_heatmap", title="t")
+    spec = report.RenderSpec(title="t")
     svg1, side1 = report.render_corr_heatmap(corr, spec)
     svg2, side2 = report.render_corr_heatmap(corr, spec)
     assert svg1 == svg2 and side1 == side2
@@ -130,7 +130,7 @@ def test_qq_empty_error():
 
 
 def test_qq_log_scale_pins_zero():
-    spec = report.RenderSpec(kind="qq_plot", scale="log10")
+    spec = report.RenderSpec(scale="log10")
     svg, sidecar = report.render_qq([(0.5, 0.0), (1.0, 2.0)], spec)
     assert "0.5,0,true" in sidecar.splitlines()
     assert ">0</text>" in svg  # pinned-point annotation
@@ -145,7 +145,7 @@ def test_qq_sidecar_round_trip():
     rng = np.random.default_rng(40)
     ratios = np.sort(rng.uniform(1.0, 5.0, size=25))
     pairs = [((k + 1) / 25, float(r)) for k, r in enumerate(ratios)]
-    spec = report.RenderSpec(kind="qq_plot", title="x", scale="log10")
+    spec = report.RenderSpec(title="x", scale="log10")
     svg1, side1 = report.render_qq(pairs, spec)
     svg2, side2 = report.render_qq(report.qq_from_sidecar(side1), spec)
     assert svg1 == svg2 and side1 == side2
@@ -201,7 +201,7 @@ def test_group_box_sidecar_round_trip():
         ("one", rng.lognormal(0, 1, 12).tolist()),
         ("two", rng.lognormal(0.5, 1, 9).tolist()),
     ]
-    spec = report.RenderSpec(kind="group_box", title="t", scale="log10", y_label="v")
+    spec = report.RenderSpec(title="t", scale="log10", y_label="v")
     svg1, side1 = report.render_group_box(groups, spec)
     svg2, side2 = report.render_group_box(report.groups_from_sidecar(side1), spec)
     assert svg1 == svg2 and side1 == side2
@@ -212,7 +212,7 @@ def test_group_box_sidecar_round_trip():
 
 def test_score_strip_log_zero_annotated():
     rows = [("lustre", 0.0), ("daos", 10.0), ("lustre", 1000.0)]
-    spec = report.RenderSpec(kind="score_strip", scale="log10")
+    spec = report.RenderSpec(scale="log10")
     svg, sidecar = report.render_score_strip(rows, spec)
     assert "lustre,0,true" in sidecar
     assert ">0</text>" in svg
@@ -221,7 +221,7 @@ def test_score_strip_log_zero_annotated():
 def test_score_strip_sidecar_round_trip():
     rng = np.random.default_rng(42)
     rows = [(fs, float(v)) for fs, v in zip(["a", "b"] * 10, rng.lognormal(3, 2, 20))]
-    spec = report.RenderSpec(kind="score_strip", title="s", scale="log10")
+    spec = report.RenderSpec(title="s", scale="log10")
     svg1, side1 = report.render_score_strip(rows, spec)
     svg2, side2 = report.render_score_strip(report.strip_from_sidecar(side1), spec)
     assert svg1 == svg2 and side1 == side2
@@ -240,15 +240,13 @@ def test_write_render_layout_and_lf(tmp_path):
 
 def test_render_spec_validation():
     with pytest.raises(ValueError):
-        report.RenderSpec(kind="pie_chart")
-    with pytest.raises(ValueError):
-        report.RenderSpec(kind="qq_plot", scale="sqrt")
+        report.RenderSpec(scale="sqrt")
 
 
 def test_svg_escapes_labels():
     svg, _ = report.render_group_box(
         [("a<b&c", [1.0, 2.0, 3.0])],
-        report.RenderSpec(kind="group_box", title="t<&>"),
+        report.RenderSpec(title="t<&>"),
         annotate=False,
     )
     assert "a&lt;b&amp;c" in svg
