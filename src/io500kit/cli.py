@@ -205,8 +205,6 @@ def cmd_groups(args) -> int:
     config = load_config(args.config)
     subs = ingest.read_manifest_dir(args.manifest_dir, phases=())
     names, table = metrics.metric_table(subs, args.normalize)
-    if args.metric not in names:
-        raise EmptyInputError(f"unknown metric {args.metric!r}")
     j = names.index(args.metric)
     grouped: dict[str, list[float]] = {}
     for i, sub in enumerate(subs):
@@ -253,12 +251,14 @@ def cmd_groups(args) -> int:
 
 
 def _load_submissions_any(path: str, phases) -> list:
-    p = Path(path)
-    if p.is_dir() and sorted(p.glob("*.json")):
-        return ingest.read_manifest_dir(p, phases=phases)
+    """The packages under `path` when it holds any, such as a synth output
+    directory with its ground_truth.json; otherwise its manifests."""
     packages = _discover_packages([path])
     if packages:
         return [ingest.load_submission(pkg) for pkg in packages]
+    p = Path(path)
+    if p.is_dir() and any(p.glob("*.json")):
+        return ingest.read_manifest_dir(p, phases=phases)
     raise EmptyInputError(f"no manifests or packages found under {path}")
 
 
@@ -344,9 +344,9 @@ def _logs_stonewall(subs, phases, args, config) -> str:
     rows = []
     for sub, phase, rat in results:
         spec = report.RenderSpec(title=f"{sub.meta.submission_id} {phase.value}")
-        svg, sidecar = report.render_qq(rat.qq, spec)
         name = f"qq_{_sanitize(sub.meta.submission_id)}_{phase.value}"
-        report.write_render(args.out, "logs", name, svg=svg, csv_text=sidecar)
+        # The (svg, sidecar) pair is written and dropped before the next table's is drawn.
+        report.write_render(args.out, "logs", name, *report.render_qq(rat.qq, spec))
         rows.append(
             [
                 sub.meta.submission_id,

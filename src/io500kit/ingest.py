@@ -8,6 +8,7 @@ warnings or skip records alongside the parsed data.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -16,7 +17,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Collection, Mapping
+from typing import Any, Callable, Collection, Iterator, Mapping
 
 import numpy as np
 
@@ -150,9 +151,10 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
     negative close/items) are rejected individually and reported in the
     returned warnings; duplicate ranks are a hard error.
 
-    The data lines are converted a whole column at a time. Only when a cell
-    fails to convert or a rank repeats does the row-by-row scan run, to
-    raise the error for the first offending line.
+    The data lines are converted a column at a time, in chunks of
+    _CHUNK_ROWS lines. Only when a cell fails to convert or a rank repeats
+    does the row-by-row scan run, to raise the error for the first offending
+    line.
     """
     stonewall_s, width, col, body, first_line = _timing_layout(text, phase)
     parsed = _timing_columns(body, width, col, phase)
@@ -201,31 +203,57 @@ def _optional_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
         return values, np.fromiter((not c for c in stripped), bool, n)
 
 
-def _timing_columns(body: list[str], width: int, col: dict[str, int], phase: Phase):
-    """Whole-column conversion of the data lines: (columns, warnings), or None
-    when some cell does not convert or a rank repeats."""
-    if any("#" in line for line in body) or set(map(_count_commas, body)) != {width - 1}:
+# Data lines converted at a time: the cell strings of one chunk, never of a
+# whole table, are alive at once.
+_CHUNK_ROWS = 8192
+
+
+def _chunk_columns(lines: list[str], width: int, col: dict[str, int]):
+    """The number columns of some data lines, by name (an optional column also
+    gives its blank-cell mask as `no_<name>`), or None when a cell does not convert."""
+    if any("#" in line for line in lines) or set(map(_count_commas, lines)) != {width - 1}:
         # Drop blank and comment lines and cut extra cells, so that every line has width cells.
         cells = [
-            line.split(",") for line in body if line.strip() and not line.lstrip().startswith("#")
+            line.split(",") for line in lines if line.strip() and not line.lstrip().startswith("#")
         ]
         if any(len(row) < width for row in cells):
             return None
-        body = [",".join(row[:width]) for row in cells]
-    n = len(body)
-    flat = ",".join(body).split(",") if n else []
+        lines = [",".join(row[:width]) for row in cells]
+    n = len(lines)
+    flat = ",".join(lines).split(",") if n else []
 
     def column(name: str) -> list[str]:
         return flat[col[name] :: width]
 
     try:
-        rank = np.fromiter(map(int, column("rank")), np.int64, n)
-        start = np.fromiter(map(float, column("start")), np.float64, n)
-        end = np.fromiter(map(float, column("end")), np.float64, n)
-        close, no_close = _optional_floats(column("close")) if "close" in col else (None, None)
-        items, no_items = _optional_floats(column("items")) if "items" in col else (None, None)
+        chunk = {
+            "rank": np.fromiter(map(int, column("rank")), np.int64, n),
+            "start": np.fromiter(map(float, column("start")), np.float64, n),
+            "end": np.fromiter(map(float, column("end")), np.float64, n),
+        }
+        for name in ("close", "items"):
+            if name in col:
+                chunk[name], chunk[f"no_{name}"] = _optional_floats(column(name))
     except (ValueError, OverflowError):
         return None
+    return chunk
+
+
+def _timing_columns(body: list[str], width: int, col: dict[str, int], phase: Phase):
+    """Whole-column conversion of the data lines, _CHUNK_ROWS lines at a time:
+    (columns, warnings), or None when some cell does not convert or a rank repeats."""
+    chunks = []
+    for at in range(0, max(len(body), 1), _CHUNK_ROWS):
+        chunk = _chunk_columns(body[at : at + _CHUNK_ROWS], width, col)
+        if chunk is None:
+            return None
+        chunks.append(chunk)
+    joined = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
+    del chunks
+    rank, start, end = joined["rank"], joined["start"], joined["end"]
+    close, no_close = joined.get("close"), joined.get("no_close")
+    items, no_items = joined.get("items"), joined.get("no_items")
+    n = len(rank)
     if not (np.all(np.isfinite(start)) and np.all(np.isfinite(end))):
         return None
     if close is not None and not np.all(np.isfinite(close) | no_close):
@@ -405,8 +433,8 @@ def normalize_interconnect(raw: str) -> float | None:
         return None
     m = _IC_EXPLICIT_RE.search(key)
     if m:
-        speed = float(m.group(1))
-        return speed if speed > 0 else None
+        speed = float(m.group(1))  # inf for a run of hundreds of digits
+        return speed if 0 < speed < math.inf else None
     for fragment, speed in _IC_SPEEDS:
         if fragment in key:
             return speed
@@ -732,14 +760,14 @@ def load_submission(package_dir: str | Path) -> Submission:
 # --- manifest interchange ------------------------------------------------------
 
 
-def to_manifest(sub: Submission) -> dict[str, Any]:
-    """Serialize a Submission into the manifest document tree.
+def _sorted_tables(sub: Submission) -> list[tuple[str, ProcessTimingTable]]:
+    return sorted((phase.value, table) for phase, table in sub.timing.items())  # names are unique
 
-    The tree holds `timing` as a dict from phase name to table;
-    `dumps_manifest` writes each table on a line of its own.
-    """
+
+def _header_tree(sub: Submission, timing: Any) -> dict[str, Any]:
+    """The manifest document tree with `timing` as given."""
     meta = sub.meta
-    doc: dict[str, Any] = {
+    return {
         "format_version": MANIFEST_FORMAT_VERSION,
         "meta": {
             "submission_id": meta.submission_id,
@@ -767,20 +795,29 @@ def to_manifest(sub: Submission) -> dict[str, Any]:
         "reported_score_bw": sub.reported_score_bw,
         "reported_score_md": sub.reported_score_md,
         "reported_score_overall": sub.reported_score_overall,
-        "timing": {
-            phase.value: {
-                "stonewall_s": table.stonewall_s,
-                "rank": table.rank.tolist(),
-                "start_s": table.start_s.tolist(),
-                "end_s": table.end_s.tolist(),
-                "close_s": np.ma.masked_invalid(table.close_s).tolist(),  # NaN -> null
-                "items": table.items.tolist(),
-            }
-            for phase, table in sorted(sub.timing.items(), key=lambda kv: kv[0].value)
-        },
+        "timing": timing,
         "warnings": list(sub.warnings),
     }
-    return doc
+
+
+def _table_tree(table: ProcessTimingTable) -> dict[str, Any]:
+    return {
+        "stonewall_s": table.stonewall_s,
+        "rank": table.rank.tolist(),
+        "start_s": table.start_s.tolist(),
+        "end_s": table.end_s.tolist(),
+        "close_s": np.ma.masked_invalid(table.close_s).tolist(),  # NaN -> null
+        "items": table.items.tolist(),
+    }
+
+
+def to_manifest(sub: Submission) -> dict[str, Any]:
+    """Serialize a Submission into the manifest document tree.
+
+    The tree holds `timing` as a dict from phase name to table;
+    the manifest file holds each table on a line of its own.
+    """
+    return _header_tree(sub, {name: _table_tree(table) for name, table in _sorted_tables(sub)})
 
 
 # JSON value kinds a manifest field may hold. bool is not a number here.
@@ -849,12 +886,28 @@ def _check_version(doc: Any) -> None:
         raise ValidationError(f"unsupported manifest format_version {version!r}")
 
 
-def from_manifest(doc: Mapping[str, Any]) -> Submission:
-    """Reconstruct a Submission from a manifest document tree.
+def _timing_table(phase_name: str, spec: Any) -> ProcessTimingTable:
+    """A timing table from its manifest object, the table line less its `phase`."""
+    where = f"timing.{phase_name}"
+    phase = _enum(Phase, phase_name, where)
+    columns = {
+        "stonewall_s": _get(spec, "stonewall_s", _NUM, where, nullable=True),
+        "rank": _column(spec, "rank", where, integer=True),
+        "start_s": _column(spec, "start_s", where, integer=False),
+        "end_s": _column(spec, "end_s", where, integer=False),
+        "close_s": _column(spec, "close_s", where, integer=False, nullable=True),
+        "items": _column(spec, "items", where, integer=True, nullable=True),
+    }
+    try:
+        return ProcessTimingTable(phase=phase, **columns)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
-    Only format_version 3 is read; any shape error raises ValidationError.
-    """
-    _check_version(doc)
+
+def _submission(doc: Mapping[str, Any], timing: Callable[[], dict[Phase, ProcessTimingTable]]) -> Submission:
+    """A Submission from a manifest tree whose version is checked. Its fields
+    are checked in a fixed order: meta, phases, then the tables `timing()`
+    returns, then warnings and scores."""
     m = _get(doc, "meta", _OBJ, "manifest")
     meta = SubmissionMeta(
         submission_id=_get(m, "submission_id", _STR, "meta"),
@@ -880,22 +933,7 @@ def from_manifest(doc: Mapping[str, Any]) -> Submission:
             runtime_s=_get(entry, "runtime_s", _NUM, where, nullable=True),
             cache_flag=_get(entry, "cache_flag", _BOOL, where),
         )
-    timing: dict[Phase, ProcessTimingTable] = {}
-    for phase_name, spec in _get(doc, "timing", _OBJ, "manifest").items():
-        where = f"timing.{phase_name}"
-        phase = _enum(Phase, phase_name, where)
-        columns = {
-            "stonewall_s": _get(spec, "stonewall_s", _NUM, where, nullable=True),
-            "rank": _column(spec, "rank", where, integer=True),
-            "start_s": _column(spec, "start_s", where, integer=False),
-            "end_s": _column(spec, "end_s", where, integer=False),
-            "close_s": _column(spec, "close_s", where, integer=False, nullable=True),
-            "items": _column(spec, "items", where, integer=True, nullable=True),
-        }
-        try:
-            timing[phase] = ProcessTimingTable(phase=phase, **columns)
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+    tables = timing()
     warnings = _get(doc, "warnings", _LIST, "manifest")
     if not all(isinstance(w, str) for w in warnings):
         raise ValidationError("manifest.warnings: expected a list of strings")
@@ -905,78 +943,193 @@ def from_manifest(doc: Mapping[str, Any]) -> Submission:
         reported_score_bw=_get(doc, "reported_score_bw", _NUM, "manifest", nullable=True),
         reported_score_md=_get(doc, "reported_score_md", _NUM, "manifest", nullable=True),
         reported_score_overall=_get(doc, "reported_score_overall", _NUM, "manifest", nullable=True),
-        timing=timing,
+        timing=tables,
         warnings=list(warnings),
     )
 
 
-def dumps_manifest(sub: Submission) -> str:
-    """The manifest text: JSON Lines, a header line and then one line per timing table.
+def from_manifest(doc: Mapping[str, Any]) -> Submission:
+    """Reconstruct a Submission from a manifest document tree.
+
+    Only format_version 3 is read; any shape error raises ValidationError.
+    """
+    _check_version(doc)
+
+    def timing() -> dict[Phase, ProcessTimingTable]:
+        tables = (_timing_table(name, spec) for name, spec in _get(doc, "timing", _OBJ, "manifest").items())
+        return {table.phase: table for table in tables}
+
+    return _submission(doc, timing)
+
+
+def _manifest_text_lines(sub: Submission) -> Iterator[str]:
+    """The manifest's lines, one at a time: the header, then one line per timing table.
 
     The header is the document tree with `timing` replaced by the list of
     the tables' phase names, in line order; each table line is the table's
-    object plus its `phase`. Every line is compact JSON with sorted keys, a
-    form that keeps the stdlib's C encoder.
+    object plus its `phase`. Every line is strict, compact JSON with sorted
+    keys, a form that keeps the stdlib's C encoder.
     """
-    doc = to_manifest(sub)
-    tables = doc["timing"]
-    doc["timing"] = list(tables)
-    parts = [doc, *({"phase": name, **table} for name, table in tables.items())]
-    return "".join(json.dumps(part, separators=(",", ":"), sort_keys=True) + "\n" for part in parts)
+    tables = _sorted_tables(sub)
+    yield _json_line(_header_tree(sub, [name for name, _ in tables]))
+    for name, table in tables:
+        yield _json_line({"phase": name, **_table_tree(table)})
+
+
+def _json_line(part: dict[str, Any]) -> str:
+    return json.dumps(part, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
+
+
+def dumps_manifest(sub: Submission) -> str:
+    """The manifest text: JSON Lines, a header line and then one line per timing table."""
+    return "".join(_manifest_text_lines(sub))
 
 
 def write_manifest(sub: Submission, path: str | Path) -> None:
-    Path(path).write_text(dumps_manifest(sub), encoding="utf-8", newline="\n")
+    """Write the manifest a line at a time, so that one table's JSON lists are
+    alive at once; a write that fails leaves no file behind."""
+    path = Path(path)
+    try:
+        with path.open("w", encoding="utf-8", newline="\n") as f:
+            f.writelines(_manifest_text_lines(sub))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 _JSON = json.JSONDecoder()
 
 
-def _manifest_tree(text: str, phases: Collection[Phase] | None) -> dict[str, Any]:
-    """The document tree of a manifest text, holding only the tables of `phases`
-    (all when None). Table lines of other phases are counted, not decoded."""
+# The read buffer is as large as the file up to this size: a table line of
+# megabytes takes few read calls, and a small file costs no more than its size.
+_READ_BUFFER = 1 << 20
+
+
+def _file_lines(path: Path) -> Iterator[bytes]:
+    """The lines of a file, one at a time and without their newline, as
+    `read_text(path).split("\n")` gives them: the last is what follows the
+    final newline. A byte that is not UTF-8 raises LoadError, as in read_text."""
+    offset = 0
     try:
-        # The first JSON value: the header line, or the whole of an older single-document manifest.
+        buffering = min(max(path.stat().st_size, io.DEFAULT_BUFFER_SIZE), _READ_BUFFER)
+        with path.open("rb", buffering=buffering) as f:
+            for raw in f:
+                if not raw.isascii():
+                    try:
+                        raw.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise LoadError(f"{path.name}: not UTF-8 text (byte {offset + exc.start})") from None
+                offset += len(raw)
+                if b"\r" in raw:  # universal newlines, as in read_text
+                    *lines, raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+                    yield from lines
+                elif raw.endswith(b"\n"):
+                    yield raw[:-1]
+                    raw = b""
+                if raw:  # the end of a file without a final newline
+                    yield raw
+                    return
+            yield b""
+    except OSError as exc:
+        raise LoadError(f"{path.name}: {exc.strerror or exc}") from None
+
+
+def _whole_text_header(path: Path):
+    """For a file whose line 1 is not one JSON value: the first JSON value of
+    the whole text, such as an older single-document manifest, the rest of the
+    line it ends on, and the lines after that."""
+    text = read_text(path)
+    try:
         header, end = _JSON.raw_decode(text)
     except ValueError as exc:
         raise ValidationError(f"not a JSON manifest ({exc})") from None
-    _check_version(header)
-    index = _get(header, "timing", _LIST, "manifest")
-    index_phases = [_enum(Phase, name, f"timing.{name}") for name in index]
-    if len(set(index_phases)) != len(index_phases):
-        raise ValidationError("manifest.timing: a phase is listed twice")
-    # lines[0] is the rest of the header line and lines[-1] what follows the last newline.
-    lines = text[end:].split("\n")
-    if lines[0]:
-        raise ValidationError("manifest: line 1 holds more than the header")
-    if lines[-1] or len(lines) != len(index) + 2:
-        tail = " and an unterminated one" if lines[-1] else ""
-        raise ValidationError(
-            f"manifest: expected {len(index) + 1} complete lines (a header and {len(index)} "
-            f"tables), found {len(lines) - 1}{tail}; the file is truncated or damaged"
-        )
-    tables: dict[str, Any] = {}
-    for line_no, (phase, line) in enumerate(zip(index_phases, lines[1:-1]), start=2):
+    rest, *after = text[end:].split("\n")
+    return header, rest, (line.encode("utf-8") for line in after)
+
+
+def _table_line(line: bytes, line_no: int, phase: Phase) -> dict[str, Any]:
+    where = f"timing.{phase.value}"
+    try:
+        spec = json.loads(line.decode("utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{where}: line {line_no} is not JSON ({exc})") from None
+    if _get(spec, "phase", _STR, where) != phase.value:
+        raise ValidationError(f"{where}: line {line_no} holds phase {spec['phase']!r}")
+    return spec
+
+
+def _manifest_submission(header: Any, rest: str, lines: Iterator[bytes], phases) -> Submission:
+    """The Submission of a manifest from its decoded header, the rest of the
+    header's line and an iterator over the lines after it.
+
+    The lines are read to the end, one at a time, so that an undecodable
+    byte (LoadError) and then a wrong line count are reported before any
+    other fault, as a read of the whole text would. Only the table lines of
+    `phases` (all when None) are decoded, each into its table before the
+    next."""
+    try:
+        _check_version(header)
+        index = _get(header, "timing", _LIST, "manifest")
+        index_phases = [_enum(Phase, name, f"timing.{name}") for name in index]
+        if len(set(index_phases)) != len(index_phases):
+            raise ValidationError("manifest.timing: a phase is listed twice")
+        if rest:
+            raise ValidationError("manifest: line 1 holds more than the header")
+    except ValidationError:
+        for _ in lines:
+            pass
+        raise
+    tables: dict[Phase, ProcessTimingTable] = {}
+    line_error = table_error = None  # the first of each, in line order
+    n_lines, unterminated = 1, False
+    for line_no, line in enumerate(lines, start=2):
+        n_lines, unterminated = line_no, line != b""
+        if line_error is not None or line_no - 2 >= len(index_phases):
+            continue
+        phase = index_phases[line_no - 2]
         if phases is not None and phase not in phases:
             continue
-        where = f"timing.{phase.value}"
         try:
-            table = json.loads(line)
-        except ValueError as exc:
-            raise ValidationError(f"{where}: line {line_no} is not JSON ({exc})") from None
-        if _get(table, "phase", _STR, where) != phase.value:
-            raise ValidationError(f"{where}: line {line_no} holds phase {table['phase']!r}")
-        del table["phase"]
-        tables[phase.value] = table
-    return {**header, "timing": tables}
+            spec = _table_line(line, line_no, phase)
+        except ValidationError as exc:
+            line_error = exc
+            continue
+        if table_error is None:
+            try:
+                tables[phase] = _timing_table(phase.value, spec)
+            except ValidationError as exc:  # reported after the header's meta and phases
+                table_error = exc
+        del spec, line  # so that one table's lists are alive at a time
+    if unterminated or n_lines != len(index) + 2:
+        tail = " and an unterminated one" if unterminated else ""
+        raise ValidationError(
+            f"manifest: expected {len(index) + 1} complete lines (a header and {len(index)} "
+            f"tables), found {n_lines - 1}{tail}; the file is truncated or damaged"
+        )
+    if line_error is not None:
+        raise line_error
+
+    def timing() -> dict[Phase, ProcessTimingTable]:
+        if table_error is not None:
+            raise table_error
+        return tables
+
+    return _submission(header, timing)
 
 
 def read_manifest(path: str | Path, phases: Collection[Phase] | None = None) -> Submission:
-    """Load one manifest, decoding only the timing tables of `phases` (all when
-    None); the others are left out of the Submission. Errors name the file."""
-    text = read_text(path)
+    """Load one manifest, reading it a line at a time and decoding only the
+    timing tables of `phases` (all when None); the others are left out of the
+    Submission. Errors name the file."""
+    file = Path(path)
     try:
-        return from_manifest(_manifest_tree(text, phases))
+        with contextlib.closing(_file_lines(file)) as lines:
+            first = next(lines).decode("utf-8")
+            try:
+                header, end = _JSON.raw_decode(first)
+            except ValueError:
+                return _manifest_submission(*_whole_text_header(file), phases)
+            return _manifest_submission(header, first[end:], lines, phases)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

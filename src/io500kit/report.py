@@ -427,6 +427,10 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     )
     xs, _ = px.column(quantiles)
     ys, clamped = py.column(ratios)
+    # The sidecar first, so that its per-point cells are gone before the points are formatted.
+    flags = map(("false", "true").__getitem__, clamped.tolist())
+    sidecar = csv_table(["quantile", "ratio", "clamped"], zip(q_cells, r_cells, flags))
+    del q_cells, r_cells
     parts += _points(
         '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#33668c"/>',
         '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#d09040"/>',
@@ -448,11 +452,7 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     parts.append(_text(66.0, height - 44.0, fmt_label(y_lo if not log_y else floor), size=9, anchor="end"))
     parts.append(_text(66.0, 46.0, fmt_label(y_hi), size=9, anchor="end"))
     parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-
-    flags = np.where(clamped, "true", "false").tolist()
-    sidecar = csv_table(["quantile", "ratio", "clamped"], zip(q_cells, r_cells, flags))
-    return svg, sidecar
+    return "\n".join(parts) + "\n", sidecar
 
 
 def qq_from_sidecar(sidecar: str) -> list[tuple[float, float]]:
@@ -493,8 +493,14 @@ def render_group_box(
     for label, values, _ in ordered:
         if not values.size:
             raise EmptyInputError(f"group {label!r} is empty")
+    # The sidecar first, so that its per-point cells are gone before the points are formatted.
+    sidecar = csv_table(
+        ["label", "value"],
+        itertools.chain.from_iterable(zip(itertools.repeat(label), cells) for label, _, cells in ordered),
+    )
+    ordered = [(label, values) for label, values, _ in ordered]
 
-    pooled = np.concatenate([values for _, values, _ in ordered])
+    pooled = np.concatenate([values for _, values in ordered])
     log_y = spec.scale == "log10" and bool(np.any(pooled > 0))
     floor = _log_floor(pooled) if log_y else 0.0
     y_lo = floor if log_y else _first_min(pooled)
@@ -511,13 +517,13 @@ def render_group_box(
         parts.append(_text(width / 2.0, 20.0, spec.title, size=13, anchor="middle"))
     annotation = ""
     if annotate and n_groups >= 2:
-        test = kruskal_wallis([values for _, values, _ in ordered])
+        test = kruskal_wallis([values for _, values in ordered])
         annotation = (
             f"H={fmt_label(q6(test.h))}, p={fmt_label(q6(test.p))}, "
             f"η²={fmt_label(q6(test.eta_sq))}; {INDEPENDENCE_CAVEAT}"
         )
         parts.append(_text(width / 2.0, 38.0, annotation, size=9, anchor="middle"))
-    for g, (label, arr, _) in enumerate(ordered):
+    for g, (label, arr) in enumerate(ordered):
         q1, med, q3 = (float(v) for v in np.percentile(arr, [25.0, 50.0, 75.0]))
         iqr = q3 - q1
         in_lo = arr[arr >= q1 - 1.5 * iqr]
@@ -568,13 +574,7 @@ def render_group_box(
     parts.append(_text(84.0, height - 66.0, fmt_label(y_lo if not log_y else floor), size=9, anchor="end"))
     parts.append(_text(84.0, 60.0, fmt_label(y_hi), size=9, anchor="end"))
     parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-
-    sidecar = csv_table(
-        ["label", "value"],
-        itertools.chain.from_iterable(zip(itertools.repeat(label), cells) for label, _, cells in ordered),
-    )
-    return svg, sidecar
+    return "\n".join(parts) + "\n", sidecar
 
 
 def groups_from_sidecar(sidecar: str) -> list[tuple[str, list[float]]]:

@@ -3,21 +3,25 @@
 These deliberately use different algorithms from the package: ranks by
 counting comparisons, Kruskal-Wallis via mean-rank deviations, BH by the
 literal step-up definition, Gini by the O(n^2) pairwise-difference sum.
-The Q-Q and box plot renderers at the end draw one point at a time, as the
-package did before its renderers worked on whole columns; the package's
-renderers must produce the same SVG and sidecar bytes.
+The Q-Q and box plot renderers draw one point at a time, as the package did
+before its renderers worked on whole columns; the package's renderers must
+produce the same SVG and sidecar bytes. The manifest reader at the end reads
+the whole text at once, as the package did before it read a line at a time;
+the package's reader must return the same Submission or raise the same error.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from typing import Sequence
 
 import numpy as np
 
-from io500kit.errors import EmptyInputError
+from io500kit import ingest
+from io500kit.errors import EmptyInputError, ValidationError
 from io500kit.report import (
     RenderSpec,
     _Axis,
@@ -30,6 +34,7 @@ from io500kit.report import (
     q6,
 )
 from io500kit.stats import INDEPENDENCE_CAVEAT, kruskal_wallis
+from io500kit.types import Phase
 
 
 def rank_oracle(values):
@@ -298,3 +303,51 @@ def render_group_box_oracle(
         [[label, fmt_csv(v)] for label, values in ordered for v in values],
     )
     return svg, sidecar
+
+
+def _manifest_tree_oracle(text, phases):
+    """The document tree of a whole manifest text, with the tables of `phases`."""
+    try:
+        # The first JSON value: the header line, or the whole of an older single-document manifest.
+        header, end = json.JSONDecoder().raw_decode(text)
+    except ValueError as exc:
+        raise ValidationError(f"not a JSON manifest ({exc})") from None
+    ingest._check_version(header)
+    index = ingest._get(header, "timing", ingest._LIST, "manifest")
+    index_phases = [ingest._enum(Phase, name, f"timing.{name}") for name in index]
+    if len(set(index_phases)) != len(index_phases):
+        raise ValidationError("manifest.timing: a phase is listed twice")
+    # lines[0] is the rest of the header line and lines[-1] what follows the last newline.
+    lines = text[end:].split("\n")
+    if lines[0]:
+        raise ValidationError("manifest: line 1 holds more than the header")
+    if lines[-1] or len(lines) != len(index) + 2:
+        tail = " and an unterminated one" if lines[-1] else ""
+        raise ValidationError(
+            f"manifest: expected {len(index) + 1} complete lines (a header and {len(index)} "
+            f"tables), found {len(lines) - 1}{tail}; the file is truncated or damaged"
+        )
+    tables = {}
+    for line_no, (phase, line) in enumerate(zip(index_phases, lines[1:-1]), start=2):
+        if phases is not None and phase not in phases:
+            continue
+        where = f"timing.{phase.value}"
+        try:
+            table = json.loads(line)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: line {line_no} is not JSON ({exc})") from None
+        if ingest._get(table, "phase", ingest._STR, where) != phase.value:
+            raise ValidationError(f"{where}: line {line_no} holds phase {table['phase']!r}")
+        del table["phase"]
+        tables[phase.value] = table
+    return {**header, "timing": tables}
+
+
+def read_manifest_oracle(path, phases=None):
+    """ingest.read_manifest from the whole text: every table line of `phases`
+    decoded before any table is built."""
+    text = ingest.read_text(path)
+    try:
+        return ingest.from_manifest(_manifest_tree_oracle(text, phases))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -229,6 +229,36 @@ def test_logs_without_timing_is_ok(tmp_path, summary_basic):
     assert not (out / "logs" / "stragglers.csv").exists()
 
 
+def test_logs_reads_packages_of_a_synth_output_directory(tmp_path):
+    # The directory also holds ground_truth.json, which is not a manifest.
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--seed", 5, "--n", 12, "--out", corpus) == 0
+    assert (corpus / "ground_truth.json").is_file()
+    manifests = tmp_path / "manifests"
+    assert run("ingest", corpus, "--out", manifests) == 0
+    for source in (corpus, manifests):
+        assert run("logs", source, "--analysis", "pfind", "--out", tmp_path / source.name) == 0
+    assert tree_bytes(tmp_path / "corpus" / "logs") == tree_bytes(tmp_path / "manifests" / "logs")
+
+
+def test_infinite_interconnect_speed_is_unknown(tmp_path, summary_basic):
+    pkg = tmp_path / "packages" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / SUMMARY_FILENAME).write_text(summary_basic)
+    (pkg / "meta.txt").write_text(f"list_label = SC22\nclient_nodes = 4\ninterconnect = {'9' * 400} Gb/s\n")
+    out = tmp_path / "manifests"
+    assert run("ingest", tmp_path / "packages", "--out", out) == 0
+
+    def reject(token):
+        raise AssertionError(f"non-strict JSON constant {token}")
+
+    for line in (out / "pkg.json").read_text().splitlines():
+        json.loads(line, parse_constant=reject)
+    (sub,) = ingest.read_manifest_dir(out)
+    assert sub.meta.interconnect_gbps is None
+    assert ingest.interconnect_class(sub.meta) == "unknown"
+
+
 def test_logs_stonewall_flag_supplies_missing_value(tmp_path, summary_basic):
     pkg = tmp_path / "pkg"
     pkg.mkdir()

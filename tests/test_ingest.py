@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from io500kit.errors import (
     SchemaError,
     ValidationError,
 )
-from io500kit.types import Filesystem, Phase
+from io500kit.types import Filesystem, Phase, ProcessTimingTable, Submission, SubmissionMeta
 
 
 # --- result summary -----------------------------------------------------------
@@ -192,6 +193,7 @@ def test_normalize_filesystem(raw, expected):
         ("100Gbps RoCE", 100.0),
         ("mystery-net-9000", None),
         ("", None),
+        ("9" * 400 + " Gb/s", None),  # float() gives inf
     ],
 )
 def test_normalize_interconnect(raw, expected):
@@ -605,3 +607,51 @@ def test_manifest_is_compact_strict_json_lines(tmp_path, summary_basic):
         "items": [1000, None],
     }
     assert lines == [json.dumps(part, separators=(",", ":"), sort_keys=True) for part in [header, *tables]]
+
+
+def _wide_submission(n_tables: int, n_ranks: int = 40_000) -> Submission:
+    rng = np.random.default_rng(7)
+    phases = [Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE, Phase.FIND][:n_tables]
+    timing = {}
+    for phase in phases:
+        start = rng.uniform(0.0, 1.0, n_ranks)
+        items = np.ma.MaskedArray(rng.integers(0, 10**6, n_ranks), mask=rng.random(n_ranks) < 0.1)
+        timing[phase] = ProcessTimingTable(
+            phase=phase,
+            rank=np.arange(n_ranks, dtype=np.int64),
+            start_s=start,
+            end_s=start + rng.uniform(300.0, 400.0, n_ranks),
+            close_s=rng.uniform(0.0, 5.0, n_ranks),
+            items=items,
+            stonewall_s=300.0,
+        )
+    return Submission(meta=SubmissionMeta(submission_id="wide"), timing=timing)
+
+
+def test_manifest_memory_follows_the_largest_table(tmp_path):
+    # The writer and the reader hold one table's JSON lists at a time, so three
+    # tables cost little more than one; holding all of them costs about 3x.
+    def traced_peak(n_tables: int) -> int:
+        sub = _wide_submission(n_tables)
+        path = tmp_path / f"{n_tables}.json"
+        tracemalloc.start()
+        try:
+            ingest.write_manifest(sub, path)
+            again = ingest.read_manifest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == sub
+        return peak
+
+    one, three = traced_peak(1), traced_peak(3)
+    assert three < 2 * one, (one, three)
+
+
+def test_failed_manifest_write_leaves_no_file(tmp_path):
+    sub = _wide_submission(1, n_ranks=4)
+    sub.reported_score_bw = float("nan")  # not JSON: the writer refuses it
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        ingest.write_manifest(sub, path)
+    assert not path.exists()

@@ -6,18 +6,20 @@ Derandomized, so every run checks the same examples.
 
 import dataclasses
 import itertools
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from io500kit import ingest, report
-from io500kit.errors import Io500KitError
+from io500kit.errors import Io500KitError, ParseError, ValidationError
 from io500kit.types import Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
-from oracles import render_group_box_oracle, render_qq_oracle
+from oracles import read_manifest_oracle, render_group_box_oracle, render_qq_oracle
 
 PHASE = Phase.IOR_EASY_WRITE
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -125,6 +127,56 @@ def test_vectorized_parse_matches_row_scan(text):
         assert ingest._timing_columns(body, width, col, PHASE) is not None
 
 
+CHUNK = ingest._CHUNK_ROWS
+
+
+def _long_csv(n_rows, edits=None):
+    """A timing CSV with n_rows data lines: accepted and rejected rows, blank
+    cells, an extra column, and the lines of `edits` ({data line index: line})
+    put in place, such as blanks, comments or cells that do not convert."""
+    lines = ["# stonewall_s = 300", "rank,start,end,close,items,host"]
+    for r in range(n_rows):
+        end = 300.0 + r % 11 if r % 997 else 0.0  # end < start: rejected
+        close = "" if r % 5 == 0 else ("-1.5" if r % 1009 == 3 else str(r % 3))
+        items = "" if r % 4 == 0 else str(r)
+        lines.append(f"{r},{r % 7 * 0.25},{end},{close},{items},h{r % 9}")
+    for i, line in (edits or {}).items():
+        lines[2 + i] = line
+    return "\n".join(lines) + "\n"
+
+
+LONG_TABLES = [
+    # A body of one chunk, an empty one, and ones longer than two chunks.
+    _long_csv(CHUNK),
+    _long_csv(0),
+    _long_csv(2 * CHUNK + 500),
+    # Blank and comment lines and extra cells in some chunks only.
+    _long_csv(2 * CHUNK + 500, {5: "", CHUNK + 7: "  # note", 2 * CHUNK + 9: "7777,0,310,1,2,h,extra"}),
+    # A rank repeated across a chunk boundary.
+    _long_csv(2 * CHUNK + 500, {CHUNK + 3: f"{CHUNK - 2},0,310,1,2,h"}),
+    # A cell that does not convert, or a short line, in the last chunk.
+    _long_csv(2 * CHUNK + 500, {2 * CHUNK + 400: f"{2 * CHUNK + 400},0,x,1,2,h"}),
+    _long_csv(2 * CHUNK + 500, {2 * CHUNK + 401: f"{2 * CHUNK + 401},0"}),
+]
+
+
+@pytest.mark.parametrize("text", LONG_TABLES, ids=range(len(LONG_TABLES)))
+def test_chunked_parse_matches_row_scan(text):
+    want = _outcome(lambda: _scan(text))
+    assert _outcome(lambda: ingest.parse_process_timing(text, PHASE)) == want
+    _, width, col, body, _ = ingest._timing_layout(text, PHASE)
+    assert (ingest._timing_columns(body, width, col, PHASE) is not None) == (want[0] == "ok")
+
+
+def test_chunked_parse_errors_name_the_line():
+    # Data line i is line i + 3 of the file.
+    repeated = LONG_TABLES[4]
+    with pytest.raises(ValidationError, match=f"duplicate rank {CHUNK - 2} on line {CHUNK + 6}$"):
+        ingest.parse_process_timing(repeated, PHASE)
+    with pytest.raises(ParseError, match=f"^line {2 * CHUNK + 403}: .*malformed end 'x'"):
+        ingest.parse_process_timing(LONG_TABLES[5], PHASE)
+
+
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -188,6 +240,128 @@ def test_manifest_round_trip(sub):
             for selected in itertools.combinations(TABLE_PHASES, k):
                 timing = {p: t for p, t in again.timing.items() if p in selected}
                 assert ingest.read_manifest(path, phases=selected) == dataclasses.replace(again, timing=timing)
+
+
+# Bytes a damaged manifest may gain: undecodable ones, line breaks, JSON punctuation.
+ODD_BYTES = [b"\xff", b"\xc3", b"\r", b"\n", b"\r\n", b"{", b"}", b",", b" ", b"x", b"\x00", b"\xef\xbb\xbf"]
+# Header values that the checks refuse, by key.
+BAD_HEADER = [
+    ("format_version", 2), ("format_version", "3"), ("timing", {}), ("timing", ["find", "find"]),
+    ("timing", ["bogus"]), ("meta", []), ("phases", [{}]), ("warnings", [0]), ("reported_score_bw", "1"),
+]
+
+
+@st.composite
+def damaged_manifest(draw):
+    """A manifest's bytes after one to three edits: a cut, a byte put in or
+    taken out, lines dropped, repeated or swapped, a header value replaced, or
+    a table line's column replaced."""
+    data = ingest.dumps_manifest(draw(submission())).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        lines = data.split(b"\n")
+        # Mostly after the header, so that most edits reach the table lines.
+        first = 0 if draw(st.integers(0, 3)) == 3 else min(len(lines[0]) + 1, len(data))
+        kind = draw(st.sampled_from(["column", "insert", "header", "delete", "lines", "cut"]))
+        if kind == "cut":
+            data = data[: draw(st.integers(first, len(data)))]
+        elif kind == "insert":
+            at = draw(st.integers(first, len(data)))
+            data = data[:at] + draw(st.sampled_from(ODD_BYTES)) + data[at:]
+        elif kind == "delete" and first < len(data):
+            at = draw(st.integers(first, len(data) - 1))
+            data = data[:at] + data[at + 1 :]
+        elif kind == "lines":
+            i, j = (draw(st.integers(min(first, 1, len(lines) - 1), len(lines) - 1)) for _ in range(2))
+            edit = draw(st.sampled_from(["drop", "repeat", "swap"]))
+            if edit == "drop":
+                del lines[i]
+            elif edit == "repeat":
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            data = b"\n".join(lines)
+        elif kind == "header":
+            try:
+                header = json.loads(lines[0])
+            except ValueError:
+                continue
+            if isinstance(header, dict):
+                key, value = draw(st.sampled_from(BAD_HEADER))
+                header[key] = value
+                lines[0] = json.dumps(header).encode()
+                data = b"\n".join(lines)
+        elif kind == "column" and len(lines) > 2:
+            i = draw(st.integers(1, len(lines) - 2))
+            try:
+                table = json.loads(lines[i])
+            except ValueError:
+                continue
+            if isinstance(table, dict) and table:
+                key = draw(st.sampled_from(sorted(table)))
+                table[key] = draw(st.sampled_from([None, "x", [], [1.5], [-1], [None], {}]))
+                lines[i] = json.dumps(table).encode()
+                data = b"\n".join(lines)
+    return data
+
+
+def _pinned_manifests():
+    """Manifests whose line ends a whole-text read translates, one with an
+    undecodable byte near its end, and ones with two faults each, where the
+    first that a whole-text read meets is the one to report: byte, header
+    structure, line count, table line, then meta, phases, table columns,
+    warnings and scores."""
+    table = ProcessTimingTable(
+        phase=PHASE, rank=np.arange(3), start_s=np.zeros(3), end_s=np.ones(3), stonewall_s=300.0
+    )
+    sub = Submission(
+        meta=SubmissionMeta(submission_id="s"),
+        timing={PHASE: table, Phase.FIND: dataclasses.replace(table, phase=Phase.FIND)},
+    )
+    header, find, easy = (json.loads(line) for line in ingest.dumps_manifest(sub).splitlines())
+
+    def text(header=header, find=find, easy=easy, tail=b"\n"):
+        lines = [part if isinstance(part, bytes) else json.dumps(part).encode() for part in (header, find, easy)]
+        return b"\n".join(lines) + tail
+
+    bad_rank = {**find, "rank": "x"}
+    return [
+        text().replace(b"\n", b"\r\n"),
+        text().replace(b"\n", b"\r"),
+        text(tail=b"\n\xc3"),
+        text(header={**header, "meta": []}, find=bad_rank),
+        text(header={**header, "phases": [{}]}, find=bad_rank),
+        text(header={**header, "warnings": [0]}, find=bad_rank),
+        text(header={**header, "reported_score_md": "1"}, easy={**easy, "end_s": [0.0]}),
+        text(find=bad_rank, easy=b"{"),
+        text(header={**header, "meta": []}, easy={**easy, "phase": "find"}),
+        text(find=b"[", tail=b""),
+        text(header={**header, "format_version": 2}, tail=b"\xff\n"),
+        text(header={**header, "timing": ["find", "find"]}, tail=b"\n\n"),
+    ]
+
+
+def _pin_manifests(test):
+    for data in _pinned_manifests():
+        test = example(data, None)(test)
+    return test
+
+
+def _read(read, path, phases):
+    try:
+        return read(path, phases)
+    except Io500KitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@PROPERTY
+@_pin_manifests
+@given(damaged_manifest(), st.sampled_from([None, (), (Phase.FIND,), (Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE)]))
+def test_line_reader_matches_whole_text_reader(data, phases):
+    # The same Submission, or the same error (the first of several, too), as a read of the whole text.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_bytes(data)
+        assert _read(ingest.read_manifest, path, phases) == _read(read_manifest_oracle, path, phases)
 
 
 # --- columnar renderers against the per-point ones ---------------------------------------
