@@ -10,8 +10,8 @@ checked against.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -39,36 +39,45 @@ def read_json_object(path: str | Path, what: str) -> dict:
 
 
 def load_config(path: str | Path | None = None) -> dict:
-    """Defaults merged with an optional user config file (user wins).
-
-    The user file may hold only keys that defaults.json has, an object where
-    the default is an object, and a finite number where the default is a
-    number (an integer where the default is one; true and false are not
-    numbers). Anything else raises ConfigError.
-    """
-    merged = load_defaults()
-    if path is not None:
-        _override(merged, read_json_object(path, "config"), f"config {path}")
-    return merged
+    """Defaults merged with an optional user config file (user wins), typed
+    by the shape of defaults.json (see `override`)."""
+    defaults = load_defaults()
+    if path is None:
+        return defaults
+    return override(defaults, read_json_object(path, "config"), f"config {path}")
 
 
-def _override(target: dict, user: dict, where: str, prefix: str = "") -> None:
-    for key, value in user.items():
-        name = prefix + key
-        if key not in target:
-            raise ConfigError(f"{where}: unknown key {name!r}")
-        default = target[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where}: {name} must be an object, got {json.dumps(value)}")
-            _override(default, value, where, name + ".")
-            continue
-        kinds, what = (int, "an integer") if isinstance(default, int) else ((int, float), "a number")
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ConfigError(f"{where}: {name} must be {what}, got {json.dumps(value)}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{where}: {name} must be finite, got {value}")
-        target[key] = value
+def override(default, value, where: str, name: str = ""):
+    """value typed by default and merged onto it: an object where the default
+    is one, holding only its keys, each typed in turn; a list of as many
+    values where it is a list or tuple (returned as its type); true or false
+    for a bool; a finite number for a number, an integer for an integer (true
+    and false are not numbers). Anything else raises ConfigError naming the key."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: {name} must be an object, got {json.dumps(value)}")
+        merged = dict(default)
+        for key, item in value.items():
+            path = f"{name}.{key}" if name else key
+            if key not in default:
+                raise ConfigError(f"{where}: unknown key {path!r}")
+            merged[key] = override(default[key], item, where, path)
+        return merged
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise ConfigError(f"{where}: {name} must be a list of {len(default)} values, got {json.dumps(value)}")
+        return type(default)(override(d, v, where, f"{name}[{i}]") for i, (d, v) in enumerate(zip(default, value)))
+    if isinstance(default, bool):
+        kinds, what = bool, "true or false"
+    elif isinstance(default, int):
+        kinds, what = int, "an integer"
+    else:
+        kinds, what = (int, float), "a number"
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{where}: {name} must be {what}, got {json.dumps(value)}")
+    if what == "a number" and not abs(value) <= sys.float_info.max:  # NaN, inf, or an int no float holds
+        raise ConfigError(f"{where}: {name} must be finite, got {value}")
+    return value
 
 
 def default_outdir() -> Path:

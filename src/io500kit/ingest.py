@@ -370,29 +370,13 @@ def _scan_timing_rows(
 
 # --- metadata normalization -------------------------------------------------
 
-# Exact (case-insensitive) filesystem aliases; substring rules below catch
+# Case-insensitive substring rules, first match wins; they also catch
 # version-suffixed spellings like "Lustre 2.12".
-_FS_ALIASES = {
-    "lustre": Filesystem.LUSTRE,
-    "gpfs": Filesystem.GPFS,
-    "spectrum scale": Filesystem.GPFS,
-    "spectrumscale": Filesystem.GPFS,
-    "ibm spectrum scale": Filesystem.GPFS,
-    "gpfs-spectrumscale": Filesystem.GPFS,
-    "gpfs/spectrumscale": Filesystem.GPFS,
-    "storage scale": Filesystem.GPFS,
-    "daos": Filesystem.DAOS,
-    "wekafs": Filesystem.WEKAFS,
-    "weka": Filesystem.WEKAFS,
-    "wekaio": Filesystem.WEKAFS,
-    "beegfs": Filesystem.BEEGFS,
-    "other": Filesystem.OTHER,
-}
-
 _FS_SUBSTRINGS = (
     ("lustre", Filesystem.LUSTRE),
     ("gpfs", Filesystem.GPFS),
     ("spectrum", Filesystem.GPFS),
+    ("storage scale", Filesystem.GPFS),
     ("daos", Filesystem.DAOS),
     ("weka", Filesystem.WEKAFS),
     ("beegfs", Filesystem.BEEGFS),
@@ -418,8 +402,6 @@ _IC_EXPLICIT_RE = re.compile(r"(\d+(?:\.\d+)?)\s*(?:gb/s|gbps|gbit/s|gbit)", re.
 def normalize_filesystem(raw: str) -> Filesystem:
     """Map a self-reported filesystem name onto the canonical set (total)."""
     key = raw.strip().lower()
-    if key in _FS_ALIASES:
-        return _FS_ALIASES[key]
     for fragment, fs in _FS_SUBSTRINGS:
         if fragment in key:
             return fs
@@ -522,13 +504,18 @@ DEFAULT_COLUMN_MAP: dict[str, Any] = {
 def load_column_map(path: str | Path) -> dict[str, Any]:
     """Read a column map JSON file; missing keys fall back to the default.
 
-    Column names are strings, or null for a field the export lacks; any
-    other shape, and a file that cannot be read or parsed, is a ConfigError.
+    Column names are strings, or null for a field the export lacks; a key
+    the default lacks, any other shape, and a file that cannot be read or
+    parsed, is a ConfigError.
     """
     user = read_json_object(path, "column map")
     user_phases = user.pop("phases", {})
     if not isinstance(user_phases, dict):
         raise ConfigError(f"column map {path}: 'phases' must be an object")
+    unknown = sorted(user.keys() - DEFAULT_COLUMN_MAP)
+    unknown += sorted(f"phases.{k}" for k in user_phases.keys() - DEFAULT_COLUMN_MAP["phases"])
+    if unknown:
+        raise ConfigError(f"column map {path}: unknown keys: {', '.join(unknown)}")
     bad = [k for k, v in [*user.items(), *user_phases.items()] if v is not None and not isinstance(v, str)]
     if bad:
         raise ConfigError(f"column map {path}: columns must be strings or null: {', '.join(bad)}")

@@ -50,18 +50,22 @@ def fmt_csv(x: float | None) -> str:
     return f"{x:.6g}"
 
 
+def _finite(values) -> np.ndarray:
+    """values as a float array; a NaN or infinite value raises ValueError."""
+    column = np.asarray(values, dtype=float)
+    if not np.isfinite(column).all():
+        raise ValueError("cannot plot a NaN or infinite value")
+    return column
+
+
 def _quantize(values) -> tuple[np.ndarray, list[str]]:
-    """q6 of a whole column, and fmt_csv of each quantized value.
+    """q6 of a whole finite column, and fmt_csv of each quantized value.
 
     Each value is formatted once and the text parsed back. `.6g` is
-    idempotent on a q6 value, so that text is also the sidecar cell, except
-    that fmt_csv leaves a NaN's cell empty.
+    idempotent on a q6 value, so that text is also the sidecar cell.
     """
     text = list(map(format, np.asarray(values, dtype=float).ravel().tolist(), itertools.repeat(".6g")))
-    quantized = np.fromiter(map(float, text), dtype=float, count=len(text))
-    if np.isnan(quantized).any():
-        text = list(map(fmt_csv, quantized.tolist()))
-    return quantized, text
+    return np.fromiter(map(float, text), dtype=float, count=len(text)), text
 
 
 def _first_min(values: np.ndarray) -> float:
@@ -397,8 +401,9 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
 
     qq_pairs is an (n, 2) array of (quantile, ratio) rows, such as
     StonewallRatios.qq, or a list of pairs, such as qq_from_sidecar returns.
+    A NaN or infinite value raises ValueError.
     """
-    pairs = np.asarray(qq_pairs, dtype=float)
+    pairs = _finite(qq_pairs)
     if not pairs.size:
         raise EmptyInputError("no quantile pairs to plot")
     spec = spec or RenderSpec()
@@ -481,13 +486,14 @@ def render_group_box(
 
     Each group's values may be a list or a numpy column. With two or more
     groups and annotate=True, a Kruskal-Wallis line (H, p, eta-squared plus
-    the independence caveat) is drawn under the title.
+    the independence caveat) is drawn under the title. A NaN or infinite
+    value raises ValueError.
     """
     if not groups:
         raise EmptyInputError("no groups to plot")
     spec = spec or RenderSpec()
     ordered = sorted(
-        ((label, *_quantize(values)) for label, values in groups),
+        ((label, *_quantize(_finite(values))) for label, values in groups),
         key=lambda group: _natural_label_key(group[0]),
     )
     for label, values, _ in ordered:
@@ -595,10 +601,12 @@ def render_score_strip(
     """One dot per submission ordered by value, colored by category label.
 
     Nonpositive values on a log10 scale are pinned to the axis floor with a
-    visible zero annotation instead of being dropped.
+    visible zero annotation instead of being dropped. A NaN or infinite
+    value raises ValueError.
     """
     if not rows:
         raise EmptyInputError("no values to plot")
+    _finite([v for _, v in rows])
     spec = spec or RenderSpec(scale="log10")
     data = sorted(((label, q6(v)) for label, v in rows), key=lambda kv: (kv[1], kv[0]))
     values = [v for _, v in data]

@@ -10,11 +10,13 @@ fixtures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
+from .config import override
 from .errors import ConfigError
 from .ingest import DEFAULT_COLUMN_MAP, META_FILENAME, SUMMARY_FILENAME, normalize_metadata
 from .loginsight import Pattern
@@ -48,15 +50,22 @@ def _rng(key: int) -> np.random.Generator:
 
 
 # --- straggler placement models -----------------------------------------------
+# Each model plants its pattern: place() draws the straggler ranks. The kind a
+# config names is the pattern's name in lower case (see STRAGGLER_MODELS).
 
 
 @dataclass
 class NoStragglers:
+    pattern = Pattern.NONE
     slow_factor: float = 1.0
+
+    def place(self, n_ranks: int, rng: np.random.Generator) -> frozenset[int]:
+        return frozenset()
 
 
 @dataclass
 class ContiguousStragglers:
+    pattern = Pattern.CONTIGUOUS
     start: int | None = None  # None: random placement
     length: int = 5
     slow_factor: float = 3.0
@@ -67,9 +76,20 @@ class ContiguousStragglers:
         if self.length < 1:
             raise ConfigError("length must be >= 1")
 
+    def place(self, n_ranks: int, rng: np.random.Generator) -> frozenset[int]:
+        if self.length >= n_ranks:
+            raise ConfigError(f"{self.length} stragglers >= {n_ranks} ranks")
+        start = self.start
+        if start is None:
+            start = int(rng.integers(0, n_ranks - self.length + 1))
+        if start < 0 or start + self.length > n_ranks:
+            raise ConfigError(f"contiguous run [{start}, {start + self.length}) out of range")
+        return frozenset(range(start, start + self.length))
+
 
 @dataclass
 class ClusteredStragglers:
+    pattern = Pattern.CLUSTERED
     n_clusters: int = 3
     cluster_size: int = 3
     slow_factor: float = 3.0
@@ -80,9 +100,17 @@ class ClusteredStragglers:
         if self.n_clusters < 2 or self.cluster_size < 2:
             raise ConfigError("clustered model needs >= 2 clusters of size >= 2")
 
+    def place(self, n_ranks: int, rng: np.random.Generator) -> frozenset[int]:
+        total = self.n_clusters * self.cluster_size
+        if total >= n_ranks:
+            raise ConfigError(f"{total} stragglers >= {n_ranks} ranks")
+        starts = _spaced_starts(rng, n_ranks, self.n_clusters, self.cluster_size)
+        return frozenset(r for s in starts for r in range(s, s + self.cluster_size))
+
 
 @dataclass
 class DispersedStragglers:
+    pattern = Pattern.DISPERSED
     count: int = 5
     slow_factor: float = 3.0
 
@@ -92,19 +120,14 @@ class DispersedStragglers:
         if self.count < 1:
             raise ConfigError("count must be >= 1")
 
+    def place(self, n_ranks: int, rng: np.random.Generator) -> frozenset[int]:
+        if self.count >= n_ranks:
+            raise ConfigError(f"{self.count} stragglers >= {n_ranks} ranks")
+        return frozenset(_spaced_starts(rng, n_ranks, self.count, 1))
+
 
 StragglerModel = NoStragglers | ContiguousStragglers | ClusteredStragglers | DispersedStragglers
-
-_MODEL_PATTERN = {
-    NoStragglers: Pattern.NONE,
-    ContiguousStragglers: Pattern.CONTIGUOUS,
-    ClusteredStragglers: Pattern.CLUSTERED,
-    DispersedStragglers: Pattern.DISPERSED,
-}
-
-
-def model_pattern(model: StragglerModel) -> Pattern:
-    return _MODEL_PATTERN[type(model)]
+STRAGGLER_MODELS = {model.pattern.value.lower(): model for model in get_args(StragglerModel)}
 
 
 def _spaced_starts(
@@ -119,37 +142,6 @@ def _spaced_starts(
         )
     offsets = np.sort(rng.integers(0, slack + 1, size=n_blocks))
     return [int(offsets[i]) + i * (block_len + 1) for i in range(n_blocks)]
-
-
-def _place_stragglers(
-    model: StragglerModel, n_ranks: int, rng: np.random.Generator
-) -> frozenset[int]:
-    if isinstance(model, NoStragglers):
-        return frozenset()
-    if isinstance(model, ContiguousStragglers):
-        if model.length >= n_ranks:
-            raise ConfigError(f"{model.length} stragglers >= {n_ranks} ranks")
-        start = model.start
-        if start is None:
-            start = int(rng.integers(0, n_ranks - model.length + 1))
-        if start < 0 or start + model.length > n_ranks:
-            raise ConfigError(f"contiguous run [{start}, {start + model.length}) out of range")
-        return frozenset(range(start, start + model.length))
-    if isinstance(model, ClusteredStragglers):
-        total = model.n_clusters * model.cluster_size
-        if total >= n_ranks:
-            raise ConfigError(f"{total} stragglers >= {n_ranks} ranks")
-        starts = _spaced_starts(rng, n_ranks, model.n_clusters, model.cluster_size)
-        out: set[int] = set()
-        for s in starts:
-            out.update(range(s, s + model.cluster_size))
-        return frozenset(out)
-    if isinstance(model, DispersedStragglers):
-        if model.count >= n_ranks:
-            raise ConfigError(f"{model.count} stragglers >= {n_ranks} ranks")
-        starts = _spaced_starts(rng, n_ranks, model.count, 1)
-        return frozenset(starts)
-    raise ConfigError(f"unknown straggler model {model!r}")
 
 
 # --- close-time and item-count models -------------------------------------------
@@ -204,7 +196,7 @@ def gen_timing(
     if rng is None:
         rng = _rng(derive_key(seed, 0))
     model = straggler if straggler is not None else NoStragglers()
-    true_set = _place_stragglers(model, n_ranks, rng)
+    true_set = model.place(n_ranks, rng)
 
     starts = rng.uniform(0.0, 1.0, size=n_ranks)
     if phase is Phase.FIND:
@@ -345,80 +337,53 @@ class SynthConfig:
 
 
 def straggler_model_from_dict(spec: dict) -> StragglerModel:
+    """The model of spec["kind"] (default "none"), its parameters typed by the
+    model's defaults; a parameter whose default is null also takes null."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"synth config: straggler must be an object, got {json.dumps(spec)}")
     kind = spec.get("kind", "none")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    try:
-        if kind == "none":
-            return NoStragglers()
-        if kind == "contiguous":
-            return ContiguousStragglers(**params)
-        if kind == "clustered":
-            return ClusteredStragglers(**params)
-        if kind == "dispersed":
-            return DispersedStragglers(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad straggler model parameters: {exc}") from exc
-    raise ConfigError(f"unknown straggler model kind {kind!r}")
+    model = STRAGGLER_MODELS.get(kind) if isinstance(kind, str) else None
+    if model is None:
+        raise ConfigError(f"unknown straggler model kind {kind!r}")
+    defaults = vars(model())
+    params = {k: v for k, v in spec.items() if k != "kind" and not (v is None and defaults.get(k, 0) is None)}
+    typed = override({k: 0 if v is None else v for k, v in defaults.items()}, params, "synth config", "straggler")
+    return model(**{k: typed[k] for k in params})
+
+
+# The maps as JSON. A given filesystem_mix replaces the default mix, a given
+# phase median updates its phase, and a close model is typed by CloseModel().
+_JSON_MAPS = {
+    "filesystem_mix": {fs.value: weight for fs, weight in DEFAULT_FILESYSTEM_MIX.items()},
+    "phase_median": {phase.value: median for phase, median in DEFAULT_PHASE_MEDIAN.items()},
+    "close_models": {fs.value: asdict(CloseModel()) for fs in Filesystem},
+}
 
 
 def synth_config_from_dict(spec: dict) -> SynthConfig:
-    """Build a SynthConfig from a JSON-shaped dict (unknown keys rejected)."""
-    spec = dict(spec)
-    kwargs: dict = {}
-    if "straggler" in spec:
-        kwargs["straggler"] = straggler_model_from_dict(spec.pop("straggler"))
-    if "filesystem_mix" in spec:
-        try:
-            kwargs["filesystem_mix"] = {
-                Filesystem(name): float(w) for name, w in spec.pop("filesystem_mix").items()
-            }
-        except ValueError as exc:
-            raise ConfigError(f"bad filesystem_mix: {exc}") from exc
-    if "phase_median" in spec:
-        try:
-            medians = dict(DEFAULT_PHASE_MEDIAN)
-            medians.update(
-                {Phase(name): float(v) for name, v in spec.pop("phase_median").items()}
-            )
-            kwargs["phase_median"] = medians
-        except ValueError as exc:
-            raise ConfigError(f"bad phase_median: {exc}") from exc
-    if "close_models" in spec:
-        try:
-            models = dict(DEFAULT_CLOSE_MODELS)
-            models.update(
-                {
-                    Filesystem(name): CloseModel(**params)
-                    for name, params in spec.pop("close_models").items()
-                }
-            )
-            kwargs["close_models"] = models
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad close_models: {exc}") from exc
-    if "node_range" in spec:
-        lo, hi = spec.pop("node_range")
-        kwargs["node_range"] = (int(lo), int(hi))
-    simple = (
-        "seed",
-        "n_submissions",
-        "procs_per_node",
-        "system_sigma",
-        "phase_sigma",
-        "hard_sigma_factor",
-        "ior_easy_net_exp",
-        "ior_hard_net_exp",
-        "md_net_exp",
-        "pfind_skew",
-        "stonewall_s",
-        "cache_affected_fraction",
-        "generate_timing",
+    """Build a SynthConfig from a JSON-shaped dict.
+
+    The keys are SynthConfig's fields, each value typed by its default with
+    the rule that types the pipeline config (config.override): node_range is
+    a list of two integers, and the maps are keyed by filesystem or phase
+    name. Anything else raises ConfigError.
+    """
+    unknown = sorted(set(spec) - {f.name for f in fields(SynthConfig)})
+    if unknown:
+        raise ConfigError(f"unknown synth config keys: {unknown}")
+    defaults = {k: _JSON_MAPS.get(k, v) for k, v in vars(SynthConfig()).items() if k != "straggler"}
+    typed = override(defaults, {k: v for k, v in spec.items() if k != "straggler"}, "synth config")
+    mix, medians, closes = (typed.pop(k) for k in _JSON_MAPS)
+    return SynthConfig(
+        **typed,
+        filesystem_mix={Filesystem(k): mix[k] for k in spec.get("filesystem_mix", mix)},
+        phase_median={Phase(k): median for k, median in medians.items()},
+        close_models={
+            **DEFAULT_CLOSE_MODELS,
+            **{Filesystem(k): CloseModel(**closes[k]) for k in spec.get("close_models", ())},
+        },
+        straggler=straggler_model_from_dict(spec.get("straggler", {})),
     )
-    for key in simple:
-        if key in spec:
-            kwargs[key] = spec.pop(key)
-    if spec:
-        raise ConfigError(f"unknown synth config keys: {sorted(spec)}")
-    return SynthConfig(**kwargs)
 
 
 @dataclass
@@ -500,7 +465,7 @@ def gen_corpus(config: SynthConfig) -> list[GeneratedSubmission]:
                 )
                 timing[phase] = table
                 true_stragglers[phase] = truth
-                true_pattern[phase] = model_pattern(model)
+                true_pattern[phase] = model.pattern
 
         phases: dict[Phase, PhaseResult] = {}
         for phase in Phase:

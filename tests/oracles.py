@@ -135,8 +135,15 @@ def _log_floor(values):
     return min(positive) / 10.0
 
 
+def _reject_non_finite(values):
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError("cannot plot a NaN or infinite value")
+
+
 def render_qq_oracle(qq_pairs: Sequence[tuple[float, float]], spec: RenderSpec | None = None) -> tuple[str, str]:
     """Per-point reference for report.render_qq."""
+    _reject_non_finite(v for pair in qq_pairs for v in pair)
     if not qq_pairs:
         raise EmptyInputError("no quantile pairs to plot")
     spec = spec or RenderSpec()
@@ -204,6 +211,7 @@ def render_group_box_oracle(
     annotate: bool = True,
 ) -> tuple[str, str]:
     """Per-point reference for report.render_group_box."""
+    _reject_non_finite(v for _, values in groups for v in values)
     if not groups:
         raise EmptyInputError("no groups to plot")
     spec = spec or RenderSpec()

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import io500kit
-from io500kit import cli, config, ingest, loginsight, metrics, report, stats
+from io500kit import cli, config, ingest, loginsight, metrics, report, stats, synth
 from io500kit.ingest import SUMMARY_FILENAME
 
 
@@ -123,6 +124,34 @@ def test_stats_corr_groups_logs(manifests, tmp_path):
         assert run("logs", manifests, "--analysis", analysis, "--out", out) == 0
     assert (out / "logs" / "stragglers.csv").is_file()
     assert (out / "logs" / "pfind.csv").is_file()
+
+
+def test_cli_passes_only_finite_values_to_renderers(manifests, tmp_path, monkeypatch):
+    values_of = {
+        "render_qq": lambda pairs: np.asarray(pairs, dtype=float).ravel(),
+        "render_group_box": lambda groups: np.concatenate([np.asarray(v, dtype=float) for _, v in groups]),
+        "render_score_strip": lambda rows: np.array([v for _, v in rows], dtype=float),
+    }
+    drawn = {name: 0 for name in values_of}
+
+    def checked(name, render):
+        def draw(data, *args, **kwargs):
+            values = values_of[name](data)
+            assert np.isfinite(values).all(), (name, values[~np.isfinite(values)])
+            drawn[name] += values.size
+            return render(data, *args, **kwargs)
+
+        return draw
+
+    for name in values_of:
+        monkeypatch.setattr(report, name, checked(name, getattr(report, name)))
+    out = tmp_path / "out"
+    for normalize in metrics.NORMALIZATIONS:
+        assert run("stats", manifests, "--normalize", normalize, "--out", out) == 0
+        assert run("groups", manifests, "--normalize", normalize, "--out", out) == 0
+    for analysis in ("runtime", "close", "stonewall", "stragglers", "pfind"):
+        assert run("logs", manifests, "--analysis", analysis, "--out", out) == 0
+    assert all(drawn.values()), drawn
 
 
 def test_full_pipeline_deterministic(tmp_path):
@@ -505,6 +534,7 @@ def _exit_code(argv):
 COLUMN_MAP = ["ingest", "{csv}", "--out", "{out}", "--format", "repo-csv", "--column-map"]
 INGEST = ["ingest", "{csv}", "--out", "{out}", "--format", "repo-csv", "--config"]
 STRAGGLERS = ["logs", "{f}", "--analysis", "stragglers", "--out", "{out}", "--config"]
+SYNTH = ["synth", "--out", "{out}", "--config"]  # no --n: it would override n_submissions
 BAD_INPUT_CASES = [
     # (argv, file content, exit code, error message)
     (["synth", "--config", "{f}"], "{bad", 1, "error: cannot read synth config"),
@@ -532,6 +562,25 @@ BAD_INPUT_CASES = [
     ([*STRAGGLERS, "{f}"], '{"straggler": 1.5}', 1, "straggler must be an object, got 1.5"),
     ([*INGEST, "{f}"], '{"stonewall_nominal_s": NaN}', 1, "stonewall_nominal_s must be finite, got nan"),
     ([*INGEST, "{f}"], '{"recompute_rel_tol": -Infinity}', 1, "recompute_rel_tol must be finite, got -inf"),
+    # The synth config is typed by SynthConfig()'s defaults, with the same rule.
+    ([*SYNTH, "{f}"], '{"seed": "abc"}', 1, 'synth config: seed must be an integer, got "abc"'),
+    ([*SYNTH, "{f}"], '{"n_submissions": "5"}', 1, 'synth config: n_submissions must be an integer, got "5"'),
+    ([*SYNTH, "{f}"], '{"n_submissions": 1e9}', 1, "synth config: n_submissions must be an integer, got 1000000000.0"),
+    ([*SYNTH, "{f}"], '{"procs_per_node": 1.5}', 1, "synth config: procs_per_node must be an integer, got 1.5"),
+    ([*SYNTH, "{f}"], '{"pfind_skew": "x"}', 1, 'synth config: pfind_skew must be a number, got "x"'),
+    ([*SYNTH, "{f}"], '{"node_range": 5}', 1, "synth config: node_range must be a list of 2 values, got 5"),
+    ([*SYNTH, "{f}"], '{"node_range": [1, 2, 3]}', 1, "synth config: node_range must be a list of 2 values, got [1, 2, 3]"),
+    ([*SYNTH, "{f}"], '{"node_range": ["a", 2]}', 1, 'synth config: node_range[0] must be an integer, got "a"'),
+    ([*SYNTH, "{f}"], '{"filesystem_mix": []}', 1, "synth config: filesystem_mix must be an object, got []"),
+    ([*SYNTH, "{f}"], '{"straggler": [1]}', 1, "synth config: straggler must be an object, got [1]"),
+    ([*SYNTH, "{f}"], '{"straggler": {"kind": "contiguous", "length": 2.5}}', 1, "synth config: straggler.length must be an integer, got 2.5"),
+    ([*SYNTH, "{f}"], '{"close_models": {"lustre": {"median_s": "x"}}}', 1, 'synth config: close_models.lustre.median_s must be a number, got "x"'),
+    ([*SYNTH, "{f}"], '{"generate_timing": "no"}', 1, 'synth config: generate_timing must be true or false, got "no"'),
+    ([*SYNTH, "{f}"], '{"stonewall_s": true}', 1, "synth config: stonewall_s must be a number, got true"),
+    ([*SYNTH, "{f}"], '{"system_sigma": NaN}', 1, "synth config: system_sigma must be finite, got nan"),
+    # A column map holds only the default's keys.
+    ([*COLUMN_MAP, "{f}"], '{"filesytem": "FS"}', 1, "unknown keys: filesytem"),
+    ([*COLUMN_MAP, "{f}"], '{"phases": {"find": "pf", "ior_easy_write": "x"}}', 1, "unknown keys: phases.ior_easy_write"),
 ]
 
 
@@ -589,6 +638,22 @@ def test_bench_hooks_name_existing_functions():
         assert callable(getattr(importlib.import_module(f"io500kit.{module}"), func, None)), func
     for func in tracer.LOGINSIGHT_TABLE_FUNCS:
         assert next(iter(inspect.signature(getattr(loginsight, func)).parameters)) == "timing"
+
+
+def test_bench_synth_configs_load():
+    # bench/workloads.py passes each workload's synth dict to synth_config_from_dict,
+    # with a seed and, while it balances a corpus's node count, without timing.
+    bench = Path(__file__).parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # @dataclass looks it up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    assert len(workloads.WORKLOADS) >= 2
+    for workload in workloads.WORKLOADS.values():
+        for extra in ({"seed": 61}, {"seed": 61 * workloads.SEED_STRIDE, "generate_timing": False}):
+            assert isinstance(synth.synth_config_from_dict({**workload.synth, **extra}), synth.SynthConfig)
 
 
 ANALYSIS_STAGES = [

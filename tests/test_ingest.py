@@ -176,6 +176,8 @@ def test_parse_timing_malformed_number_is_error():
         ("WekaIO", Filesystem.WEKAFS),
         ("BeeGFS", Filesystem.BEEGFS),
         ("MysteryFS-9000", Filesystem.OTHER),
+        ("IBM Storage Scale", Filesystem.GPFS),
+        ("storage scale 5.1", Filesystem.GPFS),
     ],
 )
 def test_normalize_filesystem(raw, expected):

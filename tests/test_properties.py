@@ -1,5 +1,6 @@
-"""Property tests for the columnar timing parser, the manifest codec and
-the columnar Q-Q and box plot renderers.
+"""Property tests for the columnar timing parser, the manifest codec, the
+other parsers and the synth config loader on odd input, and the columnar Q-Q
+and box plot renderers.
 
 Derandomized, so every run checks the same examples.
 """
@@ -8,6 +9,8 @@ import dataclasses
 import itertools
 import json
 import math
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from io500kit import ingest, report
-from io500kit.errors import Io500KitError, ParseError, ValidationError
-from io500kit.types import Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
+from io500kit import ingest, report, synth
+from io500kit.errors import ConfigError, Io500KitError, ParseError, ValidationError
+from io500kit.types import Filesystem, Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
 from oracles import read_manifest_oracle, render_group_box_oracle, render_qq_oracle
 
 PHASE = Phase.IOR_EASY_WRITE
@@ -364,12 +367,204 @@ def test_line_reader_matches_whole_text_reader(data, phases):
         assert _read(ingest.read_manifest, path, phases) == _read(read_manifest_oracle, path, phases)
 
 
+# --- the other parsers on odd numbers and arbitrary text ---------------------------------
+
+# Spellings a number field may hold: long digit runs, overflow and underflow,
+# NaN and infinities, the int64 edges and their neighbours, and near-numbers.
+ODD_NUMBERS = [
+    "9" * 400, "1" + "0" * 40, "1e400", "-1e400", "1e-400", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+    str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), "-0", "0x10", "1_0", "1.5.5", "",
+]
+NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+SUMMARY = """\
+[RESULT] ior-easy-write 12.500000 GiB/s : time 310.000000 seconds
+[RESULT] ior_hard_read 2.5 GB/s : time 300.5 seconds
+[RESULT] mdtest-easy-stat 200.0 kiops : time 45.0 seconds
+[RESULT] find 150.0 kIOPS : time 20.0 seconds
+[SCORE ] Bandwidth 5.5 GiB/s : IOPS 90.25 kiops : TOTAL 22.3
+"""
+META = """\
+submission_id = s-1
+list_label = ISC22
+filesystem = Lustre 2.12
+interconnect = 100 Gb/s Ethernet
+client_nodes = 16
+procs_per_node: 64
+total_procs = 1024
+nic_count = 2
+"""
+REPO_CSV = (
+    "id,list,filesystem,interconnect,nic_count,client_nodes,procs_per_node,total_procs,score,ior_easy_write,find\n"
+    "a,SC22,lustre,IB HDR,2,16,64,1024,22.5,12.5,150.0\n"
+    "b,ISC23,daos,100 Gb/s,1,4,8,32,3.25,1.5,7\n"
+)
+_TABLE = ProcessTimingTable(
+    phase=Phase.FIND, rank=np.arange(3), start_s=np.zeros(3), end_s=np.full(3, 2.5),
+    items=np.ma.MaskedArray(np.array([10, 20, 30]), mask=np.zeros(3, dtype=bool)),
+)
+MANIFEST = ingest.dumps_manifest(
+    Submission(
+        meta=SubmissionMeta(submission_id="s", client_nodes=4, procs_per_node=8, total_procs=32),
+        phases={Phase.FIND: PhaseResult(phase=Phase.FIND, value=150.0, unit=Phase.FIND.unit, runtime_s=20.0)},
+        timing={Phase.FIND: _TABLE},
+        reported_score_overall=3.5,
+    )
+)
+
+
+@st.composite
+def fuzzed_text(draw, template):
+    """Mostly template with some numbers replaced by odd spellings and some
+    lines cut short or replaced by arbitrary text; else arbitrary text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=200))
+    spans = [m.span() for m in NUMBER_RE.finditer(template)]
+    text = template
+    for start, end in sorted(draw(st.lists(st.sampled_from(spans), max_size=6, unique=True)), reverse=True):
+        text = text[:start] + draw(st.sampled_from(ODD_NUMBERS)) + text[end:]
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.one_of(st.just(lines[i][: draw(st.integers(0, len(lines[i])))]), st.text(max_size=20)))
+    return "\n".join(lines)
+
+
+def _every_odd_number(template):
+    """Pin the template with each odd spelling in place of every number, and of each number alone."""
+    def pin(test):
+        spans = [m.span() for m in NUMBER_RE.finditer(template)]
+        for token in ODD_NUMBERS:
+            test = example(NUMBER_RE.sub(token, template))(test)
+            for start, end in spans:
+                test = example(template[:start] + token + template[end:])(test)
+        return test
+
+    return pin
+
+
+def _value_or_io500kit_error(parse, text):
+    try:
+        return parse(text)
+    except Io500KitError as exc:
+        return exc
+
+
+@PROPERTY
+@_every_odd_number(SUMMARY)
+@given(fuzzed_text(SUMMARY))
+def test_result_summary_parser_raises_only_io500kit_errors(text):
+    parsed = _value_or_io500kit_error(ingest.parse_result_summary, text)
+    if not isinstance(parsed, Io500KitError):
+        assert all(math.isfinite(r.value) and math.isfinite(r.runtime_s) for r in parsed.phases)
+
+
+@PROPERTY
+@_every_odd_number(META)
+@given(fuzzed_text(META))
+def test_meta_file_normalizes_without_raising(text):
+    meta = ingest.normalize_metadata(ingest._parse_meta_file(text))
+    assert meta.client_nodes >= 1
+    assert meta.interconnect_gbps is None or 0 < meta.interconnect_gbps < math.inf
+
+
+@PROPERTY
+@_every_odd_number(REPO_CSV)
+@given(fuzzed_text(REPO_CSV))
+def test_repo_csv_parser_raises_only_io500kit_errors(text):
+    parsed = _value_or_io500kit_error(ingest.parse_repo_csv, text)
+    if not isinstance(parsed, Io500KitError):
+        for sub in parsed.submissions:
+            assert all(math.isfinite(r.value) and r.value >= 0 for r in sub.phases.values())
+
+
+@PROPERTY
+@_every_odd_number(MANIFEST)
+@given(fuzzed_text(MANIFEST))
+def test_manifest_reader_raises_only_io500kit_errors(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(text, encoding="utf-8", newline="\n")
+        for phases in (None, ()):
+            _value_or_io500kit_error(lambda p: ingest.read_manifest(p, phases), path)
+
+
+# --- the synth config loader on JSON-shaped dicts ----------------------------------------
+
+# Keys below the top: the straggler and close model parameters, the map keys, and junk.
+INNER_KEYS = st.sampled_from(
+    ["kind", "start", "length", "slow_factor", "n_clusters", "cluster_size", "count", "median_s", "sigma"]
+    + [fs.value for fs in Filesystem] + [phase.value for phase in Phase] + ["Lustre", ""]
+)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([json.loads("1e400"), math.nan, -math.inf, 10**400, 2**63, -(2**63) - 1, 0, 1, 2, 3, 9, 0.5, 2.5]),
+    st.sampled_from([*synth.STRAGGLER_MODELS, "zigzag", "CLUSTERED"]),
+    st.text(max_size=3),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(INNER_KEYS | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+NUMBER = st.floats(0.0, 8.0) | st.integers(0, 8)
+
+
+def _plausible(key, default):
+    """Values of the right shape for a key, mostly in range."""
+    if key == "straggler":
+        params = ["start", "length", "slow_factor", "n_clusters", "cluster_size", "count"]
+        return st.fixed_dictionaries(
+            {"kind": st.sampled_from(list(synth.STRAGGLER_MODELS))}, optional={p: st.none() | NUMBER for p in params}
+        )
+    if key == "close_models":
+        model = st.fixed_dictionaries({}, optional={"median_s": NUMBER, "sigma": NUMBER})
+        return st.dictionaries(st.sampled_from([fs.value for fs in Filesystem]), model, max_size=3)
+    if isinstance(default, dict):
+        return st.dictionaries(st.sampled_from([k.value for k in default]), NUMBER, max_size=4)
+    if isinstance(default, tuple):
+        return st.lists(st.integers(1, 64), min_size=2, max_size=2)
+    return st.booleans() if isinstance(default, bool) else st.integers(1, 64) if isinstance(default, int) else NUMBER
+
+
+@st.composite
+def synth_spec(draw):
+    """SynthConfig's fields, each with a value of its shape or any JSON value; sometimes a junk key."""
+    fields = vars(synth.SynthConfig())
+    keys = draw(st.lists(st.sampled_from(sorted(fields)), max_size=5, unique=True))
+    spec = {k: draw(_plausible(k, fields[k]) if draw(st.booleans()) else JSON_VALUES) for k in keys}
+    if draw(st.integers(1, 8)) == 5:
+        spec[draw(INNER_KEYS | st.text(max_size=3))] = draw(JSON_VALUES)
+    return spec
+
+
+@PROPERTY
+@example({"straggler": {"kind": "contiguous", "start": None, "length": 3, "slow_factor": 10**400}})
+@example({"filesystem_mix": {"lustre": 10**400, "daos": 1.0}})
+@example({"node_range": [2, 10**400], "seed": -(10**400), "close_models": {"daos": {"sigma": 0}}})
+@example({"phase_median": {"find": math.inf}, "straggler": {"kind": "dispersed", "count": True}})
+@given(synth_spec())
+def test_synth_config_loader_returns_a_config_or_config_error(spec):
+    try:
+        config = synth.synth_config_from_dict(spec)
+    except ConfigError:
+        return
+    default = synth.SynthConfig()
+    for key in ("seed", "n_submissions", "procs_per_node", "generate_timing"):
+        assert type(getattr(config, key)) is type(getattr(default, key)), key
+    assert all(abs(w) <= sys.float_info.max for w in config.filesystem_mix.values())
+
+
 # --- columnar renderers against the per-point ones ---------------------------------------
 
 # Zeros of both signs and negatives (pinned to the floor on a log scale),
 # values that round to a tie at 6 digits, the largest float and subnormals,
-# besides arbitrary floats, infinities included. No NaN: the reports and metric
-# tables the renderers draw hold finite values, and a sidecar cannot carry one.
+# besides arbitrary floats, infinities included: a renderer and its oracle
+# must reject those with the same ValueError. NaN, rejected the same way, is
+# pinned by examples; the axis property, which draws these values too, has
+# no NaN case.
 PLOT_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 1.0, 1.2, 2.5, 300.0, 1.0000001, 1.00000049, 1.7976931348623157e308, 5e-324]),
     st.floats(min_value=-1e3, max_value=1e3),
@@ -424,6 +619,8 @@ def box_groups(draw):
 @example([(0.5, -0.0), (1.0, 0.0)], report.RenderSpec(), True)
 @example([(0.5, -3.0), (1.0, 2.0)], report.RenderSpec(scale="log10"), True)
 @example([(0.5, 2.0), (1.0, 1.7976931348623157e308)], report.RenderSpec(), False)
+@example([(0.5, 2.0), (1.0, math.nan)], report.RenderSpec(), True)
+@example([(math.nan, 2.0)], report.RenderSpec(), False)
 @given(qq_pairs(), plot_spec(), st.booleans())
 def test_render_qq_matches_per_point_oracle(pairs, spec, as_array):
     got = _render(report.render_qq, np.array(pairs) if as_array else pairs, spec)
@@ -436,6 +633,7 @@ def test_render_qq_matches_per_point_oracle(pairs, spec, as_array):
 @example([("a", [-1.0, 0.0, 2.0, 2.0]), ("b", [5.0])], report.RenderSpec(scale="log10"), True, True)
 @example([("g", [1.0] * 20 + [0.0, -5.0, 50.0, 90.0])], report.RenderSpec(scale="log10"), False, True)
 @example([("g", [1.0, 1.7976931348623157e308, -math.inf])], report.RenderSpec(), False, False)
+@example([("a", []), ("b", [1.0, math.nan])], report.RenderSpec(), True, True)
 @given(box_groups(), plot_spec(), st.booleans(), st.booleans())
 def test_render_group_box_matches_per_point_oracle(groups, spec, annotate, as_array):
     columns = [(label, np.array(values)) for label, values in groups] if as_array else groups

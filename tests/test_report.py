@@ -136,9 +136,20 @@ def test_qq_log_scale_pins_zero():
     assert ">0</text>" in svg  # pinned-point annotation
 
 
-def test_qq_nan_ratio_has_empty_cell():
-    _, sidecar = report.render_qq(np.array([[0.5, np.nan], [1.0, 2.0]]))
-    assert sidecar.splitlines()[1:] == ["0.5,,false", "1,2,false"]
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_renderers_reject_non_finite_values(bad):
+    with pytest.raises(ValueError, match="cannot plot a NaN or infinite value"):
+        report.render_qq(np.array([[0.5, bad], [1.0, 2.0]]))
+    with pytest.raises(ValueError, match="cannot plot a NaN or infinite value"):
+        report.render_qq([(bad, 1.0)])
+    with pytest.raises(ValueError, match="cannot plot a NaN or infinite value"):
+        report.render_group_box([("a", [1.0, 2.0]), ("b", np.array([3.0, bad]))])
+    with pytest.raises(ValueError, match="cannot plot a NaN or infinite value"):
+        report.render_score_strip([("lustre", 2.0), ("daos", bad)])
+    # The largest finite values still render.
+    report.render_qq([(0.5, 1.7976931348623157e308)])
+    report.render_group_box([("a", [-1.7976931348623157e308, 5e-324])])
+    report.render_score_strip([("lustre", 1.7976931348623157e308)])
 
 
 def test_qq_sidecar_round_trip():

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from io500kit import ingest, loginsight, metrics, synth
 from io500kit.errors import ConfigError
 from io500kit.loginsight import Pattern
-from io500kit.types import Phase
+from io500kit.types import Filesystem, Phase
 
 
 def small_config(**kw):
@@ -185,6 +187,37 @@ def test_synth_config_from_dict():
     assert config.node_range == (13, 20)
     assert isinstance(config.straggler, synth.ContiguousStragglers)
     assert config.straggler.length == 4
+
+
+def test_synth_config_maps_and_null_start():
+    config = synth.synth_config_from_dict(
+        {
+            "filesystem_mix": {"daos": 2, "lustre": 1.5},
+            "phase_median": {"find": 100},
+            "close_models": {"lustre": {"sigma": 2.0}},
+            "generate_timing": False,
+            "straggler": {"kind": "contiguous", "start": None, "length": 3},
+        }
+    )
+    assert config.filesystem_mix == {Filesystem.DAOS: 2, Filesystem.LUSTRE: 1.5}  # replaces the default mix
+    assert config.phase_median == {**synth.DEFAULT_PHASE_MEDIAN, Phase.FIND: 100}
+    # A close model is typed by CloseModel(); the filesystems not named keep theirs.
+    lustre = synth.CloseModel(median_s=1.0, sigma=2.0)
+    assert config.close_models == {**synth.DEFAULT_CLOSE_MODELS, Filesystem.LUSTRE: lustre}
+    assert config.generate_timing is False
+    assert config.straggler == synth.ContiguousStragglers(start=None, length=3)
+    assert synth.synth_config_from_dict({}) == synth.SynthConfig()
+    with pytest.raises(ConfigError, match="unknown key 'straggler.start'"):
+        synth.synth_config_from_dict({"straggler": {"kind": "clustered", "start": None}})
+
+
+def test_straggler_kinds_are_the_model_patterns():
+    assert list(synth.STRAGGLER_MODELS) == ["none", "contiguous", "clustered", "dispersed"]
+    for kind, model in synth.STRAGGLER_MODELS.items():
+        assert model.pattern.value == kind.upper()
+        assert synth.straggler_model_from_dict({"kind": kind}) == model()
+        assert synth.straggler_model_from_dict({"kind": kind, **dataclasses.asdict(model())}) == model()
+    assert synth.straggler_model_from_dict({}) == synth.NoStragglers()
 
 
 def test_synth_config_rejects_unknown_keys():
