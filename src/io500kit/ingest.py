@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterator, Mapping, get_args, get_type_hints
 
 import numpy as np
 
@@ -153,13 +154,13 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
 
     The data lines are converted a column at a time, in chunks of
     _CHUNK_ROWS lines. Only when a cell fails to convert or a rank repeats
-    does the row-by-row scan run, to raise the error for the first offending
-    line.
+    are the lines checked one at a time, to raise the error for the first
+    offending line.
     """
     stonewall_s, width, col, body, first_line = _timing_layout(text, phase)
     parsed = _timing_columns(body, width, col, phase)
     if parsed is None:
-        parsed = _scan_timing_rows(body, first_line, width, col, phase)
+        _raise_first_bad_line(body, first_line, width, col, phase)
     columns, warnings = parsed
     return ProcessTimingTable(phase=phase, stonewall_s=stonewall_s, **columns), warnings
 
@@ -293,17 +294,10 @@ def _timing_columns(body: list[str], width: int, col: dict[str, int], phase: Pha
     return columns, warnings
 
 
-def _scan_timing_rows(
-    body: list[str], first_line: int, width: int, col: dict[str, int], phase: Phase
-):
-    """Row-by-row conversion of the data lines, raising for the first bad line."""
-    warnings: list[str] = []
-    rank_col: list[int] = []
-    start_col: list[float] = []
-    end_col: list[float] = []
-    close_col: list[float] = []
-    items_col: list[int] = []
-    no_items: list[bool] = []
+def _raise_first_bad_line(body: list[str], first_line: int, width: int, col: dict[str, int], phase: Phase):
+    """Raise the error of the earliest data line whose cells do not convert or
+    whose rank repeats, scanning from the first: the checks of a row-by-row
+    parse, in its order. Called only when the column conversion has failed."""
     seen_ranks: set[int] = set()
     for line_no, line in enumerate(body, start=first_line):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -319,12 +313,10 @@ def _scan_timing_rows(
             rank = None
         if rank is None or not -_INT64_BOUND <= rank < _INT64_BOUND:
             raise ParseError(f"{phase}: malformed rank {cells[col['rank']]!r}", line=line_no)
-        start = _parse_float(cells[col["start"]], "start", line_no)
-        end = _parse_float(cells[col["end"]], "end", line_no)
-        close = None
+        _parse_float(cells[col["start"]], "start", line_no)
+        _parse_float(cells[col["end"]], "end", line_no)
         if "close" in col and cells[col["close"]] != "":
-            close = _parse_float(cells[col["close"]], "close", line_no)
-        items = None
+            _parse_float(cells[col["close"]], "close", line_no)
         if "items" in col and cells[col["items"]] != "":
             try:
                 value = float(cells[col["items"]])
@@ -332,40 +324,10 @@ def _scan_timing_rows(
                 value = math.nan
             if not abs(value) < _INT64_BOUND:  # also false for NaN
                 raise ParseError(f"{phase}: malformed items {cells[col['items']]!r}", line=line_no)
-            items = int(value)
         if rank in seen_ranks:
             raise ValidationError(f"{phase}: duplicate rank {rank} on line {line_no}")
         seen_ranks.add(rank)
-        if end < start:
-            warnings.append(f"{phase}: rank {rank} rejected (end {end} < start {start})")
-            continue
-        if rank < 0:
-            warnings.append(f"{phase}: rank {rank} rejected (negative rank)")
-            continue
-        if close is not None and close < 0:
-            warnings.append(f"{phase}: rank {rank} rejected (negative close {close})")
-            continue
-        if items is not None and items < 0:
-            warnings.append(f"{phase}: rank {rank} rejected (negative items {items})")
-            continue
-        rank_col.append(rank)
-        start_col.append(start)
-        end_col.append(end)
-        close_col.append(math.nan if close is None else close)
-        items_col.append(0 if items is None else items)
-        no_items.append(items is None)
-    columns = {
-        "rank": np.array(rank_col, dtype=np.int64),
-        "start_s": np.array(start_col, dtype=np.float64),
-        "end_s": np.array(end_col, dtype=np.float64),
-        "close_s": np.array(close_col, dtype=np.float64) if "close" in col else None,
-        "items": None,
-    }
-    if "items" in col:
-        columns["items"] = np.ma.MaskedArray(
-            np.array(items_col, dtype=np.int64), mask=np.array(no_items, dtype=bool)
-        )
-    return columns, warnings
+    raise ParseError(f"{phase}: timing columns do not convert, yet no line is at fault")
 
 
 # --- metadata normalization -------------------------------------------------
@@ -532,14 +494,34 @@ class RepoParse:
         return len(self.submissions) + len(self.skipped)
 
 
+def _repo_number(name: str, raw: str | None, warnings: list[str]) -> float | None:
+    """A phase value or score from its cell: None when the cell is blank, or,
+    with a warning, when it holds no finite number >= 0."""
+    if raw is None:
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        warnings.append(f"{name}: unparseable value {raw!r}, dropped")
+        return None
+    if not math.isfinite(value):
+        warnings.append(f"{name}: non-finite value {raw!r}, dropped")
+        return None
+    if value < 0:
+        warnings.append(f"{name}: negative value {value}, dropped")
+        return None
+    return value
+
+
 def parse_repo_csv(text: str, column_map: Mapping[str, Any] | None = None) -> RepoParse:
     """Parse a repository CSV export into metadata + phase-value Submissions.
 
     Rows missing the required fields (list label, filesystem, client node
     count) are skipped with a recorded reason. The skip and emit counts
-    always sum to the input data-row count.
+    always sum to the input data-row count. A field the column map lacks or
+    names as null is absent.
     """
-    cmap = dict(column_map) if column_map is not None else dict(DEFAULT_COLUMN_MAP)
+    cmap = column_map if column_map is not None else DEFAULT_COLUMN_MAP
     try:
         reader = csv.reader(io.StringIO(text))
         rows = list(reader)
@@ -549,13 +531,11 @@ def parse_repo_csv(text: str, column_map: Mapping[str, Any] | None = None) -> Re
         raise ParseError("empty CSV: no header row")
     header = [h.strip() for h in rows[0]]
     index = {name: i for i, name in enumerate(header)}
+    phase_cols: Mapping[str, str] = cmap.get("phases", {})
 
-    def cell(row: list[str], field_name: str) -> str | None:
-        column = cmap.get(field_name)
-        if column is None or column not in index:
-            return None
-        i = index[column]
-        if i >= len(row):
+    def cell(row: list[str], column: str | None) -> str | None:
+        i = index.get(column)
+        if i is None or i >= len(row):
             return None
         value = row[i].strip()
         return value if value != "" else None
@@ -566,83 +546,39 @@ def parse_repo_csv(text: str, column_map: Mapping[str, Any] | None = None) -> Re
         if not any(c.strip() for c in row):
             skipped.append((data_no, "blank row"))
             continue
+        # Over the default's keys: a caller's map may lack some.
+        raw = {name: cell(row, cmap.get(name)) for name in DEFAULT_COLUMN_MAP if name != "phases"}
         missing = []
-        if cell(row, "list_label") is None:
+        if raw["list_label"] is None:
             missing.append("list label")
-        if cell(row, "filesystem") is None:
+        if raw["filesystem"] is None:
             missing.append("filesystem")
-        nodes_raw = cell(row, "client_nodes")
-        nodes = _coerce_int(nodes_raw)
-        if nodes_raw is None:
+        nodes = _coerce_int(raw["client_nodes"])
+        if raw["client_nodes"] is None:
             missing.append("client_nodes")
         elif nodes is None or nodes < 1:
-            skipped.append((data_no, f"invalid client_nodes {nodes_raw!r}"))
+            skipped.append((data_no, f"invalid client_nodes {raw['client_nodes']!r}"))
             continue
         if missing:
             skipped.append((data_no, "missing required fields: " + ", ".join(missing)))
             continue
 
         meta = normalize_metadata(
-            {
-                "submission_id": cell(row, "submission_id") or f"row-{data_no}",
-                "list_label": cell(row, "list_label"),
-                "institution": cell(row, "institution"),
-                "filesystem": cell(row, "filesystem"),
-                "interconnect": cell(row, "interconnect"),
-                "nic_count": cell(row, "nic_count"),
-                "client_nodes": nodes,
-                "procs_per_node": cell(row, "procs_per_node"),
-                "total_procs": cell(row, "total_procs"),
-            }
+            {**raw, "submission_id": raw["submission_id"] or f"row-{data_no}", "client_nodes": nodes}
         )
         warnings: list[str] = []
         phases: dict[Phase, PhaseResult] = {}
-        phase_cols: Mapping[str, str] = cmap.get("phases", {})
         for phase in Phase:
-            column = phase_cols.get(phase.value)
-            if column is None or column not in index:
-                continue
-            i = index[column]
-            raw_val = row[i].strip() if i < len(row) else ""
-            if raw_val == "":
-                continue
-            try:
-                value = float(raw_val)
-            except ValueError:
-                warnings.append(f"{phase}: unparseable value {raw_val!r}, dropped")
-                continue
-            if not math.isfinite(value):
-                warnings.append(f"{phase}: non-finite value {raw_val!r}, dropped")
-                continue
-            if value < 0:
-                warnings.append(f"{phase}: negative value {value}, dropped")
-                continue
-            phases[phase] = PhaseResult(phase=phase, value=value, unit=phase.unit)
-
-        def score(field_name: str) -> float | None:
-            raw_val = cell(row, field_name)
-            if raw_val is None:
-                return None
-            try:
-                value = float(raw_val)
-            except ValueError:
-                warnings.append(f"{field_name}: unparseable value {raw_val!r}, dropped")
-                return None
-            if not math.isfinite(value):
-                warnings.append(f"{field_name}: non-finite value {raw_val!r}, dropped")
-                return None
-            if value < 0:
-                warnings.append(f"{field_name}: negative value {value}, dropped")
-                return None
-            return value
-
+            value = _repo_number(phase.value, cell(row, phase_cols.get(phase.value)), warnings)
+            if value is not None:
+                phases[phase] = PhaseResult(phase=phase, value=value, unit=phase.unit)
         submissions.append(
             Submission(
                 meta=meta,
                 phases=phases,
-                reported_score_bw=score("score_bw"),
-                reported_score_md=score("score_md"),
-                reported_score_overall=score("score_overall"),
+                reported_score_bw=_repo_number("score_bw", raw["score_bw"], warnings),
+                reported_score_md=_repo_number("score_md", raw["score_md"], warnings),
+                reported_score_overall=_repo_number("score_overall", raw["score_overall"], warnings),
                 warnings=warnings,
             )
         )
@@ -753,32 +689,10 @@ def _sorted_tables(sub: Submission) -> list[tuple[str, ProcessTimingTable]]:
 
 def _header_tree(sub: Submission, timing: Any) -> dict[str, Any]:
     """The manifest document tree with `timing` as given."""
-    meta = sub.meta
     return {
         "format_version": MANIFEST_FORMAT_VERSION,
-        "meta": {
-            "submission_id": meta.submission_id,
-            "list_label": meta.list_label,
-            "institution": meta.institution,
-            "filesystem_raw": meta.filesystem_raw,
-            "filesystem_norm": meta.filesystem_norm.value,
-            "interconnect_raw": meta.interconnect_raw,
-            "interconnect_gbps": meta.interconnect_gbps,
-            "nic_count_reported": meta.nic_count_reported,
-            "client_nodes": meta.client_nodes,
-            "procs_per_node": meta.procs_per_node,
-            "total_procs": meta.total_procs,
-        },
-        "phases": [
-            {
-                "phase": result.phase.value,
-                "value": result.value,
-                "unit": result.unit,
-                "runtime_s": result.runtime_s,
-                "cache_flag": result.cache_flag,
-            }
-            for result in (sub.phases[p] for p in Phase if p in sub.phases)
-        ],
+        "meta": asdict(sub.meta),
+        "phases": [asdict(sub.phases[p]) for p in Phase if p in sub.phases],
         "reported_score_bw": sub.reported_score_bw,
         "reported_score_md": sub.reported_score_md,
         "reported_score_overall": sub.reported_score_overall,
@@ -829,6 +743,34 @@ def _enum(cls, value: str, where: str):
         return cls(value)
     except ValueError:
         raise ValidationError(f"{where}: unknown value {value!r}") from None
+
+
+# The JSON kinds of a record field's annotation. A field of any other type is
+# a str enum, held as its value.
+_KINDS = {str: _STR, int: _INT, float: _NUM, bool: _BOOL}
+
+
+@functools.cache
+def _record_fields(cls) -> tuple[tuple[str, tuple[type, ...], Any, bool], ...]:
+    """(name, JSON kinds, enum class or None, nullable) of each field of a
+    record dataclass, in declaration order."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        args = get_args(hints[f.name])  # (T, NoneType) for `T | None`
+        base = args[0] if args else hints[f.name]
+        out.append((f.name, _KINDS.get(base, _STR), None if base in _KINDS else base, type(None) in args))
+    return tuple(out)
+
+
+def _record(cls, obj: Any, where: str):
+    """A SubmissionMeta or PhaseResult from its manifest object, each field
+    checked in declaration order against its annotation."""
+    values = {}
+    for name, kinds, enum, nullable in _record_fields(cls):
+        value = _get(obj, name, kinds, where, nullable)
+        values[name] = value if enum is None or value is None else _enum(enum, value, f"{where}.{name}")
+    return cls(**values)
 
 
 def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = False):
@@ -895,31 +837,11 @@ def _submission(doc: Mapping[str, Any], timing: Callable[[], dict[Phase, Process
     """A Submission from a manifest tree whose version is checked. Its fields
     are checked in a fixed order: meta, phases, then the tables `timing()`
     returns, then warnings and scores."""
-    m = _get(doc, "meta", _OBJ, "manifest")
-    meta = SubmissionMeta(
-        submission_id=_get(m, "submission_id", _STR, "meta"),
-        list_label=_get(m, "list_label", _STR, "meta"),
-        institution=_get(m, "institution", _STR, "meta", nullable=True),
-        filesystem_raw=_get(m, "filesystem_raw", _STR, "meta"),
-        filesystem_norm=_enum(Filesystem, _get(m, "filesystem_norm", _STR, "meta"), "meta.filesystem_norm"),
-        interconnect_raw=_get(m, "interconnect_raw", _STR, "meta"),
-        interconnect_gbps=_get(m, "interconnect_gbps", _NUM, "meta", nullable=True),
-        nic_count_reported=_get(m, "nic_count_reported", _INT, "meta", nullable=True),
-        client_nodes=_get(m, "client_nodes", _INT, "meta"),
-        procs_per_node=_get(m, "procs_per_node", _INT, "meta", nullable=True),
-        total_procs=_get(m, "total_procs", _INT, "meta", nullable=True),
-    )
+    meta = _record(SubmissionMeta, _get(doc, "meta", _OBJ, "manifest"), "meta")
     phases: dict[Phase, PhaseResult] = {}
     for i, entry in enumerate(_get(doc, "phases", _LIST, "manifest")):
-        where = f"phases[{i}]"
-        phase = _enum(Phase, _get(entry, "phase", _STR, where), f"{where}.phase")
-        phases[phase] = PhaseResult(
-            phase=phase,
-            value=_get(entry, "value", _NUM, where),
-            unit=_get(entry, "unit", _STR, where),
-            runtime_s=_get(entry, "runtime_s", _NUM, where, nullable=True),
-            cache_flag=_get(entry, "cache_flag", _BOOL, where),
-        )
+        result = _record(PhaseResult, entry, f"phases[{i}]")
+        phases[result.phase] = result
     tables = timing()
     warnings = _get(doc, "warnings", _LIST, "manifest")
     if not all(isinstance(w, str) for w in warnings):

@@ -249,7 +249,7 @@ def _log_floor(values: Sequence[float]) -> float:
     positive = values[values > 0]
     if not positive.size:
         raise ValueError("log scale needs at least one positive value")
-    return float(positive.min()) / 10.0
+    return max(float(positive.min()) / 10.0, math.ulp(0.0))  # min / 10 underflows to 0.0 near 5e-324
 
 
 def _points(circle: str, clamped_circle: str, xs: list[float], ys: list[float], clamped: np.ndarray) -> list[str]:

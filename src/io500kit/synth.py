@@ -321,6 +321,8 @@ class SynthConfig:
         lo, hi = self.node_range
         if lo < 1 or hi < lo:
             raise ConfigError(f"invalid node_range {self.node_range}")
+        if hi >= 2**63:  # node counts are drawn as int64
+            raise ConfigError(f"node_range[1] must be below 2**63, got {hi}")
         if self.procs_per_node < 1:
             raise ConfigError("procs_per_node must be >= 1")
         weights = list(self.filesystem_mix.values())
@@ -328,6 +330,11 @@ class SynthConfig:
             raise ConfigError("filesystem_mix weights must be nonnegative, not all zero")
         if self.system_sigma < 0 or self.phase_sigma < 0:
             raise ConfigError("sigmas must be >= 0")
+        for fs, model in self.close_models.items():
+            if not model.median_s > 0:
+                raise ConfigError(f"close_models.{fs}.median_s must be > 0, got {model.median_s}")
+            if model.sigma < 0:
+                raise ConfigError(f"close_models.{fs}.sigma must be >= 0, got {model.sigma}")
         if not 0.0 <= self.cache_affected_fraction <= 1.0:
             raise ConfigError("cache_affected_fraction must be in [0, 1]")
         if self.pfind_skew <= 0:

@@ -3,6 +3,9 @@
 These deliberately use different algorithms from the package: ranks by
 counting comparisons, Kruskal-Wallis via mean-rank deviations, BH by the
 literal step-up definition, Gini by the O(n^2) pairwise-difference sum.
+The timing CSV scan converts one row at a time, as the package did when its
+column conversion failed; the package must return the same columns and
+warnings, or raise the same error for the same line.
 The Q-Q and box plot renderers draw one point at a time, as the package did
 before its renderers worked on whole columns; the package's renderers must
 produce the same SVG and sidecar bytes. The manifest reader at the end reads
@@ -21,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from io500kit import ingest
-from io500kit.errors import EmptyInputError, ValidationError
+from io500kit.errors import EmptyInputError, ParseError, ValidationError
 from io500kit.report import (
     RenderSpec,
     _Axis,
@@ -116,6 +119,85 @@ def gini_oracle(counts):
     return total / (2.0 * n * n * mean)
 
 
+# --- row-by-row timing parse ---------------------------------------------------------
+
+
+def scan_timing_rows_oracle(
+    body: list[str], first_line: int, width: int, col: dict[str, int], phase: Phase
+):
+    """Row-by-row conversion of the data lines, raising for the first bad line:
+    the reference for ingest._timing_columns and ingest._raise_first_bad_line."""
+    warnings: list[str] = []
+    rank_col: list[int] = []
+    start_col: list[float] = []
+    end_col: list[float] = []
+    close_col: list[float] = []
+    items_col: list[int] = []
+    no_items: list[bool] = []
+    seen_ranks: set[int] = set()
+    for line_no, line in enumerate(body, start=first_line):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) < width:
+            raise ParseError(
+                f"{phase}: expected {width} cells, got {len(cells)}", line=line_no
+            )
+        try:
+            rank = int(cells[col["rank"]])
+        except ValueError:
+            rank = None
+        if rank is None or not -ingest._INT64_BOUND <= rank < ingest._INT64_BOUND:
+            raise ParseError(f"{phase}: malformed rank {cells[col['rank']]!r}", line=line_no)
+        start = ingest._parse_float(cells[col["start"]], "start", line_no)
+        end = ingest._parse_float(cells[col["end"]], "end", line_no)
+        close = None
+        if "close" in col and cells[col["close"]] != "":
+            close = ingest._parse_float(cells[col["close"]], "close", line_no)
+        items = None
+        if "items" in col and cells[col["items"]] != "":
+            try:
+                value = float(cells[col["items"]])
+            except ValueError:
+                value = math.nan
+            if not abs(value) < ingest._INT64_BOUND:  # also false for NaN
+                raise ParseError(f"{phase}: malformed items {cells[col['items']]!r}", line=line_no)
+            items = int(value)
+        if rank in seen_ranks:
+            raise ValidationError(f"{phase}: duplicate rank {rank} on line {line_no}")
+        seen_ranks.add(rank)
+        if end < start:
+            warnings.append(f"{phase}: rank {rank} rejected (end {end} < start {start})")
+            continue
+        if rank < 0:
+            warnings.append(f"{phase}: rank {rank} rejected (negative rank)")
+            continue
+        if close is not None and close < 0:
+            warnings.append(f"{phase}: rank {rank} rejected (negative close {close})")
+            continue
+        if items is not None and items < 0:
+            warnings.append(f"{phase}: rank {rank} rejected (negative items {items})")
+            continue
+        rank_col.append(rank)
+        start_col.append(start)
+        end_col.append(end)
+        close_col.append(math.nan if close is None else close)
+        items_col.append(0 if items is None else items)
+        no_items.append(items is None)
+    columns = {
+        "rank": np.array(rank_col, dtype=np.int64),
+        "start_s": np.array(start_col, dtype=np.float64),
+        "end_s": np.array(end_col, dtype=np.float64),
+        "close_s": np.array(close_col, dtype=np.float64) if "close" in col else None,
+        "items": None,
+    }
+    if "items" in col:
+        columns["items"] = np.ma.MaskedArray(
+            np.array(items_col, dtype=np.int64), mask=np.array(no_items, dtype=bool)
+        )
+    return columns, warnings
+
+
 # --- per-point renderers ------------------------------------------------------------
 
 
@@ -132,7 +214,7 @@ def _log_floor(values):
     positive = [v for v in values if v > 0]
     if not positive:
         raise ValueError("log scale needs at least one positive value")
-    return min(positive) / 10.0
+    return max(min(positive) / 10.0, math.ulp(0.0))
 
 
 def _reject_non_finite(values):

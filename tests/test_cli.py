@@ -154,6 +154,17 @@ def test_cli_passes_only_finite_values_to_renderers(manifests, tmp_path, monkeyp
     assert all(drawn.values()), drawn
 
 
+def test_stats_draws_a_subnormal_score(tmp_path):
+    # A tenth of the smallest subnormal underflows to 0.0, where no log axis can start.
+    csv_file = tmp_path / "export.csv"
+    csv_file.write_text("id,list,filesystem,client_nodes,score\nx,SC22,lustre,4,5e-324\ny,SC22,daos,2,3.5\n")
+    manifests, out = tmp_path / "m", tmp_path / "out"
+    assert run("ingest", csv_file, "--format", "repo-csv", "--out", manifests) == 0
+    assert run("stats", manifests, "--out", out) == 0
+    sidecar = (out / "stats" / "score_strip_raw.csv").read_text()
+    assert (out / "stats" / "score_strip_raw.svg").is_file() and "lustre,4.94066e-324,false" in sidecar
+
+
 def test_full_pipeline_deterministic(tmp_path):
     trees = []
     for tag in ("x", "y"):
@@ -581,6 +592,10 @@ BAD_INPUT_CASES = [
     # A column map holds only the default's keys.
     ([*COLUMN_MAP, "{f}"], '{"filesytem": "FS"}', 1, "unknown keys: filesytem"),
     ([*COLUMN_MAP, "{f}"], '{"phases": {"find": "pf", "ior_easy_write": "x"}}', 1, "unknown keys: phases.ior_easy_write"),
+    # Synth config values in range: checked when the config loads, before any corpus is built.
+    ([*SYNTH, "{f}"], '{"close_models": {"lustre": {"median_s": -1}}}', 1, "close_models.lustre.median_s must be > 0, got -1"),
+    ([*SYNTH, "{f}"], '{"close_models": {"lustre": {"sigma": -1}}}', 1, "close_models.lustre.sigma must be >= 0, got -1"),
+    ([*SYNTH, "{f}"], '{"node_range": [2, 100000000000000000000]}', 1, "node_range[1] must be below 2**63, got 100000000000000000000"),
 ]
 
 

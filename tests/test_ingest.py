@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +335,18 @@ def test_parse_repo_csv_custom_column_map(tmp_path):
     assert sub.phases[Phase.IOR_EASY_WRITE].value == 55.5
 
 
+def test_parse_repo_csv_partial_column_map():
+    # A caller's map may lack keys: the field is then absent, as if mapped to null.
+    text = REPO_HEADER + "\nsub-1,ISC22,Lustre,IB HDR,10,36850,504,2693000,809\n"
+    no_score = {k: v for k, v in ingest.DEFAULT_COLUMN_MAP.items() if k != "score_overall"}
+    sub = ingest.parse_repo_csv(text, no_score).submissions[0]
+    assert sub.reported_score_overall is None and sub.reported_score_bw == 504.0
+    assert sub.phases[Phase.IOR_EASY_WRITE].value == 809.0
+    no_label = {k: v for k, v in no_score.items() if k != "list_label"}
+    with pytest.raises(EmptyInputError, match=r"\(1 skipped\)"):
+        ingest.parse_repo_csv(text, no_label)
+
+
 # --- package loading ------------------------------------------------------------------
 
 
@@ -657,3 +671,31 @@ def test_failed_manifest_write_leaves_no_file(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         ingest.write_manifest(sub, path)
     assert not path.exists()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _v1_tree(tree):
+    """A version 1 manifest tree: each timing table a list of per-rank row objects."""
+    timing = {}
+    for name, table in tree["timing"].items():
+        columns = ["rank", "start_s", "end_s", "close_s", "items"]
+        rows = [dict(zip(columns, row)) for row in zip(*(table[c] for c in columns))]
+        timing[name] = {"stonewall_s": table["stonewall_s"], "rows": rows}
+    return {**tree, "format_version": 1, "timing": timing}
+
+
+def test_convert_manifest_tool_writes_the_golden(tmp_path, capsys):
+    golden = GOLDEN / "p04_timing_full.json"
+    spec = importlib.util.spec_from_file_location("convert_manifest", GOLDEN.parents[1] / "tools" / "convert_manifest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tree = json.loads(json.dumps(ingest.to_manifest(ingest.read_manifest(golden))))
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(json.dumps(_v1_tree(tree), indent=2))
+    v2.write_text(json.dumps({**tree, "format_version": 2}, separators=(",", ":")))
+    assert tool.main([str(v1), str(v2)]) == 0
+    assert v1.read_bytes() == golden.read_bytes()
+    assert v2.read_bytes() == golden.read_bytes()
+    assert capsys.readouterr().out.count("converted, equal Submission") == 2

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from io500kit import ingest, report, synth
 from io500kit.errors import ConfigError, Io500KitError, ParseError, ValidationError
 from io500kit.types import Filesystem, Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
-from oracles import read_manifest_oracle, render_group_box_oracle, render_qq_oracle
+from oracles import read_manifest_oracle, render_group_box_oracle, render_qq_oracle, scan_timing_rows_oracle
 
 PHASE = Phase.IOR_EASY_WRITE
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -103,7 +103,7 @@ def _outcome(parse):
 
 def _scan(text):
     stonewall, width, col, body, first_line = ingest._timing_layout(text, PHASE)
-    columns, warnings = ingest._scan_timing_rows(body, first_line, width, col, PHASE)
+    columns, warnings = scan_timing_rows_oracle(body, first_line, width, col, PHASE)
     return ProcessTimingTable(phase=PHASE, stonewall_s=stonewall, **columns), warnings
 
 
@@ -160,6 +160,11 @@ LONG_TABLES = [
     # A cell that does not convert, or a short line, in the last chunk.
     _long_csv(2 * CHUNK + 500, {2 * CHUNK + 400: f"{2 * CHUNK + 400},0,x,1,2,h"}),
     _long_csv(2 * CHUNK + 500, {2 * CHUNK + 401: f"{2 * CHUNK + 401},0"}),
+    # Two faults in different chunks: the first line at fault is reported, a
+    # repeated rank in the first chunk before a bad cell in the third...
+    _long_csv(2 * CHUNK + 500, {10: "3,0,310,1,2,h", 2 * CHUNK + 400: f"{2 * CHUNK + 400},0,x,1,2,h"}),
+    # ...and a bad cell in the first chunk before a short line in the third.
+    _long_csv(2 * CHUNK + 500, {7: "7,0,x,1,2,h", 2 * CHUNK + 401: f"{2 * CHUNK + 401},0"}),
 ]
 
 
@@ -621,6 +626,7 @@ def box_groups(draw):
 @example([(0.5, 2.0), (1.0, 1.7976931348623157e308)], report.RenderSpec(), False)
 @example([(0.5, 2.0), (1.0, math.nan)], report.RenderSpec(), True)
 @example([(math.nan, 2.0)], report.RenderSpec(), False)
+@example([(0.5, 5e-324), (1.0, 2.0)], report.RenderSpec(scale="log10"), False)
 @given(qq_pairs(), plot_spec(), st.booleans())
 def test_render_qq_matches_per_point_oracle(pairs, spec, as_array):
     got = _render(report.render_qq, np.array(pairs) if as_array else pairs, spec)
@@ -634,6 +640,7 @@ def test_render_qq_matches_per_point_oracle(pairs, spec, as_array):
 @example([("g", [1.0] * 20 + [0.0, -5.0, 50.0, 90.0])], report.RenderSpec(scale="log10"), False, True)
 @example([("g", [1.0, 1.7976931348623157e308, -math.inf])], report.RenderSpec(), False, False)
 @example([("a", []), ("b", [1.0, math.nan])], report.RenderSpec(), True, True)
+@example([("a", [5e-324, 1.0])], report.RenderSpec(scale="log10"), False, False)
 @given(box_groups(), plot_spec(), st.booleans(), st.booleans())
 def test_render_group_box_matches_per_point_oracle(groups, spec, annotate, as_array):
     columns = [(label, np.array(values)) for label, values in groups] if as_array else groups
