@@ -169,8 +169,32 @@ def _r6(x: float) -> float:
 
 
 def _r6_array(values: np.ndarray) -> np.ndarray:
-    # Python's correctly rounded round(), not np.round, which can differ in the last bit.
-    return np.array([round(x, 6) for x in values.tolist()])
+    """Elementwise _r6: bit for bit what round(x, 6) returns, without a call per value.
+
+    round(x, 6) is the double nearest k * 10**-6, where k is the integer
+    nearest the exact product x * 10**6 (ties to even). Here s = x * 1e6 is
+    that product rounded once, off by at most half an ulp of s. Where s lies
+    more than one ulp (np.spacing) from every half-way point n + 1/2, the
+    exact product is on the same side of each of them, so np.rint(s) is k.
+    Below 2**52 that k is an exact double, and IEEE division by the exact
+    1e6 gives the double nearest k * 10**-6: round's result. The rest (s
+    within one ulp of a half-way point, |s| >= 2**52, non-finite values)
+    takes Python's round. Plain np.rint(s) / 1e6 is not enough:
+    3706.0896475 is stored just below ...6475, so round gives 3706.089647,
+    but its product rounds up onto the half-way point and rint gives
+    3706.089648.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1e6
+        k = np.rint(scaled)
+        # scaled - k is exact below 2**52 (Sterbenz), and |scaled - k| <= 1/2.
+        near_half = 0.5 - np.abs(scaled - k) <= np.spacing(np.abs(scaled))
+        fallback = near_half | ~(np.abs(scaled) < 2.0**52)
+    out = k / 1e6
+    if fallback.any():
+        out[fallback] = [round(x, 6) for x in values[fallback].tolist()]
+    return out
 
 
 def gen_timing(
@@ -285,6 +309,13 @@ _LIST_LABELS = ("ISC21", "SC21", "ISC22", "SC22")
 
 TIMING_PHASES = (Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE, Phase.FIND)
 
+# Ranks per timing table, node_range[1] * procs_per_node, at most: 32 times
+# the benchmark's largest table (131,072 ranks). A rank costs about 36 bytes
+# of CSV per table and synth peaks near 435 bytes per rank (columns of three
+# tables, one table's cells as Python objects), so a corpus at the cap writes
+# about 150 MB per table and needs about 2 GB.
+MAX_RANKS_PER_TABLE = 2**22
+
 
 @dataclass
 class SynthConfig:
@@ -325,6 +356,11 @@ class SynthConfig:
             raise ConfigError(f"node_range[1] must be below 2**63, got {hi}")
         if self.procs_per_node < 1:
             raise ConfigError("procs_per_node must be >= 1")
+        if self.generate_timing and hi * self.procs_per_node > MAX_RANKS_PER_TABLE:
+            raise ConfigError(
+                f"node_range[1] * procs_per_node must be at most {MAX_RANKS_PER_TABLE} "
+                f"ranks per timing table, got {hi} * {self.procs_per_node}"
+            )
         weights = list(self.filesystem_mix.values())
         if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise ConfigError("filesystem_mix weights must be nonnegative, not all zero")
@@ -542,24 +578,33 @@ def _meta_text(meta: SubmissionMeta) -> str:
 
 
 def _timing_text(table: ProcessTimingTable) -> str:
-    columns = [
-        [str(r) for r in table.rank.tolist()],
-        [f"{x:.6f}" for x in table.start_s.tolist()],
-        [f"{x:.6f}" for x in table.end_s.tolist()],
-    ]
+    # One %-format over the flat cells: "%d" is str() of an int and "%.6f" is
+    # f"{x:.6f}". A column with gaps is written as strings, its gaps as "".
+    columns = [table.rank.tolist(), table.start_s.tolist(), table.end_s.tolist()]
+    formats = ["%d", "%.6f", "%.6f"]
     header = "rank,start,end"
-    if not np.all(np.isnan(table.close_s)):
+    gaps = np.isnan(table.close_s)
+    if not np.all(gaps):
         header += ",close"
-        columns.append(["" if x != x else f"{x:.6f}" for x in table.close_s.tolist()])
+        if np.any(gaps):
+            columns.append(["" if x != x else f"{x:.6f}" for x in table.close_s.tolist()])
+            formats.append("%s")
+        else:
+            columns.append(table.close_s.tolist())
+            formats.append("%.6f")
     if table.items.count():
         header += ",items"
-        columns.append(["" if x is None else str(x) for x in table.items.tolist()])
-    lines = []
-    if table.stonewall_s is not None:
-        lines.append(f"# stonewall_s = {table.stonewall_s:.6f}")
-    lines.append(header)
-    lines.extend(map(",".join, zip(*columns)))
-    return "\n".join(lines) + "\n"
+        if table.items.count() < table.n_ranks:
+            columns.append(["" if x is None else str(x) for x in table.items.tolist()])
+            formats.append("%s")
+        else:
+            columns.append(table.items.compressed().tolist())
+            formats.append("%d")
+    cells: list = [None] * (table.n_ranks * len(columns))
+    for j, column in enumerate(columns):
+        cells[j :: len(columns)] = column
+    comment = "" if table.stonewall_s is None else f"# stonewall_s = {table.stonewall_s:.6f}\n"
+    return comment + header + "\n" + ((",".join(formats) + "\n") * table.n_ranks) % tuple(cells)
 
 
 def _repo_csv_text(subs: list[Submission]) -> str:

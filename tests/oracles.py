@@ -11,6 +11,8 @@ before its renderers worked on whole columns; the package's renderers must
 produce the same SVG and sidecar bytes. The manifest reader at the end reads
 the whole text at once, as the package did before it read a line at a time;
 the package's reader must return the same Submission or raise the same error.
+The timing CSV writer formats one cell at a time, as synth did before it
+formatted a whole table at once; synth must write the same text.
 """
 
 from __future__ import annotations
@@ -441,3 +443,26 @@ def read_manifest_oracle(path, phases=None):
         return ingest.from_manifest(_manifest_tree_oracle(text, phases))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+
+
+def timing_text_oracle(table):
+    """synth._timing_text one cell at a time: str() of each rank and item
+    count, f"{x:.6f}" of each time, "" for an absent close time or count."""
+    columns = [
+        [str(r) for r in table.rank.tolist()],
+        [f"{x:.6f}" for x in table.start_s.tolist()],
+        [f"{x:.6f}" for x in table.end_s.tolist()],
+    ]
+    header = "rank,start,end"
+    if not np.all(np.isnan(table.close_s)):
+        header += ",close"
+        columns.append(["" if x != x else f"{x:.6f}" for x in table.close_s.tolist()])
+    if table.items.count():
+        header += ",items"
+        columns.append(["" if x is None else str(x) for x in table.items.tolist()])
+    lines = []
+    if table.stonewall_s is not None:
+        lines.append(f"# stonewall_s = {table.stonewall_s:.6f}")
+    lines.append(header)
+    lines.extend(map(",".join, zip(*columns)))
+    return "\n".join(lines) + "\n"

@@ -596,6 +596,9 @@ BAD_INPUT_CASES = [
     ([*SYNTH, "{f}"], '{"close_models": {"lustre": {"median_s": -1}}}', 1, "close_models.lustre.median_s must be > 0, got -1"),
     ([*SYNTH, "{f}"], '{"close_models": {"lustre": {"sigma": -1}}}', 1, "close_models.lustre.sigma must be >= 0, got -1"),
     ([*SYNTH, "{f}"], '{"node_range": [2, 100000000000000000000]}', 1, "node_range[1] must be below 2**63, got 100000000000000000000"),
+    # At most MAX_RANKS_PER_TABLE ranks per timing table.
+    ([*SYNTH, "{f}"], '{"node_range": [2, 9223372036854775807]}', 1, "node_range[1] * procs_per_node must be at most 4194304 ranks per timing table, got 9223372036854775807 * 8"),
+    ([*SYNTH, "{f}"], '{"node_range": [1, 1], "procs_per_node": 4194305}', 1, "node_range[1] * procs_per_node must be at most 4194304 ranks per timing table, got 1 * 4194305"),
 ]
 
 

@@ -670,3 +670,58 @@ def test_axis_column_is_bit_equal_to_per_value(values, lo, hi, log):
     want = [axis(v) for v in values]
     assert positions.tobytes() == np.array([p for p, _ in want]).tobytes()
     assert clamped.tolist() == [c for _, c in want]
+
+
+# --- synth's 6-decimal quantizer ---------------------------------------------------------
+
+
+def _near_half_ways(ks):
+    """(k + 1/2) / 1e6 and its two nearest neighbours on each side, both signs."""
+    half = (np.asarray(ks, dtype=np.float64) + 0.5) / 1e6
+    below = np.nextafter(half, -np.inf)
+    above = np.nextafter(half, np.inf)
+    near = [half, below, above, np.nextafter(below, -np.inf), np.nextafter(above, np.inf)]
+    return np.concatenate(near + [-x for x in near])
+
+
+_BIG = 2.0**52 / 1e6  # from here up, x * 1e6 has no fraction bits left
+_R6_RNG = np.random.default_rng(9)
+_R6_STARTS = _R6_RNG.uniform(0.0, 1.0, 4000)
+R6_PINNED = np.concatenate(
+    [
+        [3706.0896475],
+        _near_half_ways([0, 1, 2, 3, 999_999, 3_706_089_647, 2**40]),
+        _near_half_ways(2 ** np.arange(41)),
+        _near_half_ways(_R6_RNG.integers(0, 2**40, 3000)),
+        _near_half_ways(_R6_RNG.integers(0, 2_000_000_000, 3000)),
+        [_BIG, np.nextafter(_BIG, 0), np.nextafter(_BIG, np.inf), _BIG * (1 - 1e-12), _BIG * (1 + 1e-12)],
+        [-_BIG, -_BIG * (1 - 1e-12), -_BIG * (1 + 1e-12), 2.0**52, 2.0**53 + 2, -(2.0**60)],
+        [0.0, -0.0, 5e-324, -5e-324, 1e-7, -4e-7, 5e-7, -5e-7, 1e300, -1e300, 1.7976931348623157e308],
+        [math.inf, -math.inf, math.nan],
+        # synth's ranges: starts, write ends (band and stragglers), find ends, close times
+        _R6_STARTS,
+        _R6_STARTS + 300.0 * _R6_RNG.uniform(1.001, 1.05, 4000),
+        _R6_STARTS + 900.0 * _R6_RNG.uniform(0.9, 1.1, 4000),
+        _R6_STARTS + np.maximum(1, np.round(100_000.0 * _R6_RNG.pareto(1.3, 4000))) / 3000.0,
+        np.minimum(_R6_RNG.lognormal(np.log(0.01), 0.5, 4000), 300.0),
+        np.minimum(_R6_RNG.lognormal(np.log(5.0), 1.0, 4000), 300.0),
+    ]
+)
+
+
+@st.composite
+def near_half_way(draw):
+    """A value whose scaled form x * 1e6 is a half-way point or next to one."""
+    k = draw(st.integers(0, 2**40))
+    return float(draw(st.sampled_from(_near_half_ways([k]).tolist())))
+
+
+@PROPERTY
+@example(R6_PINNED)
+@given(st.lists(st.one_of(st.floats(), near_half_way(), st.floats(0.0, 2000.0)), max_size=40))
+def test_r6_array_is_bit_equal_to_scalar_round(values):
+    # Bits, not ==: -0.0 must stay -0.0 and NaN must compare.
+    values = np.asarray(values, dtype=np.float64)
+    got = synth._r6_array(values)
+    want = np.array([synth._r6(x) for x in values.tolist()], dtype=np.float64)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

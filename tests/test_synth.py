@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,13 @@ import pytest
 from io500kit import ingest, loginsight, metrics, synth
 from io500kit.errors import ConfigError
 from io500kit.loginsight import Pattern
-from io500kit.types import Filesystem, Phase
+from io500kit.types import Filesystem, Phase, ProcessTimingTable
+from oracles import timing_text_oracle
+
+# sha256 of every file of five small corpora (one per straggler kind, and one
+# with a non-default pfind_skew), captured before synth wrote whole columns
+# at once. Re-capture only for an output change that is meant.
+SYNTH_CORPORA = json.loads((Path(__file__).parent / "golden" / "synth_corpora.json").read_text())
 
 
 def small_config(**kw):
@@ -42,6 +51,52 @@ def test_write_corpus_byte_identical(tmp_path):
     assert files1 == files2
     for rel in files1:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_CORPORA))
+def test_small_corpora_match_golden_digests(tmp_path, name):
+    golden = SYNTH_CORPORA[name]
+    synth.write_corpus(synth.gen_corpus(synth.synth_config_from_dict(golden["config"])), tmp_path)
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file()
+    }
+    assert digests == golden["sha256"]
+
+
+def _table(n=3, stonewall=300.0, start=None, close=None, items=None, mask=None):
+    start = np.linspace(0.0, 0.75, n) if start is None else np.asarray(start, dtype=float)
+    return ProcessTimingTable(
+        phase=Phase.IOR_EASY_WRITE,
+        rank=np.arange(n) * 7,
+        start_s=start,
+        end_s=start + 301.0000005,
+        close_s=close,
+        items=None if items is None else np.ma.MaskedArray(items, mask=mask),
+        stonewall_s=stonewall,
+    )
+
+
+TIMING_TABLES = {
+    "close": _table(close=[0.5, 1.25, 2e-7]),
+    "partial-nan-close": _table(close=[np.nan, 1.25, np.nan]),
+    "all-nan-close": _table(close=[np.nan] * 3),
+    "items": _table(stonewall=None, items=[1, 10**12, 3]),
+    "masked-items": _table(stonewall=None, items=[1, 2, 3], mask=[True] * 3),
+    "partly-masked-items": _table(stonewall=None, items=[1, 2, 3], mask=[False, True, False]),
+    "close-and-partial-items": _table(close=[0.1, np.nan, 0.3], items=[4, 5, 6], mask=[True, False, False]),
+    "no-stonewall": _table(stonewall=None),
+    "negative-zero-start": _table(start=[-0.0, 0.0, 0.5]),
+    "one-row": _table(n=1, close=[3.5], items=[9]),
+    "zero-rows": _table(n=0),
+}
+
+
+@pytest.mark.parametrize("name", TIMING_TABLES)
+def test_timing_text_matches_per_cell_oracle(name):
+    table = TIMING_TABLES[name]
+    assert synth._timing_text(table) == timing_text_oracle(table)
 
 
 # --- ground truth and score consistency ----------------------------------------------
@@ -225,6 +280,17 @@ def test_synth_config_rejects_unknown_keys():
         synth.synth_config_from_dict({"seeed": 1})
     with pytest.raises(ConfigError, match="unknown straggler model"):
         synth.synth_config_from_dict({"straggler": {"kind": "zigzag"}})
+
+
+def test_synth_config_caps_ranks_per_table():
+    cap = synth.MAX_RANKS_PER_TABLE
+    # Configs are only built here, never generated: a corpus at the cap needs gigabytes.
+    synth.SynthConfig(node_range=(1, cap // 8))
+    synth.SynthConfig(node_range=(1, 1), procs_per_node=cap)
+    synth.SynthConfig(node_range=(1, 2**62), generate_timing=False)  # no tables, no cap
+    for kw in ({"node_range": (1, cap // 8 + 1)}, {"procs_per_node": cap + 1, "node_range": (1, 1)}):
+        with pytest.raises(ConfigError, match=r"node_range\[1\] \* procs_per_node must be at most 4194304"):
+            synth.SynthConfig(**kw)
 
 
 def test_synth_config_validation():
