@@ -283,10 +283,6 @@ def _emit(out, name: str, tables: tuple[str, str], notes_file="", notes=()) -> N
         _write_lines(Path(out) / "logs" / notes_file, notes)
 
 
-def _table(header: list[str], rows: list[list[str]]) -> tuple[str, str]:
-    return report.csv_table(header, rows), report.aligned_table(header, rows)
-
-
 def _logs_runtime(subs, phases, args, config) -> str:
     dist = loginsight.runtime_distribution(
         subs, config["stonewall_nominal_s"], config["stonewall_tolerance_s"]
@@ -316,14 +312,14 @@ def _logs_close(subs, phases, args, config) -> str:
             sub.meta.submission_id,
             phase.value,
             str(rep.stats.n),
-            report.fmt_csv(report.q6(rep.stats.mean)),
-            report.fmt_csv(report.q6(rep.stats.max)),
-            report.fmt_csv(report.q6(float(np.median(rep.fraction_of_runtime)))),
+            report.fmt_csv(rep.stats.mean),
+            report.fmt_csv(rep.stats.max),
+            report.fmt_csv(float(np.median(rep.fraction_of_runtime))),
         ]
         for sub, phase, rep in results
     ]
     header = ["Submission", "Phase", "N", "MeanClose_s", "MaxClose_s", "MedianFraction"]
-    _emit(args.out, "close_summary", _table(header, rows))
+    _emit(args.out, "close_summary", report.tables(header, rows))
     fs_groups: dict[str, list[np.ndarray]] = {}
     for sub, _, rep in results:
         fs_groups.setdefault(sub.meta.filesystem_norm.value, []).append(rep.close_s_per_rank)
@@ -338,7 +334,8 @@ def _logs_close(subs, phases, args, config) -> str:
 
 def _logs_stonewall(subs, phases, args, config) -> str:
     analyze = functools.partial(loginsight.stonewall_ratios, stonewall_s=args.stonewall)
-    results, notes = _per_table(subs, phases, analyze, (NotAvailableError, SampleSizeError))
+    # Io500KitError: no stonewall, an empty table, a ratio that overflows.
+    results, notes = _per_table(subs, phases, analyze, Io500KitError)
     if not results:
         return "no stonewall timing data available"
     rows = []
@@ -352,12 +349,12 @@ def _logs_stonewall(subs, phases, args, config) -> str:
                 sub.meta.submission_id,
                 phase.value,
                 str(len(rat.ratios)),
-                report.fmt_csv(report.q6(float(rat.ratios.min()))),
-                report.fmt_csv(report.q6(float(rat.ratios.max()))),
+                report.fmt_csv(float(rat.ratios.min())),
+                report.fmt_csv(float(rat.ratios.max())),
             ]
         )
     header = ["Submission", "Phase", "Ranks", "MinRatio", "MaxRatio"]
-    _emit(args.out, "stonewall_summary", _table(header, rows), "stonewall_notes.txt", notes)
+    _emit(args.out, "stonewall_summary", report.tables(header, rows), "stonewall_notes.txt", notes)
     return f"stonewall ratios for {len(rows)} write-phase tables"
 
 
@@ -365,7 +362,8 @@ def _logs_stragglers(subs, phases, args, config) -> str:
     analyze = functools.partial(
         loginsight.straggler_report, stonewall_s=args.stonewall, **config["straggler"]
     )
-    results, notes = _per_table(subs, phases, analyze, (NotAvailableError, SampleSizeError))
+    # Io500KitError: as for stonewall, and tables too small for the quartiles.
+    results, notes = _per_table(subs, phases, analyze, Io500KitError)
     if not results:
         return "no straggler timing data available"
     rows = [
@@ -375,14 +373,14 @@ def _logs_stragglers(subs, phases, args, config) -> str:
             str(len(rep.ranks)),
             str(len(rep.straggler_ranks)),
             rep.pattern.value,
-            report.fmt_csv(report.q6(rep.adjacency_index)),
+            report.fmt_csv(rep.adjacency_index),
             str(rep.run_count),
             ";".join(str(r) for r in sorted(rep.straggler_ranks)),
         ]
         for sub, phase, rep in results
     ]
     header = "Submission Phase Ranks Stragglers Pattern Adjacency Runs StragglerRanks".split()
-    _emit(args.out, "stragglers", _table(header, rows), "straggler_notes.txt", notes)
+    _emit(args.out, "stragglers", report.tables(header, rows), "straggler_notes.txt", notes)
     return f"straggler analysis for {len(rows)} write-phase tables"
 
 
@@ -401,12 +399,12 @@ def _logs_pfind(subs, phases, args, config) -> str:
                 str(len(rep.items_per_rank)),
                 str(int(np.median(rep.items_per_rank))),
                 str(int(rep.items_per_rank.max())),
-                report.fmt_csv(report.q6(rep.max_over_median)),  # "inf" when the median is zero
-                report.fmt_csv(report.q6(rep.gini)),
+                report.fmt_csv(rep.max_over_median),  # "inf" when the median is zero
+                report.fmt_csv(rep.gini),
             ]
         )
     header = ["Submission", "Ranks", "MedianItems", "MaxItems", "MaxOverMedian", "Gini"]
-    _emit(args.out, "pfind", _table(header, rows), "pfind_notes.txt", notes)
+    _emit(args.out, "pfind", report.tables(header, rows), "pfind_notes.txt", notes)
     return f"pfind imbalance for {len(rows)} submissions"
 
 

@@ -914,31 +914,23 @@ _JSON = json.JSONDecoder()
 _READ_BUFFER = 1 << 20
 
 
-def _file_lines(path: Path) -> Iterator[bytes]:
+def _file_lines(path: Path) -> Iterator[str]:
     """The lines of a file, one at a time and without their newline, as
     `read_text(path).split("\n")` gives them: the last is what follows the
-    final newline. A byte that is not UTF-8 raises LoadError, as in read_text."""
-    offset = 0
+    final newline. Text mode translates line ends as read_text does. A byte
+    that is not UTF-8 raises read_text's LoadError, which names its offset."""
     try:
         buffering = min(max(path.stat().st_size, io.DEFAULT_BUFFER_SIZE), _READ_BUFFER)
-        with path.open("rb", buffering=buffering) as f:
-            for raw in f:
-                if not raw.isascii():
-                    try:
-                        raw.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise LoadError(f"{path.name}: not UTF-8 text (byte {offset + exc.start})") from None
-                offset += len(raw)
-                if b"\r" in raw:  # universal newlines, as in read_text
-                    *lines, raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
-                    yield from lines
-                elif raw.endswith(b"\n"):
-                    yield raw[:-1]
-                    raw = b""
-                if raw:  # the end of a file without a final newline
-                    yield raw
+        with path.open(encoding="utf-8", buffering=buffering) as f:
+            for line in f:
+                if not line.endswith("\n"):  # the end of a file without a final newline
+                    yield line
                     return
-            yield b""
+                yield line[:-1]
+            yield ""
+    except UnicodeDecodeError:
+        read_text(path)
+        raise
     except OSError as exc:
         raise LoadError(f"{path.name}: {exc.strerror or exc}") from None
 
@@ -953,13 +945,13 @@ def _whole_text_header(path: Path):
     except ValueError as exc:
         raise ValidationError(f"not a JSON manifest ({exc})") from None
     rest, *after = text[end:].split("\n")
-    return header, rest, (line.encode("utf-8") for line in after)
+    return header, rest, iter(after)
 
 
-def _table_line(line: bytes, line_no: int, phase: Phase) -> dict[str, Any]:
+def _table_line(line: str, line_no: int, phase: Phase) -> dict[str, Any]:
     where = f"timing.{phase.value}"
     try:
-        spec = json.loads(line.decode("utf-8"))
+        spec = json.loads(line)
     except ValueError as exc:
         raise ValidationError(f"{where}: line {line_no} is not JSON ({exc})") from None
     if _get(spec, "phase", _STR, where) != phase.value:
@@ -967,7 +959,7 @@ def _table_line(line: bytes, line_no: int, phase: Phase) -> dict[str, Any]:
     return spec
 
 
-def _manifest_submission(header: Any, rest: str, lines: Iterator[bytes], phases) -> Submission:
+def _manifest_submission(header: Any, rest: str, lines: Iterator[str], phases) -> Submission:
     """The Submission of a manifest from its decoded header, the rest of the
     header's line and an iterator over the lines after it.
 
@@ -992,7 +984,7 @@ def _manifest_submission(header: Any, rest: str, lines: Iterator[bytes], phases)
     line_error = table_error = None  # the first of each, in line order
     n_lines, unterminated = 1, False
     for line_no, line in enumerate(lines, start=2):
-        n_lines, unterminated = line_no, line != b""
+        n_lines, unterminated = line_no, line != ""
         if line_error is not None or line_no - 2 >= len(index_phases):
             continue
         phase = index_phases[line_no - 2]
@@ -1033,7 +1025,7 @@ def read_manifest(path: str | Path, phases: Collection[Phase] | None = None) -> 
     file = Path(path)
     try:
         with contextlib.closing(_file_lines(file)) as lines:
-            first = next(lines).decode("utf-8")
+            first = next(lines)
             try:
                 header, end = _JSON.raw_decode(first)
             except ValueError:

@@ -104,7 +104,10 @@ class StonewallRatios:
 def stonewall_ratios(
     timing: ProcessTimingTable, stonewall_s: float | None = None
 ) -> StonewallRatios:
-    """Per-rank runtime/stonewall ratios plus sorted empirical quantile pairs."""
+    """Per-rank runtime/stonewall ratios plus sorted empirical quantile pairs.
+
+    A ratio that overflows, under a stonewall of a few subnormal seconds,
+    raises DegenerateInputError."""
     stonewall = stonewall_s if stonewall_s is not None else timing.stonewall_s
     if stonewall is None:
         raise NotAvailableError(
@@ -116,7 +119,14 @@ def stonewall_ratios(
     n = timing.n_ranks
     if not n:
         raise SampleSizeError(f"{timing.phase}: timing table has no rows")
-    ratios = timing.runtime_s / stonewall
+    with np.errstate(over="ignore"):
+        ratios = timing.runtime_s / stonewall
+    bad = ~np.isfinite(ratios)
+    if np.any(bad):
+        rank = int(timing.rank[np.argmax(bad)])
+        raise DegenerateInputError(
+            f"{timing.phase}: runtime / stonewall overflows a float at rank {rank} (stonewall_s = {stonewall})"
+        )
     return StonewallRatios(
         phase=timing.phase,
         stonewall_s=stonewall,

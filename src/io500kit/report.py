@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,23 +59,14 @@ def _finite(values) -> np.ndarray:
 
 
 def _quantize(values) -> tuple[np.ndarray, list[str]]:
-    """q6 of a whole finite column, and fmt_csv of each quantized value.
+    """q6 of a whole column, and the `.6g` text of each value.
 
     Each value is formatted once and the text parsed back. `.6g` is
-    idempotent on a q6 value, so that text is also the sidecar cell.
+    idempotent on a q6 value, so for a finite value that text is also the
+    sidecar cell.
     """
     text = list(map(format, np.asarray(values, dtype=float).ravel().tolist(), itertools.repeat(".6g")))
     return np.fromiter(map(float, text), dtype=float, count=len(text)), text
-
-
-def _first_min(values: np.ndarray) -> float:
-    """min() of a column: the first smallest value, so a zero keeps its sign."""
-    return float(values[values.argmin()])
-
-
-def _first_max(values: np.ndarray) -> float:
-    """max() of a column: the first largest value, so a zero keeps its sign."""
-    return float(values[values.argmax()])
 
 
 def fmt_label(x: float) -> str:
@@ -110,6 +101,18 @@ def aligned_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def tables(header: Sequence[str], rows: Sequence[Sequence[str]]) -> tuple[str, str]:
+    """One table as CSV and as aligned text."""
+    return csv_table(header, rows), aligned_table(header, rows)
+
+
+def _sidecar_rows(sidecar: str) -> Iterator[list[str]]:
+    """The rows of a CSV sidecar after its header."""
+    reader = csv.reader(io.StringIO(sidecar))
+    next(reader)
+    return reader
+
+
 # --- tables -----------------------------------------------------------------
 
 
@@ -117,17 +120,10 @@ def render_summary_table(stats_rows: Sequence[tuple[str, SummaryStats]]) -> tupl
     """CSV + aligned text with Metric, Min, Median, Mean, Max, CV columns."""
     header = ["Metric", "Min", "Median", "Mean", "Max", "CV"]
     rows = [
-        [
-            name,
-            fmt_csv(q6(s.min)),
-            fmt_csv(q6(s.median)),
-            fmt_csv(q6(s.mean)),
-            fmt_csv(q6(s.max)),
-            fmt_csv(q6(s.cv)) if s.cv is not None else "",
-        ]
+        [name, fmt_csv(s.min), fmt_csv(s.median), fmt_csv(s.mean), fmt_csv(s.max), fmt_csv(s.cv)]
         for name, s in stats_rows
     ]
-    return csv_table(header, rows), aligned_table(header, rows)
+    return tables(header, rows)
 
 
 def render_composition_table(submissions: Sequence[Submission]) -> tuple[str, str]:
@@ -148,7 +144,7 @@ def render_composition_table(submissions: Sequence[Submission]) -> tuple[str, st
         ["interconnect", label, str(count)]
         for label, count in sorted(ic_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
-    return csv_table(header, rows), aligned_table(header, rows)
+    return tables(header, rows)
 
 
 def render_imbalance_table(
@@ -160,29 +156,43 @@ def render_imbalance_table(
         ["ranks", str(counts.size)],
         ["items_total", str(int(sum(counts.tolist())))],  # Python ints: no int64 overflow
         ["items_min", str(int(counts.min()))],
-        ["items_median", fmt_csv(q6(float(np.median(counts))))],
+        ["items_median", fmt_csv(float(np.median(counts)))],
         ["items_max", str(int(counts.max()))],
-        ["max_over_median", "inf" if math.isinf(max_over_median) else fmt_csv(q6(max_over_median))],
-        ["gini", fmt_csv(q6(gini_value))],
+        ["max_over_median", fmt_csv(max_over_median)],
+        ["gini", fmt_csv(gini_value)],
     ]
-    return csv_table(header, rows), aligned_table(header, rows)
+    return tables(header, rows)
 
 
 # --- SVG primitives -----------------------------------------------------------
 
 
-def _svg_open(width: float, height: float) -> list[str]:
-    return [
+def _svg(
+    width: float, height: float, title: str, body: list[str], title_y: float = 20.0, title_size: int = 13
+) -> str:
+    """A whole SVG document on a white ground: the title centred at title_y
+    when there is one, then the body lines."""
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_c(width)}" '
         f'height="{_c(height)}" viewBox="0 0 {_c(width)} {_c(height)}">',
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
     ]
+    if title:
+        head.append(_text(width / 2.0, title_y, title, size=title_size, anchor="middle"))
+    return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "start", extra: str = "") -> str:
     return (
         f'<text x="{_c(x)}" y="{_c(y)}" font-family="monospace" font-size="{size}" '
         f'text-anchor="{anchor}"{extra}>{_esc(s)}</text>'
+    )
+
+
+def _y_label(height: float, text: str) -> str:
+    """The y-axis label, rotated to run up the left edge."""
+    return _text(
+        16.0, height / 2.0, text, size=11, anchor="middle", extra=f' transform="rotate(-90 16.00 {_c(height / 2.0)})"'
     )
 
 
@@ -200,7 +210,7 @@ def _diverging_color(c: float) -> str:
 
 @dataclass
 class _Axis:
-    """Maps data values onto a pixel interval, optionally through log10."""
+    """Maps a column of data values onto a pixel interval, optionally through log10."""
 
     lo: float
     hi: float
@@ -216,49 +226,44 @@ class _Axis:
             self.floor = self.lo  # already positive, set by caller
             self.lo = math.log10(self.lo)
             self.hi = math.log10(self.hi)
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError("cannot plot values whose span overflows a float")
         if self.hi == self.lo:
             # One unit, or one float step where a unit no longer changes lo (|lo| >= 2**53).
             self.hi = self.lo + max(1.0, math.ulp(self.lo))
 
-    def __call__(self, value: float) -> tuple[float, bool]:
-        """Pixel position plus a flag when the value was pinned to the floor."""
-        clamped = False
-        if self.log:
-            if value <= 0:
-                value = self.floor
-                clamped = True
-            value = math.log10(max(value, self.floor))
-        frac = (value - self.lo) / (self.hi - self.lo)
-        return self.px_lo + frac * (self.px_hi - self.px_lo), clamped
-
-    def column(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """__call__ over a whole column: the same IEEE operations in the same
-        order, so every position is bit-equal to the per-value one."""
+    def __call__(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Pixel positions of a column, and a flag for each value pinned to the floor."""
+        values = np.asarray(values, dtype=float)
         clamped = np.zeros(values.shape, dtype=bool)
         if self.log:
             clamped = values <= 0
-            # math.log10 per value: np.log10 is not guaranteed to round alike.
+            # math.log10 per value: np.log10 does not always round alike, and every plot's bytes were set by math.log10.
             floored = np.maximum(values, self.floor).tolist()
             values = np.fromiter(map(math.log10, floored), dtype=float, count=len(floored))
         frac = (values - self.lo) / (self.hi - self.lo)
         return self.px_lo + frac * (self.px_hi - self.px_lo), clamped
 
 
-def _log_floor(values: Sequence[float]) -> float:
-    values = np.asarray(values, dtype=float)
-    positive = values[values > 0]
-    if not positive.size:
-        raise ValueError("log scale needs at least one positive value")
-    return max(float(positive.min()) / 10.0, math.ulp(0.0))  # min / 10 underflows to 0.0 near 5e-324
+def _y_range(values: np.ndarray, log: bool) -> tuple[float, float]:
+    """The bottom and top of a y axis over a column. On a log scale: a tenth
+    of the smallest positive value, and the largest. On a linear one: the first
+    smallest and the first largest value, so that a zero keeps its sign."""
+    if log:
+        positive = values[values > 0]
+        # min / 10 underflows to 0.0 near 5e-324.
+        return max(float(positive.min()) / 10.0, math.ulp(0.0)), float(positive.max())
+    return float(values[values.argmin()]), float(values[values.argmax()])
 
 
-def _points(circle: str, clamped_circle: str, xs: list[float], ys: list[float], clamped: np.ndarray) -> list[str]:
-    """One SVG line per point from a %-format taking (cx, cy); a point
-    pinned to the log floor gets clamped_circle and a "0" label above it."""
-    lines = list(map(circle.__mod__, zip(xs, ys)))
+def _points(circle: str, clamped_circle: str, clamped: np.ndarray, *columns: list, lift: float = 5.0) -> list[str]:
+    """One SVG line per point from a %-format taking one value of each column,
+    (cx, cy, ...); a point pinned to the log floor gets clamped_circle and a
+    "0" label lift pixels above it."""
+    lines = list(map(circle.__mod__, zip(*columns)))
     for i in np.flatnonzero(clamped).tolist():
-        x, y = xs[i], ys[i]
-        lines[i] = clamped_circle % (x, y) + "\n" + _text(x, y - 5.0, "0", size=8, anchor="middle")
+        point = tuple(column[i] for column in columns)
+        lines[i] = clamped_circle % point + "\n" + _text(point[0], point[1] - lift, "0", size=8, anchor="middle")
     return lines
 
 
@@ -274,37 +279,22 @@ class HeatmapData:
     significant: np.ndarray
 
 
-def _as_heatmap_data(report) -> HeatmapData:
-    return HeatmapData(
-        variables=list(report.variables),
-        coeff=np.asarray(report.coeff, dtype=float),
-        p_raw=np.asarray(report.p_raw, dtype=float),
-        p_adjusted=np.asarray(report.p_adjusted, dtype=float),
-        significant=np.asarray(report.significant, dtype=bool),
-    )
-
-
 def render_corr_heatmap(report, spec: RenderSpec | None = None) -> tuple[str, str]:
     """Correlation matrix as circles: radius tracks |coefficient|, fill the
     sign, hatching marks pairs that did not survive FDR correction.
 
     Accepts a stats.CorrelationReport or a HeatmapData re-read from a sidecar.
     """
-    data = _as_heatmap_data(report)
     spec = spec or RenderSpec()
-    k = len(data.variables)
-    coeff = np.vectorize(q6)(data.coeff) if k else data.coeff
-    p_raw = np.vectorize(q6)(data.p_raw) if k else data.p_raw
-    p_adj = np.vectorize(q6)(data.p_adjusted) if k else data.p_adjusted
+    k = len(report.variables)
+    coeff = _quantize(report.coeff)[0].reshape(k, k)
 
     cell = 34.0
     left, top = 150.0, 60.0 + (110.0 if k else 0.0)
     width = left + k * cell + 30.0
     height = top + k * cell + 30.0
-    parts = _svg_open(width, height)
-    if spec.title:
-        parts.append(_text(width / 2.0, 24.0, spec.title, size=14, anchor="middle"))
-    for idx, name in enumerate(data.variables):
+    parts = []
+    for idx, name in enumerate(report.variables):
         cx = left + idx * cell + cell / 2.0
         parts.append(
             _text(
@@ -335,7 +325,7 @@ def render_corr_heatmap(report, spec: RenderSpec | None = None) -> tuple[str, st
                     f'r="{_c(radius)}" fill="{_diverging_color(c)}" stroke="#555555" '
                     f'stroke-width="0.5"/>'
                 )
-            if i != j and not data.significant[i, j]:
+            if i != j and not report.significant[i, j]:
                 parts.append(
                     f'<line x1="{_c(x)}" y1="{_c(y)}" x2="{_c(x + cell)}" y2="{_c(y + cell)}" '
                     f'stroke="#888888" stroke-width="0.8"/>'
@@ -344,39 +334,27 @@ def render_corr_heatmap(report, spec: RenderSpec | None = None) -> tuple[str, st
                     f'<line x1="{_c(x)}" y1="{_c(y + cell)}" x2="{_c(x + cell)}" y2="{_c(y)}" '
                     f'stroke="#888888" stroke-width="0.8"/>'
                 )
-    parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
+    svg = _svg(width, height, spec.title, parts, title_y=24.0, title_size=14)
 
-    rows = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            rows.append(
-                [
-                    data.variables[i],
-                    data.variables[j],
-                    fmt_csv(coeff[i, j]),
-                    fmt_csv(p_raw[i, j]),
-                    fmt_csv(p_adj[i, j]),
-                    "true" if data.significant[i, j] else "false",
-                ]
-            )
-    sidecar = csv_table(["var_a", "var_b", "coeff", "p_raw", "p_adjusted", "significant"], rows)
-    return svg, sidecar
+    rows = [
+        [
+            report.variables[i],
+            report.variables[j],
+            fmt_csv(report.coeff[i, j]),
+            fmt_csv(report.p_raw[i, j]),
+            fmt_csv(report.p_adjusted[i, j]),
+            "true" if report.significant[i, j] else "false",
+        ]
+        for i in range(k)
+        for j in range(i + 1, k)
+    ]
+    return svg, csv_table(["var_a", "var_b", "coeff", "p_raw", "p_adjusted", "significant"], rows)
 
 
 def heatmap_from_sidecar(sidecar: str) -> HeatmapData:
     """Rebuild heatmap input from its CSV sidecar (diagonal is implied)."""
-    reader = csv.reader(io.StringIO(sidecar))
-    header = next(reader)
-    assert header[0] == "var_a"
-    variables: list[str] = []
-    entries = []
-    for row in reader:
-        a, b, coeff, p_raw, p_adj, sig = row
-        for name in (a, b):
-            if name not in variables:
-                variables.append(name)
-        entries.append((a, b, coeff, p_raw, p_adj, sig))
+    entries = list(_sidecar_rows(sidecar))
+    variables = list(dict.fromkeys(name for row in entries for name in row[:2]))
     k = len(variables)
     idx = {name: i for i, name in enumerate(variables)}
     coeff = np.eye(k)
@@ -385,10 +363,10 @@ def heatmap_from_sidecar(sidecar: str) -> HeatmapData:
     significant = np.zeros((k, k), dtype=bool)
     for a, b, c, pr, pa, sig in entries:
         i, j = idx[a], idx[b]
-        cv = float(c) if c else float("nan")
-        coeff[i, j] = coeff[j, i] = cv
-        p_raw[i, j] = p_raw[j, i] = float(pr) if pr else float("nan")
-        p_adj[i, j] = p_adj[j, i] = float(pa) if pa else float("nan")
+        # An empty cell is a NaN.
+        coeff[i, j] = coeff[j, i] = float(c or "nan")
+        p_raw[i, j] = p_raw[j, i] = float(pr or "nan")
+        p_adj[i, j] = p_adj[j, i] = float(pa or "nan")
         significant[i, j] = significant[j, i] = sig == "true"
     return HeatmapData(variables, coeff, p_raw, p_adj, significant)
 
@@ -410,28 +388,21 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     quantiles, q_cells = _quantize(pairs[:, 0])
     ratios, r_cells = _quantize(pairs[:, 1])
     log_y = spec.scale == "log10" and bool(np.any(ratios > 0))
+    # The axis takes in the reference line and, on a linear scale, zero.
+    y_lo, y_hi = _y_range(np.append(ratios, (1.0, 0.0)), log_y)
 
     width, height = 460.0, 340.0
     px = _Axis(0.0, 1.0, 70.0, width - 30.0)
-    floor = _log_floor(np.append(ratios, 1.0)) if log_y else 0.0
-    y_hi = max(_first_max(ratios), 1.0)
-    y_lo = floor if log_y else min(_first_min(ratios), 1.0, 0.0)
     py = _Axis(y_lo, y_hi, height - 50.0, 40.0, log=log_y)
-
-    parts = _svg_open(width, height)
-    if spec.title:
-        parts.append(_text(width / 2.0, 20.0, spec.title, size=13, anchor="middle"))
-    parts.append(
+    (ref_y,), _ = py([1.0])
+    parts = [
         f'<rect x="{_c(70.0)}" y="{_c(40.0)}" width="{_c(width - 100.0)}" '
-        f'height="{_c(height - 90.0)}" fill="none" stroke="#333333" stroke-width="1"/>'
-    )
-    ref_y, _ = py(1.0)
-    parts.append(
+        f'height="{_c(height - 90.0)}" fill="none" stroke="#333333" stroke-width="1"/>',
         f'<line x1="{_c(70.0)}" y1="{_c(ref_y)}" x2="{_c(width - 30.0)}" y2="{_c(ref_y)}" '
-        f'stroke="#bb4444" stroke-width="1" stroke-dasharray="4 3"/>'
-    )
-    xs, _ = px.column(quantiles)
-    ys, clamped = py.column(ratios)
+        f'stroke="#bb4444" stroke-width="1" stroke-dasharray="4 3"/>',
+    ]
+    xs, _ = px(quantiles)
+    ys, clamped = py(ratios)
     # The sidecar first, so that its per-point cells are gone before the points are formatted.
     flags = map(("false", "true").__getitem__, clamped.tolist())
     sidecar = csv_table(["quantile", "ratio", "clamped"], zip(q_cells, r_cells, flags))
@@ -439,31 +410,19 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     parts += _points(
         '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#33668c"/>',
         '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#d09040"/>',
+        clamped,
         xs.tolist(),
         ys.tolist(),
-        clamped,
     )
     parts.append(_text(width / 2.0, height - 16.0, spec.x_label or "empirical quantile", size=11, anchor="middle"))
-    parts.append(
-        _text(
-            16.0,
-            height / 2.0,
-            spec.y_label or "runtime / stonewall",
-            size=11,
-            anchor="middle",
-            extra=f' transform="rotate(-90 16.00 {_c(height / 2.0)})"',
-        )
-    )
-    parts.append(_text(66.0, height - 44.0, fmt_label(y_lo if not log_y else floor), size=9, anchor="end"))
+    parts.append(_y_label(height, spec.y_label or "runtime / stonewall"))
+    parts.append(_text(66.0, height - 44.0, fmt_label(y_lo), size=9, anchor="end"))
     parts.append(_text(66.0, 46.0, fmt_label(y_hi), size=9, anchor="end"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n", sidecar
+    return _svg(width, height, spec.title, parts), sidecar
 
 
 def qq_from_sidecar(sidecar: str) -> list[tuple[float, float]]:
-    reader = csv.reader(io.StringIO(sidecar))
-    next(reader)
-    return [(float(q), float(r)) for q, r, _ in reader]
+    return [(float(q), float(r)) for q, r, _ in _sidecar_rows(sidecar)]
 
 
 # --- grouped box plot ---------------------------------------------------------------
@@ -508,9 +467,7 @@ def render_group_box(
 
     pooled = np.concatenate([values for _, values in ordered])
     log_y = spec.scale == "log10" and bool(np.any(pooled > 0))
-    floor = _log_floor(pooled) if log_y else 0.0
-    y_lo = floor if log_y else _first_min(pooled)
-    y_hi = float(pooled[pooled > 0].max()) if log_y else _first_max(pooled)
+    y_lo, y_hi = _y_range(pooled, log_y)
 
     n_groups = len(ordered)
     box_w = 46.0
@@ -518,10 +475,7 @@ def render_group_box(
     height = 360.0
     py = _Axis(y_lo, y_hi, height - 70.0, 56.0, log=log_y)
 
-    parts = _svg_open(width, height)
-    if spec.title:
-        parts.append(_text(width / 2.0, 20.0, spec.title, size=13, anchor="middle"))
-    annotation = ""
+    parts = []
     if annotate and n_groups >= 2:
         test = kruskal_wallis([values for _, values in ordered])
         annotation = (
@@ -530,7 +484,7 @@ def render_group_box(
         )
         parts.append(_text(width / 2.0, 38.0, annotation, size=9, anchor="middle"))
     for g, (label, arr) in enumerate(ordered):
-        q1, med, q3 = (float(v) for v in np.percentile(arr, [25.0, 50.0, 75.0]))
+        q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0]).tolist()
         iqr = q3 - q1
         in_lo = arr[arr >= q1 - 1.5 * iqr]
         in_hi = arr[arr <= q3 + 1.5 * iqr]
@@ -540,11 +494,7 @@ def render_group_box(
 
         cx = 90.0 + g * (box_w + 34.0) + box_w / 2.0
         x0 = cx - box_w / 2.0
-        yq1, _ = py(q1)
-        yq3, _ = py(q3)
-        ymed, _ = py(med)
-        ylo, _ = py(whisk_lo)
-        yhi, _ = py(whisk_hi)
+        yq1, yq3, ymed, ylo, yhi = py([q1, q3, med, whisk_lo, whisk_hi])[0].tolist()
         parts.append(
             f'<line x1="{_c(cx)}" y1="{_c(ylo)}" x2="{_c(cx)}" y2="{_c(yhi)}" '
             f'stroke="#333333" stroke-width="1"/>'
@@ -563,31 +513,19 @@ def render_group_box(
                 f'x2="{_c(cx + box_w / 4.0)}" y2="{_c(w_y)}" stroke="#333333" stroke-width="1"/>'
             )
         ring = '<circle cx="%.2f" cy="%.2f" r="2.0" fill="none" stroke="#b2502d" stroke-width="1"/>'
-        ys, clamped = py.column(outliers)
-        parts += _points(ring, ring, [cx] * outliers.size, ys.tolist(), clamped)
+        ys, clamped = py(outliers)
+        parts += _points(ring, ring, clamped, [cx] * outliers.size, ys.tolist())
         note = f" (n={arr.size})"
         parts.append(_text(cx, height - 36.0, label + note, size=10, anchor="middle"))
-    parts.append(
-        _text(
-            16.0,
-            height / 2.0,
-            spec.y_label + (" (log10)" if log_y else ""),
-            size=11,
-            anchor="middle",
-            extra=f' transform="rotate(-90 16.00 {_c(height / 2.0)})"',
-        )
-    )
-    parts.append(_text(84.0, height - 66.0, fmt_label(y_lo if not log_y else floor), size=9, anchor="end"))
+    parts.append(_y_label(height, spec.y_label + (" (log10)" if log_y else "")))
+    parts.append(_text(84.0, height - 66.0, fmt_label(y_lo), size=9, anchor="end"))
     parts.append(_text(84.0, 60.0, fmt_label(y_hi), size=9, anchor="end"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n", sidecar
+    return _svg(width, height, spec.title, parts), sidecar
 
 
 def groups_from_sidecar(sidecar: str) -> list[tuple[str, list[float]]]:
-    reader = csv.reader(io.StringIO(sidecar))
-    next(reader)
     grouped: dict[str, list[float]] = {}
-    for label, value in reader:
+    for label, value in _sidecar_rows(sidecar):
         grouped.setdefault(label, []).append(float(value))
     return list(grouped.items())
 
@@ -609,12 +547,9 @@ def render_score_strip(
     _finite([v for _, v in rows])
     spec = spec or RenderSpec(scale="log10")
     data = sorted(((label, q6(v)) for label, v in rows), key=lambda kv: (kv[1], kv[0]))
-    values = [v for _, v in data]
-    log_y = spec.scale == "log10" and any(v > 0 for v in values)
-    floor = _log_floor(values) if log_y else 0.0
-    positives = [v for v in values if v > 0] or [1.0]
-    y_lo = floor if log_y else min(values)
-    y_hi = max(positives) if log_y else max(values)
+    values = np.array([v for _, v in data])
+    log_y = spec.scale == "log10" and bool(np.any(values > 0))
+    y_lo, y_hi = _y_range(values, log_y)
 
     labels = sorted({label for label, _ in data})
     palette = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#7f7f7f")
@@ -624,54 +559,29 @@ def render_score_strip(
     height = 320.0
     px = _Axis(0.0, float(max(len(data) - 1, 1)), 80.0, width - 170.0)
     py = _Axis(y_lo, y_hi, height - 60.0, 46.0, log=log_y)
+    xs, _ = px(np.arange(len(data), dtype=float))
+    ys, clamped = py(values)
 
-    parts = _svg_open(width, height)
-    if spec.title:
-        parts.append(_text(width / 2.0, 20.0, spec.title, size=13, anchor="middle"))
-    parts.append(
+    circle = '<circle cx="%.2f" cy="%.2f" r="3.0" fill="%s"/>'
+    parts = [
         f'<rect x="80.00" y="46.00" width="{_c(width - 250.0)}" height="{_c(height - 106.0)}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
-    clamped_flags = []
-    for i, (label, value) in enumerate(data):
-        x, _ = px(float(i))
-        y, clamped = py(value)
-        clamped_flags.append(clamped)
-        parts.append(f'<circle cx="{_c(x)}" cy="{_c(y)}" r="3.0" fill="{color[label]}"/>')
-        if clamped:
-            parts.append(_text(x, y - 6.0, "0", size=8, anchor="middle"))
+    ]
+    parts += _points(circle, circle, clamped, xs.tolist(), ys.tolist(), [color[label] for label, _ in data], lift=6.0)
     for i, label in enumerate(labels):
         ly = 56.0 + i * 16.0
         parts.append(f'<circle cx="{_c(width - 150.0)}" cy="{_c(ly - 4.0)}" r="4.0" fill="{color[label]}"/>')
         parts.append(_text(width - 140.0, ly, label, size=10))
     parts.append(_text(width / 2.0 - 60.0, height - 18.0, spec.x_label or "submissions (sorted)", size=11, anchor="middle"))
-    parts.append(
-        _text(
-            16.0,
-            height / 2.0,
-            (spec.y_label or "value") + (" (log10)" if log_y else ""),
-            size=11,
-            anchor="middle",
-            extra=f' transform="rotate(-90 16.00 {_c(height / 2.0)})"',
-        )
-    )
-    parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
+    parts.append(_y_label(height, (spec.y_label or "value") + (" (log10)" if log_y else "")))
 
-    sidecar = csv_table(
-        ["label", "value", "clamped"],
-        [
-            [label, fmt_csv(v), "true" if flag else "false"]
-            for (label, v), flag in zip(data, clamped_flags)
-        ],
-    )
-    return svg, sidecar
+    flags = map(("false", "true").__getitem__, clamped.tolist())
+    rows = [[label, fmt_csv(v), flag] for (label, v), flag in zip(data, flags)]
+    return _svg(width, height, spec.title, parts), csv_table(["label", "value", "clamped"], rows)
 
 
 def strip_from_sidecar(sidecar: str) -> list[tuple[str, float]]:
-    reader = csv.reader(io.StringIO(sidecar))
-    next(reader)
-    return [(label, float(value)) for label, value, _ in reader]
+    return [(label, float(value)) for label, value, _ in _sidecar_rows(sidecar)]
 
 
 # --- output layout -----------------------------------------------------------------

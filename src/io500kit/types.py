@@ -179,6 +179,11 @@ class ProcessTimingTable:
         if np.any(bad):
             i = _first(bad)
             raise ValidationError(f"rank {rank[i]}: end {end[i]} < start {start[i]}")
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(end - start)
+        if np.any(bad):
+            i = _first(bad)
+            raise ValidationError(f"rank {rank[i]}: runtime end {end[i]} - start {start[i]} overflows a float")
         bad = close < 0
         if np.any(bad):
             raise ValidationError(f"rank {rank[_first(bad)]}: close_s must be >= 0")

@@ -6,7 +6,8 @@ literal step-up definition, Gini by the O(n^2) pairwise-difference sum.
 The timing CSV scan converts one row at a time, as the package did when its
 column conversion failed; the package must return the same columns and
 warnings, or raise the same error for the same line.
-The Q-Q and box plot renderers draw one point at a time, as the package did
+The Q-Q, box plot and score strip renderers draw one point at a time through
+a per-value axis, and the heatmap quantizes every cell, as the package did
 before its renderers worked on whole columns; the package's renderers must
 produce the same SVG and sidecar bytes. The manifest reader at the end reads
 the whole text at once, as the package did before it read a line at a time;
@@ -21,6 +22,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,11 +30,11 @@ import numpy as np
 from io500kit import ingest
 from io500kit.errors import EmptyInputError, ParseError, ValidationError
 from io500kit.report import (
+    HeatmapData,
     RenderSpec,
-    _Axis,
     _c,
+    _diverging_color,
     _natural_label_key,
-    _svg_open,
     _text,
     fmt_csv,
     fmt_label,
@@ -210,6 +212,50 @@ def _csv_table(header, rows):
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
+
+
+def _svg_open(width, height):
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_c(width)}" '
+        f'height="{_c(height)}" viewBox="0 0 {_c(width)} {_c(height)}">',
+        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
+    ]
+
+
+@dataclass
+class _Axis:
+    """Maps one data value at a time onto a pixel interval, optionally through log10."""
+
+    lo: float
+    hi: float
+    px_lo: float
+    px_hi: float
+    log: bool = False
+    floor: float = field(init=False, default=0.0)
+
+    def __post_init__(self):
+        if self.log:
+            if self.hi <= 0:
+                raise ValueError("log scale needs a positive maximum")
+            self.floor = self.lo  # already positive, set by caller
+            self.lo = math.log10(self.lo)
+            self.hi = math.log10(self.hi)
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError("cannot plot values whose span overflows a float")
+        if self.hi == self.lo:
+            # One unit, or one float step where a unit no longer changes lo (|lo| >= 2**53).
+            self.hi = self.lo + max(1.0, math.ulp(self.lo))
+
+    def __call__(self, value: float) -> tuple[float, bool]:
+        """Pixel position plus a flag when the value was pinned to the floor."""
+        clamped = False
+        if self.log:
+            if value <= 0:
+                value = self.floor
+                clamped = True
+            value = math.log10(max(value, self.floor))
+        frac = (value - self.lo) / (self.hi - self.lo)
+        return self.px_lo + frac * (self.px_hi - self.px_lo), clamped
 
 
 def _log_floor(values):
@@ -394,6 +440,162 @@ def render_group_box_oracle(
         ["label", "value"],
         [[label, fmt_csv(v)] for label, values in ordered for v in values],
     )
+    return svg, sidecar
+
+
+def render_score_strip_oracle(
+    rows: Sequence[tuple[str, float]], spec: RenderSpec | None = None
+) -> tuple[str, str]:
+    """Per-point reference for report.render_score_strip."""
+    if not rows:
+        raise EmptyInputError("no values to plot")
+    _reject_non_finite(v for _, v in rows)
+    spec = spec or RenderSpec(scale="log10")
+    data = sorted(((label, q6(v)) for label, v in rows), key=lambda kv: (kv[1], kv[0]))
+    values = [v for _, v in data]
+    log_y = spec.scale == "log10" and any(v > 0 for v in values)
+    floor = _log_floor(values) if log_y else 0.0
+    positives = [v for v in values if v > 0] or [1.0]
+    y_lo = floor if log_y else min(values)
+    y_hi = max(positives) if log_y else max(values)
+
+    labels = sorted({label for label, _ in data})
+    palette = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#7f7f7f")
+    color = {label: palette[i % len(palette)] for i, label in enumerate(labels)}
+
+    width = max(420.0, 90.0 + len(data) * 9.0 + 150.0)
+    height = 320.0
+    px = _Axis(0.0, float(max(len(data) - 1, 1)), 80.0, width - 170.0)
+    py = _Axis(y_lo, y_hi, height - 60.0, 46.0, log=log_y)
+
+    parts = _svg_open(width, height)
+    if spec.title:
+        parts.append(_text(width / 2.0, 20.0, spec.title, size=13, anchor="middle"))
+    parts.append(
+        f'<rect x="80.00" y="46.00" width="{_c(width - 250.0)}" height="{_c(height - 106.0)}" '
+        f'fill="none" stroke="#333333" stroke-width="1"/>'
+    )
+    clamped_flags = []
+    for i, (label, value) in enumerate(data):
+        x, _ = px(float(i))
+        y, clamped = py(value)
+        clamped_flags.append(clamped)
+        parts.append(f'<circle cx="{_c(x)}" cy="{_c(y)}" r="3.0" fill="{color[label]}"/>')
+        if clamped:
+            parts.append(_text(x, y - 6.0, "0", size=8, anchor="middle"))
+    for i, label in enumerate(labels):
+        ly = 56.0 + i * 16.0
+        parts.append(f'<circle cx="{_c(width - 150.0)}" cy="{_c(ly - 4.0)}" r="4.0" fill="{color[label]}"/>')
+        parts.append(_text(width - 140.0, ly, label, size=10))
+    parts.append(_text(width / 2.0 - 60.0, height - 18.0, spec.x_label or "submissions (sorted)", size=11, anchor="middle"))
+    parts.append(
+        _text(
+            16.0,
+            height / 2.0,
+            (spec.y_label or "value") + (" (log10)" if log_y else ""),
+            size=11,
+            anchor="middle",
+            extra=f' transform="rotate(-90 16.00 {_c(height / 2.0)})"',
+        )
+    )
+    parts.append("</svg>")
+    svg = "\n".join(parts) + "\n"
+
+    sidecar = _csv_table(
+        ["label", "value", "clamped"],
+        [
+            [label, fmt_csv(v), "true" if flag else "false"]
+            for (label, v), flag in zip(data, clamped_flags)
+        ],
+    )
+    return svg, sidecar
+
+
+def _as_heatmap_data(report) -> HeatmapData:
+    return HeatmapData(
+        variables=list(report.variables),
+        coeff=np.asarray(report.coeff, dtype=float),
+        p_raw=np.asarray(report.p_raw, dtype=float),
+        p_adjusted=np.asarray(report.p_adjusted, dtype=float),
+        significant=np.asarray(report.significant, dtype=bool),
+    )
+
+
+def render_corr_heatmap_oracle(report, spec: RenderSpec | None = None) -> tuple[str, str]:
+    """Per-cell reference for report.render_corr_heatmap: every coefficient
+    and p-value quantized, the CSV cells formatted from the quantized values."""
+    data = _as_heatmap_data(report)
+    spec = spec or RenderSpec()
+    k = len(data.variables)
+    with np.errstate(invalid="ignore"):  # a NaN cell sets the invalid flag in np.vectorize's float cast
+        coeff = np.vectorize(q6)(data.coeff) if k else data.coeff
+        p_raw = np.vectorize(q6)(data.p_raw) if k else data.p_raw
+        p_adj = np.vectorize(q6)(data.p_adjusted) if k else data.p_adjusted
+
+    cell = 34.0
+    left, top = 150.0, 60.0 + (110.0 if k else 0.0)
+    width = left + k * cell + 30.0
+    height = top + k * cell + 30.0
+    parts = _svg_open(width, height)
+    if spec.title:
+        parts.append(_text(width / 2.0, 24.0, spec.title, size=14, anchor="middle"))
+    for idx, name in enumerate(data.variables):
+        cx = left + idx * cell + cell / 2.0
+        parts.append(
+            _text(
+                cx,
+                top - 8.0,
+                name,
+                size=10,
+                anchor="start",
+                extra=f' transform="rotate(-60 {_c(cx)} {_c(top - 8.0)})"',
+            )
+        )
+        parts.append(_text(left - 8.0, top + idx * cell + cell / 2.0 + 4.0, name, size=10, anchor="end"))
+    for i in range(k):
+        for j in range(k):
+            x = left + j * cell
+            y = top + i * cell
+            c = coeff[i, j]
+            parts.append(
+                f'<rect x="{_c(x)}" y="{_c(y)}" width="{_c(cell)}" height="{_c(cell)}" '
+                f'fill="{"#f4f4f4" if c != c else "#ffffff"}" stroke="#cccccc" stroke-width="0.5"/>'
+            )
+            if c != c:  # NaN: pair not computable, leave the cell gray
+                continue
+            radius = abs(c) * (cell / 2.0 - 3.0)
+            if radius > 0:
+                parts.append(
+                    f'<circle cx="{_c(x + cell / 2.0)}" cy="{_c(y + cell / 2.0)}" '
+                    f'r="{_c(radius)}" fill="{_diverging_color(c)}" stroke="#555555" '
+                    f'stroke-width="0.5"/>'
+                )
+            if i != j and not data.significant[i, j]:
+                parts.append(
+                    f'<line x1="{_c(x)}" y1="{_c(y)}" x2="{_c(x + cell)}" y2="{_c(y + cell)}" '
+                    f'stroke="#888888" stroke-width="0.8"/>'
+                )
+                parts.append(
+                    f'<line x1="{_c(x)}" y1="{_c(y + cell)}" x2="{_c(x + cell)}" y2="{_c(y)}" '
+                    f'stroke="#888888" stroke-width="0.8"/>'
+                )
+    parts.append("</svg>")
+    svg = "\n".join(parts) + "\n"
+
+    rows = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            rows.append(
+                [
+                    data.variables[i],
+                    data.variables[j],
+                    fmt_csv(coeff[i, j]),
+                    fmt_csv(p_raw[i, j]),
+                    fmt_csv(p_adj[i, j]),
+                    "true" if data.significant[i, j] else "false",
+                ]
+            )
+    sidecar = _csv_table(["var_a", "var_b", "coeff", "p_raw", "p_adjusted", "significant"], rows)
     return svg, sidecar
 
 

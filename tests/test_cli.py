@@ -316,6 +316,7 @@ def test_logs_stonewall_flag_supplies_missing_value(tmp_path, summary_basic):
 # Hand-built packages (the id is the directory name): {package: {file: content}}.
 # Each one reaches a note or a silent skip of one or more log analyses.
 NO_STONEWALL = "rank,start,end,close\n0,0,310,1.5\n1,0,312,2\n2,0,309,1\n3,0,311,3\n"
+FOUR_RANKS = "rank,start,end\n0,0,310\n1,0,305\n2,0,320\n3,0,311\n"
 LOG_CORPORA = {
     "mixed": {
         "a-mixed": {
@@ -330,6 +331,20 @@ LOG_CORPORA = {
             "find.csv": "rank,start,end,items\n0,0,5,10\n1,0,6,10\n2,0,9,40\n3,0,5,10\n",
         },
         "c-zero": {"find.csv": "rank,start,end,items\n0,0,5,0\n1,0,5,0\n"},
+    },
+    # A finite start and end whose difference overflows: ingest discards the table.
+    "overflow": {
+        "e-overflow": {
+            "ior-easy-write.csv": "# stonewall_s = 300\nrank,start,end,close\n0,-1.7e308,1.7e308,1\n1,0,305,2\n"
+        },
+        "f-ok": {
+            "ior-easy-write.csv": "# stonewall_s = 300\nrank,start,end,close\n0,0,310,1\n1,0,305,2\n2,0,320,4\n3,0,311,1\n"
+        },
+    },
+    # A stonewall so small that runtime / stonewall overflows: the table is noted.
+    "tiny": {
+        "g-tiny": {"ior-easy-write.csv": "# stonewall_s = 1e-320\n" + FOUR_RANKS},
+        "h-ok": {"ior-hard-write.csv": "# stonewall_s = 300\n" + FOUR_RANKS},
     },
     # Notes but no rows: nothing is written, notes included.
     "bare": {
@@ -350,6 +365,7 @@ NO_STONEWALL_NOTE = (
     "ior-easy-write: timing table carries no stonewall duration; "
     "pass stonewall_s=300 explicitly to use the nominal value"
 )
+TINY_STONEWALL_NOTE = "ior-easy-write: runtime / stonewall overflows a float at rank 0 (stonewall_s = 1e-320)\n"
 LOG_CASES = [
     # (corpus, analysis, stdout, files written under logs/ besides the notes, {notes file: text})
     ("mixed", "runtime", "runtime summary over 3 submissions, 0 violations", RUNTIME_FILES, {}),
@@ -394,6 +410,41 @@ LOG_CASES = [
             "find: all item counts are zero\n"
         },
     ),
+    (
+        "overflow",
+        "stonewall",
+        "stonewall ratios for 1 write-phase tables",
+        {"stonewall_summary.csv", "stonewall_summary.txt", "qq_f-ok_ior-easy-write.svg", "qq_f-ok_ior-easy-write.csv"},
+        {},
+    ),
+    (
+        "overflow",
+        "stragglers",
+        "straggler analysis for 1 write-phase tables",
+        {"stragglers.csv", "stragglers.txt"},
+        {},
+    ),
+    (
+        "overflow",
+        "close",
+        "close-time summary for 1 phase tables",
+        {"close_summary.csv", "close_summary.txt", "close_box.svg", "close_box.csv"},
+        {},
+    ),
+    (
+        "tiny",
+        "stonewall",
+        "stonewall ratios for 1 write-phase tables",
+        {"stonewall_summary.csv", "stonewall_summary.txt", "qq_h-ok_ior-hard-write.svg", "qq_h-ok_ior-hard-write.csv"},
+        {"stonewall_notes.txt": TINY_STONEWALL_NOTE},
+    ),
+    (
+        "tiny",
+        "stragglers",
+        "straggler analysis for 1 write-phase tables",
+        {"stragglers.csv", "stragglers.txt"},
+        {"straggler_notes.txt": TINY_STONEWALL_NOTE},
+    ),
     ("bare", "runtime", "runtime summary over 1 submissions, 0 violations", RUNTIME_FILES, {}),
     ("bare", "close", "no close-time data available", set(), {}),
     ("bare", "stonewall", "no stonewall timing data available", set(), {}),
@@ -426,6 +477,26 @@ def test_logs_files_and_notes_per_analysis(
     assert written == files | set(notes)
     for name, text in notes.items():
         assert (out / "logs" / name).read_text() == text
+
+
+@pytest.mark.parametrize(
+    "analysis, notes_file", [("stonewall", "stonewall_notes.txt"), ("stragglers", "straggler_notes.txt")]
+)
+def test_logs_stonewall_flag_that_overflows_a_ratio_is_noted(
+    tmp_path, capsys, analysis, notes_file, summary_basic
+):
+    # Under a stonewall of 1e-310 s a zero runtime keeps a finite ratio; 310 s does not.
+    pkg = tmp_path / "packages" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / SUMMARY_FILENAME).write_text(summary_basic)
+    (pkg / "ior-easy-write.csv").write_text("rank,start,end\n0,5,5\n1,5,5\n2,5,5\n3,5,5\n")
+    (pkg / "ior-hard-write.csv").write_text(FOUR_RANKS)
+    out = tmp_path / "out"
+    assert run("logs", tmp_path / "packages", "--analysis", analysis, "--stonewall", "1e-310", "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "logs" / notes_file).read_text() == (
+        "ior-hard-write: runtime / stonewall overflows a float at rank 0 (stonewall_s = 1e-310)\n"
+    )
 
 
 def test_synth_config_straggler_pipeline(tmp_path):

@@ -10,6 +10,7 @@ from io500kit.errors import (
     DegenerateInputError,
     NotAvailableError,
     SampleSizeError,
+    ValidationError,
 )
 from io500kit.ingest import normalize_metadata
 from io500kit.loginsight import Pattern
@@ -107,6 +108,20 @@ def test_stonewall_ratio_missing_directs_to_nominal(timing_factory):
         loginsight.stonewall_ratios(table)
     out = loginsight.stonewall_ratios(table, stonewall_s=300.0)
     assert out.stonewall_s == 300.0
+
+
+@pytest.mark.parametrize("table_stonewall, stonewall_s", [(1e-320, None), (300.0, 1e-310)])
+def test_stonewall_ratio_that_overflows_raises(timing_factory, table_stonewall, stonewall_s):
+    table = timing_factory(runtimes=[0.0, 310.0, 320.0], stonewall=table_stonewall)
+    with pytest.raises(DegenerateInputError, match="overflows a float at rank 1"):
+        loginsight.stonewall_ratios(table, stonewall_s=stonewall_s)
+
+
+def test_timing_table_rejects_a_runtime_that_overflows():
+    with pytest.raises(ValidationError, match="rank 3: runtime end 1.7e.308 - start -1.7e.308 overflows"):
+        ProcessTimingTable(
+            phase=Phase.IOR_EASY_WRITE, rank=[4, 3], start_s=[0.0, -1.7e308], end_s=[1.7e308, 1.7e308]
+        )
 
 
 def test_stonewall_ratios_permutation_invariant(timing_factory):

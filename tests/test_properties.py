@@ -1,6 +1,6 @@
 """Property tests for the columnar timing parser, the manifest codec, the
-other parsers and the synth config loader on odd input, and the columnar Q-Q
-and box plot renderers.
+other parsers and the synth config loader on odd input, and the columnar
+renderers.
 
 Derandomized, so every run checks the same examples.
 """
@@ -19,10 +19,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from io500kit import ingest, report, synth
+from io500kit import ingest, report, stats, synth
 from io500kit.errors import ConfigError, Io500KitError, ParseError, ValidationError
 from io500kit.types import Filesystem, Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
-from oracles import read_manifest_oracle, render_group_box_oracle, render_qq_oracle, scan_timing_rows_oracle
+from oracles import (
+    _Axis,
+    read_manifest_oracle,
+    render_corr_heatmap_oracle,
+    render_group_box_oracle,
+    render_qq_oracle,
+    render_score_strip_oracle,
+    scan_timing_rows_oracle,
+)
 
 PHASE = Phase.IOR_EASY_WRITE
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -313,11 +321,11 @@ def damaged_manifest(draw):
 
 
 def _pinned_manifests():
-    """Manifests whose line ends a whole-text read translates, one with an
-    undecodable byte near its end, and ones with two faults each, where the
-    first that a whole-text read meets is the one to report: byte, header
-    structure, line count, table line, then meta, phases, table columns,
-    warnings and scores."""
+    """Manifests whose line ends a whole-text read translates, ones with an
+    undecodable byte on line 2 or near the end, and ones with two faults
+    each, where the first that a whole-text read meets is the one to report:
+    byte, header structure, line count, table line, then meta, phases, table
+    columns, warnings and scores."""
     table = ProcessTimingTable(
         phase=PHASE, rank=np.arange(3), start_s=np.zeros(3), end_s=np.ones(3), stonewall_s=300.0
     )
@@ -336,6 +344,8 @@ def _pinned_manifests():
         text().replace(b"\n", b"\r\n"),
         text().replace(b"\n", b"\r"),
         text(tail=b"\n\xc3"),
+        text(find=b'"\xff"'),  # line 2, in the first chunk a text-mode read decodes
+        text(find=b" " * 20000 + json.dumps(find).encode(), tail=b"\n\xc3"),  # chunks after the first
         text(header={**header, "meta": []}, find=bad_rank),
         text(header={**header, "phases": [{}]}, find=bad_rank),
         text(header={**header, "warnings": [0]}, find=bad_rank),
@@ -627,6 +637,7 @@ def box_groups(draw):
 @example([(0.5, 2.0), (1.0, math.nan)], report.RenderSpec(), True)
 @example([(math.nan, 2.0)], report.RenderSpec(), False)
 @example([(0.5, 5e-324), (1.0, 2.0)], report.RenderSpec(scale="log10"), False)
+@example([(0.0, 1.7976931348623157e308), (0.0, -3.134865e302)], report.RenderSpec(), False)
 @given(qq_pairs(), plot_spec(), st.booleans())
 def test_render_qq_matches_per_point_oracle(pairs, spec, as_array):
     got = _render(report.render_qq, np.array(pairs) if as_array else pairs, spec)
@@ -641,11 +652,67 @@ def test_render_qq_matches_per_point_oracle(pairs, spec, as_array):
 @example([("g", [1.0, 1.7976931348623157e308, -math.inf])], report.RenderSpec(), False, False)
 @example([("a", []), ("b", [1.0, math.nan])], report.RenderSpec(), True, True)
 @example([("a", [5e-324, 1.0])], report.RenderSpec(scale="log10"), False, False)
+@example([("a", [-1.79e308, 1.79e308])], report.RenderSpec(), True, False)
+@example([("a", [1.7976931348623157e308] * 3)], report.RenderSpec(), False, True)
 @given(box_groups(), plot_spec(), st.booleans(), st.booleans())
 def test_render_group_box_matches_per_point_oracle(groups, spec, annotate, as_array):
     columns = [(label, np.array(values)) for label, values in groups] if as_array else groups
     got = _render(report.render_group_box, columns, spec, annotate=annotate)
     assert got == _render(render_group_box_oracle, groups, spec, annotate=annotate)
+
+
+@PROPERTY
+@example([], report.RenderSpec())
+@example([("a", 0.0), ("b", 3.0)], None)
+@example([("a", 0.0), ("b", -0.0), ("a", -0.0), ("<&>", 2.0)], report.RenderSpec(scale="log10"))
+@example([("b", 1.0000001), ("a", 1.00000049), ("a", 1.0)], report.RenderSpec(scale="log10"))
+@example([("a,b", 5e-324), ('say "hi"', 1.7976931348623157e308)], report.RenderSpec(scale="log10"))
+@example([("a", -5e-324), ("b", 1.7976931348623157e308)], report.RenderSpec())
+@example([("a", 2.0), ("b", math.nan)], report.RenderSpec())
+@given(st.lists(st.tuples(LABELS, PLOT_VALUES), max_size=40), plot_spec())
+def test_render_score_strip_matches_per_point_oracle(rows, spec):
+    assert _render(report.render_score_strip, rows, spec) == _render(render_score_strip_oracle, rows, spec)
+
+
+# Coefficients of 0 (no circle), +-1 (a full one) and NaN (a gray cell); p-values
+# with NaN, 0 and 1; variable names CSV and SVG must escape.
+COEFFICIENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, 0.5, -0.25, 0.99999949, -5e-324]),
+    st.floats(-1.0, 1.0),
+)
+P_VALUES = st.one_of(st.sampled_from([0.0, 1.0, math.nan, 1e-300, 0.049999995]), st.floats(0.0, 1.0))
+VARIABLES = ["score", "a,b", 'say "hi"', "<&>", "bw_easy_write", "md", "x y", ""]
+
+
+@st.composite
+def heatmap_input(draw):
+    """A CorrelationReport or a HeatmapData over 0 to 6 variables."""
+    k = draw(st.integers(0, 6))
+    names = draw(st.lists(st.sampled_from(VARIABLES), min_size=k, max_size=k, unique=True))
+
+    def matrix(elements, dtype=float):
+        return np.array(draw(st.lists(elements, min_size=k * k, max_size=k * k)), dtype=dtype).reshape(k, k)
+
+    columns = (matrix(COEFFICIENTS), matrix(P_VALUES), matrix(P_VALUES), matrix(st.booleans(), bool))
+    if draw(st.booleans()):
+        return stats.CorrelationReport(names, "spearman", *columns, alpha=0.05, n_per_pair=np.full((k, k), 30))
+    return report.HeatmapData(names, *columns)
+
+
+_CORR_TABLE = np.column_stack([np.arange(12.0), np.arange(12.0) ** 2 % 7, np.r_[np.nan, np.arange(11.0)][::-1]])
+
+
+@PROPERTY
+@example(report.HeatmapData([], *[np.zeros((0, 0))] * 3, np.zeros((0, 0), bool)), None)
+@example(stats.correlation_matrix(["a,b", 'say "hi"', "<&>"], _CORR_TABLE), report.RenderSpec(title="t<&>"))
+@example(stats.correlation_matrix(["x", "y"], np.column_stack([np.arange(9.0)] * 2)), None)
+@given(heatmap_input(), plot_spec())
+def test_render_corr_heatmap_matches_per_cell_oracle(data, spec):
+    want = render_corr_heatmap_oracle(data, spec)
+    assert report.render_corr_heatmap(data, spec) == want
+    # The same input re-read from its sidecar, as a HeatmapData.
+    rebuilt = report.heatmap_from_sidecar(want[1])
+    assert report.render_corr_heatmap(rebuilt, spec) == render_corr_heatmap_oracle(rebuilt, spec)
 
 
 # Spread values: one in a few dozen sits where np.log10 rounds unlike math.log10.
@@ -665,9 +732,17 @@ def test_axis_column_is_bit_equal_to_per_value(values, lo, hi, log):
     if log:  # as the renderers build a log axis: a positive floor below a positive top
         lo, hi = abs(lo) or 1.0, abs(hi) or 1.0
         lo, hi = min(lo, hi), max(lo, hi)
-    axis = report._Axis(lo, hi, 290.0, 56.0, log=log)
-    positions, clamped = axis.column(np.array(values))
-    want = [axis(v) for v in values]
+    try:
+        axis = report._Axis(lo, hi, 290.0, 56.0, log=log)
+    except ValueError as exc:  # a span that overflows, which the per-value axis refuses alike
+        with pytest.raises(ValueError, match=str(exc)):
+            _Axis(lo, hi, 290.0, 56.0, log=log)
+        return
+    # A value far outside [lo, hi] overflows to inf or nan, silently per value; numpy warns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions, clamped = axis(np.array(values))
+    per_value = _Axis(lo, hi, 290.0, 56.0, log=log)
+    want = [per_value(v) for v in values]
     assert positions.tobytes() == np.array([p for p, _ in want]).tobytes()
     assert clamped.tolist() == [c for _, c in want]
 

@@ -152,6 +152,20 @@ def test_renderers_reject_non_finite_values(bad):
     report.render_score_strip([("lustre", 1.7976931348623157e308)])
 
 
+@pytest.mark.parametrize(
+    "render",
+    [
+        lambda: report.render_qq([(0.0, 1.7976931348623157e308), (0.0, -3.134865e302)]),
+        lambda: report.render_group_box([("a", [-1.79e308, 1.79e308])]),
+        lambda: report.render_score_strip([("a", -1.79e308), ("b", 1.79e308)], report.RenderSpec()),
+    ],
+)
+def test_renderers_reject_finite_values_whose_span_overflows(render):
+    # Each value is finite, but the distance between them is not: no "nan" may be drawn.
+    with pytest.raises(ValueError, match="span overflows"):
+        render()
+
+
 def test_qq_sidecar_round_trip():
     rng = np.random.default_rng(40)
     ratios = np.sort(rng.uniform(1.0, 5.0, size=25))
