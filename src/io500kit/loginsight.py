@@ -140,12 +140,13 @@ def detect_stragglers(
     ratios: Sequence[float],
     ranks: Sequence[int] | None = None,
     iqr_multiplier: float = 1.5,
-    ratio_floor: float | None = 1.2,
+    ratio_floor: float = 1.2,
 ) -> set[int]:
     """Ranks whose ratio exceeds Q3 + multiplier*IQR and the absolute floor.
 
-    Both conditions must hold (pass ratio_floor=None to test the fence
-    alone). Needs at least 4 observations for the quartiles to mean anything.
+    Both conditions must hold; a ratio_floor of 0 tests the fence alone,
+    since no stonewall ratio is negative. Needs at least 4 observations for
+    the quartiles to mean anything.
     """
     arr = np.asarray(ratios, dtype=float)
     if arr.ndim != 1 or not np.all(np.isfinite(arr)):
@@ -158,10 +159,7 @@ def detect_stragglers(
         raise ValueError("ranks and ratios must have equal length")
     q1, q3 = np.percentile(arr, [25.0, 75.0])
     fence = q3 + iqr_multiplier * (q3 - q1)
-    mask = arr > fence
-    if ratio_floor is not None:
-        mask &= arr >= ratio_floor
-    return set(np.asarray(ranks)[mask].tolist())
+    return set(np.asarray(ranks)[(arr > fence) & (arr >= ratio_floor)].tolist())
 
 
 @dataclass
@@ -169,19 +167,6 @@ class PatternResult:
     pattern: Pattern
     adjacency_index: float
     run_count: int
-
-
-def _runs(sorted_ranks: list[int]) -> list[int]:
-    """Lengths of maximal runs of consecutive ranks."""
-    lengths: list[int] = []
-    i = 0
-    while i < len(sorted_ranks):
-        j = i
-        while j + 1 < len(sorted_ranks) and sorted_ranks[j + 1] == sorted_ranks[j] + 1:
-            j += 1
-        lengths.append(j - i + 1)
-        i = j + 1
-    return lengths
 
 
 def classify_straggler_pattern(
@@ -196,49 +181,50 @@ def classify_straggler_pattern(
 
     CONTIGUOUS when one run covers nearly all stragglers, CLUSTERED when two
     or more multi-rank runs cover most of them, DISPERSED otherwise; sets
-    below the minimum size are NONE.
+    below the minimum size, and the empty set whatever that size, are NONE.
 
     Runs are counted in rank space, not in table rows: a rank missing from
     the timing table (never written, or rejected at parse time) splits the
     run around it, so a contiguous block with a gap is two runs.
     """
-    ranks = sorted(set(int(r) for r in stragglers))
-    for r in ranks:
-        if r < 0 or r >= n_ranks:
-            raise ValueError(f"straggler rank {r} outside [0, {n_ranks})")
+    ranks = sorted({int(r) for r in stragglers})
+    outside = next((r for r in ranks if not 0 <= r < n_ranks), None)
+    if outside is not None:
+        raise ValueError(f"straggler rank {outside} outside [0, {n_ranks})")
     s = len(ranks)
-    run_lengths = _runs(ranks)
-    run_count = len(run_lengths)
-    adjacent_pairs = s - run_count
-    adjacency = adjacent_pairs / (s - 1) if s >= 2 else 0.0
-    if s < min_pattern_size:
+    # The ranks lie in [0, n_ranks), so they fit int64 whenever n_ranks does.
+    column = np.array(ranks, dtype=np.int64 if n_ranks <= 2**63 else object)
+    # A run starts at each rank that does not follow the one before it; the
+    # first rank is >= 0, so the -2 put before it always starts one.
+    starts = np.flatnonzero(np.diff(column, prepend=-2) != 1)
+    run_lengths = np.diff(starts, append=s)
+    run_count = starts.size
+    adjacency = (s - run_count) / (s - 1) if s >= 2 else 0.0
+    if s == 0 or s < min_pattern_size:
         return PatternResult(Pattern.NONE, adjacency, run_count)
-    if max(run_lengths) >= contiguous_fraction * s:
+    if run_lengths.max() >= contiguous_fraction * s:
         return PatternResult(Pattern.CONTIGUOUS, adjacency, run_count)
-    multi = [length for length in run_lengths if length >= min_run_length]
-    if len(multi) >= 2 and sum(multi) >= clustered_fraction * s:
+    multi = run_lengths[run_lengths >= min_run_length]
+    if multi.size >= 2 and multi.sum() >= clustered_fraction * s:
         return PatternResult(Pattern.CLUSTERED, adjacency, run_count)
     return PatternResult(Pattern.DISPERSED, adjacency, run_count)
 
 
 @dataclass
-class StragglerReport:
-    phase: Phase
-    stonewall_s: float
-    ranks: np.ndarray  # int64, sorted
-    ratios: np.ndarray  # float64, rank order
+class StragglerReport(StonewallRatios):
+    """A table's stonewall ratios with its stragglers and their classification."""
+
     straggler_ranks: set[int]
     pattern: Pattern
     adjacency_index: float
     run_count: int
-    qq: np.ndarray  # (n, 2), as in StonewallRatios
 
 
 def straggler_report(
     timing: ProcessTimingTable,
     stonewall_s: float | None = None,
     iqr_multiplier: float = 1.5,
-    ratio_floor: float | None = 1.2,
+    ratio_floor: float = 1.2,
     min_pattern_size: int = 3,
     contiguous_fraction: float = 0.9,
     clustered_fraction: float = 0.6,
@@ -261,17 +247,7 @@ def straggler_report(
         clustered_fraction=clustered_fraction,
         min_run_length=min_run_length,
     )
-    return StragglerReport(
-        phase=timing.phase,
-        stonewall_s=ratios.stonewall_s,
-        ranks=ratios.ranks,
-        ratios=ratios.ratios,
-        straggler_ranks=stragglers,
-        pattern=result.pattern,
-        adjacency_index=result.adjacency_index,
-        run_count=result.run_count,
-        qq=ratios.qq,
-    )
+    return StragglerReport(**vars(ratios), straggler_ranks=stragglers, **vars(result))
 
 
 def gini(counts: Sequence[float]) -> float:

@@ -127,14 +127,15 @@ def recomputation_findings(sub: Submission, rel_tol: float = 5e-3) -> list[str]:
 
 
 def per_node(value: float, meta: SubmissionMeta) -> float:
-    """Divide a metric by the client node count."""
+    """Divide a metric, or a numpy row of them, by the client node count."""
     if meta.client_nodes is None or meta.client_nodes < 1:
         raise NormalizationError(f"{meta.submission_id}: no usable client node count")
     return value / meta.client_nodes
 
 
 def per_process(value: float, meta: SubmissionMeta) -> float:
-    """Divide a metric by the total process count (given or nodes x ppn)."""
+    """Divide a metric, or a numpy row of them, by the total process count
+    (given, or nodes x ppn)."""
     total = meta.total_procs
     if total is None and meta.procs_per_node is not None:
         total = meta.client_nodes * meta.procs_per_node
@@ -192,27 +193,24 @@ def metric_table(
 ) -> tuple[list[str], np.ndarray]:
     """Build the submissions x metrics matrix used by stats and reporting.
 
-    Missing values are NaN; normalization failures blank the affected cells
-    only, so each downstream analysis keeps every usable observation.
+    Missing values are NaN. A submission that lacks the count the
+    normalization divides by has its row blanked, not the table, so each
+    downstream analysis keeps every usable observation.
     """
     if normalize not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalize!r}")
+    divide = {"raw": None, "per-node": per_node, "per-process": per_process}[normalize]
     names = list(METRIC_NAMES)
+    column = {name: j for j, name in enumerate(names)}
     table = np.full((len(submissions), len(names)), np.nan)
-    for i, sub in enumerate(submissions):
-        raw: dict[str, float] = dict(submission_scores(sub))
+    for row, sub in zip(table, submissions):
+        for name, value in submission_scores(sub).items():
+            row[column[name]] = value
         for phase, result in sub.phases.items():
-            raw[phase.value] = result.value
-        for j, name in enumerate(names):
-            if name not in raw:
-                continue
-            value = raw[name]
-            if normalize == "per-node":
-                value = per_node(value, sub.meta)
-            elif normalize == "per-process":
-                try:
-                    value = per_process(value, sub.meta)
-                except NormalizationError:
-                    continue
-            table[i, j] = value
+            row[column[phase.value]] = result.value
+        if divide is not None:
+            try:
+                row[:] = divide(row, sub.meta)
+            except NormalizationError:
+                row[:] = np.nan
     return names, table

@@ -379,11 +379,14 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
 
     qq_pairs is an (n, 2) array of (quantile, ratio) rows, such as
     StonewallRatios.qq, or a list of pairs, such as qq_from_sidecar returns.
-    A NaN or infinite value raises ValueError.
+    A NaN or infinite value, or a quantile outside [0, 1], raises ValueError.
     """
     pairs = _finite(qq_pairs)
     if not pairs.size:
         raise EmptyInputError("no quantile pairs to plot")
+    outside = (pairs[:, 0] < 0.0) | (pairs[:, 0] > 1.0)
+    if outside.any():
+        raise ValueError(f"quantile {float(pairs[np.argmax(outside), 0])!r} outside [0, 1]")
     spec = spec or RenderSpec()
     quantiles, q_cells = _quantize(pairs[:, 0])
     ratios, r_cells = _quantize(pairs[:, 1])

@@ -24,6 +24,16 @@ INDEPENDENCE_CAVEAT = (
 )
 
 
+def _tie_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average ranks 1..n of a finite 1-d array, and the size of each tie group.
+
+    A group of c equal values ending at sorted position e (1-based) holds
+    positions e-c+1..e, whose mean is e - (c - 1) / 2: exact in float64.
+    """
+    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse], counts
+
+
 def rank_with_ties(values: Sequence[float]) -> np.ndarray:
     """Fractional ranks 1..n, ties getting the average of their positions."""
     arr = np.asarray(values, dtype=float)
@@ -31,18 +41,7 @@ def rank_with_ties(values: Sequence[float]) -> np.ndarray:
         raise ValueError("rank_with_ties needs a nonempty 1-d sequence")
     if not np.all(np.isfinite(arr)):
         raise ValueError("rank_with_ties requires finite values")
-    n = arr.size
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(n, dtype=float)
-    sorted_vals = arr[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # positions i..j hold ranks i+1..j+1
-        i = j + 1
-    return ranks
+    return _tie_ranks(arr)[0]
 
 
 def _validate_pair(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +146,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> GroupTestResult:
             raise ValueError(f"group {idx} contains non-finite values")
     pooled = np.concatenate(arrays)
     n = pooled.size
-    ranks = rank_with_ties(pooled)
+    ranks, counts = _tie_ranks(pooled)
     h0 = 0.0
     offset = 0
     for arr in arrays:
@@ -157,7 +156,6 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> GroupTestResult:
     h0 = 12.0 / (n * (n + 1)) * h0 - 3.0 * (n + 1)
 
     # Tie correction: divide by 1 - sum(t^3 - t) / (n^3 - n).
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(counts.astype(float) ** 3 - counts))
     correction = 1.0 - tie_term / (n**3 - n)
     if correction <= 0.0:
@@ -220,48 +218,37 @@ def correlation_matrix(
     warnings: list[str] = []
     present = np.isfinite(data)
     complete = present.astype(int).T @ present.astype(int)  # pairwise complete counts
-    keep: list[int] = []
-    for j, name in enumerate(names):
-        others = [complete[j, k] for k in range(len(names)) if k != j]
-        if max(others) < 3:
-            warnings.append(f"column {name!r} dropped: fewer than 3 complete pairs")
-        else:
-            keep.append(j)
-    if len(keep) < 2:
+    # A column stays when some other column shares at least 3 complete rows with it.
+    kept = np.where(np.eye(len(names), dtype=bool), 0, complete).max(axis=1) >= 3
+    for j in np.flatnonzero(~kept):
+        warnings.append(f"column {names[j]!r} dropped: fewer than 3 complete pairs")
+    keep = np.flatnonzero(kept)
+    if keep.size < 2:
         raise SampleSizeError("fewer than two usable columns after dropping")
     kept_names = [names[j] for j in keep]
     data = data[:, keep]
     present = present[:, keep]
+    n_per_pair = complete[np.ix_(keep, keep)]
 
     k = len(kept_names)
     corr_fn = spearman if method == "spearman" else pearson
     coeff = np.eye(k)
     p_raw = np.zeros((k, k))
-    n_per_pair = np.zeros((k, k), dtype=int)
-    for j in range(k):
-        n_per_pair[j, j] = int(np.sum(present[:, j]))
     for i in range(k):
         for j in range(i + 1, k):
-            both = present[:, i] & present[:, j]
-            n_ij = int(np.sum(both))
-            n_per_pair[i, j] = n_per_pair[j, i] = n_ij
-            if n_ij < 3:
-                coeff[i, j] = coeff[j, i] = np.nan
-                p_raw[i, j] = p_raw[j, i] = np.nan
+            n_ij = n_per_pair[i, j]
+            reason = None if n_ij >= 3 else f"only {n_ij} complete pairs"
+            if reason is None:
+                both = present[:, i] & present[:, j]
+                try:
+                    r, p = corr_fn(data[both, i], data[both, j])
+                except DegenerateInputError:
+                    reason = "zero variance"
+            if reason is not None:
+                r = p = np.nan
                 warnings.append(
-                    f"pair ({kept_names[i]!r}, {kept_names[j]!r}): "
-                    f"only {n_ij} complete pairs, cell left empty"
+                    f"pair ({kept_names[i]!r}, {kept_names[j]!r}): {reason}, cell left empty"
                 )
-                continue
-            try:
-                r, p = corr_fn(data[both, i], data[both, j])
-            except DegenerateInputError:
-                coeff[i, j] = coeff[j, i] = np.nan
-                p_raw[i, j] = p_raw[j, i] = np.nan
-                warnings.append(
-                    f"pair ({kept_names[i]!r}, {kept_names[j]!r}): zero variance, cell left empty"
-                )
-                continue
             coeff[i, j] = coeff[j, i] = r
             p_raw[i, j] = p_raw[j, i] = p
 

@@ -14,6 +14,9 @@ the whole text at once, as the package did before it read a line at a time;
 the package's reader must return the same Submission or raise the same error.
 The timing CSV writer formats one cell at a time, as synth did before it
 formatted a whole table at once; synth must write the same text.
+The kernel loops walk tie groups and rank runs one at a time and fill the
+metric table one cell at a time, as the package did before it worked on
+numpy columns and whole rows; the package must return the same bits.
 """
 
 from __future__ import annotations
@@ -27,8 +30,16 @@ from typing import Sequence
 
 import numpy as np
 
-from io500kit import ingest
-from io500kit.errors import EmptyInputError, ParseError, ValidationError
+from io500kit import ingest, metrics
+from io500kit.errors import (
+    DegenerateInputError,
+    EmptyInputError,
+    NormalizationError,
+    ParseError,
+    SampleSizeError,
+    ValidationError,
+)
+from io500kit.loginsight import Pattern, PatternResult
 from io500kit.report import (
     HeatmapData,
     RenderSpec,
@@ -40,7 +51,7 @@ from io500kit.report import (
     fmt_label,
     q6,
 )
-from io500kit.stats import INDEPENDENCE_CAVEAT, kruskal_wallis
+from io500kit.stats import INDEPENDENCE_CAVEAT, kruskal_wallis, pearson, spearman
 from io500kit.types import Phase
 
 
@@ -52,6 +63,102 @@ def rank_oracle(values):
         equal = sum(1 for u in values if u == v)
         ranks.append(less + (equal + 1) / 2.0)
     return ranks
+
+
+def rank_loop_oracle(values):
+    """Average ranks by walking each tie group of the stably sorted values."""
+    arr = np.asarray(values, dtype=float)
+    n = arr.size
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(n, dtype=float)
+    sorted_vals = arr[order]
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # positions i..j hold ranks i+1..j+1
+        i = j + 1
+    return ranks
+
+
+def kruskal_wallis_loop_oracle(groups):
+    """(H, p) of stats.kruskal_wallis from the loop ranks, with the tie counts
+    from a second np.unique, for at least two nonempty finite groups."""
+    from scipy.special import chdtrc
+
+    arrays = [np.asarray(g, dtype=float) for g in groups]
+    pooled = np.concatenate(arrays)
+    n = pooled.size
+    ranks = rank_loop_oracle(pooled)
+    h0 = 0.0
+    offset = 0
+    for arr in arrays:
+        r_sum = float(np.sum(ranks[offset : offset + arr.size]))
+        h0 += r_sum * r_sum / arr.size
+        offset += arr.size
+    h0 = 12.0 / (n * (n + 1)) * h0 - 3.0 * (n + 1)
+    _, counts = np.unique(pooled, return_counts=True)
+    tie_term = float(np.sum(counts.astype(float) ** 3 - counts))
+    correction = 1.0 - tie_term / (n**3 - n)
+    if correction <= 0.0:
+        return 0.0, 1.0
+    h = max(h0 / correction, 0.0)
+    return h, float(chdtrc(len(arrays) - 1, h))
+
+
+def correlation_cells_oracle(names, table, method):
+    """The kept names, warnings, pair counts, coefficients and raw p-values
+    of stats.correlation_matrix, one column and one pair at a time, with a
+    branch of its own for each kind of empty cell."""
+    data = np.asarray(table, dtype=float)
+    warnings = []
+    present = np.isfinite(data)
+    complete = present.astype(int).T @ present.astype(int)
+    keep = []
+    for j, name in enumerate(names):
+        others = [complete[j, k] for k in range(len(names)) if k != j]
+        if max(others) < 3:
+            warnings.append(f"column {name!r} dropped: fewer than 3 complete pairs")
+        else:
+            keep.append(j)
+    if len(keep) < 2:
+        raise SampleSizeError("fewer than two usable columns after dropping")
+    kept_names = [names[j] for j in keep]
+    data = data[:, keep]
+    present = present[:, keep]
+    k = len(kept_names)
+    corr_fn = spearman if method == "spearman" else pearson
+    coeff = np.eye(k)
+    p_raw = np.zeros((k, k))
+    n_per_pair = np.zeros((k, k), dtype=int)
+    for j in range(k):
+        n_per_pair[j, j] = int(np.sum(present[:, j]))
+    for i in range(k):
+        for j in range(i + 1, k):
+            both = present[:, i] & present[:, j]
+            n_ij = int(np.sum(both))
+            n_per_pair[i, j] = n_per_pair[j, i] = n_ij
+            if n_ij < 3:
+                coeff[i, j] = coeff[j, i] = np.nan
+                p_raw[i, j] = p_raw[j, i] = np.nan
+                warnings.append(
+                    f"pair ({kept_names[i]!r}, {kept_names[j]!r}): "
+                    f"only {n_ij} complete pairs, cell left empty"
+                )
+                continue
+            try:
+                r, p = corr_fn(data[both, i], data[both, j])
+            except DegenerateInputError:
+                coeff[i, j] = coeff[j, i] = np.nan
+                p_raw[i, j] = p_raw[j, i] = np.nan
+                warnings.append(
+                    f"pair ({kept_names[i]!r}, {kept_names[j]!r}): zero variance, cell left empty"
+                )
+                continue
+            coeff[i, j] = coeff[j, i] = r
+            p_raw[i, j] = p_raw[j, i] = p
+    return kept_names, warnings, n_per_pair, coeff, p_raw
 
 
 def pearson_oracle(x, y):
@@ -276,6 +383,9 @@ def render_qq_oracle(qq_pairs: Sequence[tuple[float, float]], spec: RenderSpec |
     _reject_non_finite(v for pair in qq_pairs for v in pair)
     if not qq_pairs:
         raise EmptyInputError("no quantile pairs to plot")
+    for q, _ in qq_pairs:
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile {float(q)!r} outside [0, 1]")
     spec = spec or RenderSpec()
     pairs = [(q6(q), q6(r)) for q, r in qq_pairs]
     log_y = spec.scale == "log10" and any(r > 0 for _, r in pairs)
@@ -668,3 +778,65 @@ def timing_text_oracle(table):
     lines.append(header)
     lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
+
+
+# --- per-cell metric table and run loop -------------------------------------------------
+
+
+def metric_table_oracle(submissions, normalize="raw"):
+    """metrics.metric_table one cell at a time: a cell whose normalization
+    fails is left NaN."""
+    names = list(metrics.METRIC_NAMES)
+    table = np.full((len(submissions), len(names)), np.nan)
+    for i, sub in enumerate(submissions):
+        raw = dict(metrics.submission_scores(sub))
+        for phase, result in sub.phases.items():
+            raw[phase.value] = result.value
+        for j, name in enumerate(names):
+            if name not in raw:
+                continue
+            value = raw[name]
+            try:
+                if normalize == "per-node":
+                    value = metrics.per_node(value, sub.meta)
+                elif normalize == "per-process":
+                    value = metrics.per_process(value, sub.meta)
+            except NormalizationError:
+                continue
+            table[i, j] = value
+    return names, table
+
+
+def runs_oracle(sorted_ranks):
+    """Lengths of maximal runs of consecutive ranks."""
+    lengths = []
+    i = 0
+    while i < len(sorted_ranks):
+        j = i
+        while j + 1 < len(sorted_ranks) and sorted_ranks[j + 1] == sorted_ranks[j] + 1:
+            j += 1
+        lengths.append(j - i + 1)
+        i = j + 1
+    return lengths
+
+
+def classify_straggler_pattern_oracle(
+    stragglers, n_ranks, min_pattern_size=3, contiguous_fraction=0.9, clustered_fraction=0.6, min_run_length=2
+):
+    """loginsight.classify_straggler_pattern from the run loop."""
+    ranks = sorted(set(int(r) for r in stragglers))
+    for r in ranks:
+        if r < 0 or r >= n_ranks:
+            raise ValueError(f"straggler rank {r} outside [0, {n_ranks})")
+    s = len(ranks)
+    run_lengths = runs_oracle(ranks)
+    run_count = len(run_lengths)
+    adjacency = (s - run_count) / (s - 1) if s >= 2 else 0.0
+    if s == 0 or s < min_pattern_size:
+        return PatternResult(Pattern.NONE, adjacency, run_count)
+    if max(run_lengths) >= contiguous_fraction * s:
+        return PatternResult(Pattern.CONTIGUOUS, adjacency, run_count)
+    multi = [length for length in run_lengths if length >= min_run_length]
+    if len(multi) >= 2 and sum(multi) >= clustered_fraction * s:
+        return PatternResult(Pattern.CLUSTERED, adjacency, run_count)
+    return PatternResult(Pattern.DISPERSED, adjacency, run_count)

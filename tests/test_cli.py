@@ -522,6 +522,22 @@ def test_synth_config_straggler_pipeline(tmp_path):
     assert hard and all("CONTIGUOUS" in r for r in hard)
 
 
+@pytest.mark.parametrize("min_pattern_size", [0, -5])
+def test_min_pattern_size_below_one_leaves_tables_without_stragglers_none(tmp_path, capsys, min_pattern_size):
+    # No table of this corpus has a straggler: an empty set is NONE whatever the minimum size.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"straggler": {"min_pattern_size": min_pattern_size}}))
+    corpus, manifests, out = tmp_path / "corpus", tmp_path / "manifests", tmp_path / "out"
+    assert run("synth", "--n", 3, "--seed", 5, "--out", corpus) == 0
+    assert run("ingest", corpus, "--out", manifests) == 0
+    capsys.readouterr()
+    assert run("logs", manifests, "--analysis", "stragglers", "--config", cfg, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    rows = [row.split(",") for row in (out / "logs" / "stragglers.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    assert all(row[3:] == ["0", "NONE", "0", "0", ""] for row in rows)
+
+
 def test_unknown_metric_rejected(manifests, tmp_path):
     with pytest.raises(SystemExit):
         run("groups", manifests, "--metric", "bogus", "--out", tmp_path)

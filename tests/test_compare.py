@@ -1,0 +1,71 @@
+"""tools/compare.py on canned bench result lines; no benchmark runs here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).parents[1] / "tools" / "compare.py"
+
+
+@pytest.fixture(scope="module")
+def compare():
+    spec = importlib.util.spec_from_file_location("compare", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _line(failed=0, **values):
+    units = {"pipeline_s": "s", "peak_rss_mb": "MB", "speedup": "x"}
+    return {
+        "correct": failed == 0,
+        "attempted": 54,
+        "failed": failed,
+        "metrics": {name: {"value": v, "unit": units[name]} for name, v in values.items()},
+    }
+
+
+def test_parse_result_takes_the_last_line(compare):
+    stdout = 'env: {"git_sha": "x"}\n  pipeline_s = 2.5 s\n' + json.dumps(_line(pipeline_s=2.5)) + "\n\n"
+    assert compare.parse_result(stdout) == _line(pipeline_s=2.5)
+    with pytest.raises(ValueError):
+        compare.parse_result("\n")
+
+
+def test_aggregate_medians_quartiles_and_wins(compare):
+    parent = [2.0, 4.0, 3.0, 5.0, 1.0]
+    change = [1.5, 4.0, 3.5, 4.0, 0.5]  # better in pairs 1, 4 and 5; a tie in pair 2
+    pairs = [
+        (_line(pipeline_s=p, peak_rss_mb=60.0, speedup=p), _line(pipeline_s=c, peak_rss_mb=61.0, speedup=c))
+        for p, c in zip(parent, change)
+    ]
+    summary = compare.aggregate(pairs, {"pipeline_s": "lower", "peak_rss_mb": "lower", "speedup": "higher"})
+    pipeline = summary["metrics"]["pipeline_s"]
+    assert pipeline["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert pipeline["change"] == {"median": 3.5, "q1": 1.5, "q3": 4.0}
+    assert (pipeline["unit"], pipeline["better"], pipeline["pairs"], pipeline["change_wins"]) == ("s", "lower", 5, 3)
+    assert summary["metrics"]["peak_rss_mb"]["change_wins"] == 0
+    assert summary["metrics"]["speedup"]["change_wins"] == 1  # higher is better: only pair 3
+    assert summary["correct"] is True
+    assert summary["failed"] == {"parent": [0] * 5, "change": [0] * 5}
+
+
+def test_aggregate_reports_failed_runs_and_skips_missing_metrics(compare):
+    pairs = [
+        (_line(pipeline_s=2.0), _line(failed=2, pipeline_s=1.0, peak_rss_mb=50.0)),
+        (_line(pipeline_s=2.0, peak_rss_mb=60.0), _line(pipeline_s=3.0, peak_rss_mb=70.0)),
+    ]
+    summary = compare.aggregate(pairs, {})  # an undeclared metric counts lower as better
+    assert summary["correct"] is False
+    assert summary["failed"] == {"parent": [0, 0], "change": [2, 0]}
+    assert summary["metrics"]["pipeline_s"]["change_wins"] == 1
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert (rss["pairs"], rss["parent"]["median"], rss["change"]["median"]) == (1, 60.0, 70.0)
+
+
+def test_directions_come_from_the_benchmark_declaration(compare):
+    better = compare.directions()
+    assert better["pipeline_s"] == "lower" and better["peak_rss_mb"] == "lower"
+    assert "stats.correlation_matrix_s" in better

@@ -154,7 +154,7 @@ def test_detect_floor_excludes_marginal():
     ratios = [1.0] * 30 + [1.19]
     assert loginsight.detect_stragglers(ratios) == set()
     # without the floor the fence alone would flag it
-    assert loginsight.detect_stragglers(ratios, ratio_floor=None) == {30}
+    assert loginsight.detect_stragglers(ratios, ratio_floor=0.0) == {30}
 
 
 def test_detect_small_sample_error():
@@ -170,8 +170,8 @@ def test_detect_fence_scale_invariance_with_floor_off():
             [0.0, 2.0], size=n, p=[0.9, 0.1]
         )
         c = float(rng.uniform(0.2, 8.0))
-        base = loginsight.detect_stragglers(ratios, ratio_floor=None)
-        scaled = loginsight.detect_stragglers(c * ratios, ratio_floor=None)
+        base = loginsight.detect_stragglers(ratios, ratio_floor=0.0)
+        scaled = loginsight.detect_stragglers(c * ratios, ratio_floor=0.0)
         assert base == scaled
 
 
@@ -208,6 +208,14 @@ def test_classify_none_iff_below_min_size():
         assert (out.pattern is Pattern.NONE) == (len(stragglers) < 3)
 
 
+@pytest.mark.parametrize("min_pattern_size", [1, 0, -5])
+def test_classify_empty_set_is_none_whatever_min_size(min_pattern_size):
+    out = loginsight.classify_straggler_pattern(set(), 100, min_pattern_size=min_pattern_size)
+    assert (out.pattern, out.adjacency_index, out.run_count) == (Pattern.NONE, 0.0, 0)
+    one = loginsight.classify_straggler_pattern({7}, 100, min_pattern_size=min_pattern_size)
+    assert (one.pattern, one.run_count) == (Pattern.CONTIGUOUS, 1)
+
+
 def test_classify_shift_invariance():
     rng = np.random.default_rng(32)
     base = {10, 11, 12, 40, 41, 42, 70, 71, 72}
@@ -237,6 +245,12 @@ def test_straggler_report_end_to_end(timing_factory):
     assert rep.straggler_ranks == {8, 9, 10, 11}
     assert rep.pattern is Pattern.CONTIGUOUS
     assert len(rep.qq) == 20
+    # A StragglerReport is the table's StonewallRatios plus the classification.
+    ratios = loginsight.stonewall_ratios(table)
+    assert isinstance(rep, loginsight.StonewallRatios)
+    assert (rep.phase, rep.stonewall_s) == (ratios.phase, ratios.stonewall_s)
+    for name in ("ranks", "ratios", "qq"):
+        assert getattr(rep, name).tobytes() == getattr(ratios, name).tobytes()
 
 
 def test_straggler_report_missing_rank_splits_run():

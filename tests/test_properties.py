@@ -1,6 +1,6 @@
 """Property tests for the columnar timing parser, the manifest codec, the
-other parsers and the synth config loader on odd input, and the columnar
-renderers.
+other parsers and the synth config loader on odd input, the columnar
+renderers, and the column-wise analysis kernels against their loops.
 
 Derandomized, so every run checks the same examples.
 """
@@ -19,11 +19,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from io500kit import ingest, report, stats, synth
-from io500kit.errors import ConfigError, Io500KitError, ParseError, ValidationError
+from io500kit import ingest, loginsight, metrics, report, stats, synth
+from io500kit.errors import ConfigError, Io500KitError, ParseError, SampleSizeError, ValidationError
 from io500kit.types import Filesystem, Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
 from oracles import (
     _Axis,
+    classify_straggler_pattern_oracle,
+    correlation_cells_oracle,
+    kruskal_wallis_loop_oracle,
+    metric_table_oracle,
+    rank_loop_oracle,
+    rank_oracle,
     read_manifest_oracle,
     render_corr_heatmap_oracle,
     render_group_box_oracle,
@@ -638,6 +644,8 @@ def box_groups(draw):
 @example([(math.nan, 2.0)], report.RenderSpec(), False)
 @example([(0.5, 5e-324), (1.0, 2.0)], report.RenderSpec(scale="log10"), False)
 @example([(0.0, 1.7976931348623157e308), (0.0, -3.134865e302)], report.RenderSpec(), False)
+@example([(1e308, 1.0), (0.5, 2.0)], report.RenderSpec(), True)
+@example([(1.5, 1.0), (0.5, 2.0)], report.RenderSpec(), False)
 @given(qq_pairs(), plot_spec(), st.booleans())
 def test_render_qq_matches_per_point_oracle(pairs, spec, as_array):
     got = _render(report.render_qq, np.array(pairs) if as_array else pairs, spec)
@@ -800,3 +808,148 @@ def test_r6_array_is_bit_equal_to_scalar_round(values):
     got = synth._r6_array(values)
     want = np.array([synth._r6(x) for x in values.tolist()], dtype=np.float64)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+# --- analysis kernels against their loops ------------------------------------------------
+
+# Ties between 0.0 and -0.0, subnormals, the float extremes and values one step apart.
+RANK_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+RANK_SPECIALS += [1.7976931348623157e308, -1.7976931348623157e308, 1.0, np.nextafter(1.0, 2.0), 2.0, -3.5]
+_RANK_RNG = np.random.default_rng(12)
+RANK_PINNED = np.concatenate([np.repeat(RANK_SPECIALS, 300), _RANK_RNG.integers(-20, 20, 1000) / 4.0])
+
+
+@st.composite
+def tie_column(draw, max_size=3000):
+    """A column drawn from a small pool, so that most values have ties, of
+    up to max_size values."""
+    value = st.one_of(st.sampled_from(RANK_SPECIALS), st.floats(allow_nan=False, allow_infinity=False))
+    pool = draw(st.lists(value, min_size=1, max_size=12))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(1, max_size)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(np.array(pool, dtype=float), size=n)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@PROPERTY
+@example(RANK_PINNED[_RANK_RNG.permutation(RANK_PINNED.size)])
+@example(np.array([-0.0, 0.0, -0.0, 5e-324, -5e-324]))
+@given(tie_column())
+def test_rank_with_ties_is_bit_equal_to_the_tie_loop(values):
+    got = stats.rank_with_ties(values)
+    assert _bits(got) == _bits(rank_loop_oracle(values))
+    if values.size <= 300:  # the comparison count is quadratic
+        assert _bits(got) == _bits(rank_oracle(values.tolist()))
+
+
+@PROPERTY
+@example([np.array([0.0, -0.0]), np.array([-0.0, 0.0, 0.0])])  # one tie group: H = 0, p = 1
+@example([RANK_PINNED[::2], RANK_PINNED[1::2], np.array([5e-324])])
+@given(st.lists(tie_column(max_size=1000), min_size=2, max_size=4))
+def test_kruskal_wallis_is_bit_equal_to_the_tie_loop(groups):
+    result = stats.kruskal_wallis(groups)
+    assert _bits([result.h, result.p]) == _bits(kruskal_wallis_loop_oracle(groups))
+
+
+@st.composite
+def sparse_table(draw):
+    """A table of 2 to 5 columns with many missing cells, some columns
+    constant: columns get dropped, pairs get too few rows or no variance."""
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, draw(st.integers(1, 6)), size=(n_rows, n_cols)).astype(float)
+    table[:, rng.random(n_cols) < 0.2] = 1.0
+    table[rng.random((n_rows, n_cols)) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = np.nan
+    return table
+
+
+@PROPERTY
+@given(sparse_table(), st.sampled_from(["spearman", "pearson"]))
+def test_correlation_matrix_cells_equal_the_pair_loop(table, method):
+    names = ["a", "b", "c,d", "e", "f"][: table.shape[1]]
+    try:
+        want = correlation_cells_oracle(names, table, method)
+    except SampleSizeError as exc:
+        with pytest.raises(SampleSizeError, match=str(exc)):
+            stats.correlation_matrix(names, table, method=method)
+        return
+    got = stats.correlation_matrix(names, table, method=method)
+    assert (got.variables, got.warnings) == want[:2]
+    assert got.n_per_pair.dtype == want[2].dtype and np.array_equal(got.n_per_pair, want[2])
+    assert got.coeff.tobytes() == want[3].tobytes() and got.p_raw.tobytes() == want[4].tobytes()
+
+
+@st.composite
+def scored_submission(draw):
+    """A submission with some phases and reported scores, and a meta with or
+    without the process counts; a few have a client node count of 0, set
+    after validation, which no normalization can divide by."""
+    value = st.one_of(st.sampled_from([0.0, 5e-324, 1e308, 1.7976931348623157e308]), st.floats(0.0, 1e6))
+    nodes = draw(st.integers(1, 2**70))
+    meta = SubmissionMeta(
+        submission_id="s",
+        client_nodes=nodes,
+        procs_per_node=draw(st.one_of(st.none(), st.integers(1, 2**40))),
+        total_procs=draw(st.one_of(st.none(), st.integers(nodes, 2**80))),
+    )
+    if draw(st.integers(0, 9)) == 0:
+        meta.client_nodes = 0
+    phases = draw(st.sets(st.sampled_from(list(Phase))))
+    return Submission(
+        meta=meta,
+        phases={p: PhaseResult(phase=p, value=draw(value), unit=p.unit) for p in phases},
+        reported_score_bw=draw(st.one_of(st.none(), value)),
+        reported_score_md=draw(st.one_of(st.none(), value)),
+        reported_score_overall=draw(st.one_of(st.none(), value)),
+    )
+
+
+@PROPERTY
+@given(st.lists(scored_submission(), max_size=6), st.sampled_from(metrics.NORMALIZATIONS))
+def test_metric_table_is_bit_equal_to_the_cell_loop(subs, normalize):
+    names, table = metrics.metric_table(subs, normalize)
+    want_names, want = metric_table_oracle(subs, normalize)
+    assert (names, table.shape, table.tobytes()) == (want_names, want.shape, want.tobytes())
+
+
+@st.composite
+def straggler_set(draw):
+    """Stragglers in runs with gaps between them, sometimes with a rank
+    outside [0, n_ranks), and sometimes shifted to where int64 ends."""
+    span = draw(st.integers(1, 300))
+    offset = draw(st.sampled_from([0, 0, 0, 2**63 - 150, 2**64]))
+    n_ranks = offset + span
+    ranks = set()
+    for _ in range(draw(st.integers(0, 8))):
+        start = offset + draw(st.integers(0, span - 1))
+        ranks.update(range(start, min(start + draw(st.integers(1, 40)), n_ranks)))
+    if draw(st.integers(0, 5)) == 0:
+        ranks.update(draw(st.sets(st.sampled_from([-(2**70), -3, -1, n_ranks, n_ranks + 5, 2**70]), min_size=1)))
+    return ranks, n_ranks
+
+
+@PROPERTY
+@example((set(), 10), -5, 0.9, 0.6, 2)
+@example(({3, 4, 5, 200}, 100), 3, 0.9, 0.6, 2)
+@example(({-1, 5, 200}, 100), 3, 0.9, 0.6, 2)
+@example(({5, 2**63, 2**63 + 1, 2**63 + 2}, 2**64), 3, 0.9, 0.6, 2)
+@given(
+    straggler_set(),
+    st.integers(-5, 8),
+    st.floats(0.0, 1.2),
+    st.floats(0.0, 1.2),
+    st.integers(0, 5),
+)
+def test_classify_straggler_pattern_equals_the_run_loop(drawn, min_size, contiguous, clustered, min_run):
+    ranks, n_ranks = drawn
+    outcomes = []
+    for classify in (loginsight.classify_straggler_pattern, classify_straggler_pattern_oracle):
+        try:
+            result = classify(ranks, n_ranks, min_size, contiguous, clustered, min_run)
+            outcomes.append((result.pattern, result.adjacency_index, result.run_count, type(result.run_count)))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,25 @@ def test_renderers_reject_non_finite_values(bad):
     report.render_qq([(0.5, 1.7976931348623157e308)])
     report.render_group_box([("a", [-1.7976931348623157e308, 5e-324])])
     report.render_score_strip([("lustre", 1.7976931348623157e308)])
+
+
+@pytest.mark.parametrize(
+    "pairs, named",
+    [
+        ([(1e308, 1.0), (0.5, 2.0)], "1e+308"),  # overflowed the x axis to cx="inf"
+        ([(0.5, 1.0), (1.5, 2.0)], "1.5"),  # drew off the plot
+        ([(-5e-324, 1.0)], "-5e-324"),
+        (np.array([[0.5, 1.0], [1.0000001, 2.0]]), "1.0000001"),
+    ],
+)
+def test_qq_rejects_quantiles_outside_unit_interval(pairs, named):
+    with pytest.raises(ValueError, match=re.escape(f"quantile {named} outside [0, 1]")):
+        report.render_qq(pairs)
+
+
+def test_qq_accepts_quantile_bounds():
+    svg, sidecar = report.render_qq([(0.0, 1.0), (-0.0, 1.0), (1.0, 2.0)])
+    assert sidecar.splitlines()[1:] == ["0,1,false", "-0,1,false", "1,2,false"]
 
 
 @pytest.mark.parametrize(
