@@ -30,14 +30,20 @@ def _sanitize(name: str) -> str:
     return cleaned or "sub"
 
 
-def _unique(base: str, used: set[str]) -> str:
-    name = base
-    k = 2
-    while name in used:
-        name = f"{base}-{k}"
-        k += 1
-    used.add(name)
-    return name
+def _file_stems(subs) -> dict[int, str]:
+    """Each submission's file-name stem, keyed by id(sub): its sanitized ID,
+    with -2, -3, ... added where an earlier submission's stem is the same."""
+    stems: dict[int, str] = {}
+    used: set[str] = set()
+    for sub in subs:
+        base = name = _sanitize(sub.meta.submission_id)
+        k = 2
+        while name in used:
+            name = f"{base}-{k}"
+            k += 1
+        used.add(name)
+        stems[id(sub)] = name
+    return stems
 
 
 def _discover_packages(paths: list[str]) -> list[Path]:
@@ -90,16 +96,15 @@ def cmd_ingest(args) -> int:
     findings: list[str] = []
     for sub in submissions:
         flagged, notes = loginsight.flag_cache_affected(
-            list(sub.phases.values()), config["cache_threshold_s"]
+            list(sub.phases.values()), config.cache_threshold_s
         )
         sub.phases = {p.phase: p for p in flagged}
         sub.warnings.extend(notes)
-        findings.extend(metrics.recomputation_findings(sub, config["recompute_rel_tol"]))
+        findings.extend(metrics.recomputation_findings(sub, config.recompute_rel_tol))
 
-    used: set[str] = set()
+    stems = _file_stems(submissions)
     for sub in submissions:
-        name = _unique(_sanitize(sub.meta.submission_id), used)
-        ingest.write_manifest(sub, outdir / f"{name}.json")
+        ingest.write_manifest(sub, outdir / f"{stems[id(sub)]}.json")
 
     lines = [
         f"submissions: {len(submissions)}",
@@ -214,9 +219,9 @@ def cmd_groups(args) -> int:
         raise SampleSizeError("group comparison needs at least two interconnect classes")
     groups = sorted(grouped.items())
     warnings = [
-        f"group {label!r} has n={len(values)} < {config['min_group_size_warn']}"
+        f"group {label!r} has n={len(values)} < {config.min_group_size_warn}"
         for label, values in groups
-        if len(values) < config["min_group_size_warn"]
+        if len(values) < config.min_group_size_warn
     ]
     test = stats.kruskal_wallis([values for _, values in groups])
 
@@ -285,7 +290,7 @@ def _emit(out, name: str, tables: tuple[str, str], notes_file="", notes=()) -> N
 
 def _logs_runtime(subs, phases, args, config) -> str:
     dist = loginsight.runtime_distribution(
-        subs, config["stonewall_nominal_s"], config["stonewall_tolerance_s"]
+        subs, config.stonewall_nominal_s, config.stonewall_tolerance_s
     )
     if not dist.per_phase:
         return "no runtime data available"
@@ -338,10 +343,11 @@ def _logs_stonewall(subs, phases, args, config) -> str:
     results, notes = _per_table(subs, phases, analyze, Io500KitError)
     if not results:
         return "no stonewall timing data available"
+    stems = _file_stems(subs)
     rows = []
     for sub, phase, rat in results:
         spec = report.RenderSpec(title=f"{sub.meta.submission_id} {phase.value}")
-        name = f"qq_{_sanitize(sub.meta.submission_id)}_{phase.value}"
+        name = f"qq_{stems[id(sub)]}_{phase.value}"
         # The (svg, sidecar) pair is written and dropped before the next table's is drawn.
         report.write_render(args.out, "logs", name, *report.render_qq(rat.qq, spec))
         rows.append(
@@ -360,7 +366,7 @@ def _logs_stonewall(subs, phases, args, config) -> str:
 
 def _logs_stragglers(subs, phases, args, config) -> str:
     analyze = functools.partial(
-        loginsight.straggler_report, stonewall_s=args.stonewall, **config["straggler"]
+        loginsight.straggler_report, params=config.straggler, stonewall_s=args.stonewall
     )
     # Io500KitError: as for stonewall, and tables too small for the quartiles.
     results, notes = _per_table(subs, phases, analyze, Io500KitError)
@@ -389,10 +395,11 @@ def _logs_pfind(subs, phases, args, config) -> str:
     results, notes = _per_table(subs, phases, loginsight.pfind_imbalance, Io500KitError)
     if not results:
         return "no find-phase item data available"
+    stems = _file_stems(subs)
     rows = []
     for sub, _, rep in results:
         detail = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
-        _emit(args.out, f"pfind_{_sanitize(sub.meta.submission_id)}", detail)
+        _emit(args.out, f"pfind_{stems[id(sub)]}", detail)
         rows.append(
             [
                 sub.meta.submission_id,

@@ -1,10 +1,12 @@
-"""Pipeline defaults.
+"""Pipeline config: the analysis thresholds and their defaults.
 
-The analysis thresholds (cache threshold, nominal stonewall, recomputation
-tolerance, group-size warning, straggler fences) live in the packaged
-`defaults.json`; a user config file overrides individual keys, and CLI
-flags override both. `defaults.json` is also the schema a user file is
-checked against.
+`PipelineConfig` holds the cache threshold, nominal stonewall and its
+tolerance, recomputation tolerance, group-size warning and, in
+`StragglerParams`, the straggler fence and pattern rules. Its field
+defaults are the one place each default is written; the analysis kernels
+take theirs from these fields. A user config file overrides individual
+keys, and CLI flags override both. The defaults are also the schema a user
+file is checked against (see `override`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from importlib import resources
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -20,9 +22,29 @@ from .errors import ConfigError
 OUTDIR_ENV = "IO500KIT_OUT"
 
 
-def load_defaults() -> dict:
-    with resources.files("io500kit").joinpath("defaults.json").open("r", encoding="utf-8") as f:
-        return json.load(f)
+@dataclass(frozen=True)
+class StragglerParams:
+    """A straggler's ratio lies above Q3 + iqr_multiplier * IQR of its table's
+    stonewall ratios and at or above ratio_floor (0 tests the fence alone).
+    The other four fields are the pattern rules of
+    `loginsight.classify_straggler_pattern`."""
+
+    iqr_multiplier: float = 1.5
+    ratio_floor: float = 1.2
+    min_pattern_size: int = 3
+    contiguous_fraction: float = 0.9
+    clustered_fraction: float = 0.6
+    min_run_length: int = 2
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    cache_threshold_s: float = 10.0  # read/stat phases faster than this are cache-affected
+    stonewall_nominal_s: float = 300.0
+    stonewall_tolerance_s: float = 1.0  # a write this far below the nominal stonewall is a violation
+    recompute_rel_tol: float = 0.005  # recomputed vs reported composite score
+    min_group_size_warn: int = 5  # `groups` warns about smaller interconnect classes
+    straggler: StragglerParams = StragglerParams()
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
@@ -38,13 +60,13 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return value
 
 
-def load_config(path: str | Path | None = None) -> dict:
-    """Defaults merged with an optional user config file (user wins), typed
-    by the shape of defaults.json (see `override`)."""
-    defaults = load_defaults()
+def load_config(path: str | Path | None = None) -> PipelineConfig:
+    """The defaults with an optional user config file merged on (user wins),
+    typed by the defaults' shape (see `override`)."""
     if path is None:
-        return defaults
-    return override(defaults, read_json_object(path, "config"), f"config {path}")
+        return PipelineConfig()
+    typed = override(asdict(PipelineConfig()), read_json_object(path, "config"), f"config {path}")
+    return PipelineConfig(**{**typed, "straggler": StragglerParams(**typed["straggler"])})
 
 
 def override(default, value, where: str, name: str = ""):

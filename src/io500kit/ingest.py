@@ -260,7 +260,8 @@ def _timing_columns(body: list[str], width: int, col: dict[str, int], phase: Pha
     if close is not None and not np.all(np.isfinite(close) | no_close):
         return None
     if items is not None:
-        if not np.all((np.abs(items) < _INT64_BOUND) | no_items):
+        # NaN fails both tests: a count is a whole number that an int64 holds.
+        if not np.all(((np.abs(items) < _INT64_BOUND) & (items == np.trunc(items))) | no_items):
             return None
         items = np.ma.MaskedArray(np.where(no_items, 0.0, items).astype(np.int64), mask=no_items)
     ordered = np.sort(rank)
@@ -322,7 +323,7 @@ def _raise_first_bad_line(body: list[str], first_line: int, width: int, col: dic
                 value = float(cells[col["items"]])
             except ValueError:
                 value = math.nan
-            if not abs(value) < _INT64_BOUND:  # also false for NaN
+            if not (abs(value) < _INT64_BOUND and value.is_integer()):  # also false for NaN
                 raise ParseError(f"{phase}: malformed items {cells[col['items']]!r}", line=line_no)
         if rank in seen_ranks:
             raise ValidationError(f"{phase}: duplicate rank {rank} on line {line_no}")
@@ -398,13 +399,15 @@ def interconnect_class(meta: SubmissionMeta) -> str:
 
 
 def _coerce_int(value: Any) -> int | None:
+    """The whole number `value` spells (`10`, ` 10 `, `10.0`, `1e3`), or None:
+    a fraction such as `2.5`, like `inf` or text, is no count."""
     if value is None:
         return None
     try:
-        out = int(float(str(value).strip()))
-    except (ValueError, TypeError, OverflowError):  # OverflowError: "inf"
+        number = float(str(value).strip())
+    except ValueError:
         return None
-    return out
+    return int(number) if number.is_integer() else None  # is_integer: false for inf and NaN
 
 
 def normalize_metadata(raw: Mapping[str, Any]) -> SubmissionMeta:

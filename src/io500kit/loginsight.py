@@ -2,10 +2,11 @@
 stonewall-relative ratios, straggler detection/classification, and
 parallel-find load imbalance.
 
-Straggler detection combines a Tukey fence (Q3 + 1.5 IQR over the stonewall
-ratios) with an absolute 1.2 floor: a few percent of wear-down past the
+Straggler detection combines a Tukey fence (Q3 + k IQR over the stonewall
+ratios) with an absolute ratio floor: a few percent of wear-down past the
 stonewall is normal bulk-synchronous behavior and must not be flagged just
-because the distribution is tight.
+because the distribution is tight. Every threshold's default is a field of
+`config.PipelineConfig` or `config.StragglerParams`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import PipelineConfig, StragglerParams
 from .errors import (
     DegenerateInputError,
     NotAvailableError,
@@ -25,9 +27,6 @@ from .errors import (
 )
 from .metrics import SummaryStats, summary_stats
 from .types import Phase, PhaseResult, ProcessTimingTable, Submission
-
-NOMINAL_STONEWALL_S = 300.0
-
 
 class Pattern(str, Enum):
     NONE = "NONE"
@@ -40,7 +39,7 @@ class Pattern(str, Enum):
 
 
 def flag_cache_affected(
-    phases: Iterable[PhaseResult], threshold_s: float = 10.0
+    phases: Iterable[PhaseResult], threshold_s: float = PipelineConfig.cache_threshold_s
 ) -> tuple[list[PhaseResult], list[str]]:
     """Mark read/stat phases whose runtime is under the caching threshold.
 
@@ -112,7 +111,7 @@ def stonewall_ratios(
     if stonewall is None:
         raise NotAvailableError(
             f"{timing.phase}: timing table carries no stonewall duration; "
-            f"pass stonewall_s={NOMINAL_STONEWALL_S:g} explicitly to use the nominal value"
+            f"pass stonewall_s={PipelineConfig.stonewall_nominal_s:g} explicitly to use the nominal value"
         )
     if stonewall <= 0:
         raise ValueError(f"stonewall_s must be > 0, got {stonewall}")
@@ -139,8 +138,8 @@ def stonewall_ratios(
 def detect_stragglers(
     ratios: Sequence[float],
     ranks: Sequence[int] | None = None,
-    iqr_multiplier: float = 1.5,
-    ratio_floor: float = 1.2,
+    iqr_multiplier: float = StragglerParams.iqr_multiplier,
+    ratio_floor: float = StragglerParams.ratio_floor,
 ) -> set[int]:
     """Ranks whose ratio exceeds Q3 + multiplier*IQR and the absolute floor.
 
@@ -172,10 +171,10 @@ class PatternResult:
 def classify_straggler_pattern(
     stragglers: Iterable[int],
     n_ranks: int,
-    min_pattern_size: int = 3,
-    contiguous_fraction: float = 0.9,
-    clustered_fraction: float = 0.6,
-    min_run_length: int = 2,
+    min_pattern_size: int = StragglerParams.min_pattern_size,
+    contiguous_fraction: float = StragglerParams.contiguous_fraction,
+    clustered_fraction: float = StragglerParams.clustered_fraction,
+    min_run_length: int = StragglerParams.min_run_length,
 ) -> PatternResult:
     """Label the rank-space arrangement of a straggler set.
 
@@ -222,30 +221,25 @@ class StragglerReport(StonewallRatios):
 
 def straggler_report(
     timing: ProcessTimingTable,
+    params: StragglerParams = StragglerParams(),
     stonewall_s: float | None = None,
-    iqr_multiplier: float = 1.5,
-    ratio_floor: float = 1.2,
-    min_pattern_size: int = 3,
-    contiguous_fraction: float = 0.9,
-    clustered_fraction: float = 0.6,
-    min_run_length: int = 2,
 ) -> StragglerReport:
     """Full stonewall-relative straggler analysis for one timing table."""
     ratios = stonewall_ratios(timing, stonewall_s=stonewall_s)
     stragglers = detect_stragglers(
         ratios.ratios,
         ranks=timing.rank,
-        iqr_multiplier=iqr_multiplier,
-        ratio_floor=ratio_floor,
+        iqr_multiplier=params.iqr_multiplier,
+        ratio_floor=params.ratio_floor,
     )
     n_ranks = int(timing.rank[-1]) + 1
     result = classify_straggler_pattern(
         stragglers,
         n_ranks,
-        min_pattern_size=min_pattern_size,
-        contiguous_fraction=contiguous_fraction,
-        clustered_fraction=clustered_fraction,
-        min_run_length=min_run_length,
+        min_pattern_size=params.min_pattern_size,
+        contiguous_fraction=params.contiguous_fraction,
+        clustered_fraction=params.clustered_fraction,
+        min_run_length=params.min_run_length,
     )
     return StragglerReport(**vars(ratios), straggler_ranks=stragglers, **vars(result))
 
@@ -318,8 +312,8 @@ class RuntimeDistribution:
 
 def runtime_distribution(
     submissions: Sequence[Submission],
-    stonewall_nominal_s: float = NOMINAL_STONEWALL_S,
-    tolerance_s: float = 1.0,
+    stonewall_nominal_s: float = PipelineConfig.stonewall_nominal_s,
+    tolerance_s: float = PipelineConfig.stonewall_tolerance_s,
 ) -> RuntimeDistribution:
     """Per-phase runtimes and their summaries, plus stonewall-compliance violations.
 

@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import (
     EmptyInputError,
     IncompletePhasesError,
@@ -106,7 +107,9 @@ def _reported(sub: Submission) -> dict[str, float | None]:
     }
 
 
-def recomputation_findings(sub: Submission, rel_tol: float = 5e-3) -> list[str]:
+def recomputation_findings(
+    sub: Submission, rel_tol: float = PipelineConfig.recompute_rel_tol
+) -> list[str]:
     """Compare recomputed composites against reported ones.
 
     Mismatches beyond rel_tol come back as human-readable findings; missing

@@ -271,7 +271,7 @@ def scan_timing_rows_oracle(
                 value = float(cells[col["items"]])
             except ValueError:
                 value = math.nan
-            if not abs(value) < ingest._INT64_BOUND:  # also false for NaN
+            if not (abs(value) < ingest._INT64_BOUND and value.is_integer()):  # also false for NaN
                 raise ParseError(f"{phase}: malformed items {cells[col['items']]!r}", line=line_no)
             items = int(value)
         if rank in seen_ranks:

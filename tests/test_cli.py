@@ -281,6 +281,27 @@ def test_logs_reads_packages_of_a_synth_output_directory(tmp_path):
     assert tree_bytes(tmp_path / "corpus" / "logs") == tree_bytes(tmp_path / "manifests" / "logs")
 
 
+def test_logs_files_of_colliding_submission_ids_are_kept_apart(tmp_path):
+    # Both IDs sanitize to the same stem, so the second submission's files take
+    # the -2 suffix that ingest gives its manifest.
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--seed", 5, "--n", 2, "--out", corpus) == 0
+    for meta in sorted(corpus.glob("*/meta.txt")):
+        text = meta.read_text()
+        meta.write_text(text.replace(text.splitlines()[0], "submission_id = same"))
+    out = tmp_path / "out"
+    for analysis in ("stonewall", "pfind"):
+        assert run("logs", corpus, "--analysis", analysis, "--out", out) == 0
+    logs = out / "logs"
+    summary = (logs / "stonewall_summary.csv").read_text().splitlines()[1:]
+    qq = sorted(p.stem for p in logs.glob("qq_*.svg"))
+    assert len(qq) == len(summary) == 4
+    assert qq == sorted(f"qq_{stem}_{phase}" for stem in ("same", "same-2") for phase in ("ior-easy-write", "ior-hard-write"))
+    rows = (logs / "pfind.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert sorted(p.name for p in logs.glob("pfind_*.csv")) == ["pfind_same-2.csv", "pfind_same.csv"]
+
+
 def test_infinite_interconnect_speed_is_unknown(tmp_path, summary_basic):
     pkg = tmp_path / "packages" / "pkg"
     pkg.mkdir(parents=True)
@@ -588,6 +609,15 @@ def test_ingest_column_map_flag(tmp_path):
     assert (out / "alpha.json").is_file()
 
 
+def test_ingest_manifest_names_of_colliding_ids(tmp_path):
+    csv_file = tmp_path / "export.csv"
+    csv_file.write_text("id,list,filesystem,client_nodes\na/b,SC22,lustre,4\na-b,SC22,lustre,4\na/b,SC22,lustre,4\n")
+    out = tmp_path / "m"
+    assert run("ingest", csv_file, "--format", "repo-csv", "--out", out) == 0
+    names = {p.name: ingest.read_manifest(p).meta.submission_id for p in out.glob("*.json")}
+    assert names == {"a-b.json": "a/b", "a-b-2.json": "a-b", "a-b-3.json": "a/b"}
+
+
 def test_ingest_config_overrides_cache_threshold(corpus, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"cache_threshold_s": 0.0}))
@@ -648,7 +678,7 @@ BAD_INPUT_CASES = [
     (["corr", "{f}", "--alpha", "nan"], "", 2, "argument --alpha: must lie strictly between 0 and 1"),
     (["logs", "{f}", "--analysis", "stonewall", "--stonewall", "-5"], "", 2, "argument --stonewall: must be a positive"),
     (["logs", "{f}", "--analysis", "stonewall", "--stonewall", "inf"], "", 2, "argument --stonewall: must be a positive"),
-    # The pipeline config is closed and typed by the shape of defaults.json.
+    # The pipeline config is closed and typed by the shape of PipelineConfig()'s defaults.
     ([*STRAGGLERS, "{f}"], '{"straggler": {"iqr_multiplier": "q"}}', 1, 'straggler.iqr_multiplier must be a number, got "q"'),
     ([*INGEST, "{f}"], '{"cache_threshold_s": "x"}', 1, 'cache_threshold_s must be a number, got "x"'),
     (["groups", "{f}", "--out", "{out}", "--config", "{f}"], '{"min_group_size_warn": "3"}', 1, 'min_group_size_warn must be an integer, got "3"'),
@@ -705,10 +735,11 @@ def test_bad_config_or_flag_is_one_error_line(tmp_path, capsys, argv, content, c
 def test_config_overrides_merge_into_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"cache_threshold_s": 0, "straggler": {"ratio_floor": 0, "min_run_length": 3}}')
-    want = config.load_defaults()
-    want["cache_threshold_s"] = 0
-    want["straggler"].update(ratio_floor=0, min_run_length=3)
+    want = config.PipelineConfig(
+        cache_threshold_s=0, straggler=config.StragglerParams(ratio_floor=0, min_run_length=3)
+    )
     assert config.load_config(path) == want
+    assert config.load_config() == config.PipelineConfig()
 
 
 # --- start-up cost and per-stage manifest reads -------------------------------------------

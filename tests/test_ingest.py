@@ -163,6 +163,19 @@ def test_parse_timing_malformed_number_is_error():
         ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
 
 
+@pytest.mark.parametrize("cell", ["1.5", "0.9999", "-0.5", "2.7"])
+def test_parse_timing_fractional_items_is_error(cell):
+    text = f"rank,start,end,items\n0,0.0,310.0,3\n1,0.0,310.0,{cell}\n"
+    with pytest.raises(ParseError, match=f"^line 3: ior-easy-write: malformed items '{cell}'$"):
+        ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
+
+
+def test_parse_timing_whole_items_spellings():
+    text = "rank,start,end,items\n0,0.0,310.0,10.0\n1,0.0,310.0,1e3\n2,0.0,310.0, 7 \n3,0.0,310.0,-0.0\n"
+    table, warnings = ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
+    assert table.items.tolist() == [10, 1000, 7, 0] and warnings == []
+
+
 # --- metadata normalization -------------------------------------------------------
 
 
@@ -212,6 +225,23 @@ def test_normalize_metadata_total_and_fallbacks():
     assert meta.interconnect_gbps is None
     assert meta.client_nodes == 1
     assert meta.list_label == "other"
+
+
+@pytest.mark.parametrize(
+    "raw, count",
+    [("10", 10), (" 10 ", 10), ("10.0", 10), ("1e3", 1000), ("2.5", None), ("7.9", None), ("inf", None), ("x", None)],
+)
+def test_counts_are_whole_numbers(raw, count):
+    meta = ingest.normalize_metadata({"client_nodes": "1", "procs_per_node": raw, "nic_count": raw})
+    assert meta.procs_per_node == count and meta.nic_count_reported == count
+
+
+def test_repo_csv_fractional_counts():
+    text = "id,list,filesystem,client_nodes,procs_per_node\nx,SC22,lustre,2.5,7.9\ny,SC22,lustre,2,7.9\n"
+    result = ingest.parse_repo_csv(text)
+    assert result.skipped == [(1, "invalid client_nodes '2.5'")]
+    (sub,) = result.submissions
+    assert (sub.meta.client_nodes, sub.meta.procs_per_node) == (2, None)
 
 
 def test_normalize_filesystem_idempotent():

@@ -1,11 +1,11 @@
-import inspect
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from io500kit import loginsight
-from io500kit.config import load_defaults
+from io500kit.config import StragglerParams
 from io500kit.errors import (
     DegenerateInputError,
     NotAvailableError,
@@ -271,11 +271,47 @@ def test_straggler_report_missing_rank_splits_run():
     assert rep.run_count == 2
 
 
-def test_straggler_report_tuning_keywords_are_the_config_keys():
-    # The CLI passes config["straggler"] as keyword arguments.
-    params = list(inspect.signature(loginsight.straggler_report).parameters)
-    assert params[:2] == ["timing", "stonewall_s"]
-    assert set(params[2:]) == set(load_defaults()["straggler"])
+def test_straggler_report_applies_every_param():
+    # Every field differs from its default, so one that straggler_report dropped
+    # or passed to the wrong kernel parameter would show.
+    params = StragglerParams(
+        iqr_multiplier=0.5,
+        ratio_floor=1.1,
+        min_pattern_size=4,
+        contiguous_fraction=0.8,
+        clustered_fraction=0.7,
+        min_run_length=3,
+    )
+    assert all(getattr(params, f.name) != f.default for f in dataclasses.fields(params))
+    rng = np.random.default_rng(12)
+    differs = 0
+    for _ in range(40):
+        ranks = np.arange(64)
+        runtimes = 300.0 * rng.choice([1.02, 1.05, 1.15, 1.3, 2.0], size=64, p=[0.5, 0.2, 0.1, 0.1, 0.1])
+        table = ProcessTimingTable(
+            phase=Phase.IOR_HARD_WRITE, rank=ranks, start_s=np.zeros(64), end_s=runtimes, stonewall_s=300.0
+        )
+        rep = loginsight.straggler_report(table, params)
+        stragglers = loginsight.detect_stragglers(
+            runtimes / 300.0, ranks, params.iqr_multiplier, params.ratio_floor
+        )
+        want = loginsight.classify_straggler_pattern(
+            stragglers,
+            64,
+            params.min_pattern_size,
+            params.contiguous_fraction,
+            params.clustered_fraction,
+            params.min_run_length,
+        )
+        assert rep.straggler_ranks == stragglers
+        assert (rep.pattern, rep.adjacency_index, rep.run_count) == (
+            want.pattern,
+            want.adjacency_index,
+            want.run_count,
+        )
+        default = loginsight.straggler_report(table)
+        differs += (default.straggler_ranks, default.pattern) != (rep.straggler_ranks, rep.pattern)
+    assert differs  # the params change some report
 
 
 # --- pfind imbalance ----------------------------------------------------------------------

@@ -134,6 +134,9 @@ def _every_odd_token(test):
 
 @PROPERTY
 @_every_odd_token
+@example("rank,start,end,items\n0,0,310,3\n1,0,310,1.5\n")  # a fraction is no item count
+@example("rank,start,end,items\n0,0,310,3\n1,0,310,0.9999\n")
+@example("rank,start,end,items\n0,0,310,-0.5\n1,0,310,3\n")  # not a rejected negative-items row
 @given(timing_csv())
 def test_vectorized_parse_matches_row_scan(text):
     want = _outcome(lambda: _scan(text))
