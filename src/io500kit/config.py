@@ -49,14 +49,25 @@ class PipelineConfig:
 
 def read_json_object(path: str | Path, what: str) -> dict:
     """The JSON object in a user-supplied file. A file that cannot be read,
-    is not UTF-8 JSON, or holds another kind of value raises ConfigError."""
+    is not UTF-8 JSON, holds another kind of value or repeats a key in any
+    object raises ConfigError."""
+    where = f"{what} {path}"
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{where}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as f:
-            value = json.load(f)
+            value = json.load(f, object_pairs_hook=unique)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+        raise ConfigError(f"cannot read {where}: {exc}") from None
     if not isinstance(value, dict):
-        raise ConfigError(f"{what} {path}: expected a JSON object, got {type(value).__name__}")
+        raise ConfigError(f"{where}: expected a JSON object, got {type(value).__name__}")
     return value
 
 

@@ -152,10 +152,10 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
     negative close/items) are rejected individually and reported in the
     returned warnings; duplicate ranks are a hard error.
 
-    The data lines are converted a column at a time, in chunks of
-    _CHUNK_ROWS lines. Only when a cell fails to convert or a rank repeats
-    are the lines checked one at a time, to raise the error for the first
-    offending line.
+    The data lines are converted a column at a time, a slice of the text of
+    about _SLICE_CHARS at a time. Only when a cell fails to convert or a rank
+    repeats are the lines checked one at a time, to raise the error for the
+    first offending line.
     """
     stonewall_s, width, col, body, first_line = _timing_layout(text, phase)
     parsed = _timing_columns(body, width, col, phase)
@@ -165,28 +165,71 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
     return ProcessTimingTable(phase=phase, stonewall_s=stonewall_s, **columns), warnings
 
 
+# Characters of a timing CSV converted at a time: about 7,000 lines of a synth
+# table. The cell strings of one slice, never of a whole table, are alive at once.
+_SLICE_CHARS = 1 << 18
+
+
+class _Body:
+    """The data lines of a timing CSV: the lines `text[start:].splitlines()`
+    gives, without that copy. Iterating gives every line at once, which only
+    the error path does; `slices` cuts the text into pieces instead."""
+
+    def __init__(self, text: str, start: int):
+        self.text, self.start = text, start
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.text[self.start :].splitlines())
+
+    def slices(self) -> Iterator[str]:
+        """The body in pieces of about _SLICE_CHARS, at least one, each cut just
+        after a "\n". A "\r\n" then never straddles a cut, so the pieces'
+        splitlines() concatenate to the whole body's."""
+        text, at, n = self.text, self.start, len(self.text)
+        while True:
+            end = n
+            if n - at > _SLICE_CHARS:
+                # After the last "\n" within the slice, or after the first beyond it.
+                end = text.rfind("\n", at, at + _SLICE_CHARS) + 1 or text.find("\n", at + _SLICE_CHARS) + 1 or n
+            yield text[at:end]
+            at = end
+            if at >= n:
+                return
+
+
+def _leading_lines(text: str) -> Iterator[tuple[str, int]]:
+    """The lines of text as splitlines() gives them, each with the offset
+    just after its line end, split a "\n"-ended piece at a time."""
+    at = 0
+    while at < len(text):
+        piece = text[at : text.find("\n", at) + 1 or len(text)]
+        for line, ended in zip(piece.splitlines(), piece.splitlines(keepends=True)):
+            at += len(ended)
+            yield line, at
+
+
 def _timing_layout(text: str, phase: Phase):
-    """Stonewall, header width, column index, data lines and the first data line's number."""
+    """Stonewall, header width, column index, data lines (a _Body) and the
+    first data line's number. Reads the text only up to its header line."""
     stonewall_s: float | None = None
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines) and (not lines[idx].strip() or lines[idx].lstrip().startswith("#")):
-        stripped = lines[idx].lstrip()
+    for idx, (line, end) in enumerate(_leading_lines(text)):
+        stripped = line.lstrip()
+        if not stripped:
+            continue
         if stripped.startswith("#"):
             m = re.match(r"#\s*(stonewall(?:_s)?)\s*[:=]\s*(\S+)", stripped)
             if m:
                 stonewall_s = _parse_float(m.group(2), "stonewall", idx + 1)
-        idx += 1
-    if idx >= len(lines):
-        raise SchemaError(f"{phase}: timing CSV has no header")
-    header = [h.strip().lower() for h in lines[idx].split(",")]
-    missing = [col for col in ("rank", "start", "end") if col not in header]
-    if missing:
-        raise SchemaError(
-            f"{phase}: missing required columns {missing}; found {header}"
-        )
-    col = {name: header.index(name) for name in header}
-    return stonewall_s, len(header), col, lines[idx + 1 :], idx + 2
+            continue
+        header = [h.strip().lower() for h in line.split(",")]
+        missing = [col for col in ("rank", "start", "end") if col not in header]
+        if missing:
+            raise SchemaError(
+                f"{phase}: missing required columns {missing}; found {header}"
+            )
+        col = {name: header.index(name) for name in header}
+        return stonewall_s, len(header), col, _Body(text, end), idx + 2
+    raise SchemaError(f"{phase}: timing CSV has no header")
 
 
 _INT64_BOUND = 2.0**63
@@ -202,11 +245,6 @@ def _optional_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
         stripped = [c.strip() for c in cells]
         values = np.fromiter((float(c) if c else np.nan for c in stripped), np.float64, n)
         return values, np.fromiter((not c for c in stripped), bool, n)
-
-
-# Data lines converted at a time: the cell strings of one chunk, never of a
-# whole table, are alive at once.
-_CHUNK_ROWS = 8192
 
 
 def _chunk_columns(lines: list[str], width: int, col: dict[str, int]):
@@ -240,12 +278,12 @@ def _chunk_columns(lines: list[str], width: int, col: dict[str, int]):
     return chunk
 
 
-def _timing_columns(body: list[str], width: int, col: dict[str, int], phase: Phase):
-    """Whole-column conversion of the data lines, _CHUNK_ROWS lines at a time:
+def _timing_columns(body: _Body, width: int, col: dict[str, int], phase: Phase):
+    """Whole-column conversion of the data lines, a slice of the text at a time:
     (columns, warnings), or None when some cell does not convert or a rank repeats."""
     chunks = []
-    for at in range(0, max(len(body), 1), _CHUNK_ROWS):
-        chunk = _chunk_columns(body[at : at + _CHUNK_ROWS], width, col)
+    for piece in body.slices():
+        chunk = _chunk_columns(piece.splitlines(), width, col)
         if chunk is None:
             return None
         chunks.append(chunk)
@@ -295,7 +333,7 @@ def _timing_columns(body: list[str], width: int, col: dict[str, int], phase: Pha
     return columns, warnings
 
 
-def _raise_first_bad_line(body: list[str], first_line: int, width: int, col: dict[str, int], phase: Phase):
+def _raise_first_bad_line(body: _Body, first_line: int, width: int, col: dict[str, int], phase: Phase):
     """Raise the error of the earliest data line whose cells do not convert or
     whose rank repeats, scanning from the first: the checks of a row-by-row
     parse, in its order. Called only when the column conversion has failed."""
@@ -400,14 +438,21 @@ def interconnect_class(meta: SubmissionMeta) -> str:
 
 def _coerce_int(value: Any) -> int | None:
     """The whole number `value` spells (`10`, ` 10 `, `10.0`, `1e3`), or None:
-    a fraction such as `2.5`, like `inf` or text, is no count."""
+    a fraction such as `2.5`, like `inf` or text, is no count. An integer
+    spelling is read exactly, not through a float."""
     if value is None:
         return None
+    text = str(value).strip()
     try:
-        number = float(str(value).strip())
+        number = float(text)
     except ValueError:
         return None
-    return int(number) if number.is_integer() else None  # is_integer: false for inf and NaN
+    if not number.is_integer():  # also false for inf and NaN
+        return None
+    try:
+        return int(text)
+    except ValueError:  # `10.0`, `1e3`
+        return int(number)
 
 
 def normalize_metadata(raw: Mapping[str, Any]) -> SubmissionMeta:
@@ -776,10 +821,24 @@ def _record(cls, obj: Any, where: str):
     return cls(**values)
 
 
+# The timing columns of a table line: (integer, nullable), in the order
+# _timing_table checks them.
+_COLUMNS = {
+    "rank": (True, False),
+    "start_s": (False, False),
+    "end_s": (False, False),
+    "close_s": (False, True),
+    "items": (True, True),
+}
+
+
 def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = False):
     """A timing column from its JSON list: float64 (NaN where null) or, for an
-    integer column, int64 (masked where null when nullable)."""
-    values = _get(spec, key, _LIST, where)
+    integer column, int64 (masked where null when nullable). A numpy column
+    is one _table_line has converted already."""
+    values = _get(spec, key, (list, np.ndarray), where)
+    if isinstance(values, np.ndarray):
+        return values
     n = len(values)
     absent = values.count(None)
     if nullable and n and absent == n:
@@ -792,7 +851,7 @@ def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = Fa
         except ValueError:  # nested lists of unequal length
             arr = None
         if arr is not None and arr.ndim == 1 and (arr.dtype.kind in ("i" if integer else "if") or not n):
-            return arr.astype(np.int64 if integer else np.float64)
+            return arr.astype(np.int64 if integer else np.float64, copy=False)
     elif nullable:
         kinds = _INT if integer else _NUM
         if all(v is None or (type(v) in kinds and (not integer or abs(v) < _INT64_BOUND)) for v in values):
@@ -824,11 +883,7 @@ def _timing_table(phase_name: str, spec: Any) -> ProcessTimingTable:
     phase = _enum(Phase, phase_name, where)
     columns = {
         "stonewall_s": _get(spec, "stonewall_s", _NUM, where, nullable=True),
-        "rank": _column(spec, "rank", where, integer=True),
-        "start_s": _column(spec, "start_s", where, integer=False),
-        "end_s": _column(spec, "end_s", where, integer=False),
-        "close_s": _column(spec, "close_s", where, integer=False, nullable=True),
-        "items": _column(spec, "items", where, integer=True, nullable=True),
+        **{key: _column(spec, key, where, *kind) for key, kind in _COLUMNS.items()},
     }
     try:
         return ProcessTimingTable(phase=phase, **columns)
@@ -874,8 +929,9 @@ def from_manifest(doc: Mapping[str, Any]) -> Submission:
     return _submission(doc, timing)
 
 
-def _manifest_text_lines(sub: Submission) -> Iterator[str]:
-    """The manifest's lines, one at a time: the header, then one line per timing table.
+def _manifest_pieces(sub: Submission) -> Iterator[str]:
+    """The manifest's text in pieces: the header line, then each table's line
+    in the pieces of _table_line_pieces.
 
     The header is the document tree with `timing` replaced by the list of
     the tables' phase names, in line order; each table line is the table's
@@ -885,25 +941,56 @@ def _manifest_text_lines(sub: Submission) -> Iterator[str]:
     tables = _sorted_tables(sub)
     yield _json_line(_header_tree(sub, [name for name, _ in tables]))
     for name, table in tables:
-        yield _json_line({"phase": name, **_table_tree(table)})
+        yield from _table_line_pieces(name, table)
 
 
 def _json_line(part: dict[str, Any]) -> str:
     return json.dumps(part, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
 
 
+# Column values encoded at a time: one block's Python numbers, never a whole
+# column's, are alive at once.
+_ENCODE_BLOCK = 8192
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def _table_line_pieces(name: str, table: ProcessTimingTable) -> Iterator[str]:
+    """The text of `_json_line({"phase": name, **_table_tree(table)})` in
+    pieces: the keys in sorted order, and each column encoded _ENCODE_BLOCK
+    values at a time, the brackets of each block's list stripped."""
+    columns = {
+        "close_s": np.ma.masked_invalid(table.close_s),  # NaN -> null
+        "end_s": table.end_s,
+        "items": table.items,
+        "rank": table.rank,
+        "start_s": table.start_s,
+    }
+    scalars = {"phase": name, "stonewall_s": table.stonewall_s}
+    for i, key in enumerate(sorted(columns.keys() | scalars.keys())):
+        yield ("," if i else "{") + _ENCODER.encode(key) + ":"
+        if key in scalars:
+            yield _ENCODER.encode(scalars[key])
+            continue
+        column = columns[key]
+        yield "["
+        for at in range(0, column.size, _ENCODE_BLOCK):
+            yield ("," if at else "") + _ENCODER.encode(column[at : at + _ENCODE_BLOCK].tolist())[1:-1]
+        yield "]"
+    yield "}\n"
+
+
 def dumps_manifest(sub: Submission) -> str:
     """The manifest text: JSON Lines, a header line and then one line per timing table."""
-    return "".join(_manifest_text_lines(sub))
+    return "".join(_manifest_pieces(sub))
 
 
 def write_manifest(sub: Submission, path: str | Path) -> None:
-    """Write the manifest a line at a time, so that one table's JSON lists are
-    alive at once; a write that fails leaves no file behind."""
+    """Write the manifest a piece at a time, so that one block of a column's
+    Python numbers is alive at once; a write that fails leaves no file behind."""
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8", newline="\n") as f:
-            f.writelines(_manifest_text_lines(sub))
+            f.writelines(_manifest_pieces(sub))
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -951,12 +1038,58 @@ def _whole_text_header(path: Path):
     return header, rest, iter(after)
 
 
+# JSON whitespace, as the stdlib decoder skips it between tokens.
+_WS = re.compile(r"[ \t\n\r]*")
+
+
+def _object_members(line: str, at: int) -> dict[str, Any]:
+    """The object that starts at line[at], a "{", decoded one member at a
+    time by the stdlib decoder. A timing column's list becomes its numpy
+    column (see _column) before the next member is decoded; a list that does
+    not convert is kept, for _timing_table to report in its order. The last
+    of repeated keys wins, as in json.loads. A syntax fault raises ValueError."""
+    spec: dict[str, Any] = {}
+    at = _WS.match(line, at + 1).end()
+    closed = line[at : at + 1] == "}"
+    while not closed:
+        if line[at : at + 1] != '"':
+            raise ValueError("expected a key")
+        key, at = _JSON.raw_decode(line, at)
+        at = _WS.match(line, at).end()
+        if line[at : at + 1] != ":":
+            raise ValueError("expected ':'")
+        value, at = _JSON.raw_decode(line, _WS.match(line, at + 1).end())
+        if key in _COLUMNS and isinstance(value, list):
+            with contextlib.suppress(ValidationError):
+                value = _column({key: value}, key, "", *_COLUMNS[key])
+        spec[key] = value
+        at = _WS.match(line, at).end()
+        separator = line[at : at + 1]
+        if separator not in (",", "}"):
+            raise ValueError("expected ',' or '}'")
+        closed = separator == "}"
+        if not closed:
+            at = _WS.match(line, at + 1).end()
+    if _WS.match(line, at + 1).end() != len(line):
+        raise ValueError("extra data")
+    return spec
+
+
 def _table_line(line: str, line_no: int, phase: Phase) -> dict[str, Any]:
+    """A table line's object, its columns converted as it is decoded (see
+    _object_members). A line that is not an object is decoded whole, for
+    _get to name its kind. On a syntax fault, the message is the one
+    json.loads gives for the whole line."""
     where = f"timing.{phase.value}"
+    start = _WS.match(line).end()
     try:
-        spec = json.loads(line)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: line {line_no} is not JSON ({exc})") from None
+        spec = _object_members(line, start) if line[start : start + 1] == "{" else json.loads(line)
+    except ValueError:
+        try:
+            json.loads(line)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: line {line_no} is not JSON ({exc})") from None
+        raise  # json.loads reads the line: a fault of _object_members, not of the line
     if _get(spec, "phase", _STR, where) != phase.value:
         raise ValidationError(f"{where}: line {line_no} holds phase {spec['phase']!r}")
     return spec

@@ -58,15 +58,37 @@ def _finite(values) -> np.ndarray:
     return column
 
 
-def _quantize(values) -> tuple[np.ndarray, list[str]]:
-    """q6 of a whole column, and the `.6g` text of each value.
+# Values quantized, formatted or drawn at a time: one block's Python objects,
+# never a whole column's, are alive at once.
+_BLOCK = 8192
+
+
+def _q6_blocks(values: np.ndarray, out: np.ndarray) -> Iterator[tuple[slice, list[str]]]:
+    """Write q6 of a column into `out`, _BLOCK values at a time, yielding each
+    block's slice and the `.6g` text of its values.
 
     Each value is formatted once and the text parsed back. `.6g` is
     idempotent on a q6 value, so for a finite value that text is also the
     sidecar cell.
     """
-    text = list(map(format, np.asarray(values, dtype=float).ravel().tolist(), itertools.repeat(".6g")))
-    return np.fromiter(map(float, text), dtype=float, count=len(text)), text
+    for at in range(0, values.size, _BLOCK):
+        block = slice(at, at + _BLOCK)
+        text = list(map(format, values[block].tolist(), itertools.repeat(".6g")))
+        out[block] = np.fromiter(map(float, text), dtype=float, count=len(text))
+        yield block, text
+
+
+def _quantize(values) -> np.ndarray:
+    """q6 of a whole column."""
+    column = np.asarray(values, dtype=float).ravel()
+    out = np.empty(column.size)
+    for _ in _q6_blocks(column, out):
+        pass
+    return out
+
+
+# A sidecar's `clamped` cell, by flag.
+_FLAGS = ("false", "true")
 
 
 def fmt_label(x: float) -> str:
@@ -82,12 +104,14 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def csv_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+def _csv_rows(rows: Iterable[Sequence[str]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def csv_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    return _csv_rows(itertools.chain([header], rows))
 
 
 def aligned_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -179,7 +203,7 @@ def _svg(
     ]
     if title:
         head.append(_text(width / 2.0, title_y, title, size=title_size, anchor="middle"))
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    return "\n".join([*head, *body, "</svg>", ""])
 
 
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "start", extra: str = "") -> str:
@@ -256,15 +280,21 @@ def _y_range(values: np.ndarray, log: bool) -> tuple[float, float]:
     return float(values[values.argmin()]), float(values[values.argmax()])
 
 
-def _points(circle: str, clamped_circle: str, clamped: np.ndarray, *columns: list, lift: float = 5.0) -> list[str]:
-    """One SVG line per point from a %-format taking one value of each column,
-    (cx, cy, ...); a point pinned to the log floor gets clamped_circle and a
-    "0" label lift pixels above it."""
-    lines = list(map(circle.__mod__, zip(*columns)))
-    for i in np.flatnonzero(clamped).tolist():
-        point = tuple(column[i] for column in columns)
-        lines[i] = clamped_circle % point + "\n" + _text(point[0], point[1] - lift, "0", size=8, anchor="middle")
-    return lines
+def _points(circle: str, clamped_circle: str, clamped: np.ndarray, *columns, lift: float = 5.0) -> list[str]:
+    """The SVG lines of the points, one string per _BLOCK points, from a
+    %-format taking one value of each column (cx, cy, ...), a numpy array
+    or a list; a point
+    pinned to the log floor gets clamped_circle and a "0" label lift pixels
+    above it."""
+    blocks = []
+    for at in range(0, clamped.size, _BLOCK):
+        values = [np.asarray(column[at : at + _BLOCK]).tolist() for column in columns]
+        lines = list(map(circle.__mod__, zip(*values)))
+        for i in np.flatnonzero(clamped[at : at + _BLOCK]).tolist():
+            point = tuple(column[i] for column in values)
+            lines[i] = clamped_circle % point + "\n" + _text(point[0], point[1] - lift, "0", size=8, anchor="middle")
+        blocks.append("\n".join(lines))
+    return blocks
 
 
 # --- correlation heatmap ---------------------------------------------------------
@@ -287,7 +317,7 @@ def render_corr_heatmap(report, spec: RenderSpec | None = None) -> tuple[str, st
     """
     spec = spec or RenderSpec()
     k = len(report.variables)
-    coeff = _quantize(report.coeff)[0].reshape(k, k)
+    coeff = _quantize(report.coeff).reshape(k, k)
 
     cell = 34.0
     left, top = 150.0, 60.0 + (110.0 if k else 0.0)
@@ -388,9 +418,14 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     if outside.any():
         raise ValueError(f"quantile {float(pairs[np.argmax(outside), 0])!r} outside [0, 1]")
     spec = spec or RenderSpec()
-    quantiles, q_cells = _quantize(pairs[:, 0])
-    ratios, r_cells = _quantize(pairs[:, 1])
-    log_y = spec.scale == "log10" and bool(np.any(ratios > 0))
+    # q6 keeps a value's sign, so the raw ratios tell whether any is above 0.
+    log_y = spec.scale == "log10" and bool(np.any(pairs[:, 1] > 0))
+    quantiles, ratios = np.empty(len(pairs)), np.empty(len(pairs))
+    # The sidecar first, a block of rows at a time, so that each block's cells are gone before the next.
+    sidecar = [csv_table(["quantile", "ratio", "clamped"], [])]
+    for (block, q_cells), (_, r_cells) in zip(_q6_blocks(pairs[:, 0], quantiles), _q6_blocks(pairs[:, 1], ratios)):
+        flags = map(_FLAGS.__getitem__, (log_y & (ratios[block] <= 0)).tolist())
+        sidecar.append(_csv_rows(zip(q_cells, r_cells, flags)))
     # The axis takes in the reference line and, on a linear scale, zero.
     y_lo, y_hi = _y_range(np.append(ratios, (1.0, 0.0)), log_y)
 
@@ -406,22 +441,19 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     ]
     xs, _ = px(quantiles)
     ys, clamped = py(ratios)
-    # The sidecar first, so that its per-point cells are gone before the points are formatted.
-    flags = map(("false", "true").__getitem__, clamped.tolist())
-    sidecar = csv_table(["quantile", "ratio", "clamped"], zip(q_cells, r_cells, flags))
-    del q_cells, r_cells
     parts += _points(
         '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#33668c"/>',
         '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#d09040"/>',
         clamped,
-        xs.tolist(),
-        ys.tolist(),
+        xs,
+        ys,
     )
+    del quantiles, ratios, xs, ys, clamped  # so that the SVG's pieces and its join are alone
     parts.append(_text(width / 2.0, height - 16.0, spec.x_label or "empirical quantile", size=11, anchor="middle"))
     parts.append(_y_label(height, spec.y_label or "runtime / stonewall"))
     parts.append(_text(66.0, height - 44.0, fmt_label(y_lo), size=9, anchor="end"))
     parts.append(_text(66.0, 46.0, fmt_label(y_hi), size=9, anchor="end"))
-    return _svg(width, height, spec.title, parts), sidecar
+    return _svg(width, height, spec.title, parts), "".join(sidecar)
 
 
 def qq_from_sidecar(sidecar: str) -> list[tuple[float, float]]:
@@ -455,18 +487,19 @@ def render_group_box(
         raise EmptyInputError("no groups to plot")
     spec = spec or RenderSpec()
     ordered = sorted(
-        ((label, *_quantize(_finite(values))) for label, values in groups),
+        ((label, _finite(values).ravel()) for label, values in groups),
         key=lambda group: _natural_label_key(group[0]),
     )
-    for label, values, _ in ordered:
+    for label, values in ordered:
         if not values.size:
             raise EmptyInputError(f"group {label!r} is empty")
-    # The sidecar first, so that its per-point cells are gone before the points are formatted.
-    sidecar = csv_table(
-        ["label", "value"],
-        itertools.chain.from_iterable(zip(itertools.repeat(label), cells) for label, _, cells in ordered),
-    )
-    ordered = [(label, values) for label, values, _ in ordered]
+    # The sidecar first, a block of rows at a time, so that each block's cells are gone before the next.
+    sidecar = [csv_table(["label", "value"], [])]
+    for g, (label, values) in enumerate(ordered):
+        quantized = np.empty(values.size)
+        sidecar += (_csv_rows(zip(itertools.repeat(label), cells)) for _, cells in _q6_blocks(values, quantized))
+        ordered[g] = (label, quantized)
+    sidecar = "".join(sidecar)
 
     pooled = np.concatenate([values for _, values in ordered])
     log_y = spec.scale == "log10" and bool(np.any(pooled > 0))
@@ -517,7 +550,7 @@ def render_group_box(
             )
         ring = '<circle cx="%.2f" cy="%.2f" r="2.0" fill="none" stroke="#b2502d" stroke-width="1"/>'
         ys, clamped = py(outliers)
-        parts += _points(ring, ring, clamped, [cx] * outliers.size, ys.tolist())
+        parts += _points(ring, ring, clamped, np.full(outliers.size, cx), ys)
         note = f" (n={arr.size})"
         parts.append(_text(cx, height - 36.0, label + note, size=10, anchor="middle"))
     parts.append(_y_label(height, spec.y_label + (" (log10)" if log_y else "")))
@@ -570,7 +603,7 @@ def render_score_strip(
         f'<rect x="80.00" y="46.00" width="{_c(width - 250.0)}" height="{_c(height - 106.0)}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     ]
-    parts += _points(circle, circle, clamped, xs.tolist(), ys.tolist(), [color[label] for label, _ in data], lift=6.0)
+    parts += _points(circle, circle, clamped, xs, ys, [color[label] for label, _ in data], lift=6.0)
     for i, label in enumerate(labels):
         ly = 56.0 + i * 16.0
         parts.append(f'<circle cx="{_c(width - 150.0)}" cy="{_c(ly - 4.0)}" r="4.0" fill="{color[label]}"/>')
@@ -578,7 +611,7 @@ def render_score_strip(
     parts.append(_text(width / 2.0 - 60.0, height - 18.0, spec.x_label or "submissions (sorted)", size=11, anchor="middle"))
     parts.append(_y_label(height, (spec.y_label or "value") + (" (log10)" if log_y else "")))
 
-    flags = map(("false", "true").__getitem__, clamped.tolist())
+    flags = map(_FLAGS.__getitem__, clamped.tolist())
     rows = [[label, fmt_csv(v), flag] for (label, v), flag in zip(data, flags)]
     return _svg(width, height, spec.title, parts), csv_table(["label", "value", "clamped"], rows)
 
@@ -588,6 +621,9 @@ def strip_from_sidecar(sidecar: str) -> list[tuple[str, float]]:
 
 
 # --- output layout -----------------------------------------------------------------
+
+
+_WRITE_CHARS = 1 << 20
 
 
 def write_render(
@@ -606,6 +642,9 @@ def write_render(
         if content is None:
             continue
         path = target / f"{name}.{suffix}"
-        path.write_text(content, encoding="utf-8", newline="\n")
+        with path.open("w", encoding="utf-8", newline="\n") as f:
+            # A slice at a time: a 7 MB plot is never encoded whole.
+            for at in range(0, len(content), _WRITE_CHARS):
+                f.write(content[at : at + _WRITE_CHARS])
         written.append(path)
     return written

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import get_args
+from typing import Iterator, get_args
 
 import numpy as np
 
@@ -577,34 +577,44 @@ def _meta_text(meta: SubmissionMeta) -> str:
     return "\n".join(f"{key} = {value}" for key, value in fields if value is not None) + "\n"
 
 
-def _timing_text(table: ProcessTimingTable) -> str:
-    # One %-format over the flat cells: "%d" is str() of an int and "%.6f" is
-    # f"{x:.6f}". A column with gaps is written as strings, its gaps as "".
-    columns = [table.rank.tolist(), table.start_s.tolist(), table.end_s.tolist()]
-    formats = ["%d", "%.6f", "%.6f"]
+# Rows formatted at a time: one block's cells, never a whole table's, are alive at once.
+_BLOCK_ROWS = 8192
+
+
+def _timing_pieces(table: ProcessTimingTable) -> Iterator[str]:
+    """A table's timing CSV in pieces: the comment and header lines, then
+    _BLOCK_ROWS rows at a time."""
+    # One %-format per block over its flat cells: "%d" is str() of an int and
+    # "%.6f" is f"{x:.6f}". A column with gaps is written as strings, its gaps as "".
+    # Each column: (values, format, the cells of a block of its values).
+    columns = [
+        (table.rank, "%d", np.ndarray.tolist),
+        (table.start_s, "%.6f", np.ndarray.tolist),
+        (table.end_s, "%.6f", np.ndarray.tolist),
+    ]
     header = "rank,start,end"
     gaps = np.isnan(table.close_s)
     if not np.all(gaps):
         header += ",close"
         if np.any(gaps):
-            columns.append(["" if x != x else f"{x:.6f}" for x in table.close_s.tolist()])
-            formats.append("%s")
+            columns.append((table.close_s, "%s", lambda part: ["" if x != x else f"{x:.6f}" for x in part.tolist()]))
         else:
-            columns.append(table.close_s.tolist())
-            formats.append("%.6f")
+            columns.append((table.close_s, "%.6f", np.ndarray.tolist))
     if table.items.count():
         header += ",items"
         if table.items.count() < table.n_ranks:
-            columns.append(["" if x is None else str(x) for x in table.items.tolist()])
-            formats.append("%s")
+            columns.append((table.items, "%s", lambda part: ["" if x is None else str(x) for x in part.tolist()]))
         else:
-            columns.append(table.items.compressed().tolist())
-            formats.append("%d")
-    cells: list = [None] * (table.n_ranks * len(columns))
-    for j, column in enumerate(columns):
-        cells[j :: len(columns)] = column
+            columns.append((table.items, "%d", lambda part: part.compressed().tolist()))
     comment = "" if table.stonewall_s is None else f"# stonewall_s = {table.stonewall_s:.6f}\n"
-    return comment + header + "\n" + ((",".join(formats) + "\n") * table.n_ranks) % tuple(cells)
+    yield comment + header + "\n"
+    row = ",".join(fmt for _, fmt, _ in columns) + "\n"
+    for at in range(0, table.n_ranks, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, table.n_ranks - at)
+        cells: list = [None] * (n * len(columns))
+        for j, (values, _, block_cells) in enumerate(columns):
+            cells[j :: len(columns)] = block_cells(values[at : at + n])
+        yield (row * n) % tuple(cells)
 
 
 def _repo_csv_text(subs: list[Submission]) -> str:
@@ -661,7 +671,8 @@ def write_corpus(generated: list[GeneratedSubmission], outdir: str | Path) -> li
         (pkg / SUMMARY_FILENAME).write_text(_summary_text(sub), encoding="utf-8", newline="\n")
         (pkg / META_FILENAME).write_text(_meta_text(sub.meta), encoding="utf-8", newline="\n")
         for phase, table in sorted(sub.timing.items(), key=lambda kv: kv[0].value):
-            (pkg / f"{phase.value}.csv").write_text(_timing_text(table), encoding="utf-8", newline="\n")
+            with (pkg / f"{phase.value}.csv").open("w", encoding="utf-8", newline="\n") as f:
+                f.writelines(_timing_pieces(table))
         package_dirs.append(pkg)
         truth[sub.meta.submission_id] = {
             "stragglers": {

@@ -9,7 +9,9 @@ warnings, or raise the same error for the same line.
 The Q-Q, box plot and score strip renderers draw one point at a time through
 a per-value axis, and the heatmap quantizes every cell, as the package did
 before its renderers worked on whole columns; the package's renderers must
-produce the same SVG and sidecar bytes. The manifest reader at the end reads
+produce the same SVG and sidecar bytes. The whole-column quantizer and point
+formatter are the package's before it worked a block of values at a time;
+its blocks must concatenate to their output. The manifest reader at the end reads
 the whole text at once, as the package did before it read a line at a time;
 the package's reader must return the same Submission or raise the same error.
 The timing CSV writer formats one cell at a time, as synth did before it
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -310,6 +313,21 @@ def scan_timing_rows_oracle(
 
 
 # --- per-point renderers ------------------------------------------------------------
+
+
+def quantize_oracle(values) -> tuple[np.ndarray, list[str]]:
+    """report._quantize of a whole column at once, with the `.6g` text of each value."""
+    text = list(map(format, np.asarray(values, dtype=float).ravel().tolist(), itertools.repeat(".6g")))
+    return np.fromiter(map(float, text), dtype=float, count=len(text)), text
+
+
+def points_oracle(circle: str, clamped_circle: str, clamped: np.ndarray, *columns: list, lift: float = 5.0) -> list[str]:
+    """report._points of whole column lists: one SVG line per point."""
+    lines = list(map(circle.__mod__, zip(*columns)))
+    for i in np.flatnonzero(clamped).tolist():
+        point = tuple(column[i] for column in columns)
+        lines[i] = clamped_circle % point + "\n" + _text(point[0], point[1] - lift, "0", size=8, anchor="middle")
+    return lines
 
 
 def _csv_table(header, rows):
@@ -758,7 +776,7 @@ def read_manifest_oracle(path, phases=None):
 
 
 def timing_text_oracle(table):
-    """synth._timing_text one cell at a time: str() of each rank and item
+    """synth._timing_pieces, joined, one cell at a time: str() of each rank and item
     count, f"{x:.6f}" of each time, "" for an absent close time or count."""
     columns = [
         [str(r) for r in table.rank.tolist()],

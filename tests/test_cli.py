@@ -709,6 +709,10 @@ BAD_INPUT_CASES = [
     # A column map holds only the default's keys.
     ([*COLUMN_MAP, "{f}"], '{"filesytem": "FS"}', 1, "unknown keys: filesytem"),
     ([*COLUMN_MAP, "{f}"], '{"phases": {"find": "pf", "ior_easy_write": "x"}}', 1, "unknown keys: phases.ior_easy_write"),
+    # A repeated key is an error, not a silent last-one-wins, in each config file and at any depth.
+    ([*INGEST, "{f}"], '{"cache_threshold_s": 1, "cache_threshold_s": 2}', 1, "repeated key 'cache_threshold_s'"),
+    ([*SYNTH, "{f}"], '{"straggler": {"kind": "dispersed", "kind": "none"}}', 1, "repeated key 'kind'"),
+    ([*COLUMN_MAP, "{f}"], '{"phases": {"find": "pf", "find": "f"}}', 1, "repeated key 'find'"),
     # Synth config values in range: checked when the config loads, before any corpus is built.
     ([*SYNTH, "{f}"], '{"close_models": {"lustre": {"median_s": -1}}}', 1, "close_models.lustre.median_s must be > 0, got -1"),
     ([*SYNTH, "{f}"], '{"close_models": {"lustre": {"sigma": -1}}}', 1, "close_models.lustre.sigma must be >= 0, got -1"),

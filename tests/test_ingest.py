@@ -236,6 +236,13 @@ def test_counts_are_whole_numbers(raw, count):
     assert meta.procs_per_node == count and meta.nic_count_reported == count
 
 
+@pytest.mark.parametrize("raw", ["9007199254740993", " 9007199254740993 ", str(2**63 + 1), "1" + "0" * 40 + "1"])
+def test_counts_above_2_53_are_exact(raw):
+    # A float holds every integer only up to 2**53; an integer spelling is read exactly.
+    meta = ingest.normalize_metadata({"client_nodes": raw, "total_procs": raw})
+    assert meta.client_nodes == meta.total_procs == int(raw)
+
+
 def test_repo_csv_fractional_counts():
     text = "id,list,filesystem,client_nodes,procs_per_node\nx,SC22,lustre,2.5,7.9\ny,SC22,lustre,2,7.9\n"
     result = ingest.parse_repo_csv(text)

@@ -1,0 +1,76 @@
+"""Memory regression: the traced peak of the per-rank paths on a 65,536-rank
+table, as a multiple of the numpy columns the table keeps.
+
+tracemalloc counts the bytes Python and numpy allocate, which, unlike RSS,
+are the same from run to run. Each bound lies between the peak measured for
+the streamed paths and the peak of the whole-table code before them:
+
+| Path | Streamed | Whole-table | Bound |
+|---|---|---|---|
+| `write_manifest` | 0.6x | 7.7x | 2x |
+| `read_manifest` | 5.5x | 9.2x | 7x |
+| `parse_process_timing` | 2.6x | 5.1x | 3.5x |
+| `render_qq` | 5.1x | 7.1x | 6.5x |
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from io500kit import ingest, loginsight, report, synth
+from io500kit.types import Phase, ProcessTimingTable, Submission, SubmissionMeta
+
+N_RANKS = 65536
+PHASE = Phase.IOR_EASY_WRITE
+
+
+@pytest.fixture(scope="module")
+def table():
+    rng = np.random.default_rng(5)
+    start = rng.uniform(0.0, 1.0, N_RANKS)
+    return ProcessTimingTable(
+        phase=PHASE,
+        rank=np.arange(N_RANKS),
+        start_s=start,
+        end_s=start + rng.uniform(300.0, 330.0, N_RANKS),
+        close_s=rng.uniform(0.0, 2.0, N_RANKS),
+        items=np.ma.MaskedArray(rng.integers(0, 10**6, N_RANKS)),
+        stonewall_s=300.0,
+    )
+
+
+def _kept(table) -> int:
+    """The bytes of the table's columns and its items mask."""
+    return sum(c.nbytes for c in (table.rank, table.start_s, table.end_s, table.close_s, table.items.data)) + N_RANKS
+
+
+def _traced_peak(call) -> int:
+    call()  # once untraced, so that caches and compiled patterns are not counted
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_manifest_peak(table, tmp_path):
+    sub = Submission(meta=SubmissionMeta(submission_id="m"), timing={PHASE: table})
+    assert _traced_peak(lambda: ingest.write_manifest(sub, tmp_path / "m.json")) < 2 * _kept(table)
+
+
+def test_read_manifest_peak(table, tmp_path):
+    path = tmp_path / "m.json"
+    ingest.write_manifest(Submission(meta=SubmissionMeta(submission_id="m"), timing={PHASE: table}), path)
+    assert _traced_peak(lambda: ingest.read_manifest(path)) < 7 * _kept(table)
+
+
+def test_parse_process_timing_peak(table):
+    text = "".join(synth._timing_pieces(table))
+    assert _traced_peak(lambda: ingest.parse_process_timing(text, PHASE)) < 3.5 * _kept(table)
+
+
+def test_render_qq_peak(table):
+    qq = loginsight.stonewall_ratios(table).qq
+    assert _traced_peak(lambda: report.render_qq(qq)) < 6.5 * _kept(table)

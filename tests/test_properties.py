@@ -28,6 +28,8 @@ from oracles import (
     correlation_cells_oracle,
     kruskal_wallis_loop_oracle,
     metric_table_oracle,
+    points_oracle,
+    quantize_oracle,
     rank_loop_oracle,
     rank_oracle,
     read_manifest_oracle,
@@ -147,7 +149,7 @@ def test_vectorized_parse_matches_row_scan(text):
         assert ingest._timing_columns(body, width, col, PHASE) is not None
 
 
-CHUNK = ingest._CHUNK_ROWS
+CHUNK = 8192  # data lines; the long tables below fill one or two text slices
 
 
 def _long_csv(n_rows, edits=None):
@@ -373,6 +375,81 @@ def _pin_manifests(test):
     return test
 
 
+# The members of a valid `find` table line, in sorted order, as JSON text.
+MEMBERS = [
+    ("close_s", "[null,null,null]"), ("end_s", "[1.0,1.0,1.0]"), ("items", "[null,null,null]"), ("phase", '"find"'),
+    ("rank", "[0,1,2]"), ("start_s", "[0.0,0.0,0.0]"), ("stonewall_s", "300.0"),
+]
+
+
+def _member_line(members=MEMBERS, sep=",", colon=":", open_="{", close="}"):
+    return open_ + sep.join(f'"{key}"{colon}{value}' for key, value in members) + close
+
+
+def _with(key, value):
+    return _member_line([(k, value if k == key else v) for k, v in MEMBERS])
+
+
+# Table lines that a decoder of one member at a time meets: whitespace between
+# tokens, repeated keys (the last wins), NaN and Infinity tokens, exponent
+# forms, the int64 edges and their neighbours, 19-digit integers, nested lists,
+# faults between members, and lines that are not objects.
+MEMBER_LINES = [
+    _member_line(sep=" ,\t ", colon=" :\t", open_=" \t{ ", close="\t} "),
+    _with("rank", "[ 0 ,\t1 , 2 ]"),
+    _member_line(MEMBERS + [("rank", '"x"')]),
+    _member_line([("rank", '"x"')] + MEMBERS),
+    _member_line(MEMBERS + [("end_s", "[2.0,3.0,4.0]"), ("end_s", "[5.0,6.0,7.0]")]),
+    _member_line(MEMBERS + [("phase", '"ior-easy-write"')]),
+    _member_line([("phase", '"ior-easy-write"')] + MEMBERS),
+    _member_line(MEMBERS + [("rank", "[[0],[1],[2]]"), ("host", "[1,2,3]")]),
+    _with("start_s", "[NaN,0,0]"),
+    _with("close_s", "[Infinity,null,-Infinity]"),
+    _with("end_s", "[1.0,2.0,Infinity]"),
+    _with("items", "[NaN,1,2]"),
+    _with("stonewall_s", "NaN"),
+    _with("end_s", "[1e0,1E+0,10e-1]"),
+    _with("start_s", "[0e5,-0.0e-3,1e-320]"),
+    _with("rank", "[0,1e0,2]"),
+    _with("items", "[1E2,2,3]"),
+    _with("stonewall_s", "3e2"),
+    _with("rank", "[0,1,9223372036854775807]"),
+    _with("rank", "[0,1,9223372036854775808]"),
+    _with("rank", "[-9223372036854775809,0,1]"),
+    _with("items", "[9223372036854775807,null,0]"),
+    _with("items", "[9223372036854775808,null,0]"),
+    _with("items", "[-9223372036854775808,1,2]"),
+    _with("items", "[-9223372036854775809,null,2]"),
+    _with("rank", "[0,1,1234567890123456789]"),
+    _with("items", "[9999999999999999999,1,2]"),
+    _with("start_s", "[1234567890123456789,0,0]"),
+    _with("rank", "[[0],[1],[2]]"),
+    _with("rank", "[[0,1],[2],[3]]"),
+    _with("close_s", "[[1.0],null,2.0]"),
+    _with("end_s", "[[1.0,2.0],[3.0,4.0],[5.0,6.0]]"),
+    _with("phase", '"fin\\u0064"'),
+    _member_line(sep=",,"),
+    _member_line(sep=" "),
+    _member_line(colon=" "),
+    _member_line(close=",}"),
+    _member_line(close="}}"),
+    _member_line(close=""),
+    _member_line(open_="{rank:[0],"),
+    _with("rank", "[0,1,2,]"),
+    _with("rank", "[0,1"),
+    "{}", " { } ", '{"phase":"find"}', "[1,2]", '"find"', "5", "null", "",
+]
+
+
+def _pin_member_lines(test):
+    table = ProcessTimingTable(phase=Phase.FIND, rank=np.arange(3), start_s=np.zeros(3), end_s=np.ones(3))
+    header = ingest.dumps_manifest(Submission(meta=SubmissionMeta(submission_id="s"), timing={Phase.FIND: table}))
+    header = header.split("\n")[0]
+    for line in MEMBER_LINES:
+        test = example(f"{header}\n{line}\n".encode(), None)(test)
+    return test
+
+
 def _read(read, path, phases):
     try:
         return read(path, phases)
@@ -381,6 +458,7 @@ def _read(read, path, phases):
 
 
 @PROPERTY
+@_pin_member_lines
 @_pin_manifests
 @given(damaged_manifest(), st.sampled_from([None, (), (Phase.FIND,), (Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE)]))
 def test_line_reader_matches_whole_text_reader(data, phases):
@@ -956,3 +1034,126 @@ def test_classify_straggler_pattern_equals_the_run_loop(drawn, min_size, contigu
         except ValueError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+# --- block and slice boundaries of the streamed paths -----------------------------------
+
+BLOCK_SIZES = [0, 1, 8191, 8192, 8193]
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def edge_table(draw):
+    """A table of 0, 1 or about one block of ranks, with -0.0, 1e-320, NaN
+    closes, masked items and int64 edges drawn onto the block boundaries."""
+    n = draw(st.sampled_from(BLOCK_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spots = [i for i in (0, 8190, 8191, 8192, n - 1) if 0 <= i < n]
+    rank = np.arange(n, dtype=np.int64) * 7
+    if n:
+        rank[-1] = INT64_MAX
+    start = rng.uniform(0.0, 100.0, n)
+    start[spots] = draw(st.sampled_from([-0.0, 0.0, 1e-320, 5e-324]))
+    end = start + rng.uniform(0.0, 10.0, n)
+    end[spots[:1]] = start[spots[:1]]
+    close = None
+    close_kind = draw(st.sampled_from(["none", "all-nan", "some-nan", "full"]))
+    if close_kind != "none":
+        close = rng.uniform(0.0, 2.0, n)
+        close[spots] = draw(st.sampled_from([-0.0, 1e-320, 0.5]))
+        if close_kind == "all-nan":
+            close[:] = np.nan
+        elif close_kind == "some-nan":
+            close[spots[::2]] = np.nan
+    items = None
+    items_kind = draw(st.sampled_from(["none", "all-masked", "some-masked", "full"]))
+    if items_kind != "none":
+        data = rng.integers(0, INT64_MAX, n, dtype=np.int64, endpoint=True)
+        data[spots] = draw(st.sampled_from([0, INT64_MAX, INT64_MAX - 1]))
+        mask = np.zeros(n, dtype=bool)
+        if items_kind == "all-masked":
+            mask[:] = True
+        elif items_kind == "some-masked":
+            mask[spots[1::2]] = True
+        items = np.ma.MaskedArray(data, mask=mask)
+    stonewall = draw(st.sampled_from([None, 300.0, 1e-320, 300]))
+    return ProcessTimingTable(
+        phase=PHASE, rank=rank, start_s=start, end_s=end, close_s=close, items=items, stonewall_s=stonewall
+    )
+
+
+@settings(PROPERTY, max_examples=60)
+@given(edge_table())
+def test_streamed_table_line_equals_the_whole_tree_line(table):
+    pieces = list(ingest._table_line_pieces(PHASE.value, table))
+    assert "".join(pieces) == ingest._json_line({"phase": PHASE.value, **ingest._table_tree(table)})
+    # No piece holds more than one block of a column.
+    assert max(map(len, pieces)) <= 25 * ingest._ENCODE_BLOCK  # a JSON number and its comma: at most 25 characters
+
+
+# Line ends that splitlines() knows, put just before or just after the "\n"
+# where a slice is cut, and a space at the cut.
+CUT_TEXTS = ["\r\n", "\n\r", "\r", "\v\n", "\n\v", "\x1c\n", "\n\x1c", " \n", "\n ", "\n"]
+
+
+def _cut_csv(rows, ends):
+    lines = "".join(f"{row}{end}" for row, end in zip(rows, itertools.cycle(ends)))
+    return "# stonewall_s = 300\nrank,start,end,close\n" + lines
+
+
+CUT_CSVS = [
+    _cut_csv([f"{r},0,{300 + r},{r % 3}" for r in range(8)], CUT_TEXTS),
+    # The first bad line, after some cuts: a cell that does not convert, then a repeated rank.
+    _cut_csv([f"{r},0,{300 + r},{r % 3}" for r in range(5)] + ["5,0,x,1", "1,0,310,1"], CUT_TEXTS[::-1]),
+    _cut_csv([f"{r},0,{300 + r},{r % 3}" for r in range(6)] + ["2,0,310,1"], CUT_TEXTS[3:] + CUT_TEXTS[:3]),
+]
+
+
+@pytest.mark.parametrize("text", CUT_CSVS, ids=range(len(CUT_CSVS)))
+def test_slice_cuts_match_the_whole_text(text, monkeypatch):
+    want = _outcome(lambda: _scan(text))
+    for size in range(1, len(text) + 1):
+        monkeypatch.setattr(ingest, "_SLICE_CHARS", size)
+        body = ingest._timing_layout(text, PHASE)[3]
+        pieces = list(body.slices())
+        assert all(piece.endswith("\n") for piece in pieces[:-1])
+        assert [line for piece in pieces for line in piece.splitlines()] == list(body)
+        assert _outcome(lambda: ingest.parse_process_timing(text, PHASE)) == want, size
+
+
+def _boundary_column(n, clamp_at):
+    """n plot values, some far apart, with non-positive ones (clamped on a log
+    axis) at the indices of clamp_at that lie below n."""
+    values = np.random.default_rng(n).lognormal(0.0, 2.0, n)
+    for i in clamp_at:
+        if i < n:
+            values[i] = -1.5 if i % 2 else 0.0
+    return values
+
+
+@pytest.mark.parametrize("n", [8191, 8192, 8193])
+def test_block_quantizer_and_points_equal_the_whole_column(n):
+    values = _boundary_column(n, (8190, 8191, 8192))
+    q6, text = quantize_oracle(values)
+    assert report._quantize(values).tobytes() == q6.tobytes()
+    out = np.empty(n)
+    blocks = list(report._q6_blocks(values, out))
+    assert [cell for _, cells in blocks for cell in cells] == text and out.tobytes() == q6.tobytes()
+    clamped = q6 <= 0
+    xs, ys = np.linspace(70.0, 430.0, n), q6 * 3.0
+    circle, pinned = '<circle cx="%.2f" cy="%.2f"/>', '<circle cx="%.2f" cy="%.2f" fill="x"/>'
+    got = report._points(circle, pinned, clamped, xs, ys)
+    assert len(got) == -(-n // report._BLOCK)
+    assert "\n".join(got) == "\n".join(points_oracle(circle, pinned, clamped, xs.tolist(), ys.tolist()))
+
+
+@pytest.mark.parametrize("n", [8191, 8192, 8193])
+@pytest.mark.parametrize("scale", ["linear", "log10"])
+def test_block_renderers_equal_the_per_point_oracles(n, scale):
+    spec = report.RenderSpec(title="t", scale=scale)
+    ratios = _boundary_column(n, (0, 8191, 8192))
+    pairs = np.column_stack([np.arange(1, n + 1) / n, ratios])
+    assert report.render_qq(pairs, spec) == render_qq_oracle(pairs.tolist(), spec)
+    groups = [("b", ratios), ("a", _boundary_column(n - 1, (8190, 8191)))]
+    got = report.render_group_box(groups, spec, annotate=False)
+    assert got == render_group_box_oracle([(label, values.tolist()) for label, values in groups], spec, annotate=False)

@@ -91,12 +91,19 @@ TIMING_TABLES = {
     "one-row": _table(n=1, close=[3.5], items=[9]),
     "zero-rows": _table(n=0),
 }
+# Tables of about one and two blocks of rows, with gaps on the block boundaries.
+for _n in (8191, 8192, 8193, 2 * 8192 + 1):
+    _gaps = np.isin(np.arange(_n), [0, 8191, 8192, _n - 1])
+    TIMING_TABLES[f"{_n}-rows"] = _table(n=_n)
+    TIMING_TABLES[f"{_n}-rows-with-gaps"] = _table(
+        n=_n, close=np.where(_gaps, np.nan, 0.25), items=np.arange(_n), mask=_gaps
+    )
 
 
 @pytest.mark.parametrize("name", TIMING_TABLES)
 def test_timing_text_matches_per_cell_oracle(name):
     table = TIMING_TABLES[name]
-    assert synth._timing_text(table) == timing_text_oracle(table)
+    assert "".join(synth._timing_pieces(table)) == timing_text_oracle(table)
 
 
 # --- ground truth and score consistency ----------------------------------------------
