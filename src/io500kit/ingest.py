@@ -41,7 +41,7 @@ from .types import (
     SubmissionMeta,
 )
 
-MANIFEST_FORMAT_VERSION = 3
+MANIFEST_FORMAT_VERSION = 4
 
 SUMMARY_FILENAME = "result_summary.txt"
 META_FILENAME = "meta.txt"
@@ -749,15 +749,24 @@ def _header_tree(sub: Submission, timing: Any) -> dict[str, Any]:
     }
 
 
-def _table_tree(table: ProcessTimingTable) -> dict[str, Any]:
+def _table_values(table: ProcessTimingTable) -> dict[str, Any]:
+    """A table line's values less its `phase`: `stonewall_s` and the five
+    columns, each None (JSON null) where it holds the default the reader
+    fills in: `rank` equal to 0..n-1, every close time absent, every item
+    count absent. A null is the one way a column holds its default, so the
+    tree and the streamed line cannot differ on it."""
     return {
         "stonewall_s": table.stonewall_s,
-        "rank": table.rank.tolist(),
-        "start_s": table.start_s.tolist(),
-        "end_s": table.end_s.tolist(),
-        "close_s": np.ma.masked_invalid(table.close_s).tolist(),  # NaN -> null
-        "items": table.items.tolist(),
+        "rank": None if np.array_equal(table.rank, np.arange(table.n_ranks)) else table.rank,
+        "start_s": table.start_s,
+        "end_s": table.end_s,
+        "close_s": None if np.isnan(table.close_s).all() else np.ma.masked_invalid(table.close_s),  # NaN -> null
+        "items": None if np.ma.getmaskarray(table.items).all() else table.items,
     }
+
+
+def _table_tree(table: ProcessTimingTable) -> dict[str, Any]:
+    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in _table_values(table).items()}
 
 
 def to_manifest(sub: Submission) -> dict[str, Any]:
@@ -822,7 +831,7 @@ def _record(cls, obj: Any, where: str):
 
 
 # The timing columns of a table line: (integer, nullable), in the order
-# _timing_table checks them.
+# _timing_table checks them. A nullable column may hold null for a value.
 _COLUMNS = {
     "rank": (True, False),
     "start_s": (False, False),
@@ -830,14 +839,17 @@ _COLUMNS = {
     "close_s": (False, True),
     "items": (True, True),
 }
+# The columns that may be null as a whole, which stands for their default
+# (see _table_values). `start_s` never is: it gives the table's length.
+_DEFAULTED = frozenset({"rank", "close_s", "items"})
 
 
 def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = False):
     """A timing column from its JSON list: float64 (NaN where null) or, for an
     integer column, int64 (masked where null when nullable). A numpy column
-    is one _table_line has converted already."""
-    values = _get(spec, key, (list, np.ndarray), where)
-    if isinstance(values, np.ndarray):
+    is one _table_line has converted already; None is a column at its default."""
+    values = _get(spec, key, (list, np.ndarray), where, nullable=key in _DEFAULTED)
+    if values is None or isinstance(values, np.ndarray):
         return values
     n = len(values)
     absent = values.count(None)
@@ -862,6 +874,10 @@ def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = Fa
     raise ValidationError(f"{where}.{key}: expected a list of {'integers' if integer else 'numbers'}")
 
 
+# A version 3 line is a version 4 line that never holds a column as null.
+_READ_VERSIONS = (3, MANIFEST_FORMAT_VERSION)
+
+
 def _check_version(doc: Any) -> None:
     if not isinstance(doc, dict):
         raise ValidationError(f"manifest: expected an object, got {type(doc).__name__}")
@@ -873,7 +889,7 @@ def _check_version(doc: Any) -> None:
             f"manifest format_version {version} is no longer read; "
             "re-run `io500kit ingest` to regenerate it"
         )
-    if version != MANIFEST_FORMAT_VERSION or type(version) is not int:
+    if type(version) is not int or version not in _READ_VERSIONS:
         raise ValidationError(f"unsupported manifest format_version {version!r}")
 
 
@@ -885,6 +901,8 @@ def _timing_table(phase_name: str, spec: Any) -> ProcessTimingTable:
         "stonewall_s": _get(spec, "stonewall_s", _NUM, where, nullable=True),
         **{key: _column(spec, key, where, *kind) for key, kind in _COLUMNS.items()},
     }
+    if columns["rank"] is None:
+        columns["rank"] = np.arange(columns["start_s"].size, dtype=np.int64)
     try:
         return ProcessTimingTable(phase=phase, **columns)
     except ValidationError as exc:
@@ -918,7 +936,7 @@ def _submission(doc: Mapping[str, Any], timing: Callable[[], dict[Phase, Process
 def from_manifest(doc: Mapping[str, Any]) -> Submission:
     """Reconstruct a Submission from a manifest document tree.
 
-    Only format_version 3 is read; any shape error raises ValidationError.
+    Format versions 3 and 4 are read; any shape error raises ValidationError.
     """
     _check_version(doc)
 
@@ -958,20 +976,13 @@ def _table_line_pieces(name: str, table: ProcessTimingTable) -> Iterator[str]:
     """The text of `_json_line({"phase": name, **_table_tree(table)})` in
     pieces: the keys in sorted order, and each column encoded _ENCODE_BLOCK
     values at a time, the brackets of each block's list stripped."""
-    columns = {
-        "close_s": np.ma.masked_invalid(table.close_s),  # NaN -> null
-        "end_s": table.end_s,
-        "items": table.items,
-        "rank": table.rank,
-        "start_s": table.start_s,
-    }
-    scalars = {"phase": name, "stonewall_s": table.stonewall_s}
-    for i, key in enumerate(sorted(columns.keys() | scalars.keys())):
+    values = {"phase": name, **_table_values(table)}
+    for i, key in enumerate(sorted(values)):
         yield ("," if i else "{") + _ENCODER.encode(key) + ":"
-        if key in scalars:
-            yield _ENCODER.encode(scalars[key])
+        column = values[key]
+        if not isinstance(column, np.ndarray):
+            yield _ENCODER.encode(column)
             continue
-        column = columns[key]
         yield "["
         for at in range(0, column.size, _ENCODE_BLOCK):
             yield ("," if at else "") + _ENCODER.encode(column[at : at + _ENCODE_BLOCK].tolist())[1:-1]
@@ -999,28 +1010,36 @@ def write_manifest(sub: Submission, path: str | Path) -> None:
 _JSON = json.JSONDecoder()
 
 
-# The read buffer is as large as the file up to this size: a table line of
-# megabytes takes few read calls, and a small file costs no more than its size.
-_READ_BUFFER = 1 << 20
-
-
 def _file_lines(path: Path) -> Iterator[str]:
     """The lines of a file, one at a time and without their newline, as
     `read_text(path).split("\n")` gives them: the last is what follows the
-    final newline. Text mode translates line ends as read_text does. A byte
-    that is not UTF-8 raises read_text's LoadError, which names its offset."""
+    final newline, and "\r\n" and a lone "\r" end a line as in text mode.
+    A byte that is not UTF-8 raises the LoadError read_text raises, which
+    names its offset in the file.
+
+    Each line is read as bytes up to its "\n" and decoded on its own, its
+    line end left out of the decode, so that a long line is not copied to
+    strip it; a UTF-8 sequence never holds a "\n" byte."""
     try:
-        buffering = min(max(path.stat().st_size, io.DEFAULT_BUFFER_SIZE), _READ_BUFFER)
-        with path.open(encoding="utf-8", buffering=buffering) as f:
-            for line in f:
-                if not line.endswith("\n"):  # the end of a file without a final newline
-                    yield line
+        with path.open("rb") as f:
+            offset = 0
+            for raw in f:
+                terminated = raw.endswith(b"\n")
+                end = len(raw) - (2 if raw.endswith(b"\r\n") else terminated)
+                try:
+                    line = str(memoryview(raw)[:end], "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise LoadError(f"{path.name}: not UTF-8 text (byte {offset + exc.start})") from None
+                offset += len(raw)
+                del raw  # so that one copy of a long line is alive while it is used
+                if "\r" in line:
+                    *ended, line = line.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+                    yield from ended
+                yield line
+                if not terminated:  # the end of a file without a final newline
                     return
-                yield line[:-1]
+                del line
             yield ""
-    except UnicodeDecodeError:
-        read_text(path)
-        raise
     except OSError as exc:
         raise LoadError(f"{path.name}: {exc.strerror or exc}") from None
 
@@ -1119,24 +1138,22 @@ def _manifest_submission(header: Any, rest: str, lines: Iterator[str], phases) -
     tables: dict[Phase, ProcessTimingTable] = {}
     line_error = table_error = None  # the first of each, in line order
     n_lines, unterminated = 1, False
-    for line_no, line in enumerate(lines, start=2):
-        n_lines, unterminated = line_no, line != ""
-        if line_error is not None or line_no - 2 >= len(index_phases):
-            continue
-        phase = index_phases[line_no - 2]
-        if phases is not None and phase not in phases:
-            continue
-        try:
-            spec = _table_line(line, line_no, phase)
-        except ValidationError as exc:
-            line_error = exc
-            continue
-        if table_error is None:
+    for line in lines:
+        n_lines, unterminated = n_lines + 1, line != ""
+        phase = index_phases[n_lines - 2] if n_lines - 2 < len(index_phases) else None
+        if line_error is None and phase is not None and (phases is None or phase in phases):
             try:
-                tables[phase] = _timing_table(phase.value, spec)
-            except ValidationError as exc:  # reported after the header's meta and phases
-                table_error = exc
-        del spec, line  # so that one table's lists are alive at a time
+                spec = _table_line(line, n_lines, phase)
+            except ValidationError as exc:
+                line_error = exc
+            else:
+                if table_error is None:
+                    try:
+                        tables[phase] = _timing_table(phase.value, spec)
+                    except ValidationError as exc:  # reported after the header's meta and phases
+                        table_error = exc
+                del spec  # so that one table's lists are alive at a time
+        del line  # also while the next line is read
     if unterminated or n_lines != len(index) + 2:
         tail = " and an unterminated one" if unterminated else ""
         raise ValidationError(

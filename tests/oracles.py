@@ -775,6 +775,19 @@ def read_manifest_oracle(path, phases=None):
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def dumps_manifest_v3_oracle(sub):
+    """ingest.dumps_manifest as format version 3 wrote it: each timing column
+    a list with one entry per rank, also where the column holds its default."""
+    header, *tables = (json.loads(line) for line in ingest.dumps_manifest(sub).splitlines())
+    header["format_version"] = 3
+    for line in tables:
+        table = sub.timing[Phase(line["phase"])]
+        line["rank"] = [int(r) for r in table.rank]
+        line["close_s"] = [None if math.isnan(x) else float(x) for x in table.close_s]
+        line["items"] = [None if m else int(v) for v, m in zip(table.items.data, np.ma.getmaskarray(table.items))]
+    return "".join(json.dumps(part, separators=(",", ":"), sort_keys=True) + "\n" for part in [header, *tables])
+
+
 def timing_text_oracle(table):
     """synth._timing_pieces, joined, one cell at a time: str() of each rank and item
     count, f"{x:.6f}" of each time, "" for an absent close time or count."""

@@ -15,6 +15,7 @@ from io500kit.errors import (
     ValidationError,
 )
 from io500kit.types import Filesystem, Phase, ProcessTimingTable, Submission, SubmissionMeta
+from oracles import dumps_manifest_v3_oracle
 
 
 # --- result summary -----------------------------------------------------------
@@ -521,7 +522,7 @@ def _drop(key):
 EASY = ("timing", "ior-easy-write")
 MALFORMED_MANIFESTS = [
     (_set(("format_version",), "x"), "unsupported manifest format_version 'x'"),
-    (_set(("format_version",), 4), "unsupported manifest format_version 4"),
+    (_set(("format_version",), 5), "unsupported manifest format_version 5"),
     (
         _set(("format_version",), 1),
         "manifest format_version 1 is no longer read; re-run `io500kit ingest` to regenerate it",
@@ -542,6 +543,7 @@ MALFORMED_MANIFESTS = [
     (_set(("warnings",), [1]), "manifest.warnings: expected a list of strings"),
     (_set((*EASY, "rank"), ["0", "1"]), "timing.ior-easy-write.rank: expected a list of integers"),
     (_set((*EASY, "start_s"), None), "timing.ior-easy-write.start_s: unexpected NoneType value"),
+    (_set((*EASY, "end_s"), None), "timing.ior-easy-write.end_s: unexpected NoneType value"),
     (_set((*EASY, "items"), [1.5, None]), "timing.ior-easy-write.items: expected a list of integers"),
     (_set((*EASY, "end_s"), [0.0]), "timing.ior-easy-write: timing columns must be 1-d and of equal length"),
     (_set((*EASY, "items"), [None]), "timing.ior-easy-write: timing columns must be 1-d and of equal length"),
@@ -647,13 +649,13 @@ def test_manifest_is_compact_strict_json_lines(tmp_path, summary_basic):
     lines = text.split("\n")
     assert lines.pop() == ""
     header, *tables = [json.loads(line, parse_constant=reject) for line in lines]
-    assert header["format_version"] == 3
+    assert header["format_version"] == 4
     assert header["timing"] == ["find", "ior-easy-write"]
     assert [t["phase"] for t in tables] == header["timing"]
     assert tables[1] == {
         "phase": "ior-easy-write",
         "stonewall_s": 300.0,
-        "rank": [0, 1],
+        "rank": None,  # 0..n-1, the default
         "start_s": [0.25, 0.5],
         "end_s": [310.5, 312.25],
         "close_s": [2.5, None],
@@ -713,6 +715,19 @@ def test_failed_manifest_write_leaves_no_file(tmp_path):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("convert_manifest", GOLDEN.parents[1] / "tools" / "convert_manifest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _v3_tree(sub):
+    """The document tree of a version 3 manifest, every timing column a list."""
+    header, *tables = (json.loads(line) for line in dumps_manifest_v3_oracle(sub).splitlines())
+    return {**header, "timing": {table.pop("phase"): table for table in tables}}
+
+
 def _v1_tree(tree):
     """A version 1 manifest tree: each timing table a list of per-rank row objects."""
     timing = {}
@@ -725,14 +740,35 @@ def _v1_tree(tree):
 
 def test_convert_manifest_tool_writes_the_golden(tmp_path, capsys):
     golden = GOLDEN / "p04_timing_full.json"
-    spec = importlib.util.spec_from_file_location("convert_manifest", GOLDEN.parents[1] / "tools" / "convert_manifest.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    tree = json.loads(json.dumps(ingest.to_manifest(ingest.read_manifest(golden))))
+    tree = _v3_tree(ingest.read_manifest(golden))
     v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
     v1.write_text(json.dumps(_v1_tree(tree), indent=2))
     v2.write_text(json.dumps({**tree, "format_version": 2}, separators=(",", ":")))
-    assert tool.main([str(v1), str(v2)]) == 0
+    assert _load_tool().main([str(v1), str(v2)]) == 0
     assert v1.read_bytes() == golden.read_bytes()
     assert v2.read_bytes() == golden.read_bytes()
     assert capsys.readouterr().out.count("converted, equal Submission") == 2
+
+
+def test_convert_manifest_tool_rewrites_v3_and_leaves_a_damaged_file(tmp_path, capsys):
+    golden = GOLDEN / "p04_timing_full.json"
+    v3_text = dumps_manifest_v3_oracle(ingest.read_manifest(golden))
+    v3, damaged = tmp_path / "v3.json", tmp_path / "damaged.json"
+    v3.write_text(v3_text)
+    damaged.write_text(v3_text[: v3_text.rindex("{")])  # the last table line cut off
+    assert _load_tool().main([str(v3), str(damaged)]) == 1
+    assert v3.read_bytes() == golden.read_bytes()
+    assert damaged.read_text() == v3_text[: v3_text.rindex("{")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["damaged.json", "v3.json"]
+    out, err = capsys.readouterr()
+    assert out.count("converted, equal Submission") == 1
+    assert f"{damaged}: not read (" in err and "the file is truncated or damaged" in err
+
+
+def test_v3_manifest_reads_as_its_v4_rewrite(tmp_path):
+    # A version 3 line is a version 4 line that never holds a column as null.
+    sub = ingest.read_manifest(GOLDEN / "p04_timing_full.json")
+    v3 = tmp_path / "v3.json"
+    v3.write_text(dumps_manifest_v3_oracle(sub))
+    assert ingest.read_manifest(v3) == sub
+    assert ingest.from_manifest(_v3_tree(sub)) == sub

@@ -1,5 +1,6 @@
 """Memory regression: the traced peak of the per-rank paths on a 65,536-rank
-table, as a multiple of the numpy columns the table keeps.
+table, as a multiple of the numpy columns the table keeps, and of the line
+loop that reads its manifest, as a multiple of the longest line.
 
 tracemalloc counts the bytes Python and numpy allocate, which, unlike RSS,
 are the same from run to run. Each bound lies between the peak measured for
@@ -11,8 +12,10 @@ the streamed paths and the peak of the whole-table code before them:
 | `read_manifest` | 5.5x | 9.2x | 7x |
 | `parse_process_timing` | 2.6x | 5.1x | 3.5x |
 | `render_qq` | 5.1x | 7.1x | 6.5x |
+| `_file_lines` of two tables, of the longest line | 3.0x | 4.2x (text mode) | 3.5x |
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -64,6 +67,21 @@ def test_read_manifest_peak(table, tmp_path):
     path = tmp_path / "m.json"
     ingest.write_manifest(Submission(meta=SubmissionMeta(submission_id="m"), timing={PHASE: table}), path)
     assert _traced_peak(lambda: ingest.read_manifest(path)) < 7 * _kept(table)
+
+
+def test_file_lines_peak(table, tmp_path):
+    # Each line is read as bytes and decoded on its own, not through a text-mode
+    # reader. The bare loop holds the first table's line while it reads the second.
+    path = tmp_path / "m.json"
+    timing = {PHASE: table, Phase.IOR_HARD_WRITE: dataclasses.replace(table, phase=Phase.IOR_HARD_WRITE)}
+    ingest.write_manifest(Submission(meta=SubmissionMeta(submission_id="m"), timing=timing), path)
+    longest = max(map(len, path.read_bytes().split(b"\n")))
+
+    def loop():
+        for _ in ingest._file_lines(path):
+            pass
+
+    assert _traced_peak(loop) < 3.5 * longest
 
 
 def test_parse_process_timing_peak(table):

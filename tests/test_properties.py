@@ -26,6 +26,7 @@ from oracles import (
     _Axis,
     classify_straggler_pattern_oracle,
     correlation_cells_oracle,
+    dumps_manifest_v3_oracle,
     kruskal_wallis_loop_oracle,
     metric_table_oracle,
     points_oracle,
@@ -267,6 +268,96 @@ def test_manifest_round_trip(sub):
             for selected in itertools.combinations(TABLE_PHASES, k):
                 timing = {p: t for p, t in again.timing.items() if p in selected}
                 assert ingest.read_manifest(path, phases=selected) == dataclasses.replace(again, timing=timing)
+
+
+@st.composite
+def default_prone_table(draw, phase):
+    """A table of 0 to 6 ranks whose columns hold their defaults or come near
+    them: ranks 0..n-1, given in order or shuffled, or with a gap (at the
+    first rank, an offset); close times and item counts left out, all
+    absent, some absent or all present."""
+    n = draw(st.integers(0, 6))
+    rank = np.arange(n, dtype=np.int64)
+    shape = draw(st.sampled_from(["dense", "shuffled", "gapped"]))
+    if shape == "shuffled":
+        rank = np.array(draw(st.permutations(rank.tolist())), dtype=np.int64)
+    elif shape == "gapped" and n:
+        rank = rank + np.where(rank >= draw(st.integers(0, n - 1)), draw(st.integers(1, 2**40)), 0)
+
+    def present(kind):
+        return {"all": [True] * n, "none": [False] * n, "some": [draw(st.booleans()) for _ in range(n)]}[kind]
+
+    close = items = None
+    kind = draw(st.sampled_from(["omitted", "all", "none", "some"]))
+    if kind != "omitted":
+        close = np.array([draw(finite) if p else np.nan for p in present(kind)])
+    kind = draw(st.sampled_from(["omitted", "all", "none", "some"]))
+    if kind != "omitted":
+        mask = ~np.array(present(kind), dtype=bool)
+        items = np.ma.MaskedArray(np.array([draw(st.integers(0, 2**62)) for _ in range(n)], dtype=np.int64), mask=mask)
+    start = np.array([draw(finite) for _ in range(n)])
+    return ProcessTimingTable(
+        phase=phase, rank=rank, start_s=start, end_s=start + 1.0, close_s=close, items=items, stonewall_s=None
+    )
+
+
+@PROPERTY
+@given(st.sets(st.sampled_from(TABLE_PHASES), min_size=1).flatmap(
+    lambda phases: st.fixed_dictionaries({p: default_prone_table(p) for p in phases})
+))
+def test_manifest_writes_a_column_at_its_default_as_null(timing):
+    sub = Submission(meta=SubmissionMeta(submission_id="d"), timing=timing)
+    text = ingest.dumps_manifest(sub)
+    header, *lines = (json.loads(line) for line in text.splitlines())
+    assert header["format_version"] == 4
+    tree = ingest.to_manifest(sub)
+    for line in lines:
+        table = timing[Phase(line.pop("phase"))]
+        at_default = {
+            "rank": table.rank.tolist() == list(range(table.n_ranks)),
+            "close_s": all(math.isnan(x) for x in table.close_s.tolist()),
+            "items": all(v is None for v in table.items.tolist()),
+        }
+        assert {key: line[key] is None for key in at_default} == at_default
+        assert line["start_s"] is not None and line["end_s"] is not None
+        assert line == tree["timing"][table.phase.value]  # the tree and the streamed line agree
+    with tempfile.TemporaryDirectory() as tmp:
+        path, v3 = Path(tmp) / "m.json", Path(tmp) / "v3.json"
+        path.write_text(text, encoding="utf-8", newline="\n")
+        assert ingest.read_manifest(path) == sub
+        assert ingest.dumps_manifest(ingest.read_manifest(path)) == text
+        # The same tables with every column a list, as version 3 wrote them, read alike.
+        v3.write_text(dumps_manifest_v3_oracle(sub), encoding="utf-8", newline="\n")
+        assert ingest.read_manifest(v3) == sub
+
+
+# Pieces of a file's bytes: line ends of each kind, characters of two to four
+# bytes, and bytes that are not UTF-8 (a stray lead or continuation byte, a cut
+# sequence, an overlong form), besides a byte order mark.
+LINE_BYTES = [
+    b"a", b"{}", b"\n", b"\r\n", b"\r", b"\n\r", "\u00e9".encode(), "\u20ac".encode(), "\U0001f600".encode(),
+    b"\xff", b"\xc3", b"\x80", b"\xe2\x82", b"\xc0\xaf", b"\xef\xbb\xbf",
+]
+
+
+def _lines_or_error(read):
+    try:
+        return read()
+    except Io500KitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@PROPERTY
+# A line longer than the read buffer, with a character across its edge, then an undecodable byte after it.
+@example(b"a" * 8191 + "\u00e9".encode() + b"\r\n" + b"b" * 9000 + b"\r" + b"c" * 10 + b"\xff")
+@example(b"a" * 20000 + b"\r")
+@given(st.lists(st.sampled_from(LINE_BYTES), max_size=12).map(b"".join))
+def test_file_lines_split_as_the_whole_text(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.json"
+        path.write_bytes(data)
+        want = _lines_or_error(lambda: ingest.read_text(path).split("\n"))
+        assert _lines_or_error(lambda: list(ingest._file_lines(path))) == want
 
 
 # Bytes a damaged manifest may gain: undecodable ones, line breaks, JSON punctuation.

@@ -1,15 +1,19 @@
-"""Convert format_version 1 or 2 manifests to the current format (3), in place.
+"""Convert manifests of format_version 1, 2 or 3 to the current format (4), in place.
 
     PYTHONPATH=src python tools/convert_manifest.py tests/golden/p0*.json
 
 Version 1 stored each timing table as a list of per-rank row objects and was
 written with indent=2. Version 2 was one compact JSON document whose tree is
 the version 3 tree: version 3 only moves each timing table onto a line of
-its own. The package reads neither, so this script decodes them on its own,
-writes the Submission with `ingest.dumps_manifest` to a temporary file
-beside the original, and reads that back with `ingest.read_manifest`. Only
-when the result equals the old Submission does the new file replace the
-old one; otherwise the script reports the file, leaves it as is and exits 1.
+its own. The package reads neither, so this script decodes them on its own.
+Version 3 is read with `ingest.read_manifest`: version 4 differs only in
+writing a timing column that holds its default as null.
+
+The script writes the Submission with `ingest.write_manifest` to a temporary
+file beside the original and reads that back with `ingest.read_manifest`.
+Only when the result equals the old Submission does the new file replace the
+old one. Otherwise, or when the old file cannot be read, the script reports
+the file, leaves it as it was and exits 1.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from io500kit import ingest
+from io500kit.errors import Io500KitError
 from io500kit.types import (
     Filesystem,
     Phase,
@@ -86,25 +91,35 @@ def decode_v1(doc: dict) -> Submission:
     )
 
 
-def decode(doc: dict) -> Submission:
-    version = doc.get("format_version")
+def read(path: Path) -> Submission:
+    """The Submission of a manifest: versions 1 and 2 are one JSON document,
+    decoded here; any other is read by the package."""
+    text = ingest.read_text(path)
+    header, _ = json.JSONDecoder().raw_decode(text)
+    version = header.get("format_version") if isinstance(header, dict) else None
     if version == 1:
-        return decode_v1(doc)
+        return decode_v1(json.loads(text))
     if version == 2:
-        return ingest.from_manifest({**doc, "format_version": ingest.MANIFEST_FORMAT_VERSION})
-    raise ValueError(f"not a v1 or v2 manifest: format_version {version!r}")
+        return ingest.from_manifest({**json.loads(text), "format_version": ingest.MANIFEST_FORMAT_VERSION})
+    return ingest.read_manifest(path)
 
 
 def main(paths: list[str]) -> int:
     status = 0
     for raw in paths:
         path = Path(raw)
-        old = decode(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            old = read(path)
+        except (Io500KitError, ValueError) as exc:
+            print(f"{path}: not read ({exc}), left as is", file=sys.stderr)
+            status = 1
+            continue
         tmp = path.with_name(path.name + ".tmp")
         ingest.write_manifest(old, tmp)
         if ingest.read_manifest(tmp) != old:
             tmp.unlink()
-            print(f"{path}: v3 decodes to a different Submission, left as is", file=sys.stderr)
+            version = ingest.MANIFEST_FORMAT_VERSION
+            print(f"{path}: v{version} decodes to a different Submission, left as is", file=sys.stderr)
             status = 1
             continue
         os.replace(tmp, path)
