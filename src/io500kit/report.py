@@ -426,6 +426,7 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     for (block, q_cells), (_, r_cells) in zip(_q6_blocks(pairs[:, 0], quantiles), _q6_blocks(pairs[:, 1], ratios)):
         flags = map(_FLAGS.__getitem__, (log_y & (ratios[block] <= 0)).tolist())
         sidecar.append(_csv_rows(zip(q_cells, r_cells, flags)))
+    sidecar = "".join(sidecar)  # before the SVG's pieces exist, not beside them and the SVG
     # The axis takes in the reference line and, on a linear scale, zero.
     y_lo, y_hi = _y_range(np.append(ratios, (1.0, 0.0)), log_y)
 
@@ -453,7 +454,7 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     parts.append(_y_label(height, spec.y_label or "runtime / stonewall"))
     parts.append(_text(66.0, height - 44.0, fmt_label(y_lo), size=9, anchor="end"))
     parts.append(_text(66.0, 46.0, fmt_label(y_hi), size=9, anchor="end"))
-    return _svg(width, height, spec.title, parts), "".join(sidecar)
+    return _svg(width, height, spec.title, parts), sidecar
 
 
 def qq_from_sidecar(sidecar: str) -> list[tuple[float, float]]:
@@ -504,6 +505,7 @@ def render_group_box(
     pooled = np.concatenate([values for _, values in ordered])
     log_y = spec.scale == "log10" and bool(np.any(pooled > 0))
     y_lo, y_hi = _y_range(pooled, log_y)
+    del pooled  # a copy of every value, not needed beside the SVG's pieces
 
     n_groups = len(ordered)
     box_w = 46.0

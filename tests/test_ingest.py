@@ -764,11 +764,3 @@ def test_convert_manifest_tool_rewrites_v3_and_leaves_a_damaged_file(tmp_path, c
     assert out.count("converted, equal Submission") == 1
     assert f"{damaged}: not read (" in err and "the file is truncated or damaged" in err
 
-
-def test_v3_manifest_reads_as_its_v4_rewrite(tmp_path):
-    # A version 3 line is a version 4 line that never holds a column as null.
-    sub = ingest.read_manifest(GOLDEN / "p04_timing_full.json")
-    v3 = tmp_path / "v3.json"
-    v3.write_text(dumps_manifest_v3_oracle(sub))
-    assert ingest.read_manifest(v3) == sub
-    assert ingest.from_manifest(_v3_tree(sub)) == sub

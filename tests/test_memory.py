@@ -11,7 +11,7 @@ the streamed paths and the peak of the whole-table code before them:
 | `write_manifest` | 0.6x | 7.7x | 2x |
 | `read_manifest` | 5.5x | 9.2x | 7x |
 | `parse_process_timing` | 2.6x | 5.1x | 3.5x |
-| `render_qq` | 5.1x | 7.1x | 6.5x |
+| `render_qq` | 3.9x | 7.1x | 6.5x |
 | `_file_lines` of two tables, of the longest line | 3.0x | 4.2x (text mode) | 3.5x |
 """
 
