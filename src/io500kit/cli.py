@@ -10,6 +10,7 @@ or degenerate dataset.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import re
@@ -30,10 +31,10 @@ def _sanitize(name: str) -> str:
     return cleaned or "sub"
 
 
-def _file_stems(subs) -> dict[int, str]:
-    """Each submission's file-name stem, keyed by id(sub): its sanitized ID,
-    with -2, -3, ... added where an earlier submission's stem is the same."""
-    stems: dict[int, str] = {}
+def _file_stems(subs) -> list[str]:
+    """Each submission's file-name stem, in order: its sanitized ID, with -2,
+    -3, ... added where an earlier submission's stem is the same."""
+    stems: list[str] = []
     used: set[str] = set()
     for sub in subs:
         base = name = _sanitize(sub.meta.submission_id)
@@ -42,7 +43,7 @@ def _file_stems(subs) -> dict[int, str]:
             name = f"{base}-{k}"
             k += 1
         used.add(name)
-        stems[id(sub)] = name
+        stems.append(name)
     return stems
 
 
@@ -60,9 +61,10 @@ def _discover_packages(paths: list[str]) -> list[Path]:
     return packages
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _lines(lines: list[str]) -> str | None:
+    """The text of a file of `lines`, each ended by a newline; None, which
+    report.write_render writes no file for, when there are none."""
+    return "\n".join(lines) + "\n" if lines else None
 
 
 # --- ingest -----------------------------------------------------------------
@@ -102,9 +104,8 @@ def cmd_ingest(args) -> int:
         sub.warnings.extend(notes)
         findings.extend(metrics.recomputation_findings(sub, config.recompute_rel_tol))
 
-    stems = _file_stems(submissions)
-    for sub in submissions:
-        ingest.write_manifest(sub, outdir / f"{stems[id(sub)]}.json")
+    for stem, sub in zip(_file_stems(submissions), submissions):
+        ingest.write_manifest(sub, outdir / f"{stem}.json")
 
     lines = [
         f"submissions: {len(submissions)}",
@@ -121,7 +122,7 @@ def cmd_ingest(args) -> int:
     for sub in submissions:
         for w in sub.warnings:
             lines.append(f"WARN {sub.meta.submission_id}: {w}")
-    _write_lines(outdir / "validation.txt", lines)
+    report.write_render(outdir, "", "validation", txt=_lines(lines))  # beside the manifests
 
     print(f"wrote {len(submissions)} manifests to {outdir}")
     if errors:
@@ -133,7 +134,43 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-# --- stats ------------------------------------------------------------------
+# --- analyses ------------------------------------------------------------------
+# Each analysis is run(subs, stems, phases, args, config): it takes the
+# submissions with their file stems, each with the timing tables of `phases`,
+# writes its files under args.out with report.write_render (a table as its
+# (csv, txt) pair after a None svg) and returns the line cmd_analysis prints.
+# A log analysis with no rows writes nothing, not even its notes.
+
+
+def _load(path: str, phases, packages: bool) -> dict:
+    """Each submission under `path` by its file stem, in file-name order.
+
+    A manifest is named by its own file stem and read with the timing tables
+    of `phases`. With `packages`, a path that holds any package (such as a
+    synth output directory with its ground_truth.json) is read as packages
+    instead, each named and placed as `ingest` would name its manifest.
+    """
+    found = _discover_packages([path]) if packages else []
+    if found:
+        subs = [ingest.load_submission(pkg) for pkg in found]
+        return dict(sorted(zip(_file_stems(subs), subs), key=lambda item: f"{item[0]}.json"))
+    if packages and not (Path(path).is_dir() and any(Path(path).glob("*.json"))):
+        raise EmptyInputError(f"no manifests or packages found under {path}")
+    return ingest.read_manifest_dir(path, phases)
+
+
+def _per_table(subs, stems, phases, analyze, noted, notes: list[str]):
+    """(sub, stem, phase, analyze(table)) for each timing table of `phases`,
+    one at a time in phase-name order. The message of a `noted` exception
+    goes to `notes`, and its table is left out."""
+    for sub, stem in zip(subs, stems):
+        for phase in sorted(sub.timing.keys() & phases, key=lambda p: p.value):
+            try:
+                result = analyze(sub.timing[phase])
+            except noted as exc:
+                notes.append(str(exc))
+            else:
+                yield sub, stem, phase, result
 
 
 def _column_stats(names, table) -> list[tuple[str, metrics.SummaryStats]]:
@@ -147,17 +184,14 @@ def _column_stats(names, table) -> list[tuple[str, metrics.SummaryStats]]:
     return rows
 
 
-def cmd_stats(args) -> int:
-    subs = ingest.read_manifest_dir(args.manifest_dir, phases=())
+def run_stats(subs, stems, phases, args, config) -> str:
     names, table = metrics.metric_table(subs, args.normalize)
     stats_rows = _column_stats(names, table)
     if not stats_rows:
         raise EmptyInputError("no metric values available")
-    csv_text, txt = report.render_summary_table(stats_rows)
-    report.write_render(args.out, "stats", f"summary_{args.normalize}", csv_text=csv_text, txt=txt)
-
-    comp_csv, comp_txt = report.render_composition_table(subs)
-    report.write_render(args.out, "stats", "composition", csv_text=comp_csv, txt=comp_txt)
+    summary = report.render_summary_table(stats_rows)
+    report.write_render(args.out, "stats", f"summary_{args.normalize}", None, *summary)
+    report.write_render(args.out, "stats", "composition", None, *report.render_composition_table(subs))
 
     overall_idx = names.index("score_overall")
     strip_rows = [
@@ -165,7 +199,6 @@ def cmd_stats(args) -> int:
         for i in range(len(subs))
         if np.isfinite(table[i, overall_idx])
     ]
-    notes: list[str] = []
     if strip_rows:
         spec = report.RenderSpec(
             title=f"overall score ({args.normalize})", scale="log10", y_label="score"
@@ -174,20 +207,16 @@ def cmd_stats(args) -> int:
         report.write_render(
             args.out, "stats", f"score_strip_{args.normalize}", svg=svg, csv_text=sidecar
         )
-    for i, sub in enumerate(subs):
-        if not np.any(np.isfinite(table[i, :])):
-            notes.append(f"{sub.meta.submission_id}: excluded (no usable values after {args.normalize})")
-    if notes:
-        _write_lines(Path(args.out) / "stats" / "notes.txt", notes)
-    print(f"stats tables written to {Path(args.out) / 'stats'}")
-    return 0
+    notes = [
+        f"{sub.meta.submission_id}: excluded (no usable values after {args.normalize})"
+        for i, sub in enumerate(subs)
+        if not np.any(np.isfinite(table[i, :]))
+    ]
+    report.write_render(args.out, "stats", "notes", txt=_lines(notes))
+    return f"stats tables written to {Path(args.out) / 'stats'}"
 
 
-# --- correlations ------------------------------------------------------------
-
-
-def cmd_corr(args) -> int:
-    subs = ingest.read_manifest_dir(args.manifest_dir, phases=())
+def run_corr(subs, stems, phases, args, config) -> str:
     names, table = metrics.metric_table(subs, args.normalize)
     corr = stats.correlation_matrix(names, table, method=args.method, alpha=args.alpha)
     spec = report.RenderSpec(
@@ -196,19 +225,12 @@ def cmd_corr(args) -> int:
     svg, sidecar = report.render_corr_heatmap(corr, spec)
     name = f"{args.method}_{args.normalize}"
     report.write_render(args.out, "corr", name, svg=svg, csv_text=sidecar)
-    if corr.warnings:
-        _write_lines(Path(args.out) / "corr" / f"{name}_warnings.txt", corr.warnings)
+    report.write_render(args.out, "corr", f"{name}_warnings", txt=_lines(corr.warnings))
     n_sig = int(np.sum(np.triu(corr.significant, 1)))
-    print(f"correlation matrix {name}: {len(corr.variables)} variables, {n_sig} significant pairs")
-    return 0
+    return f"correlation matrix {name}: {len(corr.variables)} variables, {n_sig} significant pairs"
 
 
-# --- group comparisons --------------------------------------------------------
-
-
-def cmd_groups(args) -> int:
-    config = load_config(args.config)
-    subs = ingest.read_manifest_dir(args.manifest_dir, phases=())
+def run_groups(subs, stems, phases, args, config) -> str:
     names, table = metrics.metric_table(subs, args.normalize)
     j = names.index(args.metric)
     grouped: dict[str, list[float]] = {}
@@ -245,61 +267,22 @@ def cmd_groups(args) -> int:
     if test.approximate:
         lines.append("note: total n < 5, chi-square approximation unreliable")
     lines.extend(f"warning: {w}" for w in warnings)
-    _write_lines(Path(args.out) / "groups" / f"{name}.txt", lines)
-    print(f"H={test.h:.4g} p={test.p:.4g} eta_sq={test.eta_sq:.4g} ({len(groups)} groups)")
-    return 0
+    report.write_render(args.out, "groups", name, txt=_lines(lines))
+    return f"H={test.h:.4g} p={test.p:.4g} eta_sq={test.eta_sq:.4g} ({len(groups)} groups)"
 
 
-# --- log-derived analyses --------------------------------------------------------
-# Each analysis takes the submissions and returns the line cmd_logs prints. An
-# analysis with no rows writes nothing, not even its notes.
-
-
-def _load_submissions_any(path: str, phases) -> list:
-    """The packages under `path` when it holds any, such as a synth output
-    directory with its ground_truth.json; otherwise its manifests."""
-    packages = _discover_packages([path])
-    if packages:
-        return [ingest.load_submission(pkg) for pkg in packages]
-    p = Path(path)
-    if p.is_dir() and any(p.glob("*.json")):
-        return ingest.read_manifest_dir(p, phases=phases)
-    raise EmptyInputError(f"no manifests or packages found under {path}")
-
-
-def _per_table(subs, phases, analyze, noted):
-    """(sub, phase, analyze(table)) for each timing table of `phases`, in phase-name
-    order, and the messages of the `noted` exceptions, whose tables are left out."""
-    results, notes = [], []
-    for sub in subs:
-        for phase in sorted(sub.timing.keys() & phases, key=lambda p: p.value):
-            try:
-                results.append((sub, phase, analyze(sub.timing[phase])))
-            except noted as exc:
-                notes.append(str(exc))
-    return results, notes
-
-
-def _emit(out, name: str, tables: tuple[str, str], notes_file="", notes=()) -> None:
-    """Write a summary's tables as logs/<name>.csv and .txt, and any notes as logs/<notes_file>."""
-    csv_text, txt = tables
-    report.write_render(out, "logs", name, csv_text=csv_text, txt=txt)
-    if notes:
-        _write_lines(Path(out) / "logs" / notes_file, notes)
-
-
-def _logs_runtime(subs, phases, args, config) -> str:
+def run_runtime(subs, stems, phases, args, config) -> str:
     dist = loginsight.runtime_distribution(
         subs, config.stonewall_nominal_s, config.stonewall_tolerance_s
     )
     if not dist.per_phase:
         return "no runtime data available"
     stats_rows = [(phase.value, s) for phase, s in dist.per_phase.items()]
-    _emit(args.out, "runtime_summary", report.render_summary_table(stats_rows))
+    report.write_render(args.out, "logs", "runtime_summary", None, *report.render_summary_table(stats_rows))
     lines = [f"stonewall violations: {len(dist.violations)}"] + [
         f"{v.submission_id} {v.phase}: runtime {v.runtime_s:.6g} s" for v in dist.violations
     ]
-    _write_lines(Path(args.out) / "logs" / "runtime_violations.txt", lines)
+    report.write_render(args.out, "logs", "runtime_violations", txt=_lines(lines))
     groups = [(phase.value, values) for phase, values in dist.runtimes.items()]
     spec = report.RenderSpec(title="phase runtimes", scale="log10", y_label="seconds")
     svg, sidecar = report.render_group_box(groups, spec, annotate=False)
@@ -307,27 +290,28 @@ def _logs_runtime(subs, phases, args, config) -> str:
     return f"runtime summary over {len(subs)} submissions, {len(dist.violations)} violations"
 
 
-def _logs_close(subs, phases, args, config) -> str:
-    # A table without close times is skipped silently: close writes no notes.
-    results, _ = _per_table(subs, phases, loginsight.close_time_report, NotAvailableError)
-    if not results:
-        return "no close-time data available"
-    rows = [
-        [
-            sub.meta.submission_id,
-            phase.value,
-            str(rep.stats.n),
-            report.fmt_csv(rep.stats.mean),
-            report.fmt_csv(rep.stats.max),
-            report.fmt_csv(float(np.median(rep.fraction_of_runtime))),
-        ]
-        for sub, phase, rep in results
-    ]
-    header = ["Submission", "Phase", "N", "MeanClose_s", "MaxClose_s", "MedianFraction"]
-    _emit(args.out, "close_summary", report.tables(header, rows))
+def run_close(subs, stems, phases, args, config) -> str:
+    rows = []
     fs_groups: dict[str, list[np.ndarray]] = {}
-    for sub, _, rep in results:
+    # A table without close times is skipped silently: close writes no notes.
+    for sub, _, phase, rep in _per_table(
+        subs, stems, phases, loginsight.close_time_report, NotAvailableError, []
+    ):
+        rows.append(
+            [
+                sub.meta.submission_id,
+                phase.value,
+                str(rep.stats.n),
+                report.fmt_csv(rep.stats.mean),
+                report.fmt_csv(rep.stats.max),
+                report.fmt_csv(float(np.median(rep.fraction_of_runtime))),
+            ]
+        )
         fs_groups.setdefault(sub.meta.filesystem_norm.value, []).append(rep.close_s_per_rank)
+    if not rows:
+        return "no close-time data available"
+    header = ["Submission", "Phase", "N", "MeanClose_s", "MaxClose_s", "MedianFraction"]
+    report.write_render(args.out, "logs", "close_summary", None, *report.tables(header, rows))
     groups = [(fs, np.concatenate(closes)) for fs, closes in sorted(fs_groups.items())]
     spec = report.RenderSpec(
         title="close time by filesystem", scale="log10", y_label="close seconds"
@@ -337,19 +321,14 @@ def _logs_close(subs, phases, args, config) -> str:
     return f"close-time summary for {len(rows)} phase tables"
 
 
-def _logs_stonewall(subs, phases, args, config) -> str:
+def run_stonewall(subs, stems, phases, args, config) -> str:
     analyze = functools.partial(loginsight.stonewall_ratios, stonewall_s=args.stonewall)
+    rows, notes = [], []
     # Io500KitError: no stonewall, an empty table, a ratio that overflows.
-    results, notes = _per_table(subs, phases, analyze, Io500KitError)
-    if not results:
-        return "no stonewall timing data available"
-    stems = _file_stems(subs)
-    rows = []
-    for sub, phase, rat in results:
+    for sub, stem, phase, rat in _per_table(subs, stems, phases, analyze, Io500KitError, notes):
         spec = report.RenderSpec(title=f"{sub.meta.submission_id} {phase.value}")
-        name = f"qq_{stems[id(sub)]}_{phase.value}"
-        # The (svg, sidecar) pair is written and dropped before the next table's is drawn.
-        report.write_render(args.out, "logs", name, *report.render_qq(rat.qq, spec))
+        # Each table's plot is written, and its ratios dropped, before the next table's are computed.
+        report.write_render(args.out, "logs", f"qq_{stem}_{phase.value}", *report.render_qq(rat.qq, spec))
         rows.append(
             [
                 sub.meta.submission_id,
@@ -359,47 +338,49 @@ def _logs_stonewall(subs, phases, args, config) -> str:
                 report.fmt_csv(float(rat.ratios.max())),
             ]
         )
+    if not rows:
+        return "no stonewall timing data available"
     header = ["Submission", "Phase", "Ranks", "MinRatio", "MaxRatio"]
-    _emit(args.out, "stonewall_summary", report.tables(header, rows), "stonewall_notes.txt", notes)
+    report.write_render(args.out, "logs", "stonewall_summary", None, *report.tables(header, rows))
+    report.write_render(args.out, "logs", "stonewall_notes", txt=_lines(notes))
     return f"stonewall ratios for {len(rows)} write-phase tables"
 
 
-def _logs_stragglers(subs, phases, args, config) -> str:
+def run_stragglers(subs, stems, phases, args, config) -> str:
     analyze = functools.partial(
         loginsight.straggler_report, params=config.straggler, stonewall_s=args.stonewall
     )
+    rows, notes = [], []
     # Io500KitError: as for stonewall, and tables too small for the quartiles.
-    results, notes = _per_table(subs, phases, analyze, Io500KitError)
-    if not results:
+    for sub, _, phase, rep in _per_table(subs, stems, phases, analyze, Io500KitError, notes):
+        rows.append(
+            [
+                sub.meta.submission_id,
+                phase.value,
+                str(len(rep.ranks)),
+                str(len(rep.straggler_ranks)),
+                rep.pattern.value,
+                report.fmt_csv(rep.adjacency_index),
+                str(rep.run_count),
+                ";".join(str(r) for r in sorted(rep.straggler_ranks)),
+            ]
+        )
+    if not rows:
         return "no straggler timing data available"
-    rows = [
-        [
-            sub.meta.submission_id,
-            phase.value,
-            str(len(rep.ranks)),
-            str(len(rep.straggler_ranks)),
-            rep.pattern.value,
-            report.fmt_csv(rep.adjacency_index),
-            str(rep.run_count),
-            ";".join(str(r) for r in sorted(rep.straggler_ranks)),
-        ]
-        for sub, phase, rep in results
-    ]
     header = "Submission Phase Ranks Stragglers Pattern Adjacency Runs StragglerRanks".split()
-    _emit(args.out, "stragglers", report.tables(header, rows), "straggler_notes.txt", notes)
+    report.write_render(args.out, "logs", "stragglers", None, *report.tables(header, rows))
+    report.write_render(args.out, "logs", "straggler_notes", txt=_lines(notes))
     return f"straggler analysis for {len(rows)} write-phase tables"
 
 
-def _logs_pfind(subs, phases, args, config) -> str:
+def run_pfind(subs, stems, phases, args, config) -> str:
+    rows, notes = [], []
     # Io500KitError: missing items, tiny tables, all-zero counts.
-    results, notes = _per_table(subs, phases, loginsight.pfind_imbalance, Io500KitError)
-    if not results:
-        return "no find-phase item data available"
-    stems = _file_stems(subs)
-    rows = []
-    for sub, _, rep in results:
+    for sub, stem, _, rep in _per_table(
+        subs, stems, phases, loginsight.pfind_imbalance, Io500KitError, notes
+    ):
         detail = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
-        _emit(args.out, f"pfind_{stems[id(sub)]}", detail)
+        report.write_render(args.out, "logs", f"pfind_{stem}", None, *detail)
         rows.append(
             [
                 sub.meta.submission_id,
@@ -410,26 +391,36 @@ def _logs_pfind(subs, phases, args, config) -> str:
                 report.fmt_csv(rep.gini),
             ]
         )
+    if not rows:
+        return "no find-phase item data available"
     header = ["Submission", "Ranks", "MedianItems", "MaxItems", "MaxOverMedian", "Gini"]
-    _emit(args.out, "pfind", report.tables(header, rows), "pfind_notes.txt", notes)
+    report.write_render(args.out, "logs", "pfind", None, *report.tables(header, rows))
+    report.write_render(args.out, "logs", "pfind_notes", txt=_lines(notes))
     return f"pfind imbalance for {len(rows)} submissions"
 
 
-# Each analysis with the timing tables it reads.
-_WRITE_PHASES = [phase for phase in Phase if phase.is_write]
-LOG_ANALYSES = {
-    "close": (_logs_close, list(Phase)),
-    "stonewall": (_logs_stonewall, _WRITE_PHASES),
-    "stragglers": (_logs_stragglers, _WRITE_PHASES),
-    "pfind": (_logs_pfind, [Phase.FIND]),
-    "runtime": (_logs_runtime, ()),
+# Each analysis with the timing tables it reads: `stats`, `corr` and `groups`
+# are commands of their own, the others the choices of `logs --analysis`.
+_WRITE_PHASES = tuple(phase for phase in Phase if phase.is_write)
+ANALYSES = {
+    "stats": (run_stats, ()),
+    "corr": (run_corr, ()),
+    "groups": (run_groups, ()),
+    "close": (run_close, tuple(Phase)),
+    "stonewall": (run_stonewall, _WRITE_PHASES),
+    "stragglers": (run_stragglers, _WRITE_PHASES),
+    "pfind": (run_pfind, (Phase.FIND,)),
+    "runtime": (run_runtime, ()),
 }
+LOG_ANALYSES = ("close", "stonewall", "stragglers", "pfind", "runtime")
 
 
-def cmd_logs(args) -> int:
-    config = load_config(args.config)
-    analysis, phases = LOG_ANALYSES[args.analysis]
-    print(analysis(_load_submissions_any(args.path, phases), phases, args, config))
+def cmd_analysis(args) -> int:
+    config = load_config(getattr(args, "config", None))  # before any manifest is read
+    logs = args.command == "logs"
+    run, phases = ANALYSES[args.analysis if logs else args.command]
+    subs = _load(args.path if logs else args.manifest_dir, phases, packages=logs)
+    print(run(list(subs.values()), list(subs), phases, args, config))
     return 0
 
 
@@ -474,50 +465,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     outdir = str(default_outdir())
+    config_help = "pipeline config JSON overriding defaults"
 
     p = sub.add_parser("ingest", help="parse packages or a repo CSV into manifests")
     p.add_argument("paths", nargs="+", help="package dirs, dir of packages, or CSV files")
     p.add_argument("--format", choices=("package", "repo-csv"), default="package")
     p.add_argument("--column-map", help="JSON column map for repo CSVs")
     p.add_argument("--out", default=outdir + "/manifests")
-    p.add_argument("--config", help="pipeline config JSON overriding defaults")
+    p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("stats", help="summary statistics and composition tables")
-    p.add_argument("manifest_dir")
-    p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="raw")
-    p.add_argument("--out", default=outdir)
-    p.set_defaults(func=cmd_stats)
+    @contextlib.contextmanager
+    def analysis(name, help, path, path_help=None, config=False):
+        """An analysis command: its input `path`, then the options the caller
+        adds, `--out`, and `--config` when it takes one."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument(path, help=path_help)
+        yield p
+        p.add_argument("--out", default=outdir)
+        if config:
+            p.add_argument("--config", help=config_help)
+        p.set_defaults(func=cmd_analysis)
 
-    p = sub.add_parser("corr", help="correlation matrix with FDR correction")
-    p.add_argument("manifest_dir")
-    p.add_argument("--method", choices=("spearman", "pearson"), default="spearman")
-    p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="per-node")
-    p.add_argument(
-        "--alpha", type=_float_between(0.0, 1.0, "must lie strictly between 0 and 1"), default=0.05
-    )
-    p.add_argument("--out", default=outdir)
-    p.set_defaults(func=cmd_corr)
+    with analysis("stats", "summary statistics and composition tables", "manifest_dir") as p:
+        p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="raw")
 
-    p = sub.add_parser("groups", help="group comparison by interconnect class")
-    p.add_argument("manifest_dir")
-    p.add_argument("--metric", default="score_overall", choices=metrics.METRIC_NAMES)
-    p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="per-node")
-    p.add_argument("--out", default=outdir)
-    p.add_argument("--config", help="pipeline config JSON overriding defaults")
-    p.set_defaults(func=cmd_groups)
+    with analysis("corr", "correlation matrix with FDR correction", "manifest_dir") as p:
+        p.add_argument("--method", choices=("spearman", "pearson"), default="spearman")
+        p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="per-node")
+        p.add_argument(
+            "--alpha", type=_float_between(0.0, 1.0, "must lie strictly between 0 and 1"), default=0.05
+        )
 
-    p = sub.add_parser("logs", help="per-process log analyses")
-    p.add_argument("path", help="manifest dir, package dir, or dir of packages")
-    p.add_argument("--analysis", choices=tuple(LOG_ANALYSES), required=True)
-    p.add_argument(
-        "--stonewall",
-        type=_float_between(0.0, math.inf, "must be a positive finite number of seconds"),
-        help="explicit stonewall seconds when logs lack it",
-    )
-    p.add_argument("--out", default=outdir)
-    p.add_argument("--config", help="pipeline config JSON overriding defaults")
-    p.set_defaults(func=cmd_logs)
+    with analysis("groups", "group comparison by interconnect class", "manifest_dir", config=True) as p:
+        p.add_argument("--metric", default="score_overall", choices=metrics.METRIC_NAMES)
+        p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="per-node")
+
+    paths = "manifest dir, package dir, or dir of packages"
+    with analysis("logs", "per-process log analyses", "path", paths, config=True) as p:
+        p.add_argument("--analysis", choices=LOG_ANALYSES, required=True)
+        p.add_argument(
+            "--stonewall",
+            type=_float_between(0.0, math.inf, "must be a positive finite number of seconds"),
+            help="explicit stonewall seconds when logs lack it",
+        )
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
     p.add_argument("--config", help="synth config JSON")
@@ -538,6 +529,9 @@ def main(argv=None) -> int:
         return 2
     except Io500KitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # such as an --out that names a file
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 1
 
 

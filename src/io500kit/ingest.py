@@ -1190,11 +1190,11 @@ def read_manifest(path: str | Path, phases: Collection[Phase] | None = None) -> 
 
 def read_manifest_dir(
     directory: str | Path, phases: Collection[Phase] | None = None
-) -> list[Submission]:
-    """Load every `*.json` manifest in a directory, sorted by filename, with
-    the timing tables of `phases` (all when None)."""
+) -> dict[str, Submission]:
+    """Load every `*.json` manifest in a directory, keyed by its file stem in
+    file-name order, with the timing tables of `phases` (all when None)."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise EmptyInputError(f"no manifests found in {directory}")
-    return [read_manifest(p, phases) for p in paths]
+    return {p.stem: read_manifest(p, phases) for p in paths}

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import importlib.util
 import inspect
@@ -14,6 +15,7 @@ import pytest
 import io500kit
 from io500kit import cli, config, ingest, loginsight, metrics, report, stats, synth
 from io500kit.ingest import SUMMARY_FILENAME
+from io500kit.types import Phase
 
 
 def run(*argv):
@@ -187,7 +189,7 @@ def test_full_pipeline_deterministic(tmp_path):
 def test_corr_cli_is_thin_wrapper(manifests, tmp_path):
     out = tmp_path / "out"
     assert run("corr", manifests, "--method", "spearman", "--normalize", "per-node", "--out", out) == 0
-    subs = ingest.read_manifest_dir(manifests)
+    subs = list(ingest.read_manifest_dir(manifests).values())
     names, table = metrics.metric_table(subs, "per-node")
     corr = stats.correlation_matrix(names, table, method="spearman", alpha=0.05)
     spec = report.RenderSpec(title="spearman correlations (per-node, alpha=0.05)")
@@ -199,7 +201,7 @@ def test_corr_cli_is_thin_wrapper(manifests, tmp_path):
 def test_stats_cli_is_thin_wrapper(manifests, tmp_path):
     out = tmp_path / "out"
     assert run("stats", manifests, "--normalize", "raw", "--out", out) == 0
-    subs = ingest.read_manifest_dir(manifests)
+    subs = list(ingest.read_manifest_dir(manifests).values())
     names, table = metrics.metric_table(subs, "raw")
     rows = []
     import numpy as np
@@ -302,6 +304,55 @@ def test_logs_files_of_colliding_submission_ids_are_kept_apart(tmp_path):
     assert sorted(p.name for p in logs.glob("pfind_*.csv")) == ["pfind_same-2.csv", "pfind_same.csv"]
 
 
+def test_logs_names_files_by_manifest_stem_when_ids_collide(tmp_path):
+    # a/b comes first and ingests to a-b.json, a-b to a-b-2.json, which sorts first.
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--seed", 5, "--n", 2, "--out", corpus) == 0
+    for meta, sub_id in zip(sorted(corpus.glob("*/meta.txt")), ("a/b", "a-b")):
+        text = meta.read_text()
+        meta.write_text(text.replace(text.splitlines()[0], f"submission_id = {sub_id}"))
+    first, second = sorted(p.parent for p in corpus.glob("*/meta.txt"))
+    assert (first / "find.csv").read_text() != (second / "find.csv").read_text()
+    manifests = tmp_path / "manifests"
+    assert run("ingest", corpus, "--out", manifests) == 0
+    assert {p.name: ingest.read_manifest(p).meta.submission_id for p in manifests.glob("*.json")} == {
+        "a-b.json": "a/b",
+        "a-b-2.json": "a-b",
+    }
+    for source in (corpus, manifests):
+        for analysis in ("runtime", "close", "stonewall", "stragglers", "pfind"):
+            assert run("logs", source, "--analysis", analysis, "--out", tmp_path / source.name) == 0
+    assert tree_bytes(tmp_path / "corpus" / "logs") == tree_bytes(tmp_path / "manifests" / "logs")
+    logs = tmp_path / "manifests" / "logs"
+    rep = loginsight.pfind_imbalance(ingest.load_submission(first).timing[Phase.FIND])
+    csv_text, _ = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
+    assert (logs / "pfind_a-b.csv").read_text() == csv_text
+    assert "a/b ior-easy-write" in (logs / "qq_a-b_ior-easy-write.svg").read_text()
+    assert "a-b ior-easy-write" in (logs / "qq_a-b-2_ior-easy-write.svg").read_text()
+
+
+OUT_STAGES = [
+    ["synth", "--n", 1],
+    ["ingest", "{corpus}"],
+    ["stats", "{manifests}"],
+    ["corr", "{manifests}"],
+    ["groups", "{manifests}"],
+    *(["logs", "{manifests}", "--analysis", a] for a in ("runtime", "close", "stonewall", "stragglers", "pfind")),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_STAGES, ids=lambda argv: "-".join(map(str, argv[::2])))
+def test_out_naming_a_file_is_one_error_line(corpus, manifests, tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    capsys.readouterr()
+    argv = [str(a).format(corpus=corpus, manifests=manifests) for a in argv]
+    assert run(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}") and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert out.read_text() == "a file\n"
+
+
 def test_infinite_interconnect_speed_is_unknown(tmp_path, summary_basic):
     pkg = tmp_path / "packages" / "pkg"
     pkg.mkdir(parents=True)
@@ -315,7 +366,7 @@ def test_infinite_interconnect_speed_is_unknown(tmp_path, summary_basic):
 
     for line in (out / "pkg.json").read_text().splitlines():
         json.loads(line, parse_constant=reject)
-    (sub,) = ingest.read_manifest_dir(out)
+    (sub,) = ingest.read_manifest_dir(out).values()
     assert sub.meta.interconnect_gbps is None
     assert ingest.interconnect_class(sub.meta) == "unknown"
 
@@ -586,6 +637,86 @@ def test_outdir_env_var(monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["stats", "x"])
     assert args.out == "/some/where"
+
+
+NORMALIZATIONS = ("raw", "per-node", "per-process")
+METRICS = (
+    "score_overall",
+    "score_bw",
+    "score_md",
+    "ior-easy-write",
+    "ior-easy-read",
+    "ior-hard-write",
+    "ior-hard-read",
+    "mdtest-easy-write",
+    "mdtest-easy-stat",
+    "mdtest-easy-delete",
+    "mdtest-hard-write",
+    "mdtest-hard-stat",
+    "mdtest-hard-read",
+    "mdtest-hard-delete",
+    "find",
+)
+# Each subcommand's arguments, in order: (option strings, dest, default, choices,
+# nargs, required, type name), with IO500KIT_OUT=/out.
+CLI_SURFACE = {
+    "ingest": [
+        ([], "paths", None, None, "+", True, None),
+        (["--format"], "format", "package", ("package", "repo-csv"), None, False, None),
+        (["--column-map"], "column_map", None, None, None, False, None),
+        (["--out"], "out", "/out/manifests", None, None, False, None),
+        (["--config"], "config", None, None, None, False, None),
+    ],
+    "stats": [
+        ([], "manifest_dir", None, None, None, True, None),
+        (["--normalize"], "normalize", "raw", NORMALIZATIONS, None, False, None),
+        (["--out"], "out", "/out", None, None, False, None),
+    ],
+    "corr": [
+        ([], "manifest_dir", None, None, None, True, None),
+        (["--method"], "method", "spearman", ("spearman", "pearson"), None, False, None),
+        (["--normalize"], "normalize", "per-node", NORMALIZATIONS, None, False, None),
+        (["--alpha"], "alpha", 0.05, None, None, False, "parse"),
+        (["--out"], "out", "/out", None, None, False, None),
+    ],
+    "groups": [
+        ([], "manifest_dir", None, None, None, True, None),
+        (["--metric"], "metric", "score_overall", METRICS, None, False, None),
+        (["--normalize"], "normalize", "per-node", NORMALIZATIONS, None, False, None),
+        (["--out"], "out", "/out", None, None, False, None),
+        (["--config"], "config", None, None, None, False, None),
+    ],
+    "logs": [
+        ([], "path", None, None, None, True, None),
+        (["--analysis"], "analysis", None, ("close", "stonewall", "stragglers", "pfind", "runtime"), None, True, None),
+        (["--stonewall"], "stonewall", None, None, None, False, "parse"),
+        (["--out"], "out", "/out", None, None, False, None),
+        (["--config"], "config", None, None, None, False, None),
+    ],
+    "synth": [
+        (["--config"], "config", None, None, None, False, None),
+        (["--seed"], "seed", None, None, None, False, "int"),
+        (["--n"], "n", None, None, None, False, "int"),
+        (["--out"], "out", "/out/synth", None, None, False, None),
+    ],
+}
+
+
+def test_cli_surface_is_unchanged(monkeypatch):
+    monkeypatch.setenv("IO500KIT_OUT", "/out")
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [
+            (a.option_strings, a.dest, a.default, a.choices, a.nargs, a.required, getattr(a.type, "__name__", None))
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sub in commands.choices.items()
+    }
+    assert list(surface) == list(CLI_SURFACE)
+    for name, arguments in CLI_SURFACE.items():
+        assert surface[name] == arguments, name
 
 
 def test_ingest_column_map_flag(tmp_path):

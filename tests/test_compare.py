@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,45 @@ def test_directions_come_from_the_benchmark_declaration(compare):
     better = compare.directions()
     assert better["pipeline_s"] == "lower" and better["peak_rss_mb"] == "lower"
     assert "stats.correlation_matrix_s" in better
+
+
+def _fake_git(shas):
+    """A stand-in for compare.git: rev-parse knows the revisions in `shas`."""
+
+    def git(*args):
+        assert args[0] == "rev-parse"
+        rev = args[-1].removesuffix("^{commit}")
+        if rev not in shas:
+            raise subprocess.CalledProcessError(128, ["git", *args], stderr=b"fatal: Needed a single revision\n")
+        return f"{shas[rev]}\n".encode()
+
+    return git
+
+
+@pytest.fixture
+def offline(compare, monkeypatch):
+    """compare.main with git, the exports and the bench runs replaced by canned ones."""
+    monkeypatch.setattr(compare, "git", _fake_git({"old": "a" * 40, "new": "b" * 40}))
+    monkeypatch.setattr(compare, "export", lambda sha, dest: dest.mkdir(parents=True) or dest)
+    results = iter([_line(pipeline_s=2.0), _line(pipeline_s=1.0)])
+    monkeypatch.setattr(compare, "run_bench", lambda tree, workload, seed: next(results))
+    return compare
+
+
+def test_compare_makes_a_missing_work_directory(offline, tmp_path):
+    work, out = tmp_path / "no" / "such" / "dir", tmp_path / "bench.json"
+    argv = ["old", "new", "--workload", "w", "--pairs", "1", "--out", str(out), "--work", str(work)]
+    assert offline.main(argv) == 0
+    assert work.is_dir() and list(work.iterdir()) == []  # the exports are removed
+    summary = json.loads(out.read_text())
+    assert summary["environment"]["parent"] == "a" * 40 and summary["environment"]["change"] == "b" * 40
+    assert summary["workloads"]["w"]["metrics"]["pipeline_s"]["change_wins"] == 1
+
+
+@pytest.mark.parametrize("revisions", [["nosuch", "new"], ["old", "nosuch"]])
+def test_compare_unknown_revision_is_one_error_line(offline, tmp_path, capsys, revisions):
+    out = tmp_path / "bench.json"
+    assert offline.main([*revisions, "--workload", "w", "--out", str(out), "--work", str(tmp_path / "w")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: 'nosuch' names no commit\n"
+    assert not out.exists() and not (tmp_path / "w").exists()

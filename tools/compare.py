@@ -4,8 +4,9 @@
         --seed S [--pairs N] --out BENCH_N.json [--work DIR]
 
 Each revision is exported with `git archive` into a fresh directory under
-DIR (a new temporary directory by default), so neither holds a
-`__pycache__` or any other untracked file. For each workload, each pair
+DIR (made if missing; a new temporary directory by default), so neither
+holds a `__pycache__` or any other untracked file. A revision that names
+no commit is one `error:` line and exit status 1. For each workload, each pair
 then runs `python3 bench/run.py --workload W --seed S --trace 0` once in
 each export, and the side that goes first alternates from pair to pair:
 the host's drift between runs falls on both sides alike.
@@ -127,8 +128,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    revisions = {"parent": args.parent, "change": args.change}
-    shas = {side: git("rev-parse", f"{rev}^{{commit}}").decode().strip() for side, rev in revisions.items()}
+    shas = {}
+    for side, rev in (("parent", args.parent), ("change", args.change)):
+        try:
+            shas[side] = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+        except subprocess.CalledProcessError:
+            print(f"error: {rev!r} names no commit", file=sys.stderr)
+            return 1
+    if args.work:
+        args.work.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="compare-", dir=args.work))
     try:
         trees = {side: export(sha, work / side) for side, sha in shas.items()}

@@ -5,7 +5,9 @@
 Version 1 stored each timing table as a list of per-rank row objects and was
 written with indent=2. Version 2 was one compact JSON document whose tree is
 the version 3 tree: version 3 only moves each timing table onto a line of
-its own. The package reads neither, so this script decodes them on its own.
+its own. The package reads neither, so this script turns each into the
+version 3 tree it holds, with each version 1 table reshaped into columns,
+and decodes that with `ingest.from_manifest`.
 Version 3 is read with `ingest.read_manifest`: version 4 differs only in
 writing a timing column that holds its default as null.
 
@@ -23,85 +25,32 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from io500kit import ingest
 from io500kit.errors import Io500KitError
-from io500kit.types import (
-    Filesystem,
-    Phase,
-    PhaseResult,
-    ProcessTimingTable,
-    Submission,
-    SubmissionMeta,
-)
+from io500kit.types import Submission
 
 
-def _v1_table(phase: Phase, spec: dict) -> ProcessTimingTable:
+def _v1_columns(spec: dict) -> dict:
+    """A version 1 table, a list of per-rank row objects, as the version 3
+    table of its five columns."""
     rows = spec.get("rows", [])
-    items = [r.get("items") for r in rows]
-    return ProcessTimingTable(
-        phase=phase,
-        stonewall_s=spec.get("stonewall_s"),
-        rank=np.array([r["rank"] for r in rows], dtype=np.int64),
-        start_s=np.array([r["start_s"] for r in rows], dtype=float),
-        end_s=np.array([r["end_s"] for r in rows], dtype=float),
-        close_s=np.array([r.get("close_s") for r in rows], dtype=float),  # None -> NaN
-        items=np.ma.MaskedArray(
-            np.array([0 if v is None else v for v in items], dtype=np.int64),
-            mask=np.array([v is None for v in items], dtype=bool),
-        ),
-    )
-
-
-def decode_v1(doc: dict) -> Submission:
-    m = doc["meta"]
-    meta = SubmissionMeta(
-        submission_id=m["submission_id"],
-        list_label=m["list_label"],
-        institution=m.get("institution"),
-        filesystem_raw=m.get("filesystem_raw", ""),
-        filesystem_norm=Filesystem(m.get("filesystem_norm", "other")),
-        interconnect_raw=m.get("interconnect_raw", ""),
-        interconnect_gbps=m.get("interconnect_gbps"),
-        nic_count_reported=m.get("nic_count_reported"),
-        client_nodes=m["client_nodes"],
-        procs_per_node=m.get("procs_per_node"),
-        total_procs=m.get("total_procs"),
-    )
-    phases = {}
-    for entry in doc.get("phases", []):
-        phase = Phase(entry["phase"])
-        phases[phase] = PhaseResult(
-            phase=phase,
-            value=entry["value"],
-            unit=entry["unit"],
-            runtime_s=entry.get("runtime_s"),
-            cache_flag=bool(entry.get("cache_flag", False)),
-        )
-    timing = {Phase(name): _v1_table(Phase(name), spec) for name, spec in doc.get("timing", {}).items()}
-    return Submission(
-        meta=meta,
-        phases=phases,
-        reported_score_bw=doc.get("reported_score_bw"),
-        reported_score_md=doc.get("reported_score_md"),
-        reported_score_overall=doc.get("reported_score_overall"),
-        timing=timing,
-        warnings=list(doc.get("warnings", [])),
-    )
+    columns = {key: [row.get(key) for row in rows] for key in ("rank", "start_s", "end_s", "close_s", "items")}
+    return {"stonewall_s": spec.get("stonewall_s"), **columns}
 
 
 def read(path: Path) -> Submission:
     """The Submission of a manifest: versions 1 and 2 are one JSON document,
-    decoded here; any other is read by the package."""
+    decoded here as the version 3 tree they hold (version 1 with each table
+    reshaped into columns); any other is read by the package."""
     text = ingest.read_text(path)
     header, _ = json.JSONDecoder().raw_decode(text)
     version = header.get("format_version") if isinstance(header, dict) else None
+    if version not in (1, 2):
+        return ingest.read_manifest(path)
+    doc = json.loads(text)
     if version == 1:
-        return decode_v1(json.loads(text))
-    if version == 2:
-        return ingest.from_manifest({**json.loads(text), "format_version": ingest.MANIFEST_FORMAT_VERSION})
-    return ingest.read_manifest(path)
+        doc["timing"] = {name: _v1_columns(spec) for name, spec in doc.get("timing", {}).items()}
+    return ingest.from_manifest({**doc, "format_version": ingest.MANIFEST_FORMAT_VERSION})
 
 
 def main(paths: list[str]) -> int:
