@@ -341,7 +341,7 @@ OUT_STAGES = [
 ]
 
 
-@pytest.mark.parametrize("argv", OUT_STAGES, ids=lambda argv: "-".join(map(str, argv[::2])))
+@pytest.mark.parametrize("argv", OUT_STAGES, ids=lambda argv: "-".join(str(a) for a in argv if str(a)[0] not in "{-"))
 def test_out_naming_a_file_is_one_error_line(corpus, manifests, tmp_path, capsys, argv):
     out = tmp_path / "taken"
     out.write_text("a file\n")
