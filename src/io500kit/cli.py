@@ -73,8 +73,6 @@ def _lines(lines: list[str]) -> str | None:
 def cmd_ingest(args) -> int:
     config = load_config(args.config)
     cmap = ingest.load_column_map(args.column_map) if args.column_map else None
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     submissions = []
     errors: list[str] = []
     skipped: list[str] = []
@@ -104,6 +102,8 @@ def cmd_ingest(args) -> int:
         sub.warnings.extend(notes)
         findings.extend(metrics.recomputation_findings(sub, config.recompute_rel_tol))
 
+    outdir = Path(args.out)  # made only once the input is read: a rejected run leaves none
+    outdir.mkdir(parents=True, exist_ok=True)
     for stem, sub in zip(_file_stems(submissions), submissions):
         ingest.write_manifest(sub, outdir / f"{stem}.json")
 

@@ -9,6 +9,7 @@ the upper-triangle p-values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -56,17 +57,75 @@ def _validate_pair(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, 
     return ax, ay
 
 
-def _t_pvalue(r: float, n: int) -> float:
-    # scipy is imported here and in kruskal_wallis, not at module level: it
-    # costs about 0.3 s, and most CLI stages never compute a p-value.
-    from scipy.special import stdtr
+def _lentz(b0: float, term) -> float:
+    """b0 + a1/(b1 + a2/(b2 + ...)) with (a_j, b_j) = term(j), by Lentz's method."""
+    h = c = b0 or 1e-300
+    d = 0.0
+    for j in range(1, 10_000):
+        a, b = term(j)
+        d = 1.0 / ((b + a * d) or 1e-300)
+        c = (b + a / c) or 1e-300
+        h *= c * d
+        if abs(c * d - 1.0) <= 2.3e-16:  # a factor within an ulp of 1 no longer moves h
+            break
+    return h
 
-    df = n - 2
+
+def _lbeta(a: float, b: float) -> float:
+    """log B(a, b). With a large argument s and a small one q, lgamma(s) and
+    lgamma(s + q) would cancel to a few digits, so their difference comes
+    from Stirling's series instead."""
+    q, s = sorted((a, b))
+    if s < 100.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def corr(z: float) -> float:
+        return (1 / 12 - 1 / (360 * z * z)) / z
+
+    return math.lgamma(q) - (s - 0.5) * math.log1p(q / s) - q * math.log(s + q) + q + corr(s) - corr(s + q)
+
+
+def betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), by its continued fraction
+    (DLMF 8.17.22). y = 1 - x is passed in, not derived: where one of the
+    two is tiny, the caller knows it to full precision and 1 - x does not."""
+    if x > (a + 1.0) / (a + b + 2.0):  # where the fraction converges slowly
+        return 1.0 - betainc(b, a, y, x)
+    if x <= 0.0:
+        return 0.0
+
+    def term(j: int) -> tuple[float, float]:
+        m = j // 2
+        return (m * (b - m) if j % 2 == 0 else -(a + m) * (a + b + m)) * x / ((a + j - 1) * (a + j)), 1.0
+
+    lx, ly = (math.log(x), math.log1p(-x)) if x < y else (math.log1p(-y), math.log(y))
+    return math.exp(a * lx + b * ly - _lbeta(a, b)) / a / _lentz(1.0, term)
+
+
+def gammaincc(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x): 1 - P from P's series
+    below x = a + 1, the continued fraction (DLMF 8.9) above."""
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        k = a
+        while term > total * 1e-17:
+            k += 1.0
+            term *= x / k
+            total += term
+        return 1.0 - front * total
+    return front / _lentz(x + 1.0 - a, lambda j: (-j * (j - a), x + 2 * j + 1 - a))
+
+
+def _t_pvalue(r: float, n: int) -> float:
+    """Two-sided p of t = |r| sqrt(df / (1 - r^2)) on df = n - 2: I_x(df/2, 1/2)
+    with x = df / (df + t^2), which is 1 - r^2, and 1 - x = r^2."""
     denom = 1.0 - r * r
     if denom <= 0.0:
         return 0.0
-    t = abs(r) * np.sqrt(df / denom)
-    return float(2.0 * stdtr(df, -t))
+    return betainc((n - 2) / 2, 0.5, denom, r * r)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
@@ -134,8 +193,6 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> GroupTestResult:
 
     All-identical data degenerates to H = 0, p = 1 rather than erroring.
     """
-    from scipy.special import chdtrc  # deferred, see _t_pvalue
-
     if len(groups) < 2:
         raise SampleSizeError("kruskal_wallis needs at least two groups")
     arrays = [np.asarray(g, dtype=float) for g in groups]
@@ -164,7 +221,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> GroupTestResult:
     else:
         h = h0 / correction
         h = max(h, 0.0)
-        p = float(chdtrc(len(arrays) - 1, h))
+        p = gammaincc((len(arrays) - 1) / 2, h / 2)
     return GroupTestResult(
         h=h,
         p=p,

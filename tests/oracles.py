@@ -19,6 +19,8 @@ formatted a whole table at once; synth must write the same text.
 The kernel loops walk tie groups and rank runs one at a time and fill the
 metric table one cell at a time, as the package did before it worked on
 numpy columns and whole rows; the package must return the same bits.
+The Student's t and chi-square tails at df = 1 and at even df have closed
+forms; the package's incomplete beta and gamma functions must match them.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from io500kit.report import (
     fmt_label,
     q6,
 )
-from io500kit.stats import INDEPENDENCE_CAVEAT, kruskal_wallis, pearson, spearman
+from io500kit.stats import INDEPENDENCE_CAVEAT, gammaincc, kruskal_wallis, pearson, spearman
 from io500kit.types import Phase
 
 
@@ -87,9 +89,9 @@ def rank_loop_oracle(values):
 
 def kruskal_wallis_loop_oracle(groups):
     """(H, p) of stats.kruskal_wallis from the loop ranks, with the tie counts
-    from a second np.unique, for at least two nonempty finite groups."""
-    from scipy.special import chdtrc
-
+    from a second np.unique, for at least two nonempty finite groups. p is the
+    package's own chi-square tail of that H: the closed forms in
+    test_properties pin stats.gammaincc itself."""
     arrays = [np.asarray(g, dtype=float) for g in groups]
     pooled = np.concatenate(arrays)
     n = pooled.size
@@ -107,7 +109,7 @@ def kruskal_wallis_loop_oracle(groups):
     if correction <= 0.0:
         return 0.0, 1.0
     h = max(h0 / correction, 0.0)
-    return h, float(chdtrc(len(arrays) - 1, h))
+    return h, gammaincc((len(arrays) - 1) / 2, h / 2)
 
 
 def correlation_cells_oracle(names, table, method):
@@ -871,3 +873,41 @@ def classify_straggler_pattern_oracle(
     if len(multi) >= 2 and sum(multi) >= clustered_fraction * s:
         return PatternResult(Pattern.CLUSTERED, adjacency, run_count)
     return PatternResult(Pattern.DISPERSED, adjacency, run_count)
+
+
+def t_pvalue_closed_form(df, t):
+    """Two-sided p of Student's t >= 0 on df = 1 or an even df, from closed
+    forms. df = 1: 1 - (2/pi) atan t, written (2/pi) atan(1/t) so that no
+    digits cancel. Even df (A&S 26.7.3): 1 - s * sum_{k < df/2} c_k x^k with
+    s = t / sqrt(df + t^2), x = df / (df + t^2) and c_k = (2k-1)!! / (2k)!!,
+    which is 1 - t / sqrt(2 + t^2) at df = 2. The whole series sums to 1, so
+    where its head is above 1/2, p is s times its tail, with nothing to cancel."""
+    if df == 1:
+        return 2 / math.pi * math.atan2(1.0, t)
+    s = t / math.sqrt(df + t * t)
+    x = df / (df + t * t)
+    head, term = 0.0, 1.0
+    for k in range(df // 2):
+        head += term
+        term *= (2 * k + 1) / (2 * k + 2) * x
+    if s * head <= 0.5:
+        return 1.0 - s * head
+    tail, k = 0.0, df // 2
+    while term > tail * 1e-17:
+        tail += term
+        term *= (2 * k + 1) / (2 * k + 2) * x
+        k += 1
+    return s * tail
+
+
+def chi_square_sf_closed_form(df, h):
+    """Upper tail of chi-square at h >= 0 on df = 1 or an even df, from closed
+    forms: erfc(sqrt(h/2)) at df = 1, and at even df the Poisson sum
+    e^(-h/2) sum_{k < df/2} (h/2)^k / k!, its terms taken in logs so that
+    e^(-h/2) does not underflow before the sum does."""
+    if df == 1:
+        return math.erfc(math.sqrt(h / 2))
+    x = h / 2
+    if x == 0.0:
+        return 1.0
+    return math.fsum(math.exp(k * math.log(x) - x - math.lgamma(k + 1)) for k in range(df // 2))

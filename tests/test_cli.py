@@ -789,7 +789,8 @@ def _exit_code(argv):
         return exc.code
 
 
-# `{f}` is a file holding the case's content, `{csv}` a valid repo CSV and `{out}` an unused directory.
+# `{f}` is a file holding the case's content, `{csv}` a valid repo CSV, `{dir}` a directory
+# holding no package and `{out}` an unused directory.
 COLUMN_MAP = ["ingest", "{csv}", "--out", "{out}", "--format", "repo-csv", "--column-map"]
 INGEST = ["ingest", "{csv}", "--out", "{out}", "--format", "repo-csv", "--config"]
 STRAGGLERS = ["logs", "{f}", "--analysis", "stragglers", "--out", "{out}", "--config"]
@@ -798,6 +799,10 @@ BAD_INPUT_CASES = [
     # (argv, file content, exit code, error message)
     (["synth", "--config", "{f}"], "{bad", 1, "error: cannot read synth config"),
     (["synth", "--config", "{f}.missing"], "", 1, "error: cannot read synth config"),
+    # Input that holds no submission: ingest writes no manifest directory for it.
+    (["ingest", "{dir}", "--out", "{out}"], "", 2, "error: no submission packages found under"),
+    (["ingest", "{f}.missing", "--out", "{out}"], "", 2, "error: no submission packages found under"),
+    (["ingest", "{f}.missing", "--out", "{out}", "--format", "repo-csv"], "", 1, "input.json.missing: No such file"),
     (["synth", "--config", "{f}"], "[1]", 1, "expected a JSON object, got list"),
     ([*COLUMN_MAP, "{f}"], "{bad", 1, "error: cannot read column map"),
     ([*COLUMN_MAP, "{f}.missing"], "", 1, "error: cannot read column map"),
@@ -860,7 +865,7 @@ def test_bad_config_or_flag_is_one_error_line(tmp_path, capsys, argv, content, c
     path.write_text(content)
     csv_file = tmp_path / "export.csv"
     csv_file.write_text("id,list,filesystem,client_nodes\nx,SC22,lustre,4\n")
-    assert _exit_code([a.format(f=path, csv=csv_file, out=tmp_path / "m") for a in argv]) == code
+    assert _exit_code([a.format(f=path, csv=csv_file, dir=tmp_path, out=tmp_path / "m") for a in argv]) == code
     assert not (tmp_path / "m").exists()  # rejected before any output is written
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -880,16 +885,32 @@ def test_config_overrides_merge_into_defaults(tmp_path):
 # --- start-up cost and per-stage manifest reads -------------------------------------------
 
 
-def test_cli_import_defers_scipy():
-    # bench/tracer.py wraps these six modules through sys.modules, so the import
-    # must load each of them; scipy it must not, only two p-value kernels need it.
-    code = "import json, sys, io500kit.cli; print(json.dumps(sorted(sys.modules)))"
+def test_corr_and_groups_run_without_scipy(manifests, tmp_path):
+    # No module of the package imports scipy: with it unimportable, corr and
+    # groups exit 0 and write the same bytes as in this process. bench/tracer.py
+    # wraps the six modules below through sys.modules, so the CLI import must
+    # load each of them.
+    analyses = [["corr", "--method", "spearman"], ["corr", "--method", "pearson"], ["groups"]]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from io500kit import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    without = [[cmd, str(manifests), *rest, "--out", str(tmp_path / "without")] for cmd, *rest in analyses]
     env = {**os.environ, "PYTHONPATH": str(Path(io500kit.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = json.loads(out.stdout)
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(without)], env=env, capture_output=True, text=True, check=True
+    )
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
     for name in ("ingest", "loginsight", "metrics", "report", "stats", "synth"):
         assert f"io500kit.{name}" in loaded
+    for cmd, *rest in analyses:
+        assert run(cmd, manifests, *rest, "--out", tmp_path / "with") == 0
+    assert tree_bytes(tmp_path / "without") == tree_bytes(tmp_path / "with")
+    assert any(name.startswith("groups/") for name in tree_bytes(tmp_path / "with"))
 
 
 def test_bench_hooks_name_existing_functions():

@@ -24,6 +24,7 @@ from io500kit.errors import ConfigError, Io500KitError, ParseError, SampleSizeEr
 from io500kit.types import Filesystem, Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
 from oracles import (
     _Axis,
+    chi_square_sf_closed_form,
     classify_straggler_pattern_oracle,
     correlation_cells_oracle,
     dumps_manifest_v3_oracle,
@@ -39,6 +40,7 @@ from oracles import (
     render_qq_oracle,
     render_score_strip_oracle,
     scan_timing_rows_oracle,
+    t_pvalue_closed_form,
 )
 
 PHASE = Phase.IOR_EASY_WRITE
@@ -1024,6 +1026,55 @@ def test_rank_with_ties_is_bit_equal_to_the_tie_loop(values):
 def test_kruskal_wallis_is_bit_equal_to_the_tie_loop(groups):
     result = stats.kruskal_wallis(groups)
     assert _bits([result.h, result.p]) == _bits(kruskal_wallis_loop_oracle(groups))
+
+
+EVEN_DF = st.integers(1, 30).map(lambda m: 2 * m)
+
+
+@PROPERTY
+@example(4998, 13.41)  # p = 2.6e-40, at n = 5,000: 1 - I_{1-x}(1/2, df/2) is 0 there
+@example(9998, 1e-8 * math.sqrt(9998))  # p = 0.99999920, at n = 10,000 and r = 1e-8: x rounds to 1
+@given(st.one_of(st.just(1), EVEN_DF), st.floats(0, 1e3))
+def test_t_pvalue_matches_its_closed_forms(df, t):
+    want = t_pvalue_closed_form(df, t)
+    got = stats.betainc(df / 2, 0.5, df / (df + t * t), t * t / (df + t * t))
+    if want >= 1e-300:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@PROPERTY
+@given(st.one_of(st.just(1), EVEN_DF), st.floats(0, 3e3))
+def test_chi_square_tail_matches_its_closed_forms(df, h):
+    want = chi_square_sf_closed_form(df, h)
+    if want >= 1e-300:
+        assert stats.gammaincc(df / 2, h / 2) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_p_values_print_as_scipy_does():
+    # The sidecars print p to 6 significant digits; there scipy's t and
+    # chi-square tails and the package's must read the same.
+    special = pytest.importorskip("scipy.special")
+
+    @PROPERTY
+    @example(3, 7.5e-9, 1, 0.0)
+    @example(10_000, 1e-8, 2, 1e-300)
+    @given(
+        st.integers(3, 10_000),
+        st.one_of(st.floats(-1, 1), st.floats(1e-17, 1e-6), st.floats(1 - 1e-6, 1)),
+        st.integers(1, 60),
+        st.floats(0, 3e3),
+    )
+    def check(n, r, df, h):
+        denom = 1.0 - r * r
+        t = abs(r) * math.sqrt((n - 2) / denom) if denom > 0 else math.inf
+        for got, want in [
+            (stats._t_pvalue(r, n), float(2.0 * special.stdtr(n - 2, -t))),
+            (stats.gammaincc(df / 2, h / 2), float(special.chdtrc(df, h))),
+        ]:
+            if want >= 1e-300:
+                assert f"{got:.6g}" == f"{want:.6g}"
+
+    check()
 
 
 @st.composite
