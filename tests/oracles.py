@@ -880,8 +880,9 @@ def t_pvalue_closed_form(df, t):
     forms. df = 1: 1 - (2/pi) atan t, written (2/pi) atan(1/t) so that no
     digits cancel. Even df (A&S 26.7.3): 1 - s * sum_{k < df/2} c_k x^k with
     s = t / sqrt(df + t^2), x = df / (df + t^2) and c_k = (2k-1)!! / (2k)!!,
-    which is 1 - t / sqrt(2 + t^2) at df = 2. The whole series sums to 1, so
-    where its head is above 1/2, p is s times its tail, with nothing to cancel."""
+    which is 1 - t / sqrt(2 + t^2) at df = 2. s times the whole series is 1,
+    so where s times its head is above 1/2, p is s times its tail, with
+    nothing to cancel."""
     if df == 1:
         return 2 / math.pi * math.atan2(1.0, t)
     s = t / math.sqrt(df + t * t)

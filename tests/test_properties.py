@@ -1033,7 +1033,7 @@ EVEN_DF = st.integers(1, 30).map(lambda m: 2 * m)
 
 @PROPERTY
 @example(4998, 13.41)  # p = 2.6e-40, at n = 5,000: 1 - I_{1-x}(1/2, df/2) is 0 there
-@example(9998, 1e-8 * math.sqrt(9998))  # p = 0.99999920, at n = 10,000 and r = 1e-8: x rounds to 1
+@example(9998, 1e-8 * math.sqrt(9998))  # p = 0.99999920, at n = 10,000 and r = 1e-8: 1 - x is 2.2e-16, not 1e-16
 @given(st.one_of(st.just(1), EVEN_DF), st.floats(0, 1e3))
 def test_t_pvalue_matches_its_closed_forms(df, t):
     want = t_pvalue_closed_form(df, t)
