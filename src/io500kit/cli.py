@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -47,9 +48,16 @@ def _file_stems(subs) -> list[str]:
     return stems
 
 
+def _must_exist(path) -> None:
+    """A path that does not exist raises the OSError that names it (exit 1),
+    so that a mistyped path does not read as an empty dataset (exit 2)."""
+    os.stat(path)
+
+
 def _discover_packages(paths: list[str]) -> list[Path]:
     packages: list[Path] = []
     for raw in paths:
+        _must_exist(raw)
         path = Path(raw)
         if (path / SUMMARY_FILENAME).is_file():
             packages.append(path)
@@ -61,10 +69,16 @@ def _discover_packages(paths: list[str]) -> list[Path]:
     return packages
 
 
-def _lines(lines: list[str]) -> str | None:
-    """The text of a file of `lines`, each ended by a newline; None, which
-    report.write_render writes no file for, when there are none."""
-    return "\n".join(lines) + "\n" if lines else None
+def _txt(lines: list[str]) -> list[report.Piece]:
+    """A text file of `lines`, each ended by a newline, as the piece
+    report.write_render takes: none, and so no file, when there are no lines."""
+    return [("txt", "\n".join(lines) + "\n")] if lines else []
+
+
+def _table(texts: tuple[str, str]) -> list[report.Piece]:
+    """A table's CSV and aligned text, as report.tables returns them, as the
+    pieces report.write_render takes."""
+    return list(zip(("csv", "txt"), texts))
 
 
 # --- ingest -----------------------------------------------------------------
@@ -122,7 +136,7 @@ def cmd_ingest(args) -> int:
     for sub in submissions:
         for w in sub.warnings:
             lines.append(f"WARN {sub.meta.submission_id}: {w}")
-    report.write_render(outdir, "", "validation", txt=_lines(lines))  # beside the manifests
+    report.write_render(outdir, "", "validation", _txt(lines))  # beside the manifests
 
     print(f"wrote {len(submissions)} manifests to {outdir}")
     if errors:
@@ -137,8 +151,8 @@ def cmd_ingest(args) -> int:
 # --- analyses ------------------------------------------------------------------
 # Each analysis is run(subs, stems, phases, args, config): it takes the
 # submissions with their file stems, each with the timing tables of `phases`,
-# writes its files under args.out with report.write_render (a table as its
-# (csv, txt) pair after a None svg) and returns the line cmd_analysis prints.
+# writes its files under args.out with report.write_render (a plot as the
+# pieces its renderer returns) and returns the line cmd_analysis prints.
 # A log analysis with no rows writes nothing, not even its notes.
 
 
@@ -150,6 +164,7 @@ def _load(path: str, phases, packages: bool) -> dict:
     synth output directory with its ground_truth.json) is read as packages
     instead, each named and placed as `ingest` would name its manifest.
     """
+    _must_exist(path)
     found = _discover_packages([path]) if packages else []
     if found:
         subs = [ingest.load_submission(pkg) for pkg in found]
@@ -190,8 +205,8 @@ def run_stats(subs, stems, phases, args, config) -> str:
     if not stats_rows:
         raise EmptyInputError("no metric values available")
     summary = report.render_summary_table(stats_rows)
-    report.write_render(args.out, "stats", f"summary_{args.normalize}", None, *summary)
-    report.write_render(args.out, "stats", "composition", None, *report.render_composition_table(subs))
+    report.write_render(args.out, "stats", f"summary_{args.normalize}", _table(summary))
+    report.write_render(args.out, "stats", "composition", _table(report.render_composition_table(subs)))
 
     overall_idx = names.index("score_overall")
     strip_rows = [
@@ -203,16 +218,13 @@ def run_stats(subs, stems, phases, args, config) -> str:
         spec = report.RenderSpec(
             title=f"overall score ({args.normalize})", scale="log10", y_label="score"
         )
-        svg, sidecar = report.render_score_strip(strip_rows, spec)
-        report.write_render(
-            args.out, "stats", f"score_strip_{args.normalize}", svg=svg, csv_text=sidecar
-        )
+        report.write_render(args.out, "stats", f"score_strip_{args.normalize}", report.render_score_strip(strip_rows, spec))
     notes = [
         f"{sub.meta.submission_id}: excluded (no usable values after {args.normalize})"
         for i, sub in enumerate(subs)
         if not np.any(np.isfinite(table[i, :]))
     ]
-    report.write_render(args.out, "stats", "notes", txt=_lines(notes))
+    report.write_render(args.out, "stats", "notes", _txt(notes))
     return f"stats tables written to {Path(args.out) / 'stats'}"
 
 
@@ -222,10 +234,9 @@ def run_corr(subs, stems, phases, args, config) -> str:
     spec = report.RenderSpec(
         title=f"{args.method} correlations ({args.normalize}, alpha={args.alpha:g})"
     )
-    svg, sidecar = report.render_corr_heatmap(corr, spec)
     name = f"{args.method}_{args.normalize}"
-    report.write_render(args.out, "corr", name, svg=svg, csv_text=sidecar)
-    report.write_render(args.out, "corr", f"{name}_warnings", txt=_lines(corr.warnings))
+    report.write_render(args.out, "corr", name, report.render_corr_heatmap(corr, spec))
+    report.write_render(args.out, "corr", f"{name}_warnings", _txt(corr.warnings))
     n_sig = int(np.sum(np.triu(corr.significant, 1)))
     return f"correlation matrix {name}: {len(corr.variables)} variables, {n_sig} significant pairs"
 
@@ -252,9 +263,8 @@ def run_groups(subs, stems, phases, args, config) -> str:
         scale="log10",
         y_label=args.metric,
     )
-    svg, sidecar = report.render_group_box(groups, spec)
     name = f"{args.metric}_{args.normalize}"
-    report.write_render(args.out, "groups", name, svg=svg, csv_text=sidecar)
+    report.write_render(args.out, "groups", name, report.render_group_box(groups, spec))
 
     lines = [
         f"metric: {args.metric} ({args.normalize})",
@@ -267,7 +277,7 @@ def run_groups(subs, stems, phases, args, config) -> str:
     if test.approximate:
         lines.append("note: total n < 5, chi-square approximation unreliable")
     lines.extend(f"warning: {w}" for w in warnings)
-    report.write_render(args.out, "groups", name, txt=_lines(lines))
+    report.write_render(args.out, "groups", name, _txt(lines))
     return f"H={test.h:.4g} p={test.p:.4g} eta_sq={test.eta_sq:.4g} ({len(groups)} groups)"
 
 
@@ -278,15 +288,14 @@ def run_runtime(subs, stems, phases, args, config) -> str:
     if not dist.per_phase:
         return "no runtime data available"
     stats_rows = [(phase.value, s) for phase, s in dist.per_phase.items()]
-    report.write_render(args.out, "logs", "runtime_summary", None, *report.render_summary_table(stats_rows))
+    report.write_render(args.out, "logs", "runtime_summary", _table(report.render_summary_table(stats_rows)))
     lines = [f"stonewall violations: {len(dist.violations)}"] + [
         f"{v.submission_id} {v.phase}: runtime {v.runtime_s:.6g} s" for v in dist.violations
     ]
-    report.write_render(args.out, "logs", "runtime_violations", txt=_lines(lines))
+    report.write_render(args.out, "logs", "runtime_violations", _txt(lines))
     groups = [(phase.value, values) for phase, values in dist.runtimes.items()]
     spec = report.RenderSpec(title="phase runtimes", scale="log10", y_label="seconds")
-    svg, sidecar = report.render_group_box(groups, spec, annotate=False)
-    report.write_render(args.out, "logs", "runtime_box", svg=svg, csv_text=sidecar)
+    report.write_render(args.out, "logs", "runtime_box", report.render_group_box(groups, spec, annotate=False))
     return f"runtime summary over {len(subs)} submissions, {len(dist.violations)} violations"
 
 
@@ -311,13 +320,12 @@ def run_close(subs, stems, phases, args, config) -> str:
     if not rows:
         return "no close-time data available"
     header = ["Submission", "Phase", "N", "MeanClose_s", "MaxClose_s", "MedianFraction"]
-    report.write_render(args.out, "logs", "close_summary", None, *report.tables(header, rows))
+    report.write_render(args.out, "logs", "close_summary", _table(report.tables(header, rows)))
     groups = [(fs, np.concatenate(closes)) for fs, closes in sorted(fs_groups.items())]
     spec = report.RenderSpec(
         title="close time by filesystem", scale="log10", y_label="close seconds"
     )
-    svg, sidecar = report.render_group_box(groups, spec, annotate=False)
-    report.write_render(args.out, "logs", "close_box", svg=svg, csv_text=sidecar)
+    report.write_render(args.out, "logs", "close_box", report.render_group_box(groups, spec, annotate=False))
     return f"close-time summary for {len(rows)} phase tables"
 
 
@@ -328,7 +336,7 @@ def run_stonewall(subs, stems, phases, args, config) -> str:
     for sub, stem, phase, rat in _per_table(subs, stems, phases, analyze, Io500KitError, notes):
         spec = report.RenderSpec(title=f"{sub.meta.submission_id} {phase.value}")
         # Each table's plot is written, and its ratios dropped, before the next table's are computed.
-        report.write_render(args.out, "logs", f"qq_{stem}_{phase.value}", *report.render_qq(rat.qq, spec))
+        report.write_render(args.out, "logs", f"qq_{stem}_{phase.value}", report.render_qq(rat.qq, spec))
         rows.append(
             [
                 sub.meta.submission_id,
@@ -341,8 +349,8 @@ def run_stonewall(subs, stems, phases, args, config) -> str:
     if not rows:
         return "no stonewall timing data available"
     header = ["Submission", "Phase", "Ranks", "MinRatio", "MaxRatio"]
-    report.write_render(args.out, "logs", "stonewall_summary", None, *report.tables(header, rows))
-    report.write_render(args.out, "logs", "stonewall_notes", txt=_lines(notes))
+    report.write_render(args.out, "logs", "stonewall_summary", _table(report.tables(header, rows)))
+    report.write_render(args.out, "logs", "stonewall_notes", _txt(notes))
     return f"stonewall ratios for {len(rows)} write-phase tables"
 
 
@@ -368,8 +376,8 @@ def run_stragglers(subs, stems, phases, args, config) -> str:
     if not rows:
         return "no straggler timing data available"
     header = "Submission Phase Ranks Stragglers Pattern Adjacency Runs StragglerRanks".split()
-    report.write_render(args.out, "logs", "stragglers", None, *report.tables(header, rows))
-    report.write_render(args.out, "logs", "straggler_notes", txt=_lines(notes))
+    report.write_render(args.out, "logs", "stragglers", _table(report.tables(header, rows)))
+    report.write_render(args.out, "logs", "straggler_notes", _txt(notes))
     return f"straggler analysis for {len(rows)} write-phase tables"
 
 
@@ -380,7 +388,7 @@ def run_pfind(subs, stems, phases, args, config) -> str:
         subs, stems, phases, loginsight.pfind_imbalance, Io500KitError, notes
     ):
         detail = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
-        report.write_render(args.out, "logs", f"pfind_{stem}", None, *detail)
+        report.write_render(args.out, "logs", f"pfind_{stem}", _table(detail))
         rows.append(
             [
                 sub.meta.submission_id,
@@ -394,8 +402,8 @@ def run_pfind(subs, stems, phases, args, config) -> str:
     if not rows:
         return "no find-phase item data available"
     header = ["Submission", "Ranks", "MedianItems", "MaxItems", "MaxOverMedian", "Gini"]
-    report.write_render(args.out, "logs", "pfind", None, *report.tables(header, rows))
-    report.write_render(args.out, "logs", "pfind_notes", txt=_lines(notes))
+    report.write_render(args.out, "logs", "pfind", _table(report.tables(header, rows)))
+    report.write_render(args.out, "logs", "pfind_notes", _txt(notes))
     return f"pfind imbalance for {len(rows)} submissions"
 
 

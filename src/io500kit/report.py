@@ -1,20 +1,24 @@
 """Deterministic table and SVG rendering.
 
-Every renderer quantizes its inputs to 6 significant digits up front, draws
+Every plot renderer quantizes its inputs to 6 significant digits, draws
 from the quantized values, and writes exactly those values to the CSV
 sidecar, so re-rendering from a sidecar reproduces the SVG byte for byte.
+A plot renderer checks its input when it is called and returns its
+sidecar and its SVG as one stream of pieces, which `write_render` writes
+as they come: no plot or sidecar is ever one whole string.
 No timestamps, no randomness, fixed float formatting throughout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -58,9 +62,18 @@ def _finite(values) -> np.ndarray:
     return column
 
 
+# A piece of a render: the suffix of the file it belongs to ("svg", "csv" or
+# "txt") and the next part of that file's text.
+Piece = tuple[str, str]
+
 # Values quantized, formatted or drawn at a time: one block's Python objects,
 # never a whole column's, are alive at once.
 _BLOCK = 8192
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """The slices of a column of n values, _BLOCK at a time."""
+    return (slice(at, at + _BLOCK) for at in range(0, n, _BLOCK))
 
 
 def _q6_blocks(values: np.ndarray, out: np.ndarray) -> Iterator[tuple[slice, list[str]]]:
@@ -71,20 +84,10 @@ def _q6_blocks(values: np.ndarray, out: np.ndarray) -> Iterator[tuple[slice, lis
     idempotent on a q6 value, so for a finite value that text is also the
     sidecar cell.
     """
-    for at in range(0, values.size, _BLOCK):
-        block = slice(at, at + _BLOCK)
+    for block in _blocks(values.size):
         text = list(map(format, values[block].tolist(), itertools.repeat(".6g")))
         out[block] = np.fromiter(map(float, text), dtype=float, count=len(text))
         yield block, text
-
-
-def _quantize(values) -> np.ndarray:
-    """q6 of a whole column."""
-    column = np.asarray(values, dtype=float).ravel()
-    out = np.empty(column.size)
-    for _ in _q6_blocks(column, out):
-        pass
-    return out
 
 
 # A sidecar's `clamped` cell, by flag.
@@ -191,11 +194,14 @@ def render_imbalance_table(
 # --- SVG primitives -----------------------------------------------------------
 
 
-def _svg(
-    width: float, height: float, title: str, body: list[str], title_y: float = 20.0, title_size: int = 13
-) -> str:
-    """A whole SVG document on a white ground: the title centred at title_y
-    when there is one, then the body lines."""
+def _lines(lines: Iterable[str]) -> str:
+    """Lines of text, each ended by a newline."""
+    return "".join(line + "\n" for line in lines)
+
+
+def _svg_head(width: float, height: float, title: str, title_y: float = 20.0, title_size: int = 13) -> str:
+    """The opening lines of an SVG document on a white ground, with the title
+    centred at title_y when there is one. The document ends with _SVG_END."""
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_c(width)}" '
         f'height="{_c(height)}" viewBox="0 0 {_c(width)} {_c(height)}">',
@@ -203,7 +209,10 @@ def _svg(
     ]
     if title:
         head.append(_text(width / 2.0, title_y, title, size=title_size, anchor="middle"))
-    return "\n".join([*head, *body, "</svg>", ""])
+    return _lines(head)
+
+
+_SVG_END = "</svg>\n"
 
 
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "start", extra: str = "") -> str:
@@ -269,32 +278,32 @@ class _Axis:
         return self.px_lo + frac * (self.px_hi - self.px_lo), clamped
 
 
-def _y_range(values: np.ndarray, log: bool) -> tuple[float, float]:
-    """The bottom and top of a y axis over a column. On a log scale: a tenth
-    of the smallest positive value, and the largest. On a linear one: the first
-    smallest and the first largest value, so that a zero keeps its sign."""
+def _y_range(columns: Sequence[np.ndarray], log: bool) -> tuple[float, float]:
+    """The bottom and top of a y axis over the q6 of the values of some
+    columns, taken in order. On a log scale: a tenth of the smallest positive
+    value, and the largest. On a linear one: the first smallest and the first
+    largest value, so that a zero keeps its sign.
+
+    q6 is monotone and keeps a value's sign, so these are q6 of the raw
+    extremes, and no column needs quantizing to find them."""
     if log:
-        positive = values[values > 0]
+        smallest = min(float(np.min(c, where=c > 0, initial=math.inf)) for c in columns)
         # min / 10 underflows to 0.0 near 5e-324.
-        return max(float(positive.min()) / 10.0, math.ulp(0.0)), float(positive.max())
-    return float(values[values.argmin()]), float(values[values.argmax()])
+        return max(q6(smallest) / 10.0, math.ulp(0.0)), q6(max(float(c.max()) for c in columns))
+    # min() and max() keep the first of equal values, as argmin and argmax do.
+    return q6(min(float(c[c.argmin()]) for c in columns)), q6(max(float(c[c.argmax()]) for c in columns))
 
 
-def _points(circle: str, clamped_circle: str, clamped: np.ndarray, *columns, lift: float = 5.0) -> list[str]:
-    """The SVG lines of the points, one string per _BLOCK points, from a
-    %-format taking one value of each column (cx, cy, ...), a numpy array
-    or a list; a point
-    pinned to the log floor gets clamped_circle and a "0" label lift pixels
-    above it."""
-    blocks = []
-    for at in range(0, clamped.size, _BLOCK):
-        values = [np.asarray(column[at : at + _BLOCK]).tolist() for column in columns]
-        lines = list(map(circle.__mod__, zip(*values)))
-        for i in np.flatnonzero(clamped[at : at + _BLOCK]).tolist():
-            point = tuple(column[i] for column in values)
-            lines[i] = clamped_circle % point + "\n" + _text(point[0], point[1] - lift, "0", size=8, anchor="middle")
-        blocks.append("\n".join(lines))
-    return blocks
+def _points(circle: str, clamped_circle: str, clamped: np.ndarray, *columns, lift: float = 5.0) -> str:
+    """The SVG lines of one block of points, from a %-format taking one value
+    of each column (cx, cy, ...), a numpy array or a list; a point pinned to
+    the log floor gets clamped_circle and a "0" label lift pixels above it."""
+    values = [np.asarray(column).tolist() for column in columns]
+    lines = list(map(circle.__mod__, zip(*values)))
+    for i in np.flatnonzero(clamped).tolist():
+        point = tuple(column[i] for column in values)
+        lines[i] = clamped_circle % point + "\n" + _text(point[0], point[1] - lift, "0", size=8, anchor="middle")
+    return _lines(lines)
 
 
 # --- correlation heatmap ---------------------------------------------------------
@@ -309,15 +318,32 @@ class HeatmapData:
     significant: np.ndarray
 
 
-def render_corr_heatmap(report, spec: RenderSpec | None = None) -> tuple[str, str]:
+def render_corr_heatmap(report, spec: RenderSpec | None = None) -> Iterator[Piece]:
     """Correlation matrix as circles: radius tracks |coefficient|, fill the
-    sign, hatching marks pairs that did not survive FDR correction.
+    sign, hatching marks pairs that did not survive FDR correction. Yields
+    the sidecar, then the SVG a row of cells at a time.
 
     Accepts a stats.CorrelationReport or a HeatmapData re-read from a sidecar.
     """
     spec = spec or RenderSpec()
     k = len(report.variables)
-    coeff = _quantize(report.coeff).reshape(k, k)
+    coeff = np.empty(k * k)
+    # A coefficient's `.6g` text is its sidecar cell; a NaN's cell is empty.
+    text = [cell for _, cells in _q6_blocks(np.asarray(report.coeff, dtype=float).ravel(), coeff) for cell in cells]
+    coeff = coeff.reshape(k, k)
+    rows = [
+        [
+            report.variables[i],
+            report.variables[j],
+            "" if text[i * k + j] == "nan" else text[i * k + j],
+            fmt_csv(report.p_raw[i, j]),
+            fmt_csv(report.p_adjusted[i, j]),
+            "true" if report.significant[i, j] else "false",
+        ]
+        for i in range(k)
+        for j in range(i + 1, k)
+    ]
+    yield "csv", csv_table(["var_a", "var_b", "coeff", "p_raw", "p_adjusted", "significant"], rows)
 
     cell = 34.0
     left, top = 150.0, 60.0 + (110.0 if k else 0.0)
@@ -337,7 +363,9 @@ def render_corr_heatmap(report, spec: RenderSpec | None = None) -> tuple[str, st
             )
         )
         parts.append(_text(left - 8.0, top + idx * cell + cell / 2.0 + 4.0, name, size=10, anchor="end"))
+    yield "svg", _svg_head(width, height, spec.title, title_y=24.0, title_size=14) + _lines(parts)
     for i in range(k):
+        parts = []
         for j in range(k):
             x = left + j * cell
             y = top + i * cell
@@ -364,21 +392,8 @@ def render_corr_heatmap(report, spec: RenderSpec | None = None) -> tuple[str, st
                     f'<line x1="{_c(x)}" y1="{_c(y + cell)}" x2="{_c(x + cell)}" y2="{_c(y)}" '
                     f'stroke="#888888" stroke-width="0.8"/>'
                 )
-    svg = _svg(width, height, spec.title, parts, title_y=24.0, title_size=14)
-
-    rows = [
-        [
-            report.variables[i],
-            report.variables[j],
-            fmt_csv(report.coeff[i, j]),
-            fmt_csv(report.p_raw[i, j]),
-            fmt_csv(report.p_adjusted[i, j]),
-            "true" if report.significant[i, j] else "false",
-        ]
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-    return svg, csv_table(["var_a", "var_b", "coeff", "p_raw", "p_adjusted", "significant"], rows)
+        yield "svg", _lines(parts)
+    yield "svg", _SVG_END
 
 
 def heatmap_from_sidecar(sidecar: str) -> HeatmapData:
@@ -404,12 +419,17 @@ def heatmap_from_sidecar(sidecar: str) -> HeatmapData:
 # --- Q-Q plot ---------------------------------------------------------------------
 
 
-def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: RenderSpec | None = None) -> tuple[str, str]:
+_REFERENCE = np.array([1.0, 0.0])  # the ratio of the reference line, and zero
+
+
+def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: RenderSpec | None = None) -> Iterator[Piece]:
     """Stonewall-ratio Q-Q plot with a reference line at ratio 1.0.
 
     qq_pairs is an (n, 2) array of (quantile, ratio) rows, such as
     StonewallRatios.qq, or a list of pairs, such as qq_from_sidecar returns.
-    A NaN or infinite value, or a quantile outside [0, 1], raises ValueError.
+    A NaN or infinite value, or a quantile outside [0, 1], raises ValueError
+    here, before any piece. The pieces are the sidecar's, then the SVG's, a
+    block of points at a time.
     """
     pairs = _finite(qq_pairs)
     if not pairs.size:
@@ -420,41 +440,45 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     spec = spec or RenderSpec()
     # q6 keeps a value's sign, so the raw ratios tell whether any is above 0.
     log_y = spec.scale == "log10" and bool(np.any(pairs[:, 1] > 0))
-    quantiles, ratios = np.empty(len(pairs)), np.empty(len(pairs))
-    # The sidecar first, a block of rows at a time, so that each block's cells are gone before the next.
-    sidecar = [csv_table(["quantile", "ratio", "clamped"], [])]
-    for (block, q_cells), (_, r_cells) in zip(_q6_blocks(pairs[:, 0], quantiles), _q6_blocks(pairs[:, 1], ratios)):
-        flags = map(_FLAGS.__getitem__, (log_y & (ratios[block] <= 0)).tolist())
-        sidecar.append(_csv_rows(zip(q_cells, r_cells, flags)))
-    sidecar = "".join(sidecar)  # before the SVG's pieces exist, not beside them and the SVG
     # The axis takes in the reference line and, on a linear scale, zero.
-    y_lo, y_hi = _y_range(np.append(ratios, (1.0, 0.0)), log_y)
-
+    y_lo, y_hi = _y_range([pairs[:, 1], _REFERENCE], log_y)
     width, height = 460.0, 340.0
     px = _Axis(0.0, 1.0, 70.0, width - 30.0)
     py = _Axis(y_lo, y_hi, height - 50.0, 40.0, log=log_y)
-    (ref_y,), _ = py([1.0])
-    parts = [
-        f'<rect x="{_c(70.0)}" y="{_c(40.0)}" width="{_c(width - 100.0)}" '
-        f'height="{_c(height - 90.0)}" fill="none" stroke="#333333" stroke-width="1"/>',
-        f'<line x1="{_c(70.0)}" y1="{_c(ref_y)}" x2="{_c(width - 30.0)}" y2="{_c(ref_y)}" '
-        f'stroke="#bb4444" stroke-width="1" stroke-dasharray="4 3"/>',
-    ]
-    xs, _ = px(quantiles)
-    ys, clamped = py(ratios)
-    parts += _points(
-        '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#33668c"/>',
-        '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#d09040"/>',
-        clamped,
-        xs,
-        ys,
-    )
-    del quantiles, ratios, xs, ys, clamped  # so that the SVG's pieces and its join are alone
-    parts.append(_text(width / 2.0, height - 16.0, spec.x_label or "empirical quantile", size=11, anchor="middle"))
-    parts.append(_y_label(height, spec.y_label or "runtime / stonewall"))
-    parts.append(_text(66.0, height - 44.0, fmt_label(y_lo), size=9, anchor="end"))
-    parts.append(_text(66.0, 46.0, fmt_label(y_hi), size=9, anchor="end"))
-    return _svg(width, height, spec.title, parts), sidecar
+
+    def pieces() -> Iterator[Piece]:
+        quantiles, ratios = np.empty(len(pairs)), np.empty(len(pairs))
+        yield "csv", csv_table(["quantile", "ratio", "clamped"], [])
+        for (block, q_cells), (_, r_cells) in zip(_q6_blocks(pairs[:, 0], quantiles), _q6_blocks(pairs[:, 1], ratios)):
+            flags = map(_FLAGS.__getitem__, (log_y & (ratios[block] <= 0)).tolist())
+            yield "csv", _csv_rows(zip(q_cells, r_cells, flags))
+        (ref_y,), _ = py([1.0])
+        frame = [
+            f'<rect x="{_c(70.0)}" y="{_c(40.0)}" width="{_c(width - 100.0)}" '
+            f'height="{_c(height - 90.0)}" fill="none" stroke="#333333" stroke-width="1"/>',
+            f'<line x1="{_c(70.0)}" y1="{_c(ref_y)}" x2="{_c(width - 30.0)}" y2="{_c(ref_y)}" '
+            f'stroke="#bb4444" stroke-width="1" stroke-dasharray="4 3"/>',
+        ]
+        yield "svg", _svg_head(width, height, spec.title) + _lines(frame)
+        for block in _blocks(len(pairs)):
+            xs, _ = px(quantiles[block])
+            ys, clamped = py(ratios[block])
+            yield "svg", _points(
+                '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#33668c"/>',
+                '<circle cx="%.2f" cy="%.2f" r="2.2" fill="#d09040"/>',
+                clamped,
+                xs,
+                ys,
+            )
+        labels = [
+            _text(width / 2.0, height - 16.0, spec.x_label or "empirical quantile", size=11, anchor="middle"),
+            _y_label(height, spec.y_label or "runtime / stonewall"),
+            _text(66.0, height - 44.0, fmt_label(y_lo), size=9, anchor="end"),
+            _text(66.0, 46.0, fmt_label(y_hi), size=9, anchor="end"),
+        ]
+        yield "svg", _lines(labels) + _SVG_END
+
+    return pieces()
 
 
 def qq_from_sidecar(sidecar: str) -> list[tuple[float, float]]:
@@ -476,13 +500,14 @@ def render_group_box(
     groups: Sequence[tuple[str, Sequence[float]]],
     spec: RenderSpec | None = None,
     annotate: bool = True,
-) -> tuple[str, str]:
+) -> Iterator[Piece]:
     """Box plot per group (median, quartiles, Tukey whiskers, outlier dots).
 
     Each group's values may be a list or a numpy column. With two or more
     groups and annotate=True, a Kruskal-Wallis line (H, p, eta-squared plus
     the independence caveat) is drawn under the title. A NaN or infinite
-    value raises ValueError.
+    value raises ValueError here, before any piece. The pieces are the
+    sidecar's, then the SVG's.
     """
     if not groups:
         raise EmptyInputError("no groups to plot")
@@ -494,71 +519,74 @@ def render_group_box(
     for label, values in ordered:
         if not values.size:
             raise EmptyInputError(f"group {label!r} is empty")
-    # The sidecar first, a block of rows at a time, so that each block's cells are gone before the next.
-    sidecar = [csv_table(["label", "value"], [])]
-    for g, (label, values) in enumerate(ordered):
-        quantized = np.empty(values.size)
-        sidecar += (_csv_rows(zip(itertools.repeat(label), cells)) for _, cells in _q6_blocks(values, quantized))
-        ordered[g] = (label, quantized)
-    sidecar = "".join(sidecar)
-
-    pooled = np.concatenate([values for _, values in ordered])
-    log_y = spec.scale == "log10" and bool(np.any(pooled > 0))
-    y_lo, y_hi = _y_range(pooled, log_y)
-    del pooled  # a copy of every value, not needed beside the SVG's pieces
-
+    columns = [values for _, values in ordered]
+    log_y = spec.scale == "log10" and any(bool(np.any(values > 0)) for values in columns)
+    y_lo, y_hi = _y_range(columns, log_y)
     n_groups = len(ordered)
     box_w = 46.0
     width = 90.0 + n_groups * (box_w + 34.0) + 30.0
     height = 360.0
     py = _Axis(y_lo, y_hi, height - 70.0, 56.0, log=log_y)
 
-    parts = []
-    if annotate and n_groups >= 2:
-        test = kruskal_wallis([values for _, values in ordered])
-        annotation = (
-            f"H={fmt_label(q6(test.h))}, p={fmt_label(q6(test.p))}, "
-            f"η²={fmt_label(q6(test.eta_sq))}; {INDEPENDENCE_CAVEAT}"
-        )
-        parts.append(_text(width / 2.0, 38.0, annotation, size=9, anchor="middle"))
-    for g, (label, arr) in enumerate(ordered):
-        q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0]).tolist()
-        iqr = q3 - q1
-        in_lo = arr[arr >= q1 - 1.5 * iqr]
-        in_hi = arr[arr <= q3 + 1.5 * iqr]
-        whisk_lo = float(np.min(in_lo)) if in_lo.size else q1
-        whisk_hi = float(np.max(in_hi)) if in_hi.size else q3
-        outliers = np.sort(arr[(arr < q1 - 1.5 * iqr) | (arr > q3 + 1.5 * iqr)])
+    def pieces() -> Iterator[Piece]:
+        yield "csv", csv_table(["label", "value"], [])
+        for g, (label, values) in enumerate(ordered):
+            quantized = np.empty(values.size)
+            for _, cells in _q6_blocks(values, quantized):
+                yield "csv", _csv_rows(zip(itertools.repeat(label), cells))
+            ordered[g] = (label, quantized)  # the raw column is no longer needed here
 
-        cx = 90.0 + g * (box_w + 34.0) + box_w / 2.0
-        x0 = cx - box_w / 2.0
-        yq1, yq3, ymed, ylo, yhi = py([q1, q3, med, whisk_lo, whisk_hi])[0].tolist()
-        parts.append(
-            f'<line x1="{_c(cx)}" y1="{_c(ylo)}" x2="{_c(cx)}" y2="{_c(yhi)}" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<rect x="{_c(x0)}" y="{_c(yq3)}" width="{_c(box_w)}" height="{_c(yq1 - yq3)}" '
-            f'fill="#9ecae9" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<line x1="{_c(x0)}" y1="{_c(ymed)}" x2="{_c(x0 + box_w)}" y2="{_c(ymed)}" '
-            f'stroke="#13304a" stroke-width="1.6"/>'
-        )
-        for w_y in (ylo, yhi):
-            parts.append(
-                f'<line x1="{_c(cx - box_w / 4.0)}" y1="{_c(w_y)}" '
-                f'x2="{_c(cx + box_w / 4.0)}" y2="{_c(w_y)}" stroke="#333333" stroke-width="1"/>'
+        yield "svg", _svg_head(width, height, spec.title)
+        if annotate and n_groups >= 2:
+            test = kruskal_wallis([values for _, values in ordered])
+            annotation = (
+                f"H={fmt_label(q6(test.h))}, p={fmt_label(q6(test.p))}, "
+                f"η²={fmt_label(q6(test.eta_sq))}; {INDEPENDENCE_CAVEAT}"
             )
+            yield "svg", _lines([_text(width / 2.0, 38.0, annotation, size=9, anchor="middle")])
         ring = '<circle cx="%.2f" cy="%.2f" r="2.0" fill="none" stroke="#b2502d" stroke-width="1"/>'
-        ys, clamped = py(outliers)
-        parts += _points(ring, ring, clamped, np.full(outliers.size, cx), ys)
-        note = f" (n={arr.size})"
-        parts.append(_text(cx, height - 36.0, label + note, size=10, anchor="middle"))
-    parts.append(_y_label(height, spec.y_label + (" (log10)" if log_y else "")))
-    parts.append(_text(84.0, height - 66.0, fmt_label(y_lo), size=9, anchor="end"))
-    parts.append(_text(84.0, 60.0, fmt_label(y_hi), size=9, anchor="end"))
-    return _svg(width, height, spec.title, parts), sidecar
+        for g, (label, arr) in enumerate(ordered):
+            # The sidecar is written, so the column may be sorted in place: the
+            # values within the fences are then one run of it, and the
+            # outliers, in ascending order, the values before and after it.
+            arr.sort()
+            q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0]).tolist()
+            iqr = q3 - q1
+            inside_lo = int(np.searchsorted(arr, q1 - 1.5 * iqr, side="left"))
+            inside_hi = int(np.searchsorted(arr, q3 + 1.5 * iqr, side="right"))
+            whisk_lo = float(arr[inside_lo]) if inside_lo < arr.size else q1
+            whisk_hi = float(arr[inside_hi - 1]) if inside_hi > 0 else q3
+
+            cx = 90.0 + g * (box_w + 34.0) + box_w / 2.0
+            x0 = cx - box_w / 2.0
+            yq1, yq3, ymed, ylo, yhi = py([q1, q3, med, whisk_lo, whisk_hi])[0].tolist()
+            parts = [
+                f'<line x1="{_c(cx)}" y1="{_c(ylo)}" x2="{_c(cx)}" y2="{_c(yhi)}" '
+                f'stroke="#333333" stroke-width="1"/>',
+                f'<rect x="{_c(x0)}" y="{_c(yq3)}" width="{_c(box_w)}" height="{_c(yq1 - yq3)}" '
+                f'fill="#9ecae9" stroke="#333333" stroke-width="1"/>',
+                f'<line x1="{_c(x0)}" y1="{_c(ymed)}" x2="{_c(x0 + box_w)}" y2="{_c(ymed)}" '
+                f'stroke="#13304a" stroke-width="1.6"/>',
+            ]
+            for w_y in (ylo, yhi):
+                parts.append(
+                    f'<line x1="{_c(cx - box_w / 4.0)}" y1="{_c(w_y)}" '
+                    f'x2="{_c(cx + box_w / 4.0)}" y2="{_c(w_y)}" stroke="#333333" stroke-width="1"/>'
+                )
+            yield "svg", _lines(parts)
+            for outliers in (arr[:inside_lo], arr[inside_hi:]):
+                for block in _blocks(outliers.size):
+                    ys, clamped = py(outliers[block])
+                    yield "svg", _points(ring, ring, clamped, np.full(ys.size, cx), ys)
+            yield "svg", _lines([_text(cx, height - 36.0, f"{label} (n={arr.size})", size=10, anchor="middle")])
+        labels = [
+            _y_label(height, spec.y_label + (" (log10)" if log_y else "")),
+            _text(84.0, height - 66.0, fmt_label(y_lo), size=9, anchor="end"),
+            _text(84.0, 60.0, fmt_label(y_hi), size=9, anchor="end"),
+        ]
+        yield "svg", _lines(labels) + _SVG_END
+
+    return pieces()
 
 
 def groups_from_sidecar(sidecar: str) -> list[tuple[str, list[float]]]:
@@ -571,51 +599,62 @@ def groups_from_sidecar(sidecar: str) -> list[tuple[str, list[float]]]:
 # --- score strip -----------------------------------------------------------------
 
 
-def render_score_strip(
-    rows: Sequence[tuple[str, float]], spec: RenderSpec | None = None
-) -> tuple[str, str]:
+def render_score_strip(rows: Sequence[tuple[str, float]], spec: RenderSpec | None = None) -> Iterator[Piece]:
     """One dot per submission ordered by value, colored by category label.
 
     Nonpositive values on a log10 scale are pinned to the axis floor with a
     visible zero annotation instead of being dropped. A NaN or infinite
-    value raises ValueError.
+    value raises ValueError here, before any piece. The pieces are the
+    sidecar, then the SVG's.
     """
     if not rows:
         raise EmptyInputError("no values to plot")
-    _finite([v for _, v in rows])
+    raw = _finite([v for _, v in rows])
     spec = spec or RenderSpec(scale="log10")
-    data = sorted(((label, q6(v)) for label, v in rows), key=lambda kv: (kv[1], kv[0]))
-    values = np.array([v for _, v in data])
-    log_y = spec.scale == "log10" and bool(np.any(values > 0))
-    y_lo, y_hi = _y_range(values, log_y)
+    log_y = spec.scale == "log10" and bool(np.any(raw > 0))
+    y_lo, y_hi = _y_range([raw], log_y)
 
-    labels = sorted({label for label, _ in data})
+    labels = sorted({label for label, _ in rows})
     palette = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#7f7f7f")
     color = {label: palette[i % len(palette)] for i, label in enumerate(labels)}
 
-    width = max(420.0, 90.0 + len(data) * 9.0 + 150.0)
+    n = len(rows)
+    width = max(420.0, 90.0 + n * 9.0 + 150.0)
     height = 320.0
-    px = _Axis(0.0, float(max(len(data) - 1, 1)), 80.0, width - 170.0)
+    px = _Axis(0.0, float(max(n - 1, 1)), 80.0, width - 170.0)
     py = _Axis(y_lo, y_hi, height - 60.0, 46.0, log=log_y)
-    xs, _ = px(np.arange(len(data), dtype=float))
-    ys, clamped = py(values)
 
-    circle = '<circle cx="%.2f" cy="%.2f" r="3.0" fill="%s"/>'
-    parts = [
-        f'<rect x="80.00" y="46.00" width="{_c(width - 250.0)}" height="{_c(height - 106.0)}" '
-        f'fill="none" stroke="#333333" stroke-width="1"/>'
-    ]
-    parts += _points(circle, circle, clamped, xs, ys, [color[label] for label, _ in data], lift=6.0)
-    for i, label in enumerate(labels):
-        ly = 56.0 + i * 16.0
-        parts.append(f'<circle cx="{_c(width - 150.0)}" cy="{_c(ly - 4.0)}" r="4.0" fill="{color[label]}"/>')
-        parts.append(_text(width - 140.0, ly, label, size=10))
-    parts.append(_text(width / 2.0 - 60.0, height - 18.0, spec.x_label or "submissions (sorted)", size=11, anchor="middle"))
-    parts.append(_y_label(height, (spec.y_label or "value") + (" (log10)" if log_y else "")))
+    def pieces() -> Iterator[Piece]:
+        quantized = np.empty(n)
+        text = [cell for _, cells in _q6_blocks(raw, quantized) for cell in cells]
+        # By value, then label; the sort is stable.
+        as_floats = quantized.tolist()
+        order = sorted(range(n), key=lambda i: (as_floats[i], rows[i][0]))
+        values = quantized[order]
+        names = [rows[i][0] for i in order]
+        flags = map(_FLAGS.__getitem__, (log_y & (values <= 0)).tolist())
+        yield "csv", csv_table(["label", "value", "clamped"], zip(names, (text[i] for i in order), flags))
 
-    flags = map(_FLAGS.__getitem__, clamped.tolist())
-    rows = [[label, fmt_csv(v), flag] for (label, v), flag in zip(data, flags)]
-    return _svg(width, height, spec.title, parts), csv_table(["label", "value", "clamped"], rows)
+        frame = (
+            f'<rect x="80.00" y="46.00" width="{_c(width - 250.0)}" height="{_c(height - 106.0)}" '
+            f'fill="none" stroke="#333333" stroke-width="1"/>'
+        )
+        yield "svg", _svg_head(width, height, spec.title) + _lines([frame])
+        circle = '<circle cx="%.2f" cy="%.2f" r="3.0" fill="%s"/>'
+        for block in _blocks(n):
+            xs, _ = px(np.arange(n, dtype=float)[block])
+            ys, clamped = py(values[block])
+            yield "svg", _points(circle, circle, clamped, xs, ys, [color[name] for name in names[block]], lift=6.0)
+        parts = []
+        for i, label in enumerate(labels):
+            ly = 56.0 + i * 16.0
+            parts.append(f'<circle cx="{_c(width - 150.0)}" cy="{_c(ly - 4.0)}" r="4.0" fill="{color[label]}"/>')
+            parts.append(_text(width - 140.0, ly, label, size=10))
+        parts.append(_text(width / 2.0 - 60.0, height - 18.0, spec.x_label or "submissions (sorted)", size=11, anchor="middle"))
+        parts.append(_y_label(height, (spec.y_label or "value") + (" (log10)" if log_y else "")))
+        yield "svg", _lines(parts) + _SVG_END
+
+    return pieces()
 
 
 def strip_from_sidecar(sidecar: str) -> list[tuple[str, float]]:
@@ -625,28 +664,23 @@ def strip_from_sidecar(sidecar: str) -> list[tuple[str, float]]:
 # --- output layout -----------------------------------------------------------------
 
 
-_WRITE_CHARS = 1 << 20
-
-
-def write_render(
-    outdir: str | Path,
-    analysis: str,
-    name: str,
-    svg: str | None = None,
-    csv_text: str | None = None,
-    txt: str | None = None,
-) -> list[Path]:
-    """Write artifacts under <outdir>/<analysis>/<name>.{svg,csv,txt}."""
+def write_render(outdir: str | Path, analysis: str, name: str, pieces: Iterable[Piece]) -> list[Path]:
+    """Write each (suffix, text) piece to <outdir>/<analysis>/<name>.<suffix>
+    as it comes, opening a file at its first piece, so that no file's text is
+    ever whole. Returns the files written, in the order of their first
+    pieces. A failed render removes every file it began, then raises on."""
     target = Path(outdir) / analysis
     target.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for suffix, content in (("svg", svg), ("csv", csv_text), ("txt", txt)):
-        if content is None:
-            continue
-        path = target / f"{name}.{suffix}"
-        with path.open("w", encoding="utf-8", newline="\n") as f:
-            # A slice at a time: a 7 MB plot is never encoded whole.
-            for at in range(0, len(content), _WRITE_CHARS):
-                f.write(content[at : at + _WRITE_CHARS])
-        written.append(path)
-    return written
+    files: dict[Path, TextIO] = {}
+    try:
+        with contextlib.ExitStack() as opened:
+            for suffix, text in pieces:
+                path = target / f"{name}.{suffix}"
+                if path not in files:
+                    files[path] = opened.enter_context(path.open("w", encoding="utf-8", newline="\n"))
+                files[path].write(text)
+    except BaseException:
+        for path in files:
+            path.unlink(missing_ok=True)
+        raise
+    return list(files)

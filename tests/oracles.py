@@ -8,10 +8,11 @@ column conversion failed; the package must return the same columns and
 warnings, or raise the same error for the same line.
 The Q-Q, box plot and score strip renderers draw one point at a time through
 a per-value axis, and the heatmap quantizes every cell, as the package did
-before its renderers worked on whole columns; the package's renderers must
-produce the same SVG and sidecar bytes. The whole-column quantizer and point
-formatter are the package's before it worked a block of values at a time;
-its blocks must concatenate to their output. The manifest reader at the end reads
+before its renderers worked on whole columns; the package's renderers,
+their pieces joined, must produce the same SVG and sidecar bytes. The
+whole-column quantizer and point formatter are the package's before it
+worked a block of values at a time; its blocks must concatenate to their
+output. The manifest reader at the end reads
 the whole text at once, as the package did before it read a line at a time;
 the package's reader must return the same Submission or raise the same error.
 The timing CSV writer formats one cell at a time, as synth did before it
@@ -330,6 +331,14 @@ def points_oracle(circle: str, clamped_circle: str, clamped: np.ndarray, *column
         point = tuple(column[i] for column in columns)
         lines[i] = clamped_circle % point + "\n" + _text(point[0], point[1] - lift, "0", size=8, anchor="middle")
     return lines
+
+
+def joined(pieces) -> tuple[str, str]:
+    """The SVG and the sidecar of a plot renderer's (suffix, text) pieces."""
+    texts: dict[str, list[str]] = {"svg": [], "csv": []}
+    for suffix, text in pieces:
+        texts[suffix].append(text)
+    return "".join(texts["svg"]), "".join(texts["csv"])
 
 
 def _csv_table(header, rows):

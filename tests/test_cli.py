@@ -1,4 +1,5 @@
 import argparse
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -16,6 +17,7 @@ import io500kit
 from io500kit import cli, config, ingest, loginsight, metrics, report, stats, synth
 from io500kit.ingest import SUMMARY_FILENAME
 from io500kit.types import Phase
+from oracles import joined
 
 
 def run(*argv):
@@ -193,7 +195,7 @@ def test_corr_cli_is_thin_wrapper(manifests, tmp_path):
     names, table = metrics.metric_table(subs, "per-node")
     corr = stats.correlation_matrix(names, table, method="spearman", alpha=0.05)
     spec = report.RenderSpec(title="spearman correlations (per-node, alpha=0.05)")
-    svg, sidecar = report.render_corr_heatmap(corr, spec)
+    svg, sidecar = joined(report.render_corr_heatmap(corr, spec))
     assert (out / "corr" / "spearman_per-node.svg").read_text() == svg
     assert (out / "corr" / "spearman_per-node.csv").read_text() == sidecar
 
@@ -801,8 +803,11 @@ BAD_INPUT_CASES = [
     (["synth", "--config", "{f}.missing"], "", 1, "error: cannot read synth config"),
     # Input that holds no submission: ingest writes no manifest directory for it.
     (["ingest", "{dir}", "--out", "{out}"], "", 2, "error: no submission packages found under"),
-    (["ingest", "{f}.missing", "--out", "{out}"], "", 2, "error: no submission packages found under"),
+    # A path that does not exist is a hard error in every format, not an empty dataset.
+    (["ingest", "{f}.missing", "--out", "{out}"], "", 1, "input.json.missing: No such file or directory"),
     (["ingest", "{f}.missing", "--out", "{out}", "--format", "repo-csv"], "", 1, "input.json.missing: No such file"),
+    (["logs", "{f}.missing", "--analysis", "close", "--out", "{out}"], "", 1, "input.json.missing: No such file or directory"),
+    (["stats", "{f}.missing", "--out", "{out}"], "", 1, "input.json.missing: No such file or directory"),
     (["synth", "--config", "{f}"], "[1]", 1, "expected a JSON object, got list"),
     ([*COLUMN_MAP, "{f}"], "{bad", 1, "error: cannot read column map"),
     ([*COLUMN_MAP, "{f}.missing"], "", 1, "error: cannot read column map"),
@@ -913,7 +918,7 @@ def test_corr_and_groups_run_without_scipy(manifests, tmp_path):
     assert any(name.startswith("groups/") for name in tree_bytes(tmp_path / "with"))
 
 
-def test_bench_hooks_name_existing_functions():
+def test_bench_hooks_name_existing_functions(tmp_path):
     # bench/tracer.py wraps these functions by name; a rename must fail here,
     # not in a traced benchmark run. The loginsight ones take the table first.
     bench = Path(__file__).parents[1] / "bench"
@@ -930,6 +935,17 @@ def test_bench_hooks_name_existing_functions():
         assert callable(getattr(importlib.import_module(f"io500kit.{module}"), func, None)), func
     for func in tracer.LOGINSIGHT_TABLE_FUNCS:
         assert next(iter(inspect.signature(getattr(loginsight, func)).parameters)) == "timing"
+    # Its file counter reads the Paths write_render returns: for a plot's
+    # pieces, the two files it wrote, whose sizes sum to the bytes of the pieces.
+    pairs = np.column_stack([np.arange(1, 9) / 8, [1.0, 1.5, 2.0, 0.0, 3.0, 1.0, 7.5, 1.25]])
+    spec = report.RenderSpec(title="η", scale="log10")
+    written = report.write_render(tmp_path, "logs", "qq", report.render_qq(pairs, spec))
+    assert sorted(written) == [tmp_path / "logs" / "qq.csv", tmp_path / "logs" / "qq.svg"]
+    counted = argparse.Namespace(counts=collections.Counter())
+    tracer._files(counted, (), {}, written)
+    svg, sidecar = joined(report.render_qq(pairs, spec))
+    assert counted.counts["report.files_written"] == 2
+    assert counted.counts["report.bytes_written"] == len(svg.encode()) + len(sidecar.encode())
 
 
 def test_bench_synth_configs_load():

@@ -28,6 +28,7 @@ from oracles import (
     classify_straggler_pattern_oracle,
     correlation_cells_oracle,
     dumps_manifest_v3_oracle,
+    joined,
     kruskal_wallis_loop_oracle,
     metric_table_oracle,
     points_oracle,
@@ -770,11 +771,14 @@ SPEC_TEXT = st.sampled_from(["", "t", 'x<&>"y', "a,b"])
 
 
 def _render(render, *args, **kwargs):
-    """The output, or the error, of one render call."""
+    """The output, its pieces joined, or the error of one render call. A
+    renderer raises when it is called, before any piece: the pieces are
+    joined outside the `try`, so an error among them fails the test."""
     try:
-        return render(*args, **kwargs)
+        output = render(*args, **kwargs)
     except (Io500KitError, ValueError) as exc:
         return type(exc).__name__, str(exc)
+    return output if isinstance(output, tuple) else joined(output)
 
 
 @st.composite
@@ -891,10 +895,10 @@ _CORR_TABLE = np.column_stack([np.arange(12.0), np.arange(12.0) ** 2 % 7, np.r_[
 @given(heatmap_input(), plot_spec())
 def test_render_corr_heatmap_matches_per_cell_oracle(data, spec):
     want = render_corr_heatmap_oracle(data, spec)
-    assert report.render_corr_heatmap(data, spec) == want
+    assert joined(report.render_corr_heatmap(data, spec)) == want
     # The same input re-read from its sidecar, as a HeatmapData.
     rebuilt = report.heatmap_from_sidecar(want[1])
-    assert report.render_corr_heatmap(rebuilt, spec) == render_corr_heatmap_oracle(rebuilt, spec)
+    assert joined(report.render_corr_heatmap(rebuilt, spec)) == render_corr_heatmap_oracle(rebuilt, spec)
 
 
 # Spread values: one in a few dozen sits where np.log10 rounds unlike math.log10.
@@ -1277,16 +1281,16 @@ def _boundary_column(n, clamp_at):
 def test_block_quantizer_and_points_equal_the_whole_column(n):
     values = _boundary_column(n, (8190, 8191, 8192))
     q6, text = quantize_oracle(values)
-    assert report._quantize(values).tobytes() == q6.tobytes()
     out = np.empty(n)
     blocks = list(report._q6_blocks(values, out))
     assert [cell for _, cells in blocks for cell in cells] == text and out.tobytes() == q6.tobytes()
     clamped = q6 <= 0
     xs, ys = np.linspace(70.0, 430.0, n), q6 * 3.0
     circle, pinned = '<circle cx="%.2f" cy="%.2f"/>', '<circle cx="%.2f" cy="%.2f" fill="x"/>'
-    got = report._points(circle, pinned, clamped, xs, ys)
+    got = [report._points(circle, pinned, clamped[b], xs[b], ys[b]) for b in report._blocks(n)]
     assert len(got) == -(-n // report._BLOCK)
-    assert "\n".join(got) == "\n".join(points_oracle(circle, pinned, clamped, xs.tolist(), ys.tolist()))
+    want = points_oracle(circle, pinned, clamped, xs.tolist(), ys.tolist())
+    assert "".join(got) == "".join(line + "\n" for line in want)
 
 
 @pytest.mark.parametrize("n", [8191, 8192, 8193])
@@ -1295,7 +1299,28 @@ def test_block_renderers_equal_the_per_point_oracles(n, scale):
     spec = report.RenderSpec(title="t", scale=scale)
     ratios = _boundary_column(n, (0, 8191, 8192))
     pairs = np.column_stack([np.arange(1, n + 1) / n, ratios])
-    assert report.render_qq(pairs, spec) == render_qq_oracle(pairs.tolist(), spec)
+    assert joined(report.render_qq(pairs, spec)) == render_qq_oracle(pairs.tolist(), spec)
     groups = [("b", ratios), ("a", _boundary_column(n - 1, (8190, 8191)))]
-    got = report.render_group_box(groups, spec, annotate=False)
+    got = joined(report.render_group_box(groups, spec, annotate=False))
     assert got == render_group_box_oracle([(label, values.tolist()) for label, values in groups], spec, annotate=False)
+    rows = [("ab"[i % 2], v) for i, v in enumerate(ratios.tolist())]
+    assert joined(report.render_score_strip(rows, spec)) == render_score_strip_oracle(rows, spec)
+
+
+@pytest.mark.parametrize("scale", ["linear", "log10"])
+def test_box_outliers_across_a_block_edge_equal_the_per_point_oracle(scale):
+    # A block and one of outliers on each side of a tight cluster, so that the
+    # outliers of each side cross a block edge; on a log axis every low outlier
+    # is pinned to the floor, on both sides of that edge.
+    b = report._BLOCK
+    rng = np.random.default_rng(b)
+    low = -rng.uniform(0.0, 5.0, b + 1)
+    low[::3] = 0.0
+    high = 2.0 + rng.lognormal(3.0, 1.0, b + 1)
+    values = rng.permutation(np.concatenate([low, np.ones(3 * b), high]))
+    groups = [("g", values), ("h", values[: b - 1])]
+    spec = report.RenderSpec(title="t", scale=scale)
+    want = render_group_box_oracle([(label, column.tolist()) for label, column in groups], spec)
+    svg, sidecar = joined(report.render_group_box(groups, spec))
+    assert (svg, sidecar) == want
+    assert svg.count('r="2.0"') > 2 * b + 2 and (scale == "linear" or svg.count(">0</text>") > b)
