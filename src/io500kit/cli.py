@@ -57,7 +57,6 @@ def _must_exist(path) -> None:
 def _discover_packages(paths: list[str]) -> list[Path]:
     packages: list[Path] = []
     for raw in paths:
-        _must_exist(raw)
         path = Path(raw)
         if (path / SUMMARY_FILENAME).is_file():
             packages.append(path)
@@ -90,6 +89,8 @@ def cmd_ingest(args) -> int:
     submissions = []
     errors: list[str] = []
     skipped: list[str] = []
+    for raw in args.paths:
+        _must_exist(raw)
 
     if args.format == "repo-csv":
         for raw in args.paths:
@@ -218,7 +219,8 @@ def run_stats(subs, stems, phases, args, config) -> str:
         spec = report.RenderSpec(
             title=f"overall score ({args.normalize})", scale="log10", y_label="score"
         )
-        report.write_render(args.out, "stats", f"score_strip_{args.normalize}", report.render_score_strip(strip_rows, spec))
+        strip = report.render_score_strip(strip_rows, spec)
+        report.write_render(args.out, "stats", f"score_strip_{args.normalize}", strip)
     notes = [
         f"{sub.meta.submission_id}: excluded (no usable values after {args.normalize})"
         for i, sub in enumerate(subs)

@@ -805,7 +805,7 @@ BAD_INPUT_CASES = [
     (["ingest", "{dir}", "--out", "{out}"], "", 2, "error: no submission packages found under"),
     # A path that does not exist is a hard error in every format, not an empty dataset.
     (["ingest", "{f}.missing", "--out", "{out}"], "", 1, "input.json.missing: No such file or directory"),
-    (["ingest", "{f}.missing", "--out", "{out}", "--format", "repo-csv"], "", 1, "input.json.missing: No such file"),
+    (["ingest", "{f}.missing", "--out", "{out}", "--format", "repo-csv"], "", 1, "input.json.missing: No such file or directory"),
     (["logs", "{f}.missing", "--analysis", "close", "--out", "{out}"], "", 1, "input.json.missing: No such file or directory"),
     (["stats", "{f}.missing", "--out", "{out}"], "", 1, "input.json.missing: No such file or directory"),
     (["synth", "--config", "{f}"], "[1]", 1, "expected a JSON object, got list"),
