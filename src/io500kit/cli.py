@@ -3,8 +3,9 @@
 Stages exchange data through a manifest directory (one JSON Lines file per
 submission: a header line, then one line per timing table) so every
 intermediate is inspectable; each stage decodes only the timing tables it
-reads. Exit codes are stable for CI use: 0 success, 1 hard error, 2 empty
-or degenerate dataset.
+reads. Exit codes are stable for CI use: 0 success, 1 hard error (a package
+that does not load, or a dataset too small for its statistic), 2 when no
+usable record is left.
 """
 
 from __future__ import annotations
@@ -54,18 +55,33 @@ def _must_exist(path) -> None:
     os.stat(path)
 
 
-def _discover_packages(paths: list[str]) -> list[Path]:
-    packages: list[Path] = []
+def _unique(paths: list) -> list:
+    """paths in order, each kept only where it is first named: two paths
+    that resolve to the same file or directory name it twice."""
+    first: dict[Path, object] = {}
+    for path in paths:
+        first.setdefault(Path(path).resolve(), path)
+    return list(first.values())
+
+
+def _load_packages(paths: list[str]) -> tuple[dict, list[str]]:
+    """Each package in `paths` (a package dir, or a dir of packages read in
+    name order) that loads, by the file stem of its manifest, in that order;
+    and `<package dir>: <reason>` for each package that does not load."""
+    found: list[Path] = []
     for raw in paths:
         path = Path(raw)
         if (path / SUMMARY_FILENAME).is_file():
-            packages.append(path)
-            continue
-        if path.is_dir():
-            packages.extend(
-                sorted(p for p in path.iterdir() if (p / SUMMARY_FILENAME).is_file())
-            )
-    return packages
+            found.append(path)
+        elif path.is_dir():
+            found.extend(sorted(p for p in path.iterdir() if (p / SUMMARY_FILENAME).is_file()))
+    subs, errors = [], []
+    for pkg in _unique(found):
+        try:
+            subs.append(ingest.load_submission(pkg))
+        except Io500KitError as exc:
+            errors.append(f"{pkg}: {exc}")
+    return dict(zip(_file_stems(subs), subs)), errors
 
 
 def _txt(lines: list[str]) -> list[report.Piece]:
@@ -74,42 +90,31 @@ def _txt(lines: list[str]) -> list[report.Piece]:
     return [("txt", "\n".join(lines) + "\n")] if lines else []
 
 
-def _table(texts: tuple[str, str]) -> list[report.Piece]:
-    """A table's CSV and aligned text, as report.tables returns them, as the
-    pieces report.write_render takes."""
-    return list(zip(("csv", "txt"), texts))
-
-
 # --- ingest -----------------------------------------------------------------
 
 
 def cmd_ingest(args) -> int:
     config = load_config(args.config)
     cmap = ingest.load_column_map(args.column_map) if args.column_map else None
-    submissions = []
     errors: list[str] = []
     skipped: list[str] = []
     for raw in args.paths:
         _must_exist(raw)
 
     if args.format == "repo-csv":
-        for raw in args.paths:
-            text = ingest.read_text(raw)
-            result = ingest.parse_repo_csv(text, cmap)
-            submissions.extend(result.submissions)
+        read = []
+        for raw in _unique(args.paths):
+            result = ingest.parse_repo_csv(ingest.read_text(raw), cmap)
+            read.extend(result.submissions)
             skipped.extend(f"{raw}: row {n}: {reason}" for n, reason in result.skipped)
+        subs = dict(zip(_file_stems(read), read))
     else:
-        packages = _discover_packages(args.paths)
-        if not packages:
+        subs, errors = _load_packages(args.paths)
+        if not (subs or errors):
             raise EmptyInputError(f"no submission packages found under {args.paths}")
-        for pkg in packages:
-            try:
-                submissions.append(ingest.load_submission(pkg))
-            except Io500KitError as exc:
-                errors.append(f"{pkg}: {exc}")
 
     findings: list[str] = []
-    for sub in submissions:
+    for sub in subs.values():
         flagged, notes = loginsight.flag_cache_affected(
             list(sub.phases.values()), config.cache_threshold_s
         )
@@ -119,11 +124,11 @@ def cmd_ingest(args) -> int:
 
     outdir = Path(args.out)  # made only once the input is read: a rejected run leaves none
     outdir.mkdir(parents=True, exist_ok=True)
-    for stem, sub in zip(_file_stems(submissions), submissions):
+    for stem, sub in subs.items():
         ingest.write_manifest(sub, outdir / f"{stem}.json")
 
     lines = [
-        f"submissions: {len(submissions)}",
+        f"submissions: {len(subs)}",
         f"skipped rows: {len(skipped)}",
         f"hard errors: {len(errors)}",
         f"recomputation findings: {len(findings)}",
@@ -134,17 +139,17 @@ def cmd_ingest(args) -> int:
         lines.append(f"ERROR {entry}")
     for entry in findings:
         lines.append(f"FINDING {entry}")
-    for sub in submissions:
+    for sub in subs.values():
         for w in sub.warnings:
             lines.append(f"WARN {sub.meta.submission_id}: {w}")
     report.write_render(outdir, "", "validation", _txt(lines))  # beside the manifests
 
-    print(f"wrote {len(submissions)} manifests to {outdir}")
+    print(f"wrote {len(subs)} manifests to {outdir}")
+    for entry in errors:
+        print(f"error: {entry}", file=sys.stderr)
     if errors:
-        for entry in errors:
-            print(f"error: {entry}", file=sys.stderr)
         return 1
-    if not submissions:
+    if not subs:
         return 2
     return 0
 
@@ -157,22 +162,24 @@ def cmd_ingest(args) -> int:
 # A log analysis with no rows writes nothing, not even its notes.
 
 
-def _load(path: str, phases, packages: bool) -> dict:
-    """Each submission under `path` by its file stem, in file-name order.
+def _load(path: str, phases, packages: bool) -> tuple[dict, list[str]]:
+    """Each submission under `path` by its file stem, in file-name order, and
+    the errors of the packages left out.
 
     A manifest is named by its own file stem and read with the timing tables
     of `phases`. With `packages`, a path that holds any package (such as a
     synth output directory with its ground_truth.json) is read as packages
-    instead, each named and placed as `ingest` would name its manifest.
+    instead, as `ingest` reads them: each package that loads is named and
+    placed as `ingest` would name its manifest, and one that does not is left
+    out and named in the errors.
     """
     _must_exist(path)
-    found = _discover_packages([path]) if packages else []
-    if found:
-        subs = [ingest.load_submission(pkg) for pkg in found]
-        return dict(sorted(zip(_file_stems(subs), subs), key=lambda item: f"{item[0]}.json"))
+    subs, errors = _load_packages([path]) if packages else ({}, [])
+    if subs or errors:
+        return dict(sorted(subs.items(), key=lambda item: f"{item[0]}.json")), errors
     if packages and not (Path(path).is_dir() and any(Path(path).glob("*.json"))):
         raise EmptyInputError(f"no manifests or packages found under {path}")
-    return ingest.read_manifest_dir(path, phases)
+    return ingest.read_manifest_dir(path, phases), []
 
 
 def _per_table(subs, stems, phases, analyze, noted, notes: list[str]):
@@ -205,9 +212,8 @@ def run_stats(subs, stems, phases, args, config) -> str:
     stats_rows = _column_stats(names, table)
     if not stats_rows:
         raise EmptyInputError("no metric values available")
-    summary = report.render_summary_table(stats_rows)
-    report.write_render(args.out, "stats", f"summary_{args.normalize}", _table(summary))
-    report.write_render(args.out, "stats", "composition", _table(report.render_composition_table(subs)))
+    report.write_render(args.out, "stats", f"summary_{args.normalize}", report.render_summary_table(stats_rows))
+    report.write_render(args.out, "stats", "composition", report.render_composition_table(subs))
 
     overall_idx = names.index("score_overall")
     strip_rows = [
@@ -290,7 +296,7 @@ def run_runtime(subs, stems, phases, args, config) -> str:
     if not dist.per_phase:
         return "no runtime data available"
     stats_rows = [(phase.value, s) for phase, s in dist.per_phase.items()]
-    report.write_render(args.out, "logs", "runtime_summary", _table(report.render_summary_table(stats_rows)))
+    report.write_render(args.out, "logs", "runtime_summary", report.render_summary_table(stats_rows))
     lines = [f"stonewall violations: {len(dist.violations)}"] + [
         f"{v.submission_id} {v.phase}: runtime {v.runtime_s:.6g} s" for v in dist.violations
     ]
@@ -322,7 +328,7 @@ def run_close(subs, stems, phases, args, config) -> str:
     if not rows:
         return "no close-time data available"
     header = ["Submission", "Phase", "N", "MeanClose_s", "MaxClose_s", "MedianFraction"]
-    report.write_render(args.out, "logs", "close_summary", _table(report.tables(header, rows)))
+    report.write_render(args.out, "logs", "close_summary", report.tables(header, rows))
     groups = [(fs, np.concatenate(closes)) for fs, closes in sorted(fs_groups.items())]
     spec = report.RenderSpec(
         title="close time by filesystem", scale="log10", y_label="close seconds"
@@ -351,7 +357,7 @@ def run_stonewall(subs, stems, phases, args, config) -> str:
     if not rows:
         return "no stonewall timing data available"
     header = ["Submission", "Phase", "Ranks", "MinRatio", "MaxRatio"]
-    report.write_render(args.out, "logs", "stonewall_summary", _table(report.tables(header, rows)))
+    report.write_render(args.out, "logs", "stonewall_summary", report.tables(header, rows))
     report.write_render(args.out, "logs", "stonewall_notes", _txt(notes))
     return f"stonewall ratios for {len(rows)} write-phase tables"
 
@@ -378,7 +384,7 @@ def run_stragglers(subs, stems, phases, args, config) -> str:
     if not rows:
         return "no straggler timing data available"
     header = "Submission Phase Ranks Stragglers Pattern Adjacency Runs StragglerRanks".split()
-    report.write_render(args.out, "logs", "stragglers", _table(report.tables(header, rows)))
+    report.write_render(args.out, "logs", "stragglers", report.tables(header, rows))
     report.write_render(args.out, "logs", "straggler_notes", _txt(notes))
     return f"straggler analysis for {len(rows)} write-phase tables"
 
@@ -390,7 +396,7 @@ def run_pfind(subs, stems, phases, args, config) -> str:
         subs, stems, phases, loginsight.pfind_imbalance, Io500KitError, notes
     ):
         detail = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
-        report.write_render(args.out, "logs", f"pfind_{stem}", _table(detail))
+        report.write_render(args.out, "logs", f"pfind_{stem}", detail)
         rows.append(
             [
                 sub.meta.submission_id,
@@ -404,7 +410,7 @@ def run_pfind(subs, stems, phases, args, config) -> str:
     if not rows:
         return "no find-phase item data available"
     header = ["Submission", "Ranks", "MedianItems", "MaxItems", "MaxOverMedian", "Gini"]
-    report.write_render(args.out, "logs", "pfind", _table(report.tables(header, rows)))
+    report.write_render(args.out, "logs", "pfind", report.tables(header, rows))
     report.write_render(args.out, "logs", "pfind_notes", _txt(notes))
     return f"pfind imbalance for {len(rows)} submissions"
 
@@ -429,9 +435,11 @@ def cmd_analysis(args) -> int:
     config = load_config(getattr(args, "config", None))  # before any manifest is read
     logs = args.command == "logs"
     run, phases = ANALYSES[args.analysis if logs else args.command]
-    subs = _load(args.path if logs else args.manifest_dir, phases, packages=logs)
+    subs, errors = _load(args.path if logs else args.manifest_dir, phases, packages=logs)
     print(run(list(subs.values()), list(subs), phases, args, config))
-    return 0
+    for entry in errors:
+        print(f"error: {entry}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 # --- synth --------------------------------------------------------------------

@@ -138,10 +138,10 @@ def stonewall_ratios(
 def detect_stragglers(
     ratios: Sequence[float],
     ranks: Sequence[int] | None = None,
-    iqr_multiplier: float = StragglerParams.iqr_multiplier,
-    ratio_floor: float = StragglerParams.ratio_floor,
+    params: StragglerParams = StragglerParams(),
 ) -> set[int]:
-    """Ranks whose ratio exceeds Q3 + multiplier*IQR and the absolute floor.
+    """Ranks whose ratio exceeds Q3 + params.iqr_multiplier * IQR and
+    params.ratio_floor.
 
     Both conditions must hold; a ratio_floor of 0 tests the fence alone,
     since no stonewall ratio is negative. Needs at least 4 observations for
@@ -157,8 +157,8 @@ def detect_stragglers(
     elif len(ranks) != arr.size:
         raise ValueError("ranks and ratios must have equal length")
     q1, q3 = np.percentile(arr, [25.0, 75.0])
-    fence = q3 + iqr_multiplier * (q3 - q1)
-    return set(np.asarray(ranks)[(arr > fence) & (arr >= ratio_floor)].tolist())
+    fence = q3 + params.iqr_multiplier * (q3 - q1)
+    return set(np.asarray(ranks)[(arr > fence) & (arr >= params.ratio_floor)].tolist())
 
 
 @dataclass
@@ -171,12 +171,10 @@ class PatternResult:
 def classify_straggler_pattern(
     stragglers: Iterable[int],
     n_ranks: int,
-    min_pattern_size: int = StragglerParams.min_pattern_size,
-    contiguous_fraction: float = StragglerParams.contiguous_fraction,
-    clustered_fraction: float = StragglerParams.clustered_fraction,
-    min_run_length: int = StragglerParams.min_run_length,
+    params: StragglerParams = StragglerParams(),
 ) -> PatternResult:
-    """Label the rank-space arrangement of a straggler set.
+    """Label the rank-space arrangement of a straggler set by the pattern
+    rules of `params`.
 
     CONTIGUOUS when one run covers nearly all stragglers, CLUSTERED when two
     or more multi-rank runs cover most of them, DISPERSED otherwise; sets
@@ -199,12 +197,12 @@ def classify_straggler_pattern(
     run_lengths = np.diff(starts, append=s)
     run_count = starts.size
     adjacency = (s - run_count) / (s - 1) if s >= 2 else 0.0
-    if s == 0 or s < min_pattern_size:
+    if s == 0 or s < params.min_pattern_size:
         return PatternResult(Pattern.NONE, adjacency, run_count)
-    if run_lengths.max() >= contiguous_fraction * s:
+    if run_lengths.max() >= params.contiguous_fraction * s:
         return PatternResult(Pattern.CONTIGUOUS, adjacency, run_count)
-    multi = run_lengths[run_lengths >= min_run_length]
-    if multi.size >= 2 and multi.sum() >= clustered_fraction * s:
+    multi = run_lengths[run_lengths >= params.min_run_length]
+    if multi.size >= 2 and multi.sum() >= params.clustered_fraction * s:
         return PatternResult(Pattern.CLUSTERED, adjacency, run_count)
     return PatternResult(Pattern.DISPERSED, adjacency, run_count)
 
@@ -226,21 +224,8 @@ def straggler_report(
 ) -> StragglerReport:
     """Full stonewall-relative straggler analysis for one timing table."""
     ratios = stonewall_ratios(timing, stonewall_s=stonewall_s)
-    stragglers = detect_stragglers(
-        ratios.ratios,
-        ranks=timing.rank,
-        iqr_multiplier=params.iqr_multiplier,
-        ratio_floor=params.ratio_floor,
-    )
-    n_ranks = int(timing.rank[-1]) + 1
-    result = classify_straggler_pattern(
-        stragglers,
-        n_ranks,
-        min_pattern_size=params.min_pattern_size,
-        contiguous_fraction=params.contiguous_fraction,
-        clustered_fraction=params.clustered_fraction,
-        min_run_length=params.min_run_length,
-    )
+    stragglers = detect_stragglers(ratios.ratios, timing.rank, params)
+    result = classify_straggler_pattern(stragglers, int(timing.rank[-1]) + 1, params)
     return StragglerReport(**vars(ratios), straggler_ranks=stragglers, **vars(result))
 
 

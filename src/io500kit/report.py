@@ -33,7 +33,6 @@ from .types import Submission
 class RenderSpec:
     title: str = ""
     scale: str = "linear"  # or "log10"
-    x_label: str = ""
     y_label: str = ""
 
     def __post_init__(self):
@@ -128,9 +127,10 @@ def aligned_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tables(header: Sequence[str], rows: Sequence[Sequence[str]]) -> tuple[str, str]:
-    """One table as CSV and as aligned text."""
-    return csv_table(header, rows), aligned_table(header, rows)
+def tables(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[Piece]:
+    """One table as its CSV and its aligned text, the pieces `write_render`
+    takes."""
+    return [("csv", csv_table(header, rows)), ("txt", aligned_table(header, rows))]
 
 
 def _sidecar_rows(sidecar: str) -> Iterator[list[str]]:
@@ -143,7 +143,7 @@ def _sidecar_rows(sidecar: str) -> Iterator[list[str]]:
 # --- tables -----------------------------------------------------------------
 
 
-def render_summary_table(stats_rows: Sequence[tuple[str, SummaryStats]]) -> tuple[str, str]:
+def render_summary_table(stats_rows: Sequence[tuple[str, SummaryStats]]) -> list[Piece]:
     """CSV + aligned text with Metric, Min, Median, Mean, Max, CV columns."""
     header = ["Metric", "Min", "Median", "Mean", "Max", "CV"]
     rows = [
@@ -153,7 +153,7 @@ def render_summary_table(stats_rows: Sequence[tuple[str, SummaryStats]]) -> tupl
     return tables(header, rows)
 
 
-def render_composition_table(submissions: Sequence[Submission]) -> tuple[str, str]:
+def render_composition_table(submissions: Sequence[Submission]) -> list[Piece]:
     """Counts by canonical filesystem and by interconnect class."""
     fs_counts: dict[str, int] = {}
     ic_counts: dict[str, int] = {}
@@ -176,7 +176,7 @@ def render_composition_table(submissions: Sequence[Submission]) -> tuple[str, st
 
 def render_imbalance_table(
     items_per_rank: Sequence[int], max_over_median: float, gini_value: float
-) -> tuple[str, str]:
+) -> list[Piece]:
     counts = np.asarray(items_per_rank)
     header = ["Quantity", "Value"]
     rows = [
@@ -471,7 +471,7 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
                 ys,
             )
         labels = [
-            _text(width / 2.0, height - 16.0, spec.x_label or "empirical quantile", size=11, anchor="middle"),
+            _text(width / 2.0, height - 16.0, "empirical quantile", size=11, anchor="middle"),
             _y_label(height, spec.y_label or "runtime / stonewall"),
             _text(66.0, height - 44.0, fmt_label(y_lo), size=9, anchor="end"),
             _text(66.0, 46.0, fmt_label(y_hi), size=9, anchor="end"),
@@ -650,7 +650,7 @@ def render_score_strip(rows: Sequence[tuple[str, float]], spec: RenderSpec | Non
             ly = 56.0 + i * 16.0
             parts.append(f'<circle cx="{_c(width - 150.0)}" cy="{_c(ly - 4.0)}" r="4.0" fill="{color[label]}"/>')
             parts.append(_text(width - 140.0, ly, label, size=10))
-        parts.append(_text(width / 2.0 - 60.0, height - 18.0, spec.x_label or "submissions (sorted)", size=11, anchor="middle"))
+        parts.append(_text(width / 2.0 - 60.0, height - 18.0, "submissions (sorted)", size=11, anchor="middle"))
         parts.append(_y_label(height, (spec.y_label or "value") + (" (log10)" if log_y else "")))
         yield "svg", _lines(parts) + _SVG_END
 

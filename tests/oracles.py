@@ -448,7 +448,7 @@ def render_qq_oracle(qq_pairs: Sequence[tuple[float, float]], spec: RenderSpec |
         parts.append(f'<circle cx="{_c(x)}" cy="{_c(y)}" r="2.2" fill="{fill}"/>')
         if clamped:
             parts.append(_text(x, y - 5.0, "0", size=8, anchor="middle"))
-    parts.append(_text(width / 2.0, height - 16.0, spec.x_label or "empirical quantile", size=11, anchor="middle"))
+    parts.append(_text(width / 2.0, height - 16.0, "empirical quantile", size=11, anchor="middle"))
     parts.append(
         _text(
             16.0,
@@ -626,7 +626,7 @@ def render_score_strip_oracle(
         ly = 56.0 + i * 16.0
         parts.append(f'<circle cx="{_c(width - 150.0)}" cy="{_c(ly - 4.0)}" r="4.0" fill="{color[label]}"/>')
         parts.append(_text(width - 140.0, ly, label, size=10))
-    parts.append(_text(width / 2.0 - 60.0, height - 18.0, spec.x_label or "submissions (sorted)", size=11, anchor="middle"))
+    parts.append(_text(width / 2.0 - 60.0, height - 18.0, "submissions (sorted)", size=11, anchor="middle"))
     parts.append(
         _text(
             16.0,

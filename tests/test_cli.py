@@ -109,6 +109,56 @@ def test_ingest_undecodable_file_costs_only_its_package(tmp_path, capsys, bad_fi
         assert len(errors) == 1 and f"{bad_file}: not UTF-8 text" in errors[0]
 
 
+def test_ingest_reads_an_input_named_twice_once(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--seed", 5, "--n", 3, "--out", corpus) == 0
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    assert run("ingest", corpus, "--out", once) == 0
+    assert run("ingest", corpus, corpus / "synth-0001", f"{corpus}/./synth-0001/", "--out", twice) == 0
+    assert tree_bytes(twice) == tree_bytes(once)
+    csv_once, csv_twice = tmp_path / "csv-once", tmp_path / "csv-twice"
+    repo_csv = corpus / "repo.csv"
+    assert run("ingest", repo_csv, "--format", "repo-csv", "--out", csv_once) == 0
+    assert run("ingest", repo_csv, corpus / "." / "repo.csv", "--format", "repo-csv", "--out", csv_twice) == 0
+    assert tree_bytes(csv_twice) == tree_bytes(csv_once)
+
+
+def _duplicate_first_result_line(pkg: Path) -> None:
+    summary = pkg / SUMMARY_FILENAME
+    text = summary.read_text()
+    summary.write_text(text + text.splitlines()[0] + "\n")
+
+
+PACKAGE_FAULTS = {
+    "empty-summary": lambda pkg: (pkg / SUMMARY_FILENAME).write_text(""),
+    "garbage-summary": lambda pkg: (pkg / SUMMARY_FILENAME).write_text("garbage\n"),
+    "undecodable-meta": lambda pkg: (pkg / "meta.txt").write_bytes(b"\xff\xfe not utf-8\n"),
+    "duplicate-result-line": _duplicate_first_result_line,
+}
+
+
+@pytest.mark.parametrize("fault", PACKAGE_FAULTS)
+def test_logs_leaves_out_and_names_a_bad_package_as_ingest_does(tmp_path, capsys, fault):
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--seed", 5, "--n", 4, "--out", corpus) == 0
+    bad = corpus / "synth-0001"
+    PACKAGE_FAULTS[fault](bad)
+    manifests = tmp_path / "manifests"
+    assert run("ingest", corpus, "--out", manifests) == 1
+    assert len(list(manifests.glob("*.json"))) == 3
+    capsys.readouterr()
+    for analysis in cli.LOG_ANALYSES:
+        from_manifests, from_packages = tmp_path / analysis / "manifests", tmp_path / analysis / "packages"
+        assert run("logs", manifests, "--analysis", analysis, "--out", from_manifests) == 0
+        want = capsys.readouterr()
+        assert run("logs", corpus, "--analysis", analysis, "--out", from_packages) == 1
+        got = capsys.readouterr()
+        assert got.out == want.out and want.err == ""
+        errors = got.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: "), errors
+        assert tree_bytes(from_packages) == tree_bytes(from_manifests)
+
+
 def test_stats_corr_groups_logs(manifests, tmp_path):
     out = tmp_path / "out"
     assert run("stats", manifests, "--normalize", "per-node", "--out", out) == 0
@@ -213,7 +263,7 @@ def test_stats_cli_is_thin_wrapper(manifests, tmp_path):
         col = col[np.isfinite(col)]
         if col.size:
             rows.append((name, metrics.summary_stats(col.tolist())))
-    csv_text, txt = report.render_summary_table(rows)
+    (_, csv_text), (_, txt) = report.render_summary_table(rows)
     assert (out / "stats" / "summary_raw.csv").read_text() == csv_text
     assert (out / "stats" / "summary_raw.txt").read_text() == txt
 
@@ -327,7 +377,7 @@ def test_logs_names_files_by_manifest_stem_when_ids_collide(tmp_path):
     assert tree_bytes(tmp_path / "corpus" / "logs") == tree_bytes(tmp_path / "manifests" / "logs")
     logs = tmp_path / "manifests" / "logs"
     rep = loginsight.pfind_imbalance(ingest.load_submission(first).timing[Phase.FIND])
-    csv_text, _ = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
+    (_, csv_text), (_, _) = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
     assert (logs / "pfind_a-b.csv").read_text() == csv_text
     assert "a/b ior-easy-write" in (logs / "qq_a-b_ior-easy-write.svg").read_text()
     assert "a-b ior-easy-write" in (logs / "qq_a-b-2_ior-easy-write.svg").read_text()

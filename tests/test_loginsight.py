@@ -154,7 +154,7 @@ def test_detect_floor_excludes_marginal():
     ratios = [1.0] * 30 + [1.19]
     assert loginsight.detect_stragglers(ratios) == set()
     # without the floor the fence alone would flag it
-    assert loginsight.detect_stragglers(ratios, ratio_floor=0.0) == {30}
+    assert loginsight.detect_stragglers(ratios, params=StragglerParams(ratio_floor=0.0)) == {30}
 
 
 def test_detect_small_sample_error():
@@ -170,8 +170,9 @@ def test_detect_fence_scale_invariance_with_floor_off():
             [0.0, 2.0], size=n, p=[0.9, 0.1]
         )
         c = float(rng.uniform(0.2, 8.0))
-        base = loginsight.detect_stragglers(ratios, ratio_floor=0.0)
-        scaled = loginsight.detect_stragglers(c * ratios, ratio_floor=0.0)
+        no_floor = StragglerParams(ratio_floor=0.0)
+        base = loginsight.detect_stragglers(ratios, params=no_floor)
+        scaled = loginsight.detect_stragglers(c * ratios, params=no_floor)
         assert base == scaled
 
 
@@ -210,9 +211,10 @@ def test_classify_none_iff_below_min_size():
 
 @pytest.mark.parametrize("min_pattern_size", [1, 0, -5])
 def test_classify_empty_set_is_none_whatever_min_size(min_pattern_size):
-    out = loginsight.classify_straggler_pattern(set(), 100, min_pattern_size=min_pattern_size)
+    params = StragglerParams(min_pattern_size=min_pattern_size)
+    out = loginsight.classify_straggler_pattern(set(), 100, params)
     assert (out.pattern, out.adjacency_index, out.run_count) == (Pattern.NONE, 0.0, 0)
-    one = loginsight.classify_straggler_pattern({7}, 100, min_pattern_size=min_pattern_size)
+    one = loginsight.classify_straggler_pattern({7}, 100, params)
     assert (one.pattern, one.run_count) == (Pattern.CONTIGUOUS, 1)
 
 
@@ -292,17 +294,8 @@ def test_straggler_report_applies_every_param():
             phase=Phase.IOR_HARD_WRITE, rank=ranks, start_s=np.zeros(64), end_s=runtimes, stonewall_s=300.0
         )
         rep = loginsight.straggler_report(table, params)
-        stragglers = loginsight.detect_stragglers(
-            runtimes / 300.0, ranks, params.iqr_multiplier, params.ratio_floor
-        )
-        want = loginsight.classify_straggler_pattern(
-            stragglers,
-            64,
-            params.min_pattern_size,
-            params.contiguous_fraction,
-            params.clustered_fraction,
-            params.min_run_length,
-        )
+        stragglers = loginsight.detect_stragglers(runtimes / 300.0, ranks, params)
+        want = loginsight.classify_straggler_pattern(stragglers, 64, params)
         assert rep.straggler_ranks == stragglers
         assert (rep.pattern, rep.adjacency_index, rep.run_count) == (
             want.pattern,

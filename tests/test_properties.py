@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from io500kit import ingest, loginsight, metrics, report, stats, synth
+from io500kit.config import StragglerParams
 from io500kit.errors import ConfigError, Io500KitError, ParseError, SampleSizeError, ValidationError
 from io500kit.types import Filesystem, Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
 from oracles import (
@@ -786,7 +787,6 @@ def plot_spec(draw):
     return report.RenderSpec(
         title=draw(SPEC_TEXT),
         scale=draw(st.sampled_from(["linear", "log10"])),
-        x_label=draw(SPEC_TEXT),
         y_label=draw(SPEC_TEXT),
     )
 
@@ -1172,10 +1172,16 @@ def straggler_set(draw):
 )
 def test_classify_straggler_pattern_equals_the_run_loop(drawn, min_size, contiguous, clustered, min_run):
     ranks, n_ranks = drawn
+    params = StragglerParams(
+        min_pattern_size=min_size, contiguous_fraction=contiguous, clustered_fraction=clustered, min_run_length=min_run
+    )
     outcomes = []
-    for classify in (loginsight.classify_straggler_pattern, classify_straggler_pattern_oracle):
+    for classify in (
+        lambda: loginsight.classify_straggler_pattern(ranks, n_ranks, params),
+        lambda: classify_straggler_pattern_oracle(ranks, n_ranks, min_size, contiguous, clustered, min_run),
+    ):
         try:
-            result = classify(ranks, n_ranks, min_size, contiguous, clustered, min_run)
+            result = classify()
             outcomes.append((result.pattern, result.adjacency_index, result.run_count, type(result.run_count)))
         except ValueError as exc:
             outcomes.append(str(exc))

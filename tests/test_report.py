@@ -17,7 +17,9 @@ def _stats(values):
 
 
 def test_summary_table_columns_and_values():
-    csv_text, txt = report.render_summary_table([("overall", _stats([3.2, 254, 1128, 36850]))])
+    pieces = report.render_summary_table([("overall", _stats([3.2, 254, 1128, 36850]))])
+    assert [suffix for suffix, _ in pieces] == ["csv", "txt"]
+    (_, csv_text), (_, txt) = pieces
     lines = csv_text.splitlines()
     assert lines[0] == "Metric,Min,Median,Mean,Max,CV"
     assert lines[1].startswith("overall,3.2,691,9558.8,36850,")
@@ -30,17 +32,17 @@ def test_summary_table_table2_shape_round_trip():
     once = report.render_summary_table([row])
     again = report.render_summary_table([row])
     assert once == again
-    assert "4.17" in once[0]
+    assert "4.17" in once[0][1]
 
 
 def test_summary_table_empty_is_header_only():
-    csv_text, txt = report.render_summary_table([])
+    (_, csv_text), (_, txt) = report.render_summary_table([])
     assert csv_text == "Metric,Min,Median,Mean,Max,CV\n"
     assert txt.splitlines()[0].startswith("Metric")
 
 
 def test_summary_table_cv_blank_when_undefined():
-    csv_text, _ = report.render_summary_table([("m", _stats([5.0]))])
+    (_, csv_text), (_, _) = report.render_summary_table([("m", _stats([5.0]))])
     assert csv_text.splitlines()[1] == "m,5,5,5,5,"
 
 
@@ -52,17 +54,17 @@ def test_composition_table(monkeypatch):
     for fs, ic in (("Lustre", "IB HDR"), ("Lustre", "IB EDR"), ("DAOS", "IB HDR")):
         meta = normalize_metadata({"filesystem": fs, "interconnect": ic, "client_nodes": 1})
         subs.append(Submission(meta=meta))
-    csv_text, txt = report.render_composition_table(subs)
+    (_, csv_text), (_, txt) = report.render_composition_table(subs)
     assert "filesystem,lustre,2" in csv_text
     assert "filesystem,daos,1" in csv_text
     assert "interconnect,200 Gb/s,2" in csv_text
 
 
 def test_imbalance_table():
-    csv_text, txt = report.render_imbalance_table([100, 100, 100, 5000], 50.0, 0.7)
+    (_, csv_text), (_, txt) = report.render_imbalance_table([100, 100, 100, 5000], 50.0, 0.7)
     assert "max_over_median,50" in csv_text
     assert "gini,0.7" in csv_text
-    csv_inf, _ = report.render_imbalance_table([0, 0, 100], float("inf"), 0.6)
+    (_, csv_inf), (_, _) = report.render_imbalance_table([0, 0, 100], float("inf"), 0.6)
     assert "max_over_median,inf" in csv_inf
 
 
