@@ -128,8 +128,7 @@ def aligned_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def tables(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[Piece]:
-    """One table as its CSV and its aligned text, the pieces `write_render`
-    takes."""
+    """One table as the CSV and aligned-text pieces `write_render` takes."""
     return [("csv", csv_table(header, rows)), ("txt", aligned_table(header, rows))]
 
 

@@ -274,8 +274,8 @@ def test_straggler_report_missing_rank_splits_run():
 
 
 def test_straggler_report_applies_every_param():
-    # Every field differs from its default, so one that straggler_report dropped
-    # or passed to the wrong kernel parameter would show.
+    # Every field differs from its default, so one that straggler_report did not
+    # pass on to the kernels would show.
     params = StragglerParams(
         iqr_multiplier=0.5,
         ratio_floor=1.1,
