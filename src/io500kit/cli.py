@@ -2,10 +2,11 @@
 
 Stages exchange data through a manifest directory (one JSON Lines file per
 submission: a header line, then one line per timing table) so every
-intermediate is inspectable; each stage decodes only the timing tables it
-reads. Exit codes are stable for CI use: 0 success, 1 hard error (a package
-that does not load, or a dataset too small for its statistic), 2 when no
-usable record is left.
+intermediate is inspectable. Every analysis reads a manifest dir, a package
+dir or a dir of packages through one loader, keeping only the timing tables
+it reads. Exit codes are stable for CI use: 0 success, 1 hard error (a
+package that does not load, a path that is missing or not a directory, or
+a dataset too small for its statistic), 2 when no usable record is left.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _load_packages(paths: list[str]) -> tuple[dict, list[str]]:
         path = Path(raw)
         if (path / SUMMARY_FILENAME).is_file():
             found.append(path)
-        elif path.is_dir():
+        else:  # a file raises NotADirectoryError, which names it
             found.extend(sorted(p for p in path.iterdir() if (p / SUMMARY_FILENAME).is_file()))
     subs, errors = [], []
     for pkg in _unique(found):
@@ -155,39 +156,42 @@ def cmd_ingest(args) -> int:
 
 
 # --- analyses ------------------------------------------------------------------
-# Each analysis is run(subs, stems, phases, args, config): it takes the
-# submissions with their file stems, each with the timing tables of `phases`,
+# Each analysis is run(subs, args, config): it takes {file stem: Submission}
+# in file-name order, each with only the timing tables the analysis reads,
 # writes its files under args.out with report.write_render (a plot as the
 # pieces its renderer returns) and returns the line cmd_analysis prints.
 # A log analysis with no rows writes nothing, not even its notes.
 
 
-def _load(path: str, phases, packages: bool) -> tuple[dict, list[str]]:
-    """Each submission under `path` by its file stem, in file-name order, and
-    the errors of the packages left out.
+def _load(path: str, phases) -> tuple[dict, list[str]]:
+    """Each submission under `path` by its file stem, in file-name order,
+    with only the timing tables of `phases`; and the errors of the packages
+    left out.
 
-    A manifest is named by its own file stem and read with the timing tables
-    of `phases`. With `packages`, a path that holds any package (such as a
-    synth output directory with its ground_truth.json) is read as packages
-    instead, as `ingest` reads them: each package that loads is named and
-    placed as `ingest` would name its manifest, and one that does not is left
-    out and named in the errors.
+    A path that holds any package (such as a synth output directory with its
+    ground_truth.json) is read as packages, as `ingest` reads them: each
+    package that loads is named and placed as `ingest` would name its
+    manifest, and one that does not is left out and named in the errors.
+    Any other directory is read as manifests, each named by its file stem.
     """
     _must_exist(path)
-    subs, errors = _load_packages([path]) if packages else ({}, [])
-    if subs or errors:
-        return dict(sorted(subs.items(), key=lambda item: f"{item[0]}.json")), errors
-    if packages and not (Path(path).is_dir() and any(Path(path).glob("*.json"))):
-        raise EmptyInputError(f"no manifests or packages found under {path}")
-    return ingest.read_manifest_dir(path, phases), []
+    subs, errors = _load_packages([path])
+    if not (subs or errors):
+        try:
+            return ingest.read_manifest_dir(path, phases), []
+        except EmptyInputError:
+            raise EmptyInputError(f"no manifests or packages found under {path}") from None
+    for sub in subs.values():
+        sub.timing = {phase: table for phase, table in sub.timing.items() if phase in phases}
+    return dict(sorted(subs.items(), key=lambda item: f"{item[0]}.json")), errors
 
 
-def _per_table(subs, stems, phases, analyze, noted, notes: list[str]):
-    """(sub, stem, phase, analyze(table)) for each timing table of `phases`,
-    one at a time in phase-name order. The message of a `noted` exception
-    goes to `notes`, and its table is left out."""
-    for sub, stem in zip(subs, stems):
-        for phase in sorted(sub.timing.keys() & phases, key=lambda p: p.value):
+def _per_table(subs, analyze, noted, notes: list[str]):
+    """(sub, stem, phase, analyze(table)) for each timing table loaded, one
+    at a time in phase-name order. The message of a `noted` exception goes
+    to `notes`, and its table is left out."""
+    for stem, sub in subs.items():
+        for phase in sorted(sub.timing, key=lambda p: p.value):
             try:
                 result = analyze(sub.timing[phase])
             except noted as exc:
@@ -207,19 +211,19 @@ def _column_stats(names, table) -> list[tuple[str, metrics.SummaryStats]]:
     return rows
 
 
-def run_stats(subs, stems, phases, args, config) -> str:
-    names, table = metrics.metric_table(subs, args.normalize)
+def run_stats(subs, args, config) -> str:
+    names, table = metrics.metric_table(list(subs.values()), args.normalize)
     stats_rows = _column_stats(names, table)
     if not stats_rows:
         raise EmptyInputError("no metric values available")
     report.write_render(args.out, "stats", f"summary_{args.normalize}", report.render_summary_table(stats_rows))
-    report.write_render(args.out, "stats", "composition", report.render_composition_table(subs))
+    report.write_render(args.out, "stats", "composition", report.render_composition_table(subs.values()))
 
     overall_idx = names.index("score_overall")
     strip_rows = [
-        (subs[i].meta.filesystem_norm.value, float(table[i, overall_idx]))
-        for i in range(len(subs))
-        if np.isfinite(table[i, overall_idx])
+        (sub.meta.filesystem_norm.value, float(row[overall_idx]))
+        for sub, row in zip(subs.values(), table)
+        if np.isfinite(row[overall_idx])
     ]
     if strip_rows:
         spec = report.RenderSpec(
@@ -229,15 +233,15 @@ def run_stats(subs, stems, phases, args, config) -> str:
         report.write_render(args.out, "stats", f"score_strip_{args.normalize}", strip)
     notes = [
         f"{sub.meta.submission_id}: excluded (no usable values after {args.normalize})"
-        for i, sub in enumerate(subs)
-        if not np.any(np.isfinite(table[i, :]))
+        for sub, row in zip(subs.values(), table)
+        if not np.any(np.isfinite(row))
     ]
     report.write_render(args.out, "stats", "notes", _txt(notes))
     return f"stats tables written to {Path(args.out) / 'stats'}"
 
 
-def run_corr(subs, stems, phases, args, config) -> str:
-    names, table = metrics.metric_table(subs, args.normalize)
+def run_corr(subs, args, config) -> str:
+    names, table = metrics.metric_table(list(subs.values()), args.normalize)
     corr = stats.correlation_matrix(names, table, method=args.method, alpha=args.alpha)
     spec = report.RenderSpec(
         title=f"{args.method} correlations ({args.normalize}, alpha={args.alpha:g})"
@@ -249,13 +253,13 @@ def run_corr(subs, stems, phases, args, config) -> str:
     return f"correlation matrix {name}: {len(corr.variables)} variables, {n_sig} significant pairs"
 
 
-def run_groups(subs, stems, phases, args, config) -> str:
-    names, table = metrics.metric_table(subs, args.normalize)
+def run_groups(subs, args, config) -> str:
+    names, table = metrics.metric_table(list(subs.values()), args.normalize)
     j = names.index(args.metric)
     grouped: dict[str, list[float]] = {}
-    for i, sub in enumerate(subs):
-        if np.isfinite(table[i, j]):
-            grouped.setdefault(interconnect_class(sub.meta), []).append(float(table[i, j]))
+    for sub, row in zip(subs.values(), table):
+        if np.isfinite(row[j]):
+            grouped.setdefault(interconnect_class(sub.meta), []).append(float(row[j]))
     if len(grouped) < 2:
         raise SampleSizeError("group comparison needs at least two interconnect classes")
     groups = sorted(grouped.items())
@@ -289,9 +293,9 @@ def run_groups(subs, stems, phases, args, config) -> str:
     return f"H={test.h:.4g} p={test.p:.4g} eta_sq={test.eta_sq:.4g} ({len(groups)} groups)"
 
 
-def run_runtime(subs, stems, phases, args, config) -> str:
+def run_runtime(subs, args, config) -> str:
     dist = loginsight.runtime_distribution(
-        subs, config.stonewall_nominal_s, config.stonewall_tolerance_s
+        list(subs.values()), config.stonewall_nominal_s, config.stonewall_tolerance_s
     )
     if not dist.per_phase:
         return "no runtime data available"
@@ -307,13 +311,11 @@ def run_runtime(subs, stems, phases, args, config) -> str:
     return f"runtime summary over {len(subs)} submissions, {len(dist.violations)} violations"
 
 
-def run_close(subs, stems, phases, args, config) -> str:
+def run_close(subs, args, config) -> str:
     rows = []
     fs_groups: dict[str, list[np.ndarray]] = {}
     # A table without close times is skipped silently: close writes no notes.
-    for sub, _, phase, rep in _per_table(
-        subs, stems, phases, loginsight.close_time_report, NotAvailableError, []
-    ):
+    for sub, _, phase, rep in _per_table(subs, loginsight.close_time_report, NotAvailableError, []):
         rows.append(
             [
                 sub.meta.submission_id,
@@ -337,11 +339,11 @@ def run_close(subs, stems, phases, args, config) -> str:
     return f"close-time summary for {len(rows)} phase tables"
 
 
-def run_stonewall(subs, stems, phases, args, config) -> str:
+def run_stonewall(subs, args, config) -> str:
     analyze = functools.partial(loginsight.stonewall_ratios, stonewall_s=args.stonewall)
     rows, notes = [], []
     # Io500KitError: no stonewall, an empty table, a ratio that overflows.
-    for sub, stem, phase, rat in _per_table(subs, stems, phases, analyze, Io500KitError, notes):
+    for sub, stem, phase, rat in _per_table(subs, analyze, Io500KitError, notes):
         spec = report.RenderSpec(title=f"{sub.meta.submission_id} {phase.value}")
         # Each table's plot is written, and its ratios dropped, before the next table's are computed.
         report.write_render(args.out, "logs", f"qq_{stem}_{phase.value}", report.render_qq(rat.qq, spec))
@@ -362,13 +364,13 @@ def run_stonewall(subs, stems, phases, args, config) -> str:
     return f"stonewall ratios for {len(rows)} write-phase tables"
 
 
-def run_stragglers(subs, stems, phases, args, config) -> str:
+def run_stragglers(subs, args, config) -> str:
     analyze = functools.partial(
         loginsight.straggler_report, params=config.straggler, stonewall_s=args.stonewall
     )
     rows, notes = [], []
     # Io500KitError: as for stonewall, and tables too small for the quartiles.
-    for sub, _, phase, rep in _per_table(subs, stems, phases, analyze, Io500KitError, notes):
+    for sub, _, phase, rep in _per_table(subs, analyze, Io500KitError, notes):
         rows.append(
             [
                 sub.meta.submission_id,
@@ -389,12 +391,10 @@ def run_stragglers(subs, stems, phases, args, config) -> str:
     return f"straggler analysis for {len(rows)} write-phase tables"
 
 
-def run_pfind(subs, stems, phases, args, config) -> str:
+def run_pfind(subs, args, config) -> str:
     rows, notes = [], []
     # Io500KitError: missing items, tiny tables, all-zero counts.
-    for sub, stem, _, rep in _per_table(
-        subs, stems, phases, loginsight.pfind_imbalance, Io500KitError, notes
-    ):
+    for sub, stem, _, rep in _per_table(subs, loginsight.pfind_imbalance, Io500KitError, notes):
         detail = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
         report.write_render(args.out, "logs", f"pfind_{stem}", detail)
         rows.append(
@@ -432,11 +432,10 @@ LOG_ANALYSES = ("close", "stonewall", "stragglers", "pfind", "runtime")
 
 
 def cmd_analysis(args) -> int:
-    config = load_config(getattr(args, "config", None))  # before any manifest is read
-    logs = args.command == "logs"
-    run, phases = ANALYSES[args.analysis if logs else args.command]
-    subs, errors = _load(args.path if logs else args.manifest_dir, phases, packages=logs)
-    print(run(list(subs.values()), list(subs), phases, args, config))
+    config = load_config(getattr(args, "config", None))  # before any input is read
+    run, phases = ANALYSES[args.analysis if args.command == "logs" else args.command]
+    subs, errors = _load(args.path, phases)
+    print(run(subs, args, config))
     for entry in errors:
         print(f"error: {entry}", file=sys.stderr)
     return 1 if errors else 0
@@ -494,38 +493,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     @contextlib.contextmanager
-    def analysis(name, help, path, path_help=None, config=False):
+    def analysis(name, help, config=False):
         """An analysis command: its input `path`, then the options the caller
         adds, `--out`, and `--config` when it takes one."""
         p = sub.add_parser(name, help=help)
-        p.add_argument(path, help=path_help)
+        p.add_argument("path", help="manifest dir, package dir, or dir of packages")
         yield p
         p.add_argument("--out", default=outdir)
         if config:
             p.add_argument("--config", help=config_help)
         p.set_defaults(func=cmd_analysis)
 
-    with analysis("stats", "summary statistics and composition tables", "manifest_dir") as p:
+    with analysis("stats", "summary statistics and composition tables") as p:
         p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="raw")
 
-    with analysis("corr", "correlation matrix with FDR correction", "manifest_dir") as p:
+    with analysis("corr", "correlation matrix with FDR correction") as p:
         p.add_argument("--method", choices=("spearman", "pearson"), default="spearman")
         p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="per-node")
         p.add_argument(
             "--alpha", type=_float_between(0.0, 1.0, "must lie strictly between 0 and 1"), default=0.05
         )
 
-    with analysis("groups", "group comparison by interconnect class", "manifest_dir", config=True) as p:
+    with analysis("groups", "group comparison by interconnect class", config=True) as p:
         p.add_argument("--metric", default="score_overall", choices=metrics.METRIC_NAMES)
         p.add_argument("--normalize", choices=metrics.NORMALIZATIONS, default="per-node")
 
-    paths = "manifest dir, package dir, or dir of packages"
-    with analysis("logs", "per-process log analyses", "path", paths, config=True) as p:
+    with analysis("logs", "per-process log analyses", config=True) as p:
         p.add_argument("--analysis", choices=LOG_ANALYSES, required=True)
         p.add_argument(
             "--stonewall",
             type=_float_between(0.0, math.inf, "must be a positive finite number of seconds"),
-            help="explicit stonewall seconds when logs lack it",
+            help="stonewall seconds for every table, in place of the one its log carries",
         )
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")

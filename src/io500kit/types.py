@@ -234,3 +234,5 @@ class Submission:
         for phase, result in self.phases.items():
             if result.phase != phase:
                 raise ValidationError(f"phase map key {phase} holds result for {result.phase}")
+        # In Phase order, as a manifest lists them, whatever order a summary gave.
+        self.phases = {phase: self.phases[phase] for phase in Phase if phase in self.phases}

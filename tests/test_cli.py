@@ -137,26 +137,53 @@ PACKAGE_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", PACKAGE_FAULTS)
-def test_logs_leaves_out_and_names_a_bad_package_as_ingest_does(tmp_path, capsys, fault):
+def _add_package_in_io500_phase_order(pkg: Path, summary: str) -> None:
+    """A package whose summary lists its phases in IO500's own order, not in
+    Phase order, with each write shorter than the nominal stonewall."""
+    pkg.mkdir()
+    for runtime, short in (("316.631", "100.0"), ("361.111", "110.0"), ("302.207", "120.0"), ("310.841", "130.0")):
+        summary = summary.replace(f"time {runtime}000 ", f"time {short} ")
+    (pkg / SUMMARY_FILENAME).write_text(summary)
+
+
+@pytest.mark.parametrize("fault", [*PACKAGE_FAULTS, "io500-phase-order"])
+def test_logs_leaves_out_and_names_a_bad_package_as_ingest_does(tmp_path, capsys, summary_basic, fault):
+    # Every analysis, `logs` or its own command, writes the same files and
+    # stdout from the packages as from their manifests, and leaves out and
+    # names a bad package as ingest does.
     corpus = tmp_path / "corpus"
     assert run("synth", "--seed", 5, "--n", 4, "--out", corpus) == 0
-    bad = corpus / "synth-0001"
-    PACKAGE_FAULTS[fault](bad)
+    if fault in PACKAGE_FAULTS:
+        bad = corpus / "synth-0001"
+        PACKAGE_FAULTS[fault](bad)
+    else:
+        bad = None
+        _add_package_in_io500_phase_order(corpus / "io500-order", summary_basic)
     manifests = tmp_path / "manifests"
-    assert run("ingest", corpus, "--out", manifests) == 1
-    assert len(list(manifests.glob("*.json"))) == 3
+    assert run("ingest", corpus, "--out", manifests) == (1 if bad else 0)
+    assert len(list(manifests.glob("*.json"))) == (3 if bad else 5)
     capsys.readouterr()
-    for analysis in cli.LOG_ANALYSES:
-        from_manifests, from_packages = tmp_path / analysis / "manifests", tmp_path / analysis / "packages"
-        assert run("logs", manifests, "--analysis", analysis, "--out", from_manifests) == 0
+    for analysis in cli.ANALYSES:
+        argv = ["logs", "--analysis", analysis] if analysis in cli.LOG_ANALYSES else [analysis]
+        out = tmp_path / analysis  # the same --out for both, as the stdout line names it
+        assert run(argv[0], manifests, *argv[1:], "--out", out) == 0, analysis
         want = capsys.readouterr()
-        assert run("logs", corpus, "--analysis", analysis, "--out", from_packages) == 1
+        from_manifests = tree_bytes(out)
+        shutil.rmtree(out)
+        assert run(argv[0], corpus, *argv[1:], "--out", out) == (1 if bad else 0), analysis
         got = capsys.readouterr()
         assert got.out == want.out and want.err == ""
         errors = got.err.splitlines()
-        assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: "), errors
-        assert tree_bytes(from_packages) == tree_bytes(from_manifests)
+        if bad:
+            assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: "), errors
+        else:
+            assert errors == []
+        assert tree_bytes(out) == from_manifests, analysis
+    if not bad:
+        violations = (tmp_path / "runtime" / "logs" / "runtime_violations.txt").read_text().splitlines()
+        assert [line.split()[1] for line in violations if line.startswith("io500-order ")] == [
+            "ior-easy-write:", "ior-hard-write:", "mdtest-easy-write:", "mdtest-hard-write:"
+        ]
 
 
 def test_stats_corr_groups_logs(manifests, tmp_path):
@@ -720,19 +747,19 @@ CLI_SURFACE = {
         (["--config"], "config", None, None, None, False, None),
     ],
     "stats": [
-        ([], "manifest_dir", None, None, None, True, None),
+        ([], "path", None, None, None, True, None),
         (["--normalize"], "normalize", "raw", NORMALIZATIONS, None, False, None),
         (["--out"], "out", "/out", None, None, False, None),
     ],
     "corr": [
-        ([], "manifest_dir", None, None, None, True, None),
+        ([], "path", None, None, None, True, None),
         (["--method"], "method", "spearman", ("spearman", "pearson"), None, False, None),
         (["--normalize"], "normalize", "per-node", NORMALIZATIONS, None, False, None),
         (["--alpha"], "alpha", 0.05, None, None, False, "parse"),
         (["--out"], "out", "/out", None, None, False, None),
     ],
     "groups": [
-        ([], "manifest_dir", None, None, None, True, None),
+        ([], "path", None, None, None, True, None),
         (["--metric"], "metric", "score_overall", METRICS, None, False, None),
         (["--normalize"], "normalize", "per-node", NORMALIZATIONS, None, False, None),
         (["--out"], "out", "/out", None, None, False, None),
@@ -858,6 +885,10 @@ BAD_INPUT_CASES = [
     (["ingest", "{f}.missing", "--out", "{out}", "--format", "repo-csv"], "", 1, "input.json.missing: No such file or directory"),
     (["logs", "{f}.missing", "--analysis", "close", "--out", "{out}"], "", 1, "input.json.missing: No such file or directory"),
     (["stats", "{f}.missing", "--out", "{out}"], "", 1, "input.json.missing: No such file or directory"),
+    # A file where a directory belongs is a hard error too, before any output is made.
+    (["ingest", "{f}", "--out", "{out}"], "", 1, "input.json: Not a directory"),
+    (["stats", "{f}", "--out", "{out}"], "", 1, "input.json: Not a directory"),
+    (["logs", "{f}", "--analysis", "close", "--out", "{out}"], "", 1, "input.json: Not a directory"),
     (["synth", "--config", "{f}"], "[1]", 1, "expected a JSON object, got list"),
     ([*COLUMN_MAP, "{f}"], "{bad", 1, "error: cannot read column map"),
     ([*COLUMN_MAP, "{f}.missing"], "", 1, "error: cannot read column map"),
@@ -1024,6 +1055,15 @@ ANALYSIS_STAGES = [
 
 def _stage(argv, manifests, out):
     return [argv[0], manifests, *argv[1:], "--out", out]
+
+
+def test_empty_directory_is_no_input_for_every_analysis(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for argv in ANALYSIS_STAGES:
+        assert run(*_stage(argv, empty, tmp_path / "out")) == 2, argv
+        assert capsys.readouterr().err == f"error: no manifests or packages found under {empty}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_truncated_manifest_fails_every_stage(manifests, tmp_path, capsys):

@@ -420,6 +420,17 @@ def test_load_submission_summary_only(tmp_path, summary_basic):
     assert len(sub.phases) == 12
 
 
+def test_submission_keeps_phases_in_phase_order(tmp_path, summary_basic):
+    # The summary lists IO500's own order: mdtest-easy-write before ior-hard-write.
+    lines = summary_basic.splitlines()
+    assert lines.index(next(line for line in lines if "mdtest-easy-write" in line)) < lines.index(
+        next(line for line in lines if "ior-hard-write" in line)
+    )
+    sub = ingest.load_submission(_write_package(tmp_path, summary_basic, meta=META_BASIC))
+    assert list(sub.phases) == list(Phase)
+    assert list(Submission(meta=sub.meta, phases=dict(reversed(sub.phases.items()))).phases) == list(Phase)
+
+
 def test_load_submission_discovers_timing(tmp_path, summary_basic):
     timing = "# stonewall_s=300\nrank,start,end\n0,0,310\n1,0,312\n"
     pkg = _write_package(
