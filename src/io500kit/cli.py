@@ -65,10 +65,11 @@ def _unique(paths: list) -> list:
     return list(first.values())
 
 
-def _load_packages(paths: list[str]) -> tuple[dict, list[str]]:
+def _load_packages(paths: list[str], phases=None) -> tuple[dict, list[str]]:
     """Each package in `paths` (a package dir, or a dir of packages read in
-    name order) that loads, by the file stem of its manifest, in that order;
-    and `<package dir>: <reason>` for each package that does not load."""
+    name order) that loads, with the timing tables of `phases` (all when
+    None), by the file stem of its manifest, in that order; and
+    `<package dir>: <reason>` for each package that does not load."""
     found: list[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -79,7 +80,7 @@ def _load_packages(paths: list[str]) -> tuple[dict, list[str]]:
     subs, errors = [], []
     for pkg in _unique(found):
         try:
-            subs.append(ingest.load_submission(pkg))
+            subs.append(ingest.load_submission(pkg, phases))
         except Io500KitError as exc:
             errors.append(f"{pkg}: {exc}")
     return dict(zip(_file_stems(subs), subs)), errors
@@ -175,14 +176,12 @@ def _load(path: str, phases) -> tuple[dict, list[str]]:
     Any other directory is read as manifests, each named by its file stem.
     """
     _must_exist(path)
-    subs, errors = _load_packages([path])
+    subs, errors = _load_packages([path], phases)
     if not (subs or errors):
         try:
             return ingest.read_manifest_dir(path, phases), []
         except EmptyInputError:
             raise EmptyInputError(f"no manifests or packages found under {path}") from None
-    for sub in subs.values():
-        sub.timing = {phase: table for phase, table in sub.timing.items() if phase in phases}
     return dict(sorted(subs.items(), key=lambda item: f"{item[0]}.json")), errors
 
 

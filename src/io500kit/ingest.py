@@ -41,7 +41,7 @@ from .types import (
     SubmissionMeta,
 )
 
-MANIFEST_FORMAT_VERSION = 4
+MANIFEST_FORMAT_VERSION = 5
 
 SUMMARY_FILENAME = "result_summary.txt"
 META_FILENAME = "meta.txt"
@@ -677,8 +677,9 @@ def read_text(path: str | Path) -> str:
         raise LoadError(f"{path.name}: {exc.strerror or exc}") from None
 
 
-def load_submission(package_dir: str | Path) -> Submission:
-    """Assemble a Submission from a package directory.
+def load_submission(package_dir: str | Path, phases: Collection[Phase] | None = None) -> Submission:
+    """Assemble a Submission from a package directory, parsing only the
+    timing CSVs of `phases` (all when None); the others are left out.
 
     Requires `result_summary.txt`; `meta.txt` and per-phase `<phase>*.csv`
     timing files are optional. A corrupt timing CSV degrades to a warning;
@@ -705,6 +706,8 @@ def load_submission(package_dir: str | Path) -> Submission:
         phase = _match_timing_phase(csv_path.name)
         if phase is None:
             warnings.append(f"{csv_path.name}: no phase match, ignored")
+            continue
+        if phases is not None and phase not in phases:
             continue
         if phase in timing:
             warnings.append(f"{csv_path.name}: duplicate timing file for {phase}, ignored")
@@ -749,24 +752,67 @@ def _header_tree(sub: Submission, timing: Any) -> dict[str, Any]:
     }
 
 
-def _table_values(table: ProcessTimingTable) -> dict[str, Any]:
-    """A table line's values less its `phase`: `stonewall_s` and the five
-    columns, each None (JSON null) where it holds the default the reader
-    fills in: `rank` equal to 0..n-1, every close time absent, every item
-    count absent. A null is the one way a column holds its default, so the
-    tree and the streamed line cannot differ on it."""
-    return {
-        "stonewall_s": table.stonewall_s,
-        "rank": None if np.array_equal(table.rank, np.arange(table.n_ranks)) else table.rank,
-        "start_s": table.start_s,
-        "end_s": table.end_s,
-        "close_s": None if np.isnan(table.close_s).all() else np.ma.masked_invalid(table.close_s),  # NaN -> null
-        "items": None if np.ma.getmaskarray(table.items).all() else table.items,
-    }
+# The time columns a table line may hold in integer microseconds, in key order.
+_MICROSECOND_COLUMNS = ("close_s", "end_s", "start_s")
+# Integers below this in magnitude are exact doubles.
+_EXACT_INT_BOUND = 2.0**53
+
+
+def _microseconds(column: np.ndarray) -> np.ndarray | None:
+    """A time column in integer microseconds (0 where a value is NaN, an
+    absent close time), or None when some present value x is not exactly one:
+    k = rint(x * 1e6) must have |k| < 2**53, and k / 1e6, as the reader
+    computes it, must have the bits of x. So -0.0 (read back as 0.0), a
+    subnormal and any value off a microsecond keep their column in floats.
+    At most two column-sized arrays are alive at a time."""
+    absent = np.isnan(column)
+    with np.errstate(over="ignore"):
+        k = column * 1e6
+    np.rint(k, out=k)
+    k[absent] = 0.0
+    if k.size and not (-_EXACT_INT_BOUND < k.min() and k.max() < _EXACT_INT_BOUND):
+        return None
+    ints = k.astype(np.int64)
+    del k
+    back = ints / 1e6
+    np.copyto(back, column, where=absent)
+    return ints if np.array_equal(back.view(np.int64), column.view(np.int64)) else None
+
+
+def _table_members(name: str, table: ProcessTimingTable) -> Iterator[tuple[str, Any]]:
+    """A table line's members in key order: `phase`, `stonewall_s`, the five
+    columns and last `us`, the list of the time columns written in integer
+    microseconds (see _microseconds). A column is None (JSON null) where it
+    holds the default the reader fills in: `rank` equal to 0..n-1, every
+    close time absent, every item count absent; a null is the one way a
+    column holds its default, so the tree and the streamed line cannot
+    differ on it. An absent close time is masked. Each column is made only
+    when its member is reached, so one column's transients are alive at a time."""
+    scaled: list[str] = []
+
+    def time(key: str) -> np.ndarray:
+        column = getattr(table, key)
+        ints = _microseconds(column)
+        if ints is not None:
+            scaled.append(key)
+        absent = np.isnan(column)
+        written = column if ints is None else ints
+        return np.ma.MaskedArray(written, mask=absent) if absent.any() else written
+
+    yield "close_s", None if np.isnan(table.close_s).all() else time("close_s")
+    yield "end_s", time("end_s")
+    yield "items", None if np.ma.getmaskarray(table.items).all() else table.items
+    yield "phase", name
+    yield "rank", None if np.array_equal(table.rank, np.arange(table.n_ranks)) else table.rank
+    yield "start_s", time("start_s")
+    yield "stonewall_s", table.stonewall_s
+    yield "us", scaled
 
 
 def _table_tree(table: ProcessTimingTable) -> dict[str, Any]:
-    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in _table_values(table).items()}
+    """A table line's object less its `phase`."""
+    members = _table_members(table.phase.value, table)
+    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in members if key != "phase"}
 
 
 def to_manifest(sub: Submission) -> dict[str, Any]:
@@ -840,42 +886,56 @@ _COLUMNS = {
     "items": (True, True),
 }
 # The columns that may be null as a whole, which stands for their default
-# (see _table_values). `start_s` never is: it gives the table's length.
+# (see _table_members). `start_s` never is: it gives the table's length.
 _DEFAULTED = frozenset({"rank", "close_s", "items"})
 
 
 def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = False):
-    """A timing column from its JSON list: float64 (NaN where null) or, for an
-    integer column, int64 (masked where null when nullable). A numpy column
-    is one _table_line has converted already; None is a column at its default."""
+    """A timing column from its JSON list: int64 where every value is an
+    integer (masked where null), else, for a time column, float64 (NaN where
+    null); _seconds makes a time column seconds. A numpy column is one
+    _table_line has converted already; None is a column at its default."""
     values = _get(spec, key, (list, np.ndarray), where, nullable=key in _DEFAULTED)
     if values is None or isinstance(values, np.ndarray):
         return values
     n = len(values)
-    absent = values.count(None)
-    if nullable and n and absent == n:
-        if integer:
-            return np.ma.MaskedArray(np.zeros(n, dtype=np.int64), mask=np.ones(n, dtype=bool))
-        return np.full(n, np.nan)
-    if not absent:
+    if None not in values:
         try:
             arr = np.array(values)
         except ValueError:  # nested lists of unequal length
             arr = None
         if arr is not None and arr.ndim == 1 and (arr.dtype.kind in ("i" if integer else "if") or not n):
-            return arr.astype(np.int64 if integer else np.float64, copy=False)
+            return arr.astype(np.float64 if arr.dtype.kind == "f" and n else np.int64, copy=False)
     elif nullable:
-        kinds = _INT if integer else _NUM
-        if all(v is None or (type(v) in kinds and (not integer or abs(v) < _INT64_BOUND)) for v in values):
-            if not integer:
-                return np.array(values, dtype=np.float64)
+        if all(v is None or (type(v) is int and abs(v) < _INT64_BOUND) for v in values):
             data = np.array([0 if v is None else v for v in values], dtype=np.int64)
             return np.ma.MaskedArray(data, mask=np.array([v is None for v in values], dtype=bool))
+        if not integer and all(v is None or type(v) in _NUM for v in values):
+            return np.array(values, dtype=np.float64)
     raise ValidationError(f"{where}.{key}: expected a list of {'integers' if integer else 'numbers'}")
 
 
-# A version 3 line is a version 4 line that never holds a column as null.
-_READ_VERSIONS = (3, MANIFEST_FORMAT_VERSION)
+def _seconds(column: np.ndarray | None, scaled: bool, where: str) -> np.ndarray | None:
+    """A time column from _column in float64 seconds, NaN where absent: a
+    `scaled` column holds integer microseconds below 2**53 in magnitude,
+    divided here by 1e6."""
+    if column is None:
+        return None
+    data, mask = np.ma.getdata(column), np.ma.getmask(column)
+    if not scaled:
+        seconds = data.astype(np.float64, copy=False)  # a copy where data is int64, as where masked
+    elif data.dtype.kind == "i" and (not data.size or -_EXACT_INT_BOUND < data.min() and data.max() < _EXACT_INT_BOUND):
+        seconds = data / 1e6
+    else:
+        raise ValidationError(f"{where}: expected a list of integer microseconds below 2**53 in magnitude")
+    if mask is not np.ma.nomask:
+        seconds[mask] = np.nan
+    return seconds
+
+
+# A version 3 line is a version 4 line that never holds a column as null, and
+# a version 4 line a version 5 line without `us`.
+_READ_VERSIONS = (3, 4, MANIFEST_FORMAT_VERSION)
 
 
 def _check_version(doc: Any) -> None:
@@ -901,6 +961,16 @@ def _timing_table(phase_name: str, spec: Any) -> ProcessTimingTable:
         "stonewall_s": _get(spec, "stonewall_s", _NUM, where, nullable=True),
         **{key: _column(spec, key, where, *kind) for key, kind in _COLUMNS.items()},
     }
+    scaled = _get(spec, "us", _LIST, where) if "us" in spec else []
+    for i, key in enumerate(scaled):
+        if key not in _MICROSECOND_COLUMNS:
+            raise ValidationError(f"{where}.us: unknown column {key!r}")
+        if key in scaled[:i]:
+            raise ValidationError(f"{where}.us: {key!r} is listed twice")
+        if columns[key] is None:
+            raise ValidationError(f"{where}.{key}: null, yet listed in 'us'")
+    for key in _MICROSECOND_COLUMNS:
+        columns[key] = _seconds(columns[key], key in scaled, f"{where}.{key}")
     if columns["rank"] is None:
         columns["rank"] = np.arange(columns["start_s"].size, dtype=np.int64)
     try:
@@ -936,7 +1006,7 @@ def _submission(doc: Mapping[str, Any], timing: Callable[[], dict[Phase, Process
 def from_manifest(doc: Mapping[str, Any]) -> Submission:
     """Reconstruct a Submission from a manifest document tree.
 
-    Format versions 3 and 4 are read; any shape error raises ValidationError.
+    Format versions 3, 4 and 5 are read; any shape error raises ValidationError.
     """
     _check_version(doc)
 
@@ -974,19 +1044,18 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 def _table_line_pieces(name: str, table: ProcessTimingTable) -> Iterator[str]:
     """The text of `_json_line({"phase": name, **_table_tree(table)})` in
-    pieces: the keys in sorted order, and each column encoded _ENCODE_BLOCK
+    pieces: the members in key order, and each column encoded _ENCODE_BLOCK
     values at a time, the brackets of each block's list stripped."""
-    values = {"phase": name, **_table_values(table)}
-    for i, key in enumerate(sorted(values)):
+    for i, (key, value) in enumerate(_table_members(name, table)):
         yield ("," if i else "{") + _ENCODER.encode(key) + ":"
-        column = values[key]
-        if not isinstance(column, np.ndarray):
-            yield _ENCODER.encode(column)
-            continue
-        yield "["
-        for at in range(0, column.size, _ENCODE_BLOCK):
-            yield ("," if at else "") + _ENCODER.encode(column[at : at + _ENCODE_BLOCK].tolist())[1:-1]
-        yield "]"
+        if isinstance(value, np.ndarray):
+            yield "["
+            for at in range(0, value.size, _ENCODE_BLOCK):
+                yield ("," if at else "") + _ENCODER.encode(value[at : at + _ENCODE_BLOCK].tolist())[1:-1]
+            yield "]"
+        else:
+            yield _ENCODER.encode(value)
+        del value  # before the next column is made
     yield "}\n"
 
 

@@ -786,15 +786,35 @@ def read_manifest_oracle(path, phases=None):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def dumps_manifest_v3_oracle(sub):
-    """ingest.dumps_manifest as format version 3 wrote it: each timing column
-    a list with one entry per rank, also where the column holds its default."""
+def _float_list(column):
+    return [None if math.isnan(x) else x for x in column.tolist()]
+
+
+def dumps_manifest_v4_oracle(sub):
+    """ingest.dumps_manifest as format version 4 wrote it: every time column
+    a list of floats, and no `us`; a column that holds its default is null."""
     header, *tables = (json.loads(line) for line in ingest.dumps_manifest(sub).splitlines())
+    header["format_version"] = 4
+    for line in tables:
+        table = sub.timing[Phase(line["phase"])]
+        del line["us"]
+        line["start_s"] = _float_list(table.start_s)
+        line["end_s"] = _float_list(table.end_s)
+        if line["close_s"] is not None:
+            line["close_s"] = _float_list(table.close_s)
+    return "".join(json.dumps(part, separators=(",", ":"), sort_keys=True) + "\n" for part in [header, *tables])
+
+
+def dumps_manifest_v3_oracle(sub):
+    """ingest.dumps_manifest as format version 3 wrote it: the version 4 line
+    with each timing column a list with one entry per rank, also where the
+    column holds its default."""
+    header, *tables = (json.loads(line) for line in dumps_manifest_v4_oracle(sub).splitlines())
     header["format_version"] = 3
     for line in tables:
         table = sub.timing[Phase(line["phase"])]
         line["rank"] = [int(r) for r in table.rank]
-        line["close_s"] = [None if math.isnan(x) else float(x) for x in table.close_s]
+        line["close_s"] = _float_list(table.close_s)
         line["items"] = [None if m else int(v) for v, m in zip(table.items.data, np.ma.getmaskarray(table.items))]
     return "".join(json.dumps(part, separators=(",", ":"), sort_keys=True) + "\n" for part in [header, *tables])
 

@@ -15,7 +15,7 @@ from io500kit.errors import (
     ValidationError,
 )
 from io500kit.types import Filesystem, Phase, ProcessTimingTable, Submission, SubmissionMeta
-from oracles import dumps_manifest_v3_oracle
+from oracles import dumps_manifest_v3_oracle, dumps_manifest_v4_oracle
 
 
 # --- result summary -----------------------------------------------------------
@@ -443,6 +443,27 @@ def test_load_submission_discovers_timing(tmp_path, summary_basic):
     assert set(sub.timing) == {Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE}
 
 
+def test_load_submission_parses_only_the_timing_of_phases(tmp_path, summary_basic, monkeypatch):
+    timing = "# stonewall_s=300\nrank,start,end\n0,0,310\n1,0,312\n"
+    csvs = {"ior-easy-write.csv": timing, "ior_hard_write-extra.csv": timing, "find.csv": timing}
+    pkg = _write_package(tmp_path, summary_basic, meta=META_BASIC, csvs=csvs)
+    whole = ingest.load_submission(pkg)
+    parsed = []
+
+    def counted(text, phase):
+        parsed.append(phase)
+        return parse(text, phase)
+
+    parse = ingest.parse_process_timing
+    monkeypatch.setattr(ingest, "parse_process_timing", counted)
+    for phases in [(), (Phase.FIND,), (Phase.IOR_HARD_WRITE, Phase.MDTEST_EASY_WRITE)]:
+        parsed.clear()
+        sub = ingest.load_submission(pkg, phases)
+        assert parsed == [p for p in whole.timing if p in phases]
+        assert sub.timing == {p: t for p, t in whole.timing.items() if p in phases}
+        assert (sub.meta, sub.phases) == (whole.meta, whole.phases)
+
+
 def test_load_submission_corrupt_timing_degrades(tmp_path, summary_basic):
     pkg = _write_package(
         tmp_path,
@@ -531,9 +552,11 @@ def _drop(key):
 
 
 EASY = ("timing", "ior-easy-write")
+EASY_US = "timing.ior-easy-write"
+NOT_MICROSECONDS = "expected a list of integer microseconds below 2**53 in magnitude"
 MALFORMED_MANIFESTS = [
     (_set(("format_version",), "x"), "unsupported manifest format_version 'x'"),
-    (_set(("format_version",), 5), "unsupported manifest format_version 5"),
+    (_set(("format_version",), 6), "unsupported manifest format_version 6"),
     (
         _set(("format_version",), 1),
         "manifest format_version 1 is no longer read; re-run `io500kit ingest` to regenerate it",
@@ -556,10 +579,18 @@ MALFORMED_MANIFESTS = [
     (_set((*EASY, "start_s"), None), "timing.ior-easy-write.start_s: unexpected NoneType value"),
     (_set((*EASY, "end_s"), None), "timing.ior-easy-write.end_s: unexpected NoneType value"),
     (_set((*EASY, "items"), [1.5, None]), "timing.ior-easy-write.items: expected a list of integers"),
-    (_set((*EASY, "end_s"), [0.0]), "timing.ior-easy-write: timing columns must be 1-d and of equal length"),
+    (_set((*EASY, "end_s"), [0]), "timing.ior-easy-write: timing columns must be 1-d and of equal length"),
     (_set((*EASY, "items"), [None]), "timing.ior-easy-write: timing columns must be 1-d and of equal length"),
     (_set((*EASY, "rank"), [0, 0]), "timing.ior-easy-write: duplicate ranks: [0]"),
-    (_set((*EASY, "end_s"), [0.0, 0.0]), "timing.ior-easy-write: rank 0: end 0.0 < start 0.25"),
+    (_set((*EASY, "end_s"), [0, 0]), "timing.ior-easy-write: rank 0: end 0.0 < start 0.25"),
+    # The time columns named in `us` hold integer microseconds below 2**53 in magnitude.
+    (_set((*EASY, "end_s"), [310500000, 312250000.0]), f"{EASY_US}.end_s: {NOT_MICROSECONDS}"),
+    (_set((*EASY, "start_s"), [2**53, 500000]), f"{EASY_US}.start_s: {NOT_MICROSECONDS}"),
+    (_set((*EASY, "close_s"), [-(2**53), None]), f"{EASY_US}.close_s: {NOT_MICROSECONDS}"),
+    (_set((*EASY, "us"), ["end_s", "rank"]), f"{EASY_US}.us: unknown column 'rank'"),
+    (_set((*EASY, "us"), ["end_s", "end_s"]), f"{EASY_US}.us: 'end_s' is listed twice"),
+    (_set((*EASY, "close_s"), None), f"{EASY_US}.close_s: null, yet listed in 'us'"),
+    (_set((*EASY, "us"), None), f"{EASY_US}.us: unexpected NoneType value"),
     (_set(("timing", "ior-easier-write"), {}), "timing.ior-easier-write: unknown value 'ior-easier-write'"),
 ]
 
@@ -660,17 +691,18 @@ def test_manifest_is_compact_strict_json_lines(tmp_path, summary_basic):
     lines = text.split("\n")
     assert lines.pop() == ""
     header, *tables = [json.loads(line, parse_constant=reject) for line in lines]
-    assert header["format_version"] == 4
+    assert header["format_version"] == 5
     assert header["timing"] == ["find", "ior-easy-write"]
     assert [t["phase"] for t in tables] == header["timing"]
     assert tables[1] == {
         "phase": "ior-easy-write",
         "stonewall_s": 300.0,
         "rank": None,  # 0..n-1, the default
-        "start_s": [0.25, 0.5],
-        "end_s": [310.5, 312.25],
-        "close_s": [2.5, None],
+        "start_s": [250000, 500000],  # exact microseconds, named in `us`
+        "end_s": [310500000, 312250000],
+        "close_s": [2500000, None],
         "items": [1000, None],
+        "us": ["close_s", "end_s", "start_s"],
     }
     assert lines == [json.dumps(part, separators=(",", ":"), sort_keys=True) for part in [header, *tables]]
 
@@ -763,15 +795,19 @@ def test_convert_manifest_tool_writes_the_golden(tmp_path, capsys):
 
 def test_convert_manifest_tool_rewrites_v3_and_leaves_a_damaged_file(tmp_path, capsys):
     golden = GOLDEN / "p04_timing_full.json"
-    v3_text = dumps_manifest_v3_oracle(ingest.read_manifest(golden))
-    v3, damaged = tmp_path / "v3.json", tmp_path / "damaged.json"
+    sub = ingest.read_manifest(golden)
+    v3_text, v4_text = dumps_manifest_v3_oracle(sub), dumps_manifest_v4_oracle(sub)
+    v3, v4, damaged = tmp_path / "v3.json", tmp_path / "v4.json", tmp_path / "damaged.json"
     v3.write_text(v3_text)
+    v4.write_text(v4_text)
+    assert '"us"' not in v4_text and '"start_s":[0.1,' in v4_text  # float columns, as version 4 wrote them
     damaged.write_text(v3_text[: v3_text.rindex("{")])  # the last table line cut off
-    assert _load_tool().main([str(v3), str(damaged)]) == 1
+    assert _load_tool().main([str(v3), str(v4), str(damaged)]) == 1
     assert v3.read_bytes() == golden.read_bytes()
+    assert v4.read_bytes() == golden.read_bytes()
     assert damaged.read_text() == v3_text[: v3_text.rindex("{")]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["damaged.json", "v3.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["damaged.json", "v3.json", "v4.json"]
     out, err = capsys.readouterr()
-    assert out.count("converted, equal Submission") == 1
+    assert out.count("converted, equal Submission") == 2
     assert f"{damaged}: not read (" in err and "the file is truncated or damaged" in err
 

@@ -6,12 +6,16 @@ tracemalloc counts the bytes Python and numpy allocate, which, unlike RSS,
 are the same from run to run. Each bound lies between the peak measured for
 the streamed paths and the peak of the whole-table code before them. A plot
 renderer's pieces are drained into a null sink, as write_render writes them;
-before, a renderer returned its SVG and sidecar as two whole strings:
+before, a renderer returned its SVG and sidecar as two whole strings. The
+fixture's uniform times are never exact microseconds, so the manifest holds
+them as floats; quantized as synth writes them, they are held as integers:
 
 | Path | Streamed | Whole-table | Bound |
 |---|---|---|---|
 | `write_manifest` | 0.6x | 7.7x | 2x |
 | `read_manifest` | 5.5x | 9.2x | 7x |
+| `write_manifest`, times in microseconds | 0.64x | | 2x |
+| `read_manifest`, times in microseconds | 2.6x | | 7x |
 | `parse_process_timing` | 2.6x | 5.1x | 3.5x |
 | `render_qq` | 1.9x | 3.9x (whole strings) | 3x |
 | `render_group_box` of a close column, log scale | 0.7x | 1.04x (whole strings) | 0.85x |
@@ -20,6 +24,7 @@ before, a renderer returned its SVG and sidecar as two whole strings:
 
 import collections
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -47,6 +52,14 @@ def table():
     )
 
 
+@pytest.fixture(scope="module")
+def micro_table(table):
+    """The table with its times quantized to microseconds, as synth writes
+    them: the manifest holds them as integers, not floats."""
+    quantized = {key: synth._r6_array(getattr(table, key)) for key in ("start_s", "end_s", "close_s")}
+    return dataclasses.replace(table, **quantized)
+
+
 def _kept(table) -> int:
     """The bytes of the table's columns and its items mask."""
     return sum(c.nbytes for c in (table.rank, table.start_s, table.end_s, table.close_s, table.items.data)) + N_RANKS
@@ -62,15 +75,33 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def _microsecond_columns(path) -> list[str]:
+    return json.loads(path.read_text().splitlines()[1])["us"]
+
+
 def test_write_manifest_peak(table, tmp_path):
     sub = Submission(meta=SubmissionMeta(submission_id="m"), timing={PHASE: table})
     assert _traced_peak(lambda: ingest.write_manifest(sub, tmp_path / "m.json")) < 2 * _kept(table)
+    assert _microsecond_columns(tmp_path / "m.json") == []  # uniform floats are never exact microseconds
 
 
 def test_read_manifest_peak(table, tmp_path):
     path = tmp_path / "m.json"
     ingest.write_manifest(Submission(meta=SubmissionMeta(submission_id="m"), timing={PHASE: table}), path)
     assert _traced_peak(lambda: ingest.read_manifest(path)) < 7 * _kept(table)
+
+
+def test_write_manifest_peak_in_microseconds(micro_table, tmp_path):
+    sub = Submission(meta=SubmissionMeta(submission_id="m"), timing={PHASE: micro_table})
+    assert _traced_peak(lambda: ingest.write_manifest(sub, tmp_path / "m.json")) < 2 * _kept(micro_table)
+    assert _microsecond_columns(tmp_path / "m.json") == ["close_s", "end_s", "start_s"]
+
+
+def test_read_manifest_peak_in_microseconds(micro_table, tmp_path):
+    path = tmp_path / "m.json"
+    ingest.write_manifest(Submission(meta=SubmissionMeta(submission_id="m"), timing={PHASE: micro_table}), path)
+    assert _microsecond_columns(path) == ["close_s", "end_s", "start_s"]
+    assert _traced_peak(lambda: ingest.read_manifest(path)) < 7 * _kept(micro_table)
 
 
 def test_file_lines_peak(table, tmp_path):

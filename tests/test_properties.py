@@ -313,7 +313,7 @@ def test_manifest_writes_a_column_at_its_default_as_null(timing):
     sub = Submission(meta=SubmissionMeta(submission_id="d"), timing=timing)
     text = ingest.dumps_manifest(sub)
     header, *lines = (json.loads(line) for line in text.splitlines())
-    assert header["format_version"] == 4
+    assert header["format_version"] == 5
     tree = ingest.to_manifest(sub)
     for line in lines:
         table = timing[Phase(line.pop("phase"))]
@@ -333,6 +333,64 @@ def test_manifest_writes_a_column_at_its_default_as_null(timing):
         # The same tables with every column a list, as version 3 wrote them, read alike.
         v3.write_text(dumps_manifest_v3_oracle(sub), encoding="utf-8", newline="\n")
         assert ingest.read_manifest(v3) == sub
+
+
+def _exact_microseconds(column) -> bool:
+    """Whether each present value x is, bit for bit, k / 1e6 for k = round(x * 1e6) with |k| < 2**53."""
+    return all(
+        abs(round(x * 1e6)) < 2**53 and (round(x * 1e6) / 1e6).hex() == x.hex()
+        for x in column.tolist()
+        if not math.isnan(x)
+    )
+
+
+def _bits(column) -> list[int]:
+    return column.view(np.int64).tolist()
+
+
+# Microsecond values up to the 2**53 edge, any float, and the traps of the
+# exactness test: signed zeros, the least subnormal, values an ulp off.
+EDGE_S = 2**53 / 1e6
+TIME_S = st.one_of(
+    st.integers(-(2**53) + 1, 2**53 - 1).map(lambda k: k / 1e6),
+    st.floats(min_value=-1e12, max_value=1e12),
+    st.sampled_from([0.0, -0.0, 5e-324, float(np.nextafter(0.1, 1)), 0.1 + 0.2, EDGE_S, float(np.nextafter(EDGE_S, 0))]),
+)
+
+
+@PROPERTY
+@example([(0.0, 0.0, -0.0), (-0.0, 0.0, 0.0)])
+@example([(5e-324, 1.0, 5e-324)])
+@example([(0.1, 0.2, float(np.nextafter(0.1, 1)))])
+@example([(0.25, 0.1 + 0.2, 0.5)])
+@example([((2**53 - 1) / 1e6, EDGE_S, EDGE_S), (-EDGE_S, float(np.nextafter(EDGE_S, math.inf)), 0.0)])
+@example([(1.0, 2.0, math.nan), (1.5, 2.5, 0.75), (2.0, 3.0, math.nan)])
+@example([(0.25, 1.0, 0.5), (0.5, 1.5, 0.75), (0.1 + 0.2, 2.0, 1.0)])
+@given(st.lists(st.tuples(TIME_S, TIME_S, st.one_of(st.just(math.nan), TIME_S)), max_size=8))
+def test_time_columns_in_microseconds_read_back_bit_for_bit(rows):
+    # Each row is (start, end, close): end is raised to start, a negative close
+    # is negated (-0.0 stays), and a NaN close is absent.
+    start, end, close = (np.array([row[i] for row in rows], dtype=np.float64) for i in range(3))
+    end = np.maximum(start, end)
+    close = np.where(close < 0, -close, close)
+    table = ProcessTimingTable(phase=PHASE, rank=np.arange(len(rows)), start_s=start, end_s=end, close_s=close)
+    sub = Submission(meta=SubmissionMeta(submission_id="us"), timing={PHASE: table})
+    text = ingest.dumps_manifest(sub)
+    line = json.loads(text.splitlines()[1])
+    columns = {"start_s": start, "end_s": end}
+    if not np.isnan(close).all():
+        columns["close_s"] = close
+    # A column is written in integer microseconds exactly when every present value is one.
+    assert line["us"] == sorted(key for key, column in columns.items() if _exact_microseconds(column))
+    for key in columns:
+        kind = int if key in line["us"] else float
+        assert all(type(v) is kind for v in line[key] if v is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(text, encoding="utf-8", newline="\n")
+        for again in (ingest.read_manifest(path), ingest.from_manifest(ingest.to_manifest(sub))):
+            got = again.timing[PHASE]
+            assert [_bits(got.start_s), _bits(got.end_s), _bits(got.close_s)] == [_bits(start), _bits(end), _bits(close)]
 
 
 # Pieces of a file's bytes: line ends of each kind, characters of two to four

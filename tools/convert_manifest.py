@@ -1,4 +1,4 @@
-"""Convert manifests of format_version 1, 2 or 3 to the current format (4), in place.
+"""Convert manifests of format_version 1, 2, 3 or 4 to the current format (5), in place.
 
     PYTHONPATH=src python tools/convert_manifest.py tests/golden/p0*.json
 
@@ -8,8 +8,10 @@ the version 3 tree: version 3 only moves each timing table onto a line of
 its own. The package reads neither, so this script turns each into the
 version 3 tree it holds, with each version 1 table reshaped into columns,
 and decodes that with `ingest.from_manifest`.
-Version 3 is read with `ingest.read_manifest`: version 4 differs only in
-writing a timing column that holds its default as null.
+Versions 3 and 4 are read with `ingest.read_manifest`: version 4 differs
+from version 3 only in writing a timing column that holds its default as
+null, and version 5 from version 4 only in writing a time column whose
+values are all exact microseconds as integers, named in the line's `us`.
 
 The script writes the Submission with `ingest.write_manifest` to a temporary
 file beside the original and reads that back with `ingest.read_manifest`.
