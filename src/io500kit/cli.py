@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
+import itertools
 import math
 import os
 import re
 import sys
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from . import ingest, loginsight, metrics, report, stats, synth
 from .config import default_outdir, load_config, read_json_object
 from .errors import EmptyInputError, Io500KitError, NotAvailableError, SampleSizeError
 from .ingest import SUMMARY_FILENAME, interconnect_class
-from .types import Phase
+from .types import Phase, Submission
 
 
 def _sanitize(name: str) -> str:
@@ -65,11 +68,14 @@ def _unique(paths: list) -> list:
     return list(first.values())
 
 
-def _load_packages(paths: list[str], phases=None) -> tuple[dict, list[str]]:
-    """Each package in `paths` (a package dir, or a dir of packages read in
-    name order) that loads, with the timing tables of `phases` (all when
-    None), by the file stem of its manifest, in that order; and
-    `<package dir>: <reason>` for each package that does not load."""
+def _load_packages(paths: list[str], phases=None) -> tuple[list[tuple[str, Callable[[], Submission]]], list[str]]:
+    """(file stem, load) for each package in `paths` (a package dir, or a dir
+    of packages read in name order) whose summary and meta load, in that
+    order: the stem its manifest takes, and a call that parses its timing
+    CSVs of `phases` (all when None) and returns the whole Submission; and
+    `<package dir>: <reason>` for each package that does not load. Every
+    summary and meta is read here, so a bad package is left out before any
+    output is made."""
     found: list[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -77,13 +83,63 @@ def _load_packages(paths: list[str], phases=None) -> tuple[dict, list[str]]:
             found.append(path)
         else:  # a file raises NotADirectoryError, which names it
             found.extend(sorted(p for p in path.iterdir() if (p / SUMMARY_FILENAME).is_file()))
-    subs, errors = [], []
+    headers, errors = [], []
     for pkg in _unique(found):
         try:
-            subs.append(ingest.load_submission(pkg, phases))
+            headers.append((pkg, ingest.load_package_header(pkg)))
         except Io500KitError as exc:
             errors.append(f"{pkg}: {exc}")
-    return dict(zip(_file_stems(subs), subs)), errors
+    stems = _file_stems(header for _, header in headers)
+    loaders = [functools.partial(_with_timing, pkg, header, phases) for pkg, header in headers]
+    return list(zip(stems, loaders)), errors
+
+
+def _with_timing(pkg: Path, header: Submission, phases) -> Submission:
+    """A package's Submission: its header with the timing tables of `phases`."""
+    timing, warnings = ingest.load_package_timing(pkg, phases)
+    return dataclasses.replace(header, timing=timing, warnings=header.warnings + warnings)
+
+
+class _Output:
+    """A run's --out directory, which records each file and directory the
+    run makes under it. Used as a context manager, it removes them all when
+    the run fails part way, a file the run overwrote too, so that the run
+    leaves no output of its own."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.files: list[Path] = []
+        self.dirs: list[Path] = []  # parents before their children
+
+    def make(self, directory: Path) -> None:
+        missing = list(itertools.takewhile(lambda d: not d.exists(), (directory, *directory.parents)))
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        finally:
+            self.dirs.extend(d for d in reversed(missing) if d.is_dir())
+
+    def write(self, analysis: str, name: str, pieces) -> None:
+        """report.write_render under this directory."""
+        self.make(self.path / analysis)
+        self.files.extend(report.write_render(self.path, analysis, name, pieces))
+
+    def manifest(self, sub: Submission, stem: str) -> None:
+        path = self.path / f"{stem}.json"
+        self.files.append(path)
+        ingest.write_manifest(sub, path)
+
+    def __enter__(self) -> "_Output":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is None:
+            return
+        for path in self.files:
+            with contextlib.suppress(OSError):  # such as a file a failed write removed itself
+                path.unlink()
+        for directory in reversed(self.dirs):
+            with contextlib.suppress(OSError):  # such as a directory another process wrote to
+                directory.rmdir()
 
 
 def _txt(lines: list[str]) -> list[report.Piece]:
@@ -109,94 +165,104 @@ def cmd_ingest(args) -> int:
             result = ingest.parse_repo_csv(ingest.read_text(raw), cmap)
             read.extend(result.submissions)
             skipped.extend(f"{raw}: row {n}: {reason}" for n, reason in result.skipped)
-        subs = dict(zip(_file_stems(read), read))
+        subs = zip(_file_stems(read), read)
     else:
-        subs, errors = _load_packages(args.paths)
-        if not (subs or errors):
+        loaders, errors = _load_packages(args.paths)
+        if not (loaders or errors):
             raise EmptyInputError(f"no submission packages found under {args.paths}")
+        subs = ((stem, load()) for stem, load in loaders)
 
+    # One submission at a time is loaded, flagged, written and dropped; only
+    # its findings and warnings are kept, for validation.txt.
+    n_subs = 0
     findings: list[str] = []
-    for sub in subs.values():
-        flagged, notes = loginsight.flag_cache_affected(
-            list(sub.phases.values()), config.cache_threshold_s
-        )
-        sub.phases = {p.phase: p for p in flagged}
-        sub.warnings.extend(notes)
-        findings.extend(metrics.recomputation_findings(sub, config.recompute_rel_tol))
+    warnings: list[str] = []
+    with _Output(args.out) as out:
+        out.make(out.path)  # made only once the input is found: a rejected run leaves none
+        for stem, sub in subs:
+            flagged, notes = loginsight.flag_cache_affected(
+                list(sub.phases.values()), config.cache_threshold_s
+            )
+            sub.phases = {p.phase: p for p in flagged}
+            sub.warnings.extend(notes)
+            findings.extend(metrics.recomputation_findings(sub, config.recompute_rel_tol))
+            out.manifest(sub, stem)
+            warnings.extend(f"WARN {sub.meta.submission_id}: {w}" for w in sub.warnings)
+            n_subs += 1
+            del sub  # before the next package's timing CSVs are parsed
 
-    outdir = Path(args.out)  # made only once the input is read: a rejected run leaves none
-    outdir.mkdir(parents=True, exist_ok=True)
-    for stem, sub in subs.items():
-        ingest.write_manifest(sub, outdir / f"{stem}.json")
+        lines = [
+            f"submissions: {n_subs}",
+            f"skipped rows: {len(skipped)}",
+            f"hard errors: {len(errors)}",
+            f"recomputation findings: {len(findings)}",
+        ]
+        lines.extend(f"SKIP {entry}" for entry in skipped)
+        lines.extend(f"ERROR {entry}" for entry in errors)
+        lines.extend(f"FINDING {entry}" for entry in findings)
+        lines.extend(warnings)
+        out.write("", "validation", _txt(lines))  # beside the manifests
 
-    lines = [
-        f"submissions: {len(subs)}",
-        f"skipped rows: {len(skipped)}",
-        f"hard errors: {len(errors)}",
-        f"recomputation findings: {len(findings)}",
-    ]
-    for entry in skipped:
-        lines.append(f"SKIP {entry}")
-    for entry in errors:
-        lines.append(f"ERROR {entry}")
-    for entry in findings:
-        lines.append(f"FINDING {entry}")
-    for sub in subs.values():
-        for w in sub.warnings:
-            lines.append(f"WARN {sub.meta.submission_id}: {w}")
-    report.write_render(outdir, "", "validation", _txt(lines))  # beside the manifests
-
-    print(f"wrote {len(subs)} manifests to {outdir}")
+    print(f"wrote {n_subs} manifests to {out.path}")
     for entry in errors:
         print(f"error: {entry}", file=sys.stderr)
     if errors:
         return 1
-    if not subs:
+    if not n_subs:
         return 2
     return 0
 
 
 # --- analyses ------------------------------------------------------------------
-# Each analysis is run(subs, args, config): it takes {file stem: Submission}
-# in file-name order, each with only the timing tables the analysis reads,
-# writes its files under args.out with report.write_render (a plot as the
-# pieces its renderer returns) and returns the line cmd_analysis prints.
-# A log analysis with no rows writes nothing, not even its notes.
+# Each analysis is run(subs, args, config): `subs` is a one-pass iterator of
+# (file stem, Submission) pairs in file-name order, each Submission loaded
+# when the iterator reaches it, with only the timing tables the analysis
+# reads. An analysis writes its files with args.out.write, which takes what
+# report.write_render takes less the directory (a plot as the pieces its
+# renderer returns), and returns the line cmd_analysis prints. A log
+# analysis with no rows writes nothing, not even its notes.
 
 
-def _load(path: str, phases) -> tuple[dict, list[str]]:
+def _load(path: str, phases) -> tuple[Iterator[tuple[str, Submission]], list[str]]:
     """Each submission under `path` by its file stem, in file-name order,
-    with only the timing tables of `phases`; and the errors of the packages
-    left out.
+    with only the timing tables of `phases`, loaded when the iterator reaches
+    it; and the errors of the packages left out.
 
     A path that holds any package (such as a synth output directory with its
     ground_truth.json) is read as packages, as `ingest` reads them: each
     package that loads is named and placed as `ingest` would name its
     manifest, and one that does not is left out and named in the errors.
-    Any other directory is read as manifests, each named by its file stem.
+    Any other directory is read as manifests, each named by its file stem
+    and read once, in full, when it is reached.
     """
     _must_exist(path)
-    subs, errors = _load_packages([path], phases)
-    if not (subs or errors):
-        try:
-            return ingest.read_manifest_dir(path, phases), []
-        except EmptyInputError:
-            raise EmptyInputError(f"no manifests or packages found under {path}") from None
-    return dict(sorted(subs.items(), key=lambda item: f"{item[0]}.json")), errors
+    loaders, errors = _load_packages([path], phases)
+    if loaders or errors:
+        loaders.sort(key=lambda item: f"{item[0]}.json")
+    else:
+        manifests = sorted(Path(path).glob("*.json"))
+        if not manifests:
+            raise EmptyInputError(f"no manifests or packages found under {path}")
+        loaders = [(p.stem, functools.partial(ingest.read_manifest, p, phases)) for p in manifests]
+    return ((stem, load()) for stem, load in loaders), errors
 
 
 def _per_table(subs, analyze, noted, notes: list[str]):
-    """(sub, stem, phase, analyze(table)) for each timing table loaded, one
-    at a time in phase-name order. The message of a `noted` exception goes
-    to `notes`, and its table is left out."""
-    for stem, sub in subs.items():
-        for phase in sorted(sub.timing, key=lambda p: p.value):
+    """(meta, stem, phase, analyze(table)) for each timing table loaded, one
+    at a time: a submission's tables in phase-name order, each submission's
+    dropped before the next submission is loaded. The message of a `noted`
+    exception goes to `notes`, and its table is left out."""
+    for stem, sub in subs:
+        meta, timing = sub.meta, sub.timing
+        del sub  # its tables go with `timing`, before the next submission is loaded
+        for phase in sorted(timing, key=lambda p: p.value):
             try:
-                result = analyze(sub.timing[phase])
+                result = analyze(timing[phase])
             except noted as exc:
                 notes.append(str(exc))
             else:
-                yield sub, stem, phase, result
+                yield meta, stem, phase, result
+        del timing
 
 
 def _column_stats(names, table) -> list[tuple[str, metrics.SummaryStats]]:
@@ -211,17 +277,18 @@ def _column_stats(names, table) -> list[tuple[str, metrics.SummaryStats]]:
 
 
 def run_stats(subs, args, config) -> str:
-    names, table = metrics.metric_table(list(subs.values()), args.normalize)
+    subs = [sub for _, sub in subs]
+    names, table = metrics.metric_table(subs, args.normalize)
     stats_rows = _column_stats(names, table)
     if not stats_rows:
         raise EmptyInputError("no metric values available")
-    report.write_render(args.out, "stats", f"summary_{args.normalize}", report.render_summary_table(stats_rows))
-    report.write_render(args.out, "stats", "composition", report.render_composition_table(subs.values()))
+    args.out.write("stats", f"summary_{args.normalize}", report.render_summary_table(stats_rows))
+    args.out.write("stats", "composition", report.render_composition_table(subs))
 
     overall_idx = names.index("score_overall")
     strip_rows = [
         (sub.meta.filesystem_norm.value, float(row[overall_idx]))
-        for sub, row in zip(subs.values(), table)
+        for sub, row in zip(subs, table)
         if np.isfinite(row[overall_idx])
     ]
     if strip_rows:
@@ -229,34 +296,35 @@ def run_stats(subs, args, config) -> str:
             title=f"overall score ({args.normalize})", scale="log10", y_label="score"
         )
         strip = report.render_score_strip(strip_rows, spec)
-        report.write_render(args.out, "stats", f"score_strip_{args.normalize}", strip)
+        args.out.write("stats", f"score_strip_{args.normalize}", strip)
     notes = [
         f"{sub.meta.submission_id}: excluded (no usable values after {args.normalize})"
-        for sub, row in zip(subs.values(), table)
+        for sub, row in zip(subs, table)
         if not np.any(np.isfinite(row))
     ]
-    report.write_render(args.out, "stats", "notes", _txt(notes))
-    return f"stats tables written to {Path(args.out) / 'stats'}"
+    args.out.write("stats", "notes", _txt(notes))
+    return f"stats tables written to {args.out.path / 'stats'}"
 
 
 def run_corr(subs, args, config) -> str:
-    names, table = metrics.metric_table(list(subs.values()), args.normalize)
+    names, table = metrics.metric_table([sub for _, sub in subs], args.normalize)
     corr = stats.correlation_matrix(names, table, method=args.method, alpha=args.alpha)
     spec = report.RenderSpec(
         title=f"{args.method} correlations ({args.normalize}, alpha={args.alpha:g})"
     )
     name = f"{args.method}_{args.normalize}"
-    report.write_render(args.out, "corr", name, report.render_corr_heatmap(corr, spec))
-    report.write_render(args.out, "corr", f"{name}_warnings", _txt(corr.warnings))
+    args.out.write("corr", name, report.render_corr_heatmap(corr, spec))
+    args.out.write("corr", f"{name}_warnings", _txt(corr.warnings))
     n_sig = int(np.sum(np.triu(corr.significant, 1)))
     return f"correlation matrix {name}: {len(corr.variables)} variables, {n_sig} significant pairs"
 
 
 def run_groups(subs, args, config) -> str:
-    names, table = metrics.metric_table(list(subs.values()), args.normalize)
+    subs = [sub for _, sub in subs]
+    names, table = metrics.metric_table(subs, args.normalize)
     j = names.index(args.metric)
     grouped: dict[str, list[float]] = {}
-    for sub, row in zip(subs.values(), table):
+    for sub, row in zip(subs, table):
         if np.isfinite(row[j]):
             grouped.setdefault(interconnect_class(sub.meta), []).append(float(row[j]))
     if len(grouped) < 2:
@@ -275,7 +343,7 @@ def run_groups(subs, args, config) -> str:
         y_label=args.metric,
     )
     name = f"{args.metric}_{args.normalize}"
-    report.write_render(args.out, "groups", name, report.render_group_box(groups, spec))
+    args.out.write("groups", name, report.render_group_box(groups, spec))
 
     lines = [
         f"metric: {args.metric} ({args.normalize})",
@@ -288,25 +356,24 @@ def run_groups(subs, args, config) -> str:
     if test.approximate:
         lines.append("note: total n < 5, chi-square approximation unreliable")
     lines.extend(f"warning: {w}" for w in warnings)
-    report.write_render(args.out, "groups", name, _txt(lines))
+    args.out.write("groups", name, _txt(lines))
     return f"H={test.h:.4g} p={test.p:.4g} eta_sq={test.eta_sq:.4g} ({len(groups)} groups)"
 
 
 def run_runtime(subs, args, config) -> str:
-    dist = loginsight.runtime_distribution(
-        list(subs.values()), config.stonewall_nominal_s, config.stonewall_tolerance_s
-    )
+    subs = [sub for _, sub in subs]
+    dist = loginsight.runtime_distribution(subs, config.stonewall_nominal_s, config.stonewall_tolerance_s)
     if not dist.per_phase:
         return "no runtime data available"
     stats_rows = [(phase.value, s) for phase, s in dist.per_phase.items()]
-    report.write_render(args.out, "logs", "runtime_summary", report.render_summary_table(stats_rows))
+    args.out.write("logs", "runtime_summary", report.render_summary_table(stats_rows))
     lines = [f"stonewall violations: {len(dist.violations)}"] + [
         f"{v.submission_id} {v.phase}: runtime {v.runtime_s:.6g} s" for v in dist.violations
     ]
-    report.write_render(args.out, "logs", "runtime_violations", _txt(lines))
+    args.out.write("logs", "runtime_violations", _txt(lines))
     groups = [(phase.value, values) for phase, values in dist.runtimes.items()]
     spec = report.RenderSpec(title="phase runtimes", scale="log10", y_label="seconds")
-    report.write_render(args.out, "logs", "runtime_box", report.render_group_box(groups, spec, annotate=False))
+    args.out.write("logs", "runtime_box", report.render_group_box(groups, spec, annotate=False))
     return f"runtime summary over {len(subs)} submissions, {len(dist.violations)} violations"
 
 
@@ -314,10 +381,10 @@ def run_close(subs, args, config) -> str:
     rows = []
     fs_groups: dict[str, list[np.ndarray]] = {}
     # A table without close times is skipped silently: close writes no notes.
-    for sub, _, phase, rep in _per_table(subs, loginsight.close_time_report, NotAvailableError, []):
+    for meta, _, phase, rep in _per_table(subs, loginsight.close_time_report, NotAvailableError, []):
         rows.append(
             [
-                sub.meta.submission_id,
+                meta.submission_id,
                 phase.value,
                 str(rep.stats.n),
                 report.fmt_csv(rep.stats.mean),
@@ -325,16 +392,20 @@ def run_close(subs, args, config) -> str:
                 report.fmt_csv(float(np.median(rep.fraction_of_runtime))),
             ]
         )
-        fs_groups.setdefault(sub.meta.filesystem_norm.value, []).append(rep.close_s_per_rank)
+        fs_groups.setdefault(meta.filesystem_norm.value, []).append(rep.close_s_per_rank)
     if not rows:
         return "no close-time data available"
     header = ["Submission", "Phase", "N", "MeanClose_s", "MaxClose_s", "MedianFraction"]
-    report.write_render(args.out, "logs", "close_summary", report.tables(header, rows))
-    groups = [(fs, np.concatenate(closes)) for fs, closes in sorted(fs_groups.items())]
+    args.out.write("logs", "close_summary", report.tables(header, rows))
     spec = report.RenderSpec(
         title="close time by filesystem", scale="log10", y_label="close seconds"
     )
-    report.write_render(args.out, "logs", "close_box", report.render_group_box(groups, spec, annotate=False))
+    # Each group's pieces are let go once joined, and the render holds the one
+    # reference to each joined column, which it drops once it is quantized.
+    groups = [(fs, np.concatenate(fs_groups.pop(fs))) for fs in sorted(fs_groups)]
+    box = report.render_group_box(groups, spec, annotate=False)
+    del groups
+    args.out.write("logs", "close_box", box)
     return f"close-time summary for {len(rows)} phase tables"
 
 
@@ -342,13 +413,13 @@ def run_stonewall(subs, args, config) -> str:
     analyze = functools.partial(loginsight.stonewall_ratios, stonewall_s=args.stonewall)
     rows, notes = [], []
     # Io500KitError: no stonewall, an empty table, a ratio that overflows.
-    for sub, stem, phase, rat in _per_table(subs, analyze, Io500KitError, notes):
-        spec = report.RenderSpec(title=f"{sub.meta.submission_id} {phase.value}")
+    for meta, stem, phase, rat in _per_table(subs, analyze, Io500KitError, notes):
+        spec = report.RenderSpec(title=f"{meta.submission_id} {phase.value}")
         # Each table's plot is written, and its ratios dropped, before the next table's are computed.
-        report.write_render(args.out, "logs", f"qq_{stem}_{phase.value}", report.render_qq(rat.qq, spec))
+        args.out.write("logs", f"qq_{stem}_{phase.value}", report.render_qq(rat.qq, spec))
         rows.append(
             [
-                sub.meta.submission_id,
+                meta.submission_id,
                 phase.value,
                 str(len(rat.ratios)),
                 report.fmt_csv(float(rat.ratios.min())),
@@ -358,8 +429,8 @@ def run_stonewall(subs, args, config) -> str:
     if not rows:
         return "no stonewall timing data available"
     header = ["Submission", "Phase", "Ranks", "MinRatio", "MaxRatio"]
-    report.write_render(args.out, "logs", "stonewall_summary", report.tables(header, rows))
-    report.write_render(args.out, "logs", "stonewall_notes", _txt(notes))
+    args.out.write("logs", "stonewall_summary", report.tables(header, rows))
+    args.out.write("logs", "stonewall_notes", _txt(notes))
     return f"stonewall ratios for {len(rows)} write-phase tables"
 
 
@@ -369,10 +440,10 @@ def run_stragglers(subs, args, config) -> str:
     )
     rows, notes = [], []
     # Io500KitError: as for stonewall, and tables too small for the quartiles.
-    for sub, _, phase, rep in _per_table(subs, analyze, Io500KitError, notes):
+    for meta, _, phase, rep in _per_table(subs, analyze, Io500KitError, notes):
         rows.append(
             [
-                sub.meta.submission_id,
+                meta.submission_id,
                 phase.value,
                 str(len(rep.ranks)),
                 str(len(rep.straggler_ranks)),
@@ -385,20 +456,20 @@ def run_stragglers(subs, args, config) -> str:
     if not rows:
         return "no straggler timing data available"
     header = "Submission Phase Ranks Stragglers Pattern Adjacency Runs StragglerRanks".split()
-    report.write_render(args.out, "logs", "stragglers", report.tables(header, rows))
-    report.write_render(args.out, "logs", "straggler_notes", _txt(notes))
+    args.out.write("logs", "stragglers", report.tables(header, rows))
+    args.out.write("logs", "straggler_notes", _txt(notes))
     return f"straggler analysis for {len(rows)} write-phase tables"
 
 
 def run_pfind(subs, args, config) -> str:
     rows, notes = [], []
     # Io500KitError: missing items, tiny tables, all-zero counts.
-    for sub, stem, _, rep in _per_table(subs, loginsight.pfind_imbalance, Io500KitError, notes):
+    for meta, stem, _, rep in _per_table(subs, loginsight.pfind_imbalance, Io500KitError, notes):
         detail = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
-        report.write_render(args.out, "logs", f"pfind_{stem}", detail)
+        args.out.write("logs", f"pfind_{stem}", detail)
         rows.append(
             [
-                sub.meta.submission_id,
+                meta.submission_id,
                 str(len(rep.items_per_rank)),
                 str(int(np.median(rep.items_per_rank))),
                 str(int(rep.items_per_rank.max())),
@@ -409,8 +480,8 @@ def run_pfind(subs, args, config) -> str:
     if not rows:
         return "no find-phase item data available"
     header = ["Submission", "Ranks", "MedianItems", "MaxItems", "MaxOverMedian", "Gini"]
-    report.write_render(args.out, "logs", "pfind", report.tables(header, rows))
-    report.write_render(args.out, "logs", "pfind_notes", _txt(notes))
+    args.out.write("logs", "pfind", report.tables(header, rows))
+    args.out.write("logs", "pfind_notes", _txt(notes))
     return f"pfind imbalance for {len(rows)} submissions"
 
 
@@ -434,7 +505,9 @@ def cmd_analysis(args) -> int:
     config = load_config(getattr(args, "config", None))  # before any input is read
     run, phases = ANALYSES[args.analysis if args.command == "logs" else args.command]
     subs, errors = _load(args.path, phases)
-    print(run(subs, args, config))
+    args.out = _Output(args.out)
+    with args.out:  # a run that fails part way removes what it wrote
+        print(run(subs, args, config))
     for entry in errors:
         print(f"error: {entry}", file=sys.stderr)
     return 1 if errors else 0

@@ -677,14 +677,9 @@ def read_text(path: str | Path) -> str:
         raise LoadError(f"{path.name}: {exc.strerror or exc}") from None
 
 
-def load_submission(package_dir: str | Path, phases: Collection[Phase] | None = None) -> Submission:
-    """Assemble a Submission from a package directory, parsing only the
-    timing CSVs of `phases` (all when None); the others are left out.
-
-    Requires `result_summary.txt`; `meta.txt` and per-phase `<phase>*.csv`
-    timing files are optional. A corrupt timing CSV degrades to a warning;
-    a missing, unreadable or unparseable summary or meta file is fatal.
-    """
+def load_package_header(package_dir: str | Path) -> Submission:
+    """A package's Submission without its timing tables: its summary and
+    meta. A missing, unreadable or unparseable summary or meta file raises."""
     package_dir = Path(package_dir)
     summary_path = package_dir / SUMMARY_FILENAME
     if not summary_path.is_file():
@@ -699,10 +694,26 @@ def load_submission(package_dir: str | Path, phases: Collection[Phase] | None = 
     else:
         warnings.append(f"{META_FILENAME} missing; metadata defaults used")
     raw_meta.setdefault("submission_id", package_dir.name)
-    meta = normalize_metadata(raw_meta)
 
+    return Submission(
+        meta=normalize_metadata(raw_meta),
+        phases={p.phase: p for p in summary.phases},
+        reported_score_bw=summary.reported_score_bw,
+        reported_score_md=summary.reported_score_md,
+        reported_score_overall=summary.reported_score_overall,
+        warnings=warnings,
+    )
+
+
+def load_package_timing(
+    package_dir: str | Path, phases: Collection[Phase] | None = None
+) -> tuple[dict[Phase, ProcessTimingTable], list[str]]:
+    """The timing tables of a package's `<phase>*.csv` files, of `phases`
+    only (all when None), and the warnings they raise: a corrupt timing CSV
+    is discarded with a warning."""
+    warnings: list[str] = []
     timing: dict[Phase, ProcessTimingTable] = {}
-    for csv_path in sorted(package_dir.glob("*.csv")):
+    for csv_path in sorted(Path(package_dir).glob("*.csv")):
         phase = _match_timing_phase(csv_path.name)
         if phase is None:
             warnings.append(f"{csv_path.name}: no phase match, ignored")
@@ -719,16 +730,21 @@ def load_submission(package_dir: str | Path, phases: Collection[Phase] | None = 
             continue
         warnings.extend(table_warnings)
         timing[phase] = table
+    return timing, warnings
 
-    return Submission(
-        meta=meta,
-        phases={p.phase: p for p in summary.phases},
-        reported_score_bw=summary.reported_score_bw,
-        reported_score_md=summary.reported_score_md,
-        reported_score_overall=summary.reported_score_overall,
-        timing=timing,
-        warnings=warnings,
-    )
+
+def load_submission(package_dir: str | Path, phases: Collection[Phase] | None = None) -> Submission:
+    """Assemble a Submission from a package directory, parsing only the
+    timing CSVs of `phases` (all when None); the others are left out.
+
+    Requires `result_summary.txt`; `meta.txt` and per-phase `<phase>*.csv`
+    timing files are optional. A corrupt timing CSV degrades to a warning;
+    a missing, unreadable or unparseable summary or meta file is fatal.
+    """
+    sub = load_package_header(package_dir)
+    sub.timing, warnings = load_package_timing(package_dir, phases)
+    sub.warnings.extend(warnings)
+    return sub
 
 
 # --- manifest interchange ------------------------------------------------------
@@ -890,27 +906,31 @@ _COLUMNS = {
 _DEFAULTED = frozenset({"rank", "close_s", "items"})
 
 
+_NULL = type(None)
+
+
 def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = False):
-    """A timing column from its JSON list: int64 where every value is an
-    integer (masked where null), else, for a time column, float64 (NaN where
-    null); _seconds makes a time column seconds. A numpy column is one
-    _table_line has converted already; None is a column at its default."""
+    """A timing column from its JSON list, of a kind set by the exact types of
+    its values, found in one pass before any numpy conversion: int64 where
+    every value is an integer that fits one (masked where null), else, for a
+    time column, float64 (NaN where null); _seconds makes a time column
+    seconds. Any other value, `true` and `false` among them, is refused. A
+    numpy column is one _table_line has converted already; None is a column
+    at its default."""
     values = _get(spec, key, (list, np.ndarray), where, nullable=key in _DEFAULTED)
     if values is None or isinstance(values, np.ndarray):
         return values
-    n = len(values)
-    if None not in values:
-        try:
-            arr = np.array(values)
-        except ValueError:  # nested lists of unequal length
-            arr = None
-        if arr is not None and arr.ndim == 1 and (arr.dtype.kind in ("i" if integer else "if") or not n):
-            return arr.astype(np.float64 if arr.dtype.kind == "f" and n else np.int64, copy=False)
-    elif nullable:
-        if all(v is None or (type(v) is int and abs(v) < _INT64_BOUND) for v in values):
+    kinds = set(map(type, values))
+    null = nullable and _NULL in kinds
+    if null:
+        kinds.discard(_NULL)
+    with contextlib.suppress(OverflowError):  # an integer beyond int64, or beyond a float
+        if kinds <= {int} and not null:
+            return np.array(values, dtype=np.int64)
+        if kinds <= {int}:
             data = np.array([0 if v is None else v for v in values], dtype=np.int64)
             return np.ma.MaskedArray(data, mask=np.array([v is None for v in values], dtype=bool))
-        if not integer and all(v is None or type(v) in _NUM for v in values):
+        if not integer and kinds <= {int, float}:
             return np.array(values, dtype=np.float64)
     raise ValidationError(f"{where}.{key}: expected a list of {'integers' if integer else 'numbers'}")
 

@@ -1090,3 +1090,43 @@ def test_corrupt_table_line_fails_only_stages_reading_it(manifests, tmp_path, ca
             assert code == 1 and f"error: {path}: timing.find: line {k + 1} is not JSON" in err, argv
         else:
             assert code == 0 and err == "", argv
+
+
+def _truncate_last_line(path: Path, phase: str) -> None:
+    text = path.read_text()
+    path.write_text(text[: text.rindex("\n", 0, -1) + 10])  # cut inside the last table line
+
+
+def _damage_table_line(path: Path, phase: str) -> None:
+    lines = path.read_text().split("\n")
+    k = 1 + json.loads(lines[0])["timing"].index(phase)
+    lines[k] = lines[k][: len(lines[k]) // 2]
+    path.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("damage", [_truncate_last_line, _damage_table_line])
+@pytest.mark.parametrize("analysis, phase", [("stonewall", "ior-hard-write"), ("pfind", "find")])
+@pytest.mark.parametrize("premade", [False, True])
+def test_run_failing_part_way_removes_what_it_wrote(manifests, tmp_path, capsys, damage, analysis, phase, premade):
+    # Both analyses write a file per table, so the earlier manifests' files
+    # are written before the last one, in file-name order, fails to read.
+    intact = tmp_path / "intact"
+    assert run("logs", manifests, "--analysis", analysis, "--out", intact) == 0
+    per_table = [p for p in (intact / "logs").iterdir() if p.name.startswith(("qq_", "pfind_"))]
+    assert len(per_table) > 2
+    capsys.readouterr()
+    last = sorted(manifests.glob("*.json"))[-1]
+    damage(last, phase)
+    out = tmp_path / "out"
+    if premade:
+        (out / "logs").mkdir(parents=True)
+        (out / "keep.txt").write_text("kept\n")
+        (out / "logs" / "stonewall_summary.csv").write_text("an earlier run's\n")
+    before = tree_bytes(out) if premade else None
+    assert run("logs", manifests, "--analysis", analysis, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {last}: "), err
+    if premade:
+        assert tree_bytes(out) == before and sorted(p.name for p in out.rglob("*")) == ["keep.txt", "logs", "stonewall_summary.csv"]
+    else:
+        assert not out.exists()

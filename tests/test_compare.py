@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,28 @@ def test_compare_unknown_revision_is_one_error_line(offline, tmp_path, capsys, r
     err = capsys.readouterr().err
     assert err == "error: 'nosuch' names no commit\n"
     assert not out.exists() and not (tmp_path / "w").exists()
+
+
+def test_stage_rss_runs_a_chain_on_a_given_corpus(tmp_path, capsys, monkeypatch):
+    # tools/stage_rss.py on a 3-package synth corpus: every stage of the
+    # chain runs once, as its own process, and reports its max RSS and time.
+    from io500kit import cli
+
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts bench/ on it
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--seed", "5", "--n", "3", "--out", str(corpus)]) == 0
+    spec = importlib.util.spec_from_file_location("stage_rss", TOOL.with_name("stage_rss.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    capsys.readouterr()
+    argv = ["--workload", "ranks-131k", "--corpus", str(corpus), "--runs", "1", "--work", str(tmp_path / "w"), "--json"]
+    try:
+        assert tool.main(argv) == 0
+    finally:  # the bench modules the tool imported
+        for name in ("bench_run", "workloads", "checks", "tracer"):
+            sys.modules.pop(name, None)
+    stages = json.loads(capsys.readouterr().out)
+    assert list(stages) == ["ingest", "logs-runtime", "logs-close", "logs-stonewall", "logs-stragglers", "logs-pfind"]
+    for figures in stages.values():
+        assert figures["rc"] == 0 and figures["max_rss_mb"] > 10 and figures["wall_s"] > 0
+    assert list((tmp_path / "w").iterdir()) == []  # the chain's files are removed

@@ -551,6 +551,10 @@ def _drop(key):
     return mutate
 
 
+def _both(first, second):
+    return lambda doc: second(first(doc))
+
+
 EASY = ("timing", "ior-easy-write")
 EASY_US = "timing.ior-easy-write"
 NOT_MICROSECONDS = "expected a list of integer microseconds below 2**53 in magnitude"
@@ -587,6 +591,14 @@ MALFORMED_MANIFESTS = [
     (_set((*EASY, "end_s"), [310500000, 312250000.0]), f"{EASY_US}.end_s: {NOT_MICROSECONDS}"),
     (_set((*EASY, "start_s"), [2**53, 500000]), f"{EASY_US}.start_s: {NOT_MICROSECONDS}"),
     (_set((*EASY, "close_s"), [-(2**53), None]), f"{EASY_US}.close_s: {NOT_MICROSECONDS}"),
+    # A column holds JSON numbers (and null where it may): never true or false.
+    (_set((*EASY, "rank"), [0, True]), f"{EASY_US}.rank: expected a list of integers"),
+    (_set((*EASY, "items"), [1000, True]), f"{EASY_US}.items: expected a list of integers"),
+    (_set((*EASY, "end_s"), [310500000, True]), f"{EASY_US}.end_s: expected a list of numbers"),
+    (
+        _both(_set((*EASY, "us"), ["close_s", "start_s"]), _set((*EASY, "end_s"), [310.5, True])),
+        f"{EASY_US}.end_s: expected a list of numbers",
+    ),
     (_set((*EASY, "us"), ["end_s", "rank"]), f"{EASY_US}.us: unknown column 'rank'"),
     (_set((*EASY, "us"), ["end_s", "end_s"]), f"{EASY_US}.us: 'end_s' is listed twice"),
     (_set((*EASY, "close_s"), None), f"{EASY_US}.close_s: null, yet listed in 'us'"),

@@ -20,17 +20,38 @@ them as floats; quantized as synth writes them, they are held as integers:
 | `render_qq` | 1.9x | 3.9x (whole strings) | 3x |
 | `render_group_box` of a close column, log scale | 0.7x | 1.04x (whole strings) | 0.85x |
 | `_file_lines` of two tables, of the longest line | 3.0x | 4.2x (text mode) | 3.5x |
+
+The CLI holds one submission's timing tables at a time: `ingest` loads,
+writes and drops one package at a time, and an analysis decodes each
+submission's tables when it reaches them. So the peak of `ingest`, and of
+`logs --analysis close`, which decodes every table, hardly grows with the
+number of submissions. Each is bounded as the peak on 8 copies of one
+submission over the peak on 2 copies; the loaders before held every
+submission's tables at once. `close` keeps each table's close times for its
+box plot, 8 bytes a value that no loader can drop, so the fixture's close
+times sit in a small table beside a large find table, whose rows are what
+a loader holds or drops. (On a synth submission with close times in two of
+its three 2,048-rank tables, the streamed `close` reads 1.4x.)
+
+| Run, 8 copies over 2 | Streamed | All tables at once | Bound |
+|---|---|---|---|
+| `ingest` of packages | 1.01x | 1.85x | 1.3x |
+| `logs --analysis close` of manifests | 1.00x | 2.82x | 1.3x |
 """
 
 import collections
+import contextlib
 import dataclasses
+import io
 import json
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from io500kit import ingest, loginsight, report, synth
+from io500kit import cli, ingest, loginsight, report, synth
+from conftest import SUMMARY_BASIC
 from io500kit.types import Phase, ProcessTimingTable, Submission, SubmissionMeta
 
 N_RANKS = 65536
@@ -139,3 +160,64 @@ def test_render_group_box_peak(table):
     spec = report.RenderSpec(scale="log10")
     render = lambda: _drained(report.render_group_box([("lustre", closes)], spec, annotate=False))
     assert _traced_peak(render) < 0.85 * _kept(table)
+
+
+FIND_RANKS = 16384
+
+
+@pytest.fixture(scope="module")
+def copies(tmp_path_factory):
+    """{k: (a dir of k copies of one package, a dir of their manifests)} for
+    k = 2 and 8. The package has a FIND_RANKS-rank find table and a 64-rank
+    ior-easy-write table with close times."""
+    rng = np.random.default_rng(7)
+    start = np.round(rng.uniform(0.0, 1.0, FIND_RANKS), 6)
+    find = ProcessTimingTable(
+        phase=Phase.FIND,
+        rank=np.arange(FIND_RANKS),
+        start_s=start,
+        end_s=start + np.round(rng.uniform(5.0, 60.0, FIND_RANKS), 6),
+        items=np.ma.MaskedArray(rng.integers(0, 10**6, FIND_RANKS)),
+    )
+    write = ProcessTimingTable(
+        phase=PHASE,
+        rank=np.arange(64),
+        start_s=np.zeros(64),
+        end_s=np.round(rng.uniform(300.0, 330.0, 64), 6),
+        close_s=np.round(rng.uniform(0.5, 2.0, 64), 6),
+        stonewall_s=300.0,
+    )
+    root = tmp_path_factory.mktemp("copies")
+    pkg = root / "pkg"
+    pkg.mkdir()
+    (pkg / ingest.SUMMARY_FILENAME).write_text(SUMMARY_BASIC)
+    (pkg / ingest.META_FILENAME).write_text("submission_id = copy\nfilesystem = lustre\n")
+    for table in (find, write):
+        (pkg / f"{table.phase.value}.csv").write_text("".join(synth._timing_pieces(table)))
+    dirs = {}
+    for k in (2, 8):
+        packages, manifests = root / f"packages-{k}", root / f"manifests-{k}"
+        for i in range(k):
+            shutil.copytree(pkg, packages / f"copy-{i}")
+        assert _cli(["ingest", packages, "--out", manifests]) == 0
+        dirs[k] = packages, manifests
+    return dirs
+
+
+def _cli(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main([str(arg) for arg in argv])
+
+
+def test_ingest_peak_does_not_grow_with_packages(copies, tmp_path):
+    ingest_copies = lambda k: _cli(["ingest", copies[k][0], "--out", tmp_path / str(k)])
+    peak = {k: _traced_peak(lambda: ingest_copies(k)) for k in copies}
+    assert len(list((tmp_path / "8").glob("*.json"))) == 8
+    assert peak[8] < 1.3 * peak[2], peak
+
+
+def test_close_peak_does_not_grow_with_manifests(copies, tmp_path):
+    close = lambda k: _cli(["logs", copies[k][1], "--analysis", "close", "--out", tmp_path / str(k)])
+    peak = {k: _traced_peak(lambda: close(k)) for k in copies}
+    assert (tmp_path / "8" / "logs" / "close_box.svg").is_file()
+    assert peak[8] < 1.3 * peak[2], peak

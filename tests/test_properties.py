@@ -393,6 +393,48 @@ def test_time_columns_in_microseconds_read_back_bit_for_bit(rows):
             assert [_bits(got.start_s), _bits(got.end_s), _bits(got.close_s)] == [_bits(start), _bits(end), _bits(close)]
 
 
+# A table line whose every column is a list: rank not 0..n-1, start_s and
+# end_s in integer microseconds, close_s in floats (0.1 + 0.2 is no exact
+# microsecond) and item counts.
+FOREIGN_TABLE = ProcessTimingTable(
+    phase=PHASE,
+    rank=np.array([0, 3, 5, 8, 9]),
+    start_s=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+    end_s=np.array([310.5, 312.25, 309.0, 311.0, 330.125]),
+    close_s=np.array([0.1 + 0.2, 1.5, 2.5, 0.75, 1.0]),
+    items=np.ma.MaskedArray([10, 20, 30, 40, 50]),
+    stonewall_s=300.0,
+)
+# JSON values no timing column holds, and a float, which only a float column holds.
+FOREIGN_VALUES = [True, False, "1", [], {}]
+
+
+def test_a_foreign_value_in_any_column_names_the_column():
+    # Every column, at its first, a middle and its last index, with each value
+    # a column of its kind must refuse: both readers raise a ValidationError
+    # that names the column.
+    sub = Submission(meta=SubmissionMeta(submission_id="foreign"), timing={PHASE: FOREIGN_TABLE})
+    header, line = ingest.dumps_manifest(sub).splitlines()
+    valid = json.loads(line)
+    assert valid["us"] == ["end_s", "start_s"] and all(isinstance(valid[key], list) for key in ingest._COLUMNS)
+    checked = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        for key, index, value in itertools.product(ingest._COLUMNS, (0, 2, 4), FOREIGN_VALUES + [1.5]):
+            if value == 1.5 and key == "close_s":
+                continue  # a float column
+            damaged = {**valid, key: [*valid[key][:index], value, *valid[key][index + 1 :]]}
+            tree = ingest.to_manifest(sub)
+            tree["timing"][PHASE.value] = {k: v for k, v in damaged.items() if k != "phase"}
+            path.write_text(f"{header}\n{json.dumps(damaged)}\n", encoding="utf-8")
+            for read, prefix in ((lambda: ingest.from_manifest(tree), ""), (lambda: ingest.read_manifest(path), f"{path}: ")):
+                with pytest.raises(ValidationError) as excinfo:
+                    read()
+                assert str(excinfo.value).startswith(f"{prefix}timing.{PHASE.value}.{key}: expected a list of "), (key, index, value)
+            checked += 1
+    assert checked == 5 * 3 * 5 + 4 * 3
+
+
 # Pieces of a file's bytes: line ends of each kind, characters of two to four
 # bytes, and bytes that are not UTF-8 (a stray lead or continuation byte, a cut
 # sequence, an overlong form), besides a byte order mark.
