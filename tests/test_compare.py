@@ -115,26 +115,20 @@ def test_compare_unknown_revision_is_one_error_line(offline, tmp_path, capsys, r
     assert not out.exists() and not (tmp_path / "w").exists()
 
 
-def test_stage_rss_runs_a_chain_on_a_given_corpus(tmp_path, capsys, monkeypatch):
+def test_stage_rss_runs_a_chain_on_a_given_corpus(tmp_path):
     # tools/stage_rss.py on a 3-package synth corpus: every stage of the
-    # chain runs once, as its own process, and reports its max RSS and time.
+    # chain runs once, as its own process, and reports its max RSS and time,
+    # all above the tool's own peak, which floors them.
     from io500kit import cli
 
-    monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts bench/ on it
     corpus = tmp_path / "corpus"
     assert cli.main(["synth", "--seed", "5", "--n", "3", "--out", str(corpus)]) == 0
-    spec = importlib.util.spec_from_file_location("stage_rss", TOOL.with_name("stage_rss.py"))
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    capsys.readouterr()
     argv = ["--workload", "ranks-131k", "--corpus", str(corpus), "--runs", "1", "--work", str(tmp_path / "w"), "--json"]
-    try:
-        assert tool.main(argv) == 0
-    finally:  # the bench modules the tool imported
-        for name in ("bench_run", "workloads", "checks", "tracer"):
-            sys.modules.pop(name, None)
-    stages = json.loads(capsys.readouterr().out)
+    proc = subprocess.run([sys.executable, TOOL.with_name("stage_rss.py"), *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    stages = result["stages"]
     assert list(stages) == ["ingest", "logs-runtime", "logs-close", "logs-stonewall", "logs-stragglers", "logs-pfind"]
     for figures in stages.values():
-        assert figures["rc"] == 0 and figures["max_rss_mb"] > 10 and figures["wall_s"] > 0
+        assert figures["rc"] == 0 and figures["max_rss_mb"] > result["floor_mb"] > 0 and figures["wall_s"] > 0
     assert list((tmp_path / "w").iterdir()) == []  # the chain's files are removed

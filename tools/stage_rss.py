@@ -10,16 +10,23 @@ max RSS from `os.wait4`. The stages and their argv come from
 `bench/workloads.py`. The chain runs `--runs` times (default 3), and each
 stage's figures are the medians over the runs.
 
+A child's max RSS from `os.wait4` is never below its parent's peak RSS
+when the child was started: the child is started with vfork, and exec
+keeps the larger of the two high-water marks. So this tool keeps its own
+memory small (it does not import io500kit; a workload's corpus seed is
+searched in a child process) and prints its own peak as the floor under
+which no stage reading means anything.
+
 Without `--corpus`, the workload's corpus is made first with `synth`, from
 its synth config and the synth seed the bench takes for `--seed` (default
 61). With `--corpus DIR`, the chain runs on that package directory instead.
 The chain's manifests and outputs go under `--work` (default: a new
 temporary directory, removed at the end).
 
-Prints one line per stage, `stage  max RSS MB  wall s`, or with `--json`
-one JSON object, by stage, of `{"max_rss_mb", "wall_s", "rc"}` (the
-nonzero exit code of a stage that failed in any run, else 0). Exits 1 when
-a stage failed.
+Prints the floor and one line per stage, `stage  max RSS MB  wall s`, or
+with `--json` one JSON object: `floor_mb`, and `stages`, by stage, of
+`{"max_rss_mb", "wall_s", "rc"}` (the nonzero exit code of a stage that
+failed in any run, else 0). Exits 1 when a stage failed.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import importlib.util
 import json
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -38,15 +46,25 @@ BENCH = ROOT / "bench"
 
 
 def _bench():
-    """bench/run.py as a module, with bench/ and src/ on sys.path as it needs them."""
-    for path in (BENCH, ROOT / "src"):
-        if str(path) not in sys.path:
-            sys.path.insert(0, str(path))
+    """bench/run.py as a module, with bench/ on sys.path as it needs it."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # for its dataclasses
     spec.loader.exec_module(module)
     return module
+
+
+def _own_peak_mb() -> float:
+    """This process's peak RSS: its VmHWM, the high-water mark a child's exec
+    keeps. `ru_maxrss` would not do: it also holds the peak of the process
+    that started this one."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM in /proc/self/status")
 
 
 def measure(bench, workload: str, seed: int, runs: int, corpus: Path | None, work: Path) -> dict[str, dict]:
@@ -61,7 +79,12 @@ def measure(bench, workload: str, seed: int, runs: int, corpus: Path | None, wor
         config = work / "synth.json"
         config.write_text(json.dumps(chosen.synth), encoding="utf-8")
         corpus = work / "corpus"
-        argv = synth_argv(config, chosen.corpus_seed(seed % SEED_SPACE), corpus)
+        # In a child, so that the seed search's corpora do not raise the floor.
+        search = f"import workloads; print(workloads.WORKLOADS[{workload!r}].corpus_seed({seed % SEED_SPACE}))"
+        found = subprocess.run(
+            [sys.executable, "-c", search], cwd=BENCH, env=env, capture_output=True, text=True, check=True
+        )
+        argv = synth_argv(config, int(found.stdout), corpus)
         if bench.Runner(env).cli(argv, logs / "synth").rc != 0:
             raise RuntimeError("synth failed")
     chain = work / "chain"
@@ -90,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=61)
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--corpus", type=Path, help="a package directory to run the chain on")
-    parser.add_argument("--work", type=Path, help="where the chain writes (default: a new temporary directory)")
+    parser.add_argument("--work", type=Path, help="where the chain writes (default: a temporary directory)")
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     if args.runs < 1:
@@ -104,10 +127,11 @@ def main(argv: list[str] | None = None) -> int:
         stages = measure(bench, args.workload, args.seed, args.runs, corpus, work)
     finally:
         shutil.rmtree(work)
+    floor_mb = _own_peak_mb()
     if args.json:
-        print(json.dumps(stages))
+        print(json.dumps({"floor_mb": floor_mb, "stages": stages}))
     else:
-        print(f"{args.workload}: median of {args.runs} run(s)")
+        print(f"{args.workload}: median of {args.runs} run(s); readings floor at {floor_mb:.1f} MB")
         for stage, figures in stages.items():
             failed = f"  exit {figures['rc']}" if figures["rc"] else ""
             print(f"  {stage:16s} {figures['max_rss_mb']:7.1f} MB {figures['wall_s']:7.3f} s{failed}")
