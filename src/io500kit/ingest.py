@@ -912,11 +912,11 @@ _NULL = type(None)
 def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = False):
     """A timing column from its JSON list, of a kind set by the exact types of
     its values, found in one pass before any numpy conversion: int64 where
-    every value is an integer that fits one (masked where null), else, for a
-    time column, float64 (NaN where null); _seconds makes a time column
-    seconds. Any other value, `true` and `false` among them, is refused. A
-    numpy column is one _table_line has converted already; None is a column
-    at its default."""
+    every value is an integer (masked where null; refused if one does not
+    fit), else, for a time column of numbers, float64 (NaN where null);
+    _seconds makes a time column seconds. Any other value, `true` and
+    `false` among them, is refused. A numpy column is one _table_line has
+    converted already; None is a column at its default."""
     values = _get(spec, key, (list, np.ndarray), where, nullable=key in _DEFAULTED)
     if values is None or isinstance(values, np.ndarray):
         return values
