@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import itertools
 import math
 import os
 import re
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -74,8 +75,8 @@ def _load_packages(paths: list[str], phases=None) -> tuple[list[tuple[str, Calla
     order: the stem its manifest takes, and a call that parses its timing
     CSVs of `phases` (all when None) and returns the whole Submission; and
     `<package dir>: <reason>` for each package that does not load. Every
-    summary and meta is read here, so a bad package is left out before any
-    output is made."""
+    summary and meta is read here, once, so a bad package is left out
+    before any output is made."""
     found: list[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -90,26 +91,24 @@ def _load_packages(paths: list[str], phases=None) -> tuple[list[tuple[str, Calla
         except Io500KitError as exc:
             errors.append(f"{pkg}: {exc}")
     stems = _file_stems(header for _, header in headers)
-    loaders = [functools.partial(_with_timing, pkg, header, phases) for pkg, header in headers]
+    loaders = [functools.partial(ingest.load_submission, pkg, phases, header) for pkg, header in headers]
     return list(zip(stems, loaders)), errors
 
 
-def _with_timing(pkg: Path, header: Submission, phases) -> Submission:
-    """A package's Submission: its header with the timing tables of `phases`."""
-    timing, warnings = ingest.load_package_timing(pkg, phases)
-    return dataclasses.replace(header, timing=timing, warnings=header.warnings + warnings)
-
-
 class _Output:
-    """A run's --out directory, which records each file and directory the
-    run makes under it. Used as a context manager, it removes them all when
-    the run fails part way, a file the run overwrote too, so that the run
-    leaves no output of its own."""
+    """A run's --out directory, which records each file the run writes and
+    each directory it makes under it. A file already there is moved aside
+    into a spare directory before the run first writes it. Used as a context
+    manager, it lets those old files go when the run succeeds; when the run
+    fails part way, it removes each file the run wrote, puts each old file
+    back, and removes each directory the run made, so that the run leaves
+    --out as it found it."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self.files: list[Path] = []
+        self.files: dict[Path, Path | None] = {}  # each file written: where its old file waits, if any
         self.dirs: list[Path] = []  # parents before their children
+        self.spare: Path | None = None
 
     def make(self, directory: Path) -> None:
         missing = list(itertools.takewhile(lambda d: not d.exists(), (directory, *directory.parents)))
@@ -118,14 +117,35 @@ class _Output:
         finally:
             self.dirs.extend(d for d in reversed(missing) if d.is_dir())
 
+    def _claim(self, path: Path) -> None:
+        """Record `path` before the run first writes it, moving a file
+        already there aside. A directory there is left for the write to
+        refuse."""
+        if path in self.files:
+            return
+        old = None
+        if os.path.lexists(path) and not path.is_dir():
+            if self.spare is None:
+                self.spare = Path(tempfile.mkdtemp(prefix=".io500kit-old-", dir=self.path))
+            old = self.spare / str(len(self.files))
+            os.replace(path, old)
+        self.files[path] = old
+
     def write(self, analysis: str, name: str, pieces) -> None:
         """report.write_render under this directory."""
-        self.make(self.path / analysis)
-        self.files.extend(report.write_render(self.path, analysis, name, pieces))
+        directory = self.path / analysis
+        self.make(directory)
+
+        def claimed():
+            for suffix, text in pieces:
+                self._claim(directory / f"{name}.{suffix}")
+                yield suffix, text
+
+        report.write_render(self.path, analysis, name, claimed())
 
     def manifest(self, sub: Submission, stem: str) -> None:
         path = self.path / f"{stem}.json"
-        self.files.append(path)
+        self._claim(path)
         ingest.write_manifest(sub, path)
 
     def __enter__(self) -> "_Output":
@@ -133,11 +153,17 @@ class _Output:
 
     def __exit__(self, kind, exc, tb) -> None:
         if kind is None:
+            if self.spare is not None:
+                shutil.rmtree(self.spare)
             return
-        for path in self.files:
+        for path, old in self.files.items():
             with contextlib.suppress(OSError):  # such as a file a failed write removed itself
-                path.unlink()
-        for directory in reversed(self.dirs):
+                if old is None:
+                    path.unlink()
+                else:
+                    os.replace(old, path)
+        # The spare directory is kept, with what it holds, if an old file did not go back.
+        for directory in ([self.spare] if self.spare else []) + self.dirs[::-1]:
             with contextlib.suppress(OSError):  # such as a directory another process wrote to
                 directory.rmdir()
 
@@ -240,7 +266,7 @@ def _load(path: str, phases) -> tuple[Iterator[tuple[str, Submission]], list[str
     if loaders or errors:
         loaders.sort(key=lambda item: f"{item[0]}.json")
     else:
-        manifests = sorted(Path(path).glob("*.json"))
+        manifests = ingest.manifest_paths(path)
         if not manifests:
             raise EmptyInputError(f"no manifests or packages found under {path}")
         loaders = [(p.stem, functools.partial(ingest.read_manifest, p, phases)) for p in manifests]
@@ -506,7 +532,7 @@ def cmd_analysis(args) -> int:
     run, phases = ANALYSES[args.analysis if args.command == "logs" else args.command]
     subs, errors = _load(args.path, phases)
     args.out = _Output(args.out)
-    with args.out:  # a run that fails part way removes what it wrote
+    with args.out:  # a run that fails part way leaves --out as it found it
         print(run(subs, args, config))
     for entry in errors:
         print(f"error: {entry}", file=sys.stderr)

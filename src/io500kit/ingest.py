@@ -16,7 +16,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterator, Mapping, get_args, get_type_hints
 
@@ -705,12 +705,21 @@ def load_package_header(package_dir: str | Path) -> Submission:
     )
 
 
-def load_package_timing(
-    package_dir: str | Path, phases: Collection[Phase] | None = None
-) -> tuple[dict[Phase, ProcessTimingTable], list[str]]:
-    """The timing tables of a package's `<phase>*.csv` files, of `phases`
-    only (all when None), and the warnings they raise: a corrupt timing CSV
-    is discarded with a warning."""
+def load_submission(
+    package_dir: str | Path, phases: Collection[Phase] | None = None, header: Submission | None = None
+) -> Submission:
+    """Assemble a Submission from a package directory, parsing only the
+    timing CSVs of `phases` (all when None); the others are left out.
+
+    Requires `result_summary.txt`; `meta.txt` and per-phase `<phase>*.csv`
+    timing files are optional. A corrupt timing CSV degrades to a warning;
+    a missing, unreadable or unparseable summary or meta file is fatal.
+    `header`, the package's load_package_header where the caller has read
+    it already, stands in for reading the summary and meta again; it is
+    not changed.
+    """
+    if header is None:
+        header = load_package_header(package_dir)
     warnings: list[str] = []
     timing: dict[Phase, ProcessTimingTable] = {}
     for csv_path in sorted(Path(package_dir).glob("*.csv")):
@@ -730,21 +739,7 @@ def load_package_timing(
             continue
         warnings.extend(table_warnings)
         timing[phase] = table
-    return timing, warnings
-
-
-def load_submission(package_dir: str | Path, phases: Collection[Phase] | None = None) -> Submission:
-    """Assemble a Submission from a package directory, parsing only the
-    timing CSVs of `phases` (all when None); the others are left out.
-
-    Requires `result_summary.txt`; `meta.txt` and per-phase `<phase>*.csv`
-    timing files are optional. A corrupt timing CSV degrades to a warning;
-    a missing, unreadable or unparseable summary or meta file is fatal.
-    """
-    sub = load_package_header(package_dir)
-    sub.timing, warnings = load_package_timing(package_dir, phases)
-    sub.warnings.extend(warnings)
-    return sub
+    return replace(header, timing=timing, warnings=header.warnings + warnings)
 
 
 # --- manifest interchange ------------------------------------------------------
@@ -1277,13 +1272,17 @@ def read_manifest(path: str | Path, phases: Collection[Phase] | None = None) -> 
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def manifest_paths(directory: str | Path) -> list[Path]:
+    """The manifests of a directory: its `*.json` files, in file-name order."""
+    return sorted(Path(directory).glob("*.json"))
+
+
 def read_manifest_dir(
     directory: str | Path, phases: Collection[Phase] | None = None
 ) -> dict[str, Submission]:
-    """Load every `*.json` manifest in a directory, keyed by its file stem in
+    """Load every manifest in a directory, keyed by its file stem in
     file-name order, with the timing tables of `phases` (all when None)."""
-    directory = Path(directory)
-    paths = sorted(directory.glob("*.json"))
+    paths = manifest_paths(directory)
     if not paths:
         raise EmptyInputError(f"no manifests found in {directory}")
     return {p.stem: read_manifest(p, phases) for p in paths}

@@ -1104,6 +1104,24 @@ def _damage_table_line(path: Path, phase: str) -> None:
     path.write_text("\n".join(lines))
 
 
+def _earlier_run(out: Path, files: Path | None = None) -> dict[str, bytes]:
+    """Make `out` hold the files under `files` (none when None), each with
+    bytes of its own, and a file of the user's; return what it holds."""
+    out.mkdir(parents=True)
+    for path in sorted(files.rglob("*")) if files else []:
+        target = out / path.relative_to(files)
+        if path.is_dir():
+            target.mkdir()
+        else:
+            target.write_text(f"an earlier run's {path.name}\n")
+    (out / "keep.txt").write_text("kept\n")
+    return tree_bytes(out)
+
+
+def _all_paths(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
 @pytest.mark.parametrize("damage", [_truncate_last_line, _damage_table_line])
 @pytest.mark.parametrize("analysis, phase", [("stonewall", "ior-hard-write"), ("pfind", "find")])
 @pytest.mark.parametrize("premade", [False, True])
@@ -1118,16 +1136,44 @@ def test_run_failing_part_way_removes_what_it_wrote(manifests, tmp_path, capsys,
     last = sorted(manifests.glob("*.json"))[-1]
     damage(last, phase)
     out = tmp_path / "out"
-    if premade:
-        (out / "logs").mkdir(parents=True)
-        (out / "keep.txt").write_text("kept\n")
-        (out / "logs" / "stonewall_summary.csv").write_text("an earlier run's\n")
-    before = tree_bytes(out) if premade else None
+    # A pre-made --out holds a finished run of the same analysis, every file
+    # of which the failing run overwrites before it fails, or would.
+    before = _earlier_run(out, intact) if premade else None
+    paths = _all_paths(out) if premade else None
     assert run("logs", manifests, "--analysis", analysis, "--out", out) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {last}: "), err
     if premade:
         assert tree_bytes(out) == before
-        assert sorted(p.name for p in out.rglob("*")) == ["keep.txt", "logs", "stonewall_summary.csv"]
+        assert _all_paths(out) == paths
     else:
         assert not out.exists()
+
+
+def test_run_succeeding_over_an_earlier_run_replaces_its_files(manifests, tmp_path):
+    intact = tmp_path / "intact"
+    assert run("logs", manifests, "--analysis", "stonewall", "--out", intact) == 0
+    out = tmp_path / "out"
+    _earlier_run(out, intact)
+    assert run("logs", manifests, "--analysis", "stonewall", "--out", out) == 0
+    assert tree_bytes(out) == {**tree_bytes(intact), "keep.txt": b"kept\n"}
+    assert _all_paths(out) == sorted(["keep.txt", *_all_paths(intact)])
+
+
+def test_ingest_failing_part_way_leaves_earlier_manifests(corpus, manifests, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    before = _earlier_run(out, manifests)
+    paths = _all_paths(out)
+    load, calls = ingest.load_submission, []
+
+    def failing_third(pkg, *rest):
+        calls.append(pkg)
+        if len(calls) == 3:
+            raise ingest.LoadError(f"{pkg}: gone")
+        return load(pkg, *rest)
+
+    monkeypatch.setattr(ingest, "load_submission", failing_third)
+    assert run("ingest", corpus, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {calls[2]}: gone"]
+    assert tree_bytes(out) == before
+    assert _all_paths(out) == paths

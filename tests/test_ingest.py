@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import tracemalloc
@@ -441,6 +442,18 @@ def test_load_submission_discovers_timing(tmp_path, summary_basic):
     )
     sub = ingest.load_submission(pkg)
     assert set(sub.timing) == {Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE}
+
+
+def test_load_submission_takes_its_header_read_already(tmp_path, summary_basic, monkeypatch):
+    timing = "# stonewall_s=300\nrank,start,end\n0,0,310\n1,0,312\n"
+    csvs = {"ior-easy-write.csv": timing, "notaphase.csv": timing}
+    pkg = _write_package(tmp_path, summary_basic, meta=META_BASIC, csvs=csvs)
+    whole = ingest.load_submission(pkg)
+    header = ingest.load_package_header(pkg)
+    kept = copy.deepcopy(header)
+    monkeypatch.setattr(ingest, "load_package_header", None)  # not read again
+    assert ingest.load_submission(pkg, None, header) == whole
+    assert header == kept and not header.timing
 
 
 def test_load_submission_parses_only_the_timing_of_phases(tmp_path, summary_basic, monkeypatch):
