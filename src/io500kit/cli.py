@@ -281,7 +281,7 @@ def _per_table(subs, analyze, noted, notes: list[str]):
     for stem, sub in subs:
         meta, timing = sub.meta, sub.timing
         del sub  # its tables go with `timing`, before the next submission is loaded
-        for phase in sorted(timing, key=lambda p: p.value):
+        for phase in timing:
             try:
                 result = analyze(timing[phase])
             except noted as exc:

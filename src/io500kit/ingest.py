@@ -157,10 +157,10 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
     repeats are the lines checked one at a time, to raise the error for the
     first offending line.
     """
-    stonewall_s, width, col, body, first_line = _timing_layout(text, phase)
-    parsed = _timing_columns(body, width, col, phase)
+    stonewall_s, width, col, start, first_line = _timing_layout(text, phase)
+    parsed = _timing_columns(text, start, width, col, phase)
     if parsed is None:
-        _raise_first_bad_line(body, first_line, width, col, phase)
+        _raise_first_bad_line(text, start, first_line, width, col, phase)
     columns, warnings = parsed
     return ProcessTimingTable(phase=phase, stonewall_s=stonewall_s, **columns), warnings
 
@@ -170,31 +170,21 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
 _SLICE_CHARS = 1 << 18
 
 
-class _Body:
-    """The data lines of a timing CSV: the lines `text[start:].splitlines()`
-    gives, without that copy. Iterating gives every line at once, which only
-    the error path does; `slices` cuts the text into pieces instead."""
-
-    def __init__(self, text: str, start: int):
-        self.text, self.start = text, start
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.text[self.start :].splitlines())
-
-    def slices(self) -> Iterator[str]:
-        """The body in pieces of about _SLICE_CHARS, at least one, each cut just
-        after a "\n". A "\r\n" then never straddles a cut, so the pieces'
-        splitlines() concatenate to the whole body's."""
-        text, at, n = self.text, self.start, len(self.text)
-        while True:
-            end = n
-            if n - at > _SLICE_CHARS:
-                # After the last "\n" within the slice, or after the first beyond it.
-                end = text.rfind("\n", at, at + _SLICE_CHARS) + 1 or text.find("\n", at + _SLICE_CHARS) + 1 or n
-            yield text[at:end]
-            at = end
-            if at >= n:
-                return
+def _slices(text: str, start: int) -> Iterator[str]:
+    """The data lines of a timing CSV, `text[start:]`, in pieces of about
+    _SLICE_CHARS, at least one, each cut just after a "\n". A "\r\n" then
+    never straddles a cut, so the pieces' splitlines() concatenate to the
+    lines `text[start:].splitlines()` gives, without that copy."""
+    at, n = start, len(text)
+    while True:
+        end = n
+        if n - at > _SLICE_CHARS:
+            # After the last "\n" within the slice, or after the first beyond it.
+            end = text.rfind("\n", at, at + _SLICE_CHARS) + 1 or text.find("\n", at + _SLICE_CHARS) + 1 or n
+        yield text[at:end]
+        at = end
+        if at >= n:
+            return
 
 
 def _leading_lines(text: str) -> Iterator[tuple[str, int]]:
@@ -209,8 +199,8 @@ def _leading_lines(text: str) -> Iterator[tuple[str, int]]:
 
 
 def _timing_layout(text: str, phase: Phase):
-    """Stonewall, header width, column index, data lines (a _Body) and the
-    first data line's number. Reads the text only up to its header line."""
+    """Stonewall, header width, column index, the offset of the data lines
+    and the first data line's number. Reads the text only up to its header line."""
     stonewall_s: float | None = None
     for idx, (line, end) in enumerate(_leading_lines(text)):
         stripped = line.lstrip()
@@ -228,7 +218,7 @@ def _timing_layout(text: str, phase: Phase):
                 f"{phase}: missing required columns {missing}; found {header}"
             )
         col = {name: header.index(name) for name in header}
-        return stonewall_s, len(header), col, _Body(text, end), idx + 2
+        return stonewall_s, len(header), col, end, idx + 2
     raise SchemaError(f"{phase}: timing CSV has no header")
 
 
@@ -278,11 +268,11 @@ def _chunk_columns(lines: list[str], width: int, col: dict[str, int]):
     return chunk
 
 
-def _timing_columns(body: _Body, width: int, col: dict[str, int], phase: Phase):
-    """Whole-column conversion of the data lines, a slice of the text at a time:
-    (columns, warnings), or None when some cell does not convert or a rank repeats."""
+def _timing_columns(text: str, start: int, width: int, col: dict[str, int], phase: Phase):
+    """Whole-column conversion of the data lines from `start`, a slice of the text at
+    a time: (columns, warnings), or None when some cell does not convert or a rank repeats."""
     chunks = []
-    for piece in body.slices():
+    for piece in _slices(text, start):
         chunk = _chunk_columns(piece.splitlines(), width, col)
         if chunk is None:
             return None
@@ -333,12 +323,14 @@ def _timing_columns(body: _Body, width: int, col: dict[str, int], phase: Phase):
     return columns, warnings
 
 
-def _raise_first_bad_line(body: _Body, first_line: int, width: int, col: dict[str, int], phase: Phase):
+def _raise_first_bad_line(text: str, start: int, first_line: int, width: int, col: dict[str, int], phase: Phase):
     """Raise the error of the earliest data line whose cells do not convert or
-    whose rank repeats, scanning from the first: the checks of a row-by-row
-    parse, in its order. Called only when the column conversion has failed."""
+    whose rank repeats, scanning from the first, a slice of the text at a time:
+    the checks of a row-by-row parse, in its order. Called only when the column
+    conversion has failed."""
     seen_ranks: set[int] = set()
-    for line_no, line in enumerate(body, start=first_line):
+    lines = (line for piece in _slices(text, start) for line in piece.splitlines())
+    for line_no, line in enumerate(lines, start=first_line):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = [c.strip() for c in line.split(",")]
@@ -745,16 +737,12 @@ def load_submission(
 # --- manifest interchange ------------------------------------------------------
 
 
-def _sorted_tables(sub: Submission) -> list[tuple[str, ProcessTimingTable]]:
-    return sorted((phase.value, table) for phase, table in sub.timing.items())  # names are unique
-
-
 def _header_tree(sub: Submission, timing: Any) -> dict[str, Any]:
     """The manifest document tree with `timing` as given."""
     return {
         "format_version": MANIFEST_FORMAT_VERSION,
         "meta": asdict(sub.meta),
-        "phases": [asdict(sub.phases[p]) for p in Phase if p in sub.phases],
+        "phases": [asdict(result) for result in sub.phases.values()],
         "reported_score_bw": sub.reported_score_bw,
         "reported_score_md": sub.reported_score_md,
         "reported_score_overall": sub.reported_score_overall,
@@ -832,7 +820,7 @@ def to_manifest(sub: Submission) -> dict[str, Any]:
     The tree holds `timing` as a dict from phase name to table;
     the manifest file holds each table on a line of its own.
     """
-    return _header_tree(sub, {name: _table_tree(table) for name, table in _sorted_tables(sub)})
+    return _header_tree(sub, {phase.value: _table_tree(table) for phase, table in sub.timing.items()})
 
 
 # JSON value kinds a manifest field may hold. bool is not a number here.
@@ -1041,10 +1029,9 @@ def _manifest_pieces(sub: Submission) -> Iterator[str]:
     object plus its `phase`. Every line is strict, compact JSON with sorted
     keys, a form that keeps the stdlib's C encoder.
     """
-    tables = _sorted_tables(sub)
-    yield _json_line(_header_tree(sub, [name for name, _ in tables]))
-    for name, table in tables:
-        yield from _table_line_pieces(name, table)
+    yield _json_line(_header_tree(sub, [phase.value for phase in sub.timing]))
+    for phase, table in sub.timing.items():
+        yield from _table_line_pieces(phase.value, table)
 
 
 def _json_line(part: dict[str, Any]) -> str:
@@ -1275,14 +1262,3 @@ def read_manifest(path: str | Path, phases: Collection[Phase] | None = None) -> 
 def manifest_paths(directory: str | Path) -> list[Path]:
     """The manifests of a directory: its `*.json` files, in file-name order."""
     return sorted(Path(directory).glob("*.json"))
-
-
-def read_manifest_dir(
-    directory: str | Path, phases: Collection[Phase] | None = None
-) -> dict[str, Submission]:
-    """Load every manifest in a directory, keyed by its file stem in
-    file-name order, with the timing tables of `phases` (all when None)."""
-    paths = manifest_paths(directory)
-    if not paths:
-        raise EmptyInputError(f"no manifests found in {directory}")
-    return {p.stem: read_manifest(p, phases) for p in paths}

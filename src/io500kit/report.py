@@ -132,13 +132,6 @@ def tables(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[Piece]:
     return [("csv", csv_table(header, rows)), ("txt", aligned_table(header, rows))]
 
 
-def _sidecar_rows(sidecar: str) -> Iterator[list[str]]:
-    """The rows of a CSV sidecar after its header."""
-    reader = csv.reader(io.StringIO(sidecar))
-    next(reader)
-    return reader
-
-
 # --- tables -----------------------------------------------------------------
 
 
@@ -308,21 +301,13 @@ def _points(circle: str, clamped_circle: str, clamped: np.ndarray, *columns, lif
 # --- correlation heatmap ---------------------------------------------------------
 
 
-@dataclass
-class HeatmapData:
-    variables: list[str]
-    coeff: np.ndarray
-    p_raw: np.ndarray
-    p_adjusted: np.ndarray
-    significant: np.ndarray
-
-
 def render_corr_heatmap(report, spec: RenderSpec | None = None) -> Iterator[Piece]:
     """Correlation matrix as circles: radius tracks |coefficient|, fill the
     sign, hatching marks pairs that did not survive FDR correction. Yields
     the sidecar, then the SVG a row of cells at a time.
 
-    Accepts a stats.CorrelationReport or a HeatmapData re-read from a sidecar.
+    Takes a stats.CorrelationReport, or any object with its `variables`,
+    `coeff`, `p_raw`, `p_adjusted` and `significant`.
     """
     spec = spec or RenderSpec()
     k = len(report.variables)
@@ -395,26 +380,6 @@ def render_corr_heatmap(report, spec: RenderSpec | None = None) -> Iterator[Piec
     yield "svg", _SVG_END
 
 
-def heatmap_from_sidecar(sidecar: str) -> HeatmapData:
-    """Rebuild heatmap input from its CSV sidecar (diagonal is implied)."""
-    entries = list(_sidecar_rows(sidecar))
-    variables = list(dict.fromkeys(name for row in entries for name in row[:2]))
-    k = len(variables)
-    idx = {name: i for i, name in enumerate(variables)}
-    coeff = np.eye(k)
-    p_raw = np.zeros((k, k))
-    p_adj = np.zeros((k, k))
-    significant = np.zeros((k, k), dtype=bool)
-    for a, b, c, pr, pa, sig in entries:
-        i, j = idx[a], idx[b]
-        # An empty cell is a NaN.
-        coeff[i, j] = coeff[j, i] = float(c or "nan")
-        p_raw[i, j] = p_raw[j, i] = float(pr or "nan")
-        p_adj[i, j] = p_adj[j, i] = float(pa or "nan")
-        significant[i, j] = significant[j, i] = sig == "true"
-    return HeatmapData(variables, coeff, p_raw, p_adj, significant)
-
-
 # --- Q-Q plot ---------------------------------------------------------------------
 
 
@@ -425,7 +390,7 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
     """Stonewall-ratio Q-Q plot with a reference line at ratio 1.0.
 
     qq_pairs is an (n, 2) array of (quantile, ratio) rows, such as
-    StonewallRatios.qq, or a list of pairs, such as qq_from_sidecar returns.
+    StonewallRatios.qq, or a list of (quantile, ratio) pairs.
     A NaN or infinite value, or a quantile outside [0, 1], raises ValueError
     here, before any piece. The pieces are the sidecar's, then the SVG's, a
     block of points at a time.
@@ -478,10 +443,6 @@ def render_qq(qq_pairs: Sequence[tuple[float, float]] | np.ndarray, spec: Render
         yield "svg", _lines(labels) + _SVG_END
 
     return pieces()
-
-
-def qq_from_sidecar(sidecar: str) -> list[tuple[float, float]]:
-    return [(float(q), float(r)) for q, r, _ in _sidecar_rows(sidecar)]
 
 
 # --- grouped box plot ---------------------------------------------------------------
@@ -588,13 +549,6 @@ def render_group_box(
     return pieces()
 
 
-def groups_from_sidecar(sidecar: str) -> list[tuple[str, list[float]]]:
-    grouped: dict[str, list[float]] = {}
-    for label, value in _sidecar_rows(sidecar):
-        grouped.setdefault(label, []).append(float(value))
-    return list(grouped.items())
-
-
 # --- score strip -----------------------------------------------------------------
 
 
@@ -654,10 +608,6 @@ def render_score_strip(rows: Sequence[tuple[str, float]], spec: RenderSpec | Non
         yield "svg", _lines(parts) + _SVG_END
 
     return pieces()
-
-
-def strip_from_sidecar(sidecar: str) -> list[tuple[str, float]]:
-    return [(label, float(value)) for label, value, _ in _sidecar_rows(sidecar)]
 
 
 # --- output layout -----------------------------------------------------------------

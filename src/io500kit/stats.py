@@ -244,12 +244,6 @@ class CorrelationReport:
     n_per_pair: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
-    def index(self, name: str) -> int:
-        return self.variables.index(name)
-
-    def coefficient(self, a: str, b: str) -> float:
-        return float(self.coeff[self.index(a), self.index(b)])
-
 
 def correlation_matrix(
     names: Sequence[str],

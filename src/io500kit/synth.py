@@ -223,6 +223,7 @@ def gen_timing(
     true_set = model.place(n_ranks, rng)
 
     starts = rng.uniform(0.0, 1.0, size=n_ranks)
+    closes = items = stonewall = None
     if phase is Phase.FIND:
         skew = items_skew if items_skew is not None else 1.3
         positions = rng.permutation(n_ranks)
@@ -231,32 +232,26 @@ def gen_timing(
         items = np.maximum(1, np.round(100_000.0 * weights)).astype(int)
         rate = rng.uniform(2000.0, 4000.0)  # items per second, shared scan rate
         runtimes = items / rate
-        table = ProcessTimingTable(
-            phase=phase,
-            rank=np.arange(n_ranks),
-            start_s=_r6_array(starts),
-            end_s=_r6_array(starts + runtimes),
-            items=items,
-        )
-        return table, frozenset()
-
-    # Band floor 1.001 keeps runtimes above the stonewall even after the
-    # 6-decimal quantization of start/end.
-    factors = rng.uniform(1.001, 1.05, size=n_ranks)
-    slow = rng.uniform(0.9, 1.1, size=n_ranks)
-    slow_mask = np.isin(np.arange(n_ranks), list(true_set))
-    runtimes = np.where(slow_mask, stonewall_s * model.slow_factor * slow, stonewall_s * factors)
-    closes: np.ndarray | None = None
-    if close is not None:
-        closes = rng.lognormal(mean=np.log(close.median_s), sigma=close.sigma, size=n_ranks)
-        closes = _r6_array(np.minimum(closes, runtimes))
+        true_set = frozenset()  # placed all the same, so that the draws keep their order
+    else:
+        # Band floor 1.001 keeps runtimes above the stonewall even after the
+        # 6-decimal quantization of start/end.
+        factors = rng.uniform(1.001, 1.05, size=n_ranks)
+        slow = rng.uniform(0.9, 1.1, size=n_ranks)
+        slow_mask = np.isin(np.arange(n_ranks), list(true_set))
+        runtimes = np.where(slow_mask, stonewall_s * model.slow_factor * slow, stonewall_s * factors)
+        if close is not None:
+            closes = rng.lognormal(mean=np.log(close.median_s), sigma=close.sigma, size=n_ranks)
+            closes = _r6_array(np.minimum(closes, runtimes))
+        stonewall = float(stonewall_s)
     table = ProcessTimingTable(
         phase=phase,
         rank=np.arange(n_ranks),
         start_s=_r6_array(starts),
         end_s=_r6_array(starts + runtimes),
         close_s=closes,
-        stonewall_s=float(stonewall_s),
+        items=items,
+        stonewall_s=stonewall,
     )
     return table, true_set
 
@@ -670,7 +665,7 @@ def write_corpus(generated: list[GeneratedSubmission], outdir: str | Path) -> li
         pkg.mkdir(parents=True, exist_ok=True)
         (pkg / SUMMARY_FILENAME).write_text(_summary_text(sub), encoding="utf-8", newline="\n")
         (pkg / META_FILENAME).write_text(_meta_text(sub.meta), encoding="utf-8", newline="\n")
-        for phase, table in sorted(sub.timing.items(), key=lambda kv: kv[0].value):
+        for phase, table in sub.timing.items():
             with (pkg / f"{phase.value}.csv").open("w", encoding="utf-8", newline="\n") as f:
                 f.writelines(_timing_pieces(table))
         package_dirs.append(pkg)

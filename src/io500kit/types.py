@@ -222,6 +222,14 @@ class ProcessTimingTable:
 
 @dataclass
 class Submission:
+    """One submission: metadata, phase results and per-rank timing tables.
+
+    Whatever order they are given in, `phases` is kept in `Phase` order and
+    `timing` in phase-name order. The manifest format fixes both: its header
+    lists the results in `Phase` order, and its table lines follow in the
+    order of the document tree's sorted `timing` keys.
+    """
+
     meta: SubmissionMeta
     phases: dict[Phase, PhaseResult] = field(default_factory=dict)
     reported_score_bw: float | None = None
@@ -234,5 +242,5 @@ class Submission:
         for phase, result in self.phases.items():
             if result.phase != phase:
                 raise ValidationError(f"phase map key {phase} holds result for {result.phase}")
-        # In Phase order, as a manifest lists them, whatever order a summary gave.
         self.phases = {phase: self.phases[phase] for phase in Phase if phase in self.phases}
+        self.timing = dict(sorted(self.timing.items(), key=lambda item: item[0].value))

@@ -12,7 +12,8 @@ before its renderers worked on whole columns; the package's renderers,
 their pieces joined, must produce the same SVG and sidecar bytes. The
 whole-column quantizer and point formatter are the package's before it
 worked a block of values at a time; its blocks must concatenate to their
-output. The manifest reader at the end reads
+output. The sidecar readers read a plot's CSV sidecar back as its renderer's
+input; rendered again, it must give the same bytes. The manifest reader at the end reads
 the whole text at once, as the package did before it read a line at a time;
 the package's reader must return the same Submission or raise the same error.
 The timing CSV writer formats one cell at a time, as synth did before it
@@ -47,7 +48,6 @@ from io500kit.errors import (
 )
 from io500kit.loginsight import Pattern, PatternResult
 from io500kit.report import (
-    HeatmapData,
     RenderSpec,
     _c,
     _diverging_color,
@@ -319,7 +319,7 @@ def scan_timing_rows_oracle(
 
 
 def quantize_oracle(values) -> tuple[np.ndarray, list[str]]:
-    """report._quantize of a whole column at once, with the `.6g` text of each value."""
+    """report._q6_blocks of a whole column at once: the quantized values and the `.6g` text of each."""
     text = list(map(format, np.asarray(values, dtype=float).ravel().tolist(), itertools.repeat(".6g")))
     return np.fromiter(map(float, text), dtype=float, count=len(text)), text
 
@@ -648,6 +648,62 @@ def render_score_strip_oracle(
         ],
     )
     return svg, sidecar
+
+
+# --- sidecar readers ----------------------------------------------------------------
+# A plot's CSV sidecar read back as its renderer's input, so that a test can
+# re-render from it and compare the bytes.
+
+
+def _sidecar_rows(sidecar: str):
+    """The rows of a CSV sidecar after its header."""
+    reader = csv.reader(io.StringIO(sidecar))
+    next(reader)
+    return reader
+
+
+@dataclass
+class HeatmapData:
+    variables: list[str]
+    coeff: np.ndarray
+    p_raw: np.ndarray
+    p_adjusted: np.ndarray
+    significant: np.ndarray
+
+
+def heatmap_from_sidecar(sidecar: str) -> HeatmapData:
+    """Rebuild heatmap input from its CSV sidecar (diagonal is implied)."""
+    entries = list(_sidecar_rows(sidecar))
+    variables = list(dict.fromkeys(name for row in entries for name in row[:2]))
+    k = len(variables)
+    idx = {name: i for i, name in enumerate(variables)}
+    coeff = np.eye(k)
+    p_raw = np.zeros((k, k))
+    p_adj = np.zeros((k, k))
+    significant = np.zeros((k, k), dtype=bool)
+    for a, b, c, pr, pa, sig in entries:
+        i, j = idx[a], idx[b]
+        # An empty cell is a NaN.
+        coeff[i, j] = coeff[j, i] = float(c or "nan")
+        p_raw[i, j] = p_raw[j, i] = float(pr or "nan")
+        p_adj[i, j] = p_adj[j, i] = float(pa or "nan")
+        significant[i, j] = significant[j, i] = sig == "true"
+    return HeatmapData(variables, coeff, p_raw, p_adj, significant)
+
+
+def qq_from_sidecar(sidecar: str) -> list[tuple[float, float]]:
+    return [(float(q), float(r)) for q, r, _ in _sidecar_rows(sidecar)]
+
+
+def groups_from_sidecar(sidecar: str) -> list[tuple[str, list[float]]]:
+    grouped: dict[str, list[float]] = {}
+    for label, value in _sidecar_rows(sidecar):
+        grouped.setdefault(label, []).append(float(value))
+    return list(grouped.items())
+
+
+def strip_from_sidecar(sidecar: str) -> list[tuple[str, float]]:
+    return [(label, float(value)) for label, value, _ in _sidecar_rows(sidecar)]
 
 
 def _as_heatmap_data(report) -> HeatmapData:

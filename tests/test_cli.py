@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -268,7 +269,7 @@ def test_full_pipeline_deterministic(tmp_path):
 def test_corr_cli_is_thin_wrapper(manifests, tmp_path):
     out = tmp_path / "out"
     assert run("corr", manifests, "--method", "spearman", "--normalize", "per-node", "--out", out) == 0
-    subs = list(ingest.read_manifest_dir(manifests).values())
+    subs = [ingest.read_manifest(p) for p in ingest.manifest_paths(manifests)]
     names, table = metrics.metric_table(subs, "per-node")
     corr = stats.correlation_matrix(names, table, method="spearman", alpha=0.05)
     spec = report.RenderSpec(title="spearman correlations (per-node, alpha=0.05)")
@@ -280,7 +281,7 @@ def test_corr_cli_is_thin_wrapper(manifests, tmp_path):
 def test_stats_cli_is_thin_wrapper(manifests, tmp_path):
     out = tmp_path / "out"
     assert run("stats", manifests, "--normalize", "raw", "--out", out) == 0
-    subs = list(ingest.read_manifest_dir(manifests).values())
+    subs = [ingest.read_manifest(p) for p in ingest.manifest_paths(manifests)]
     names, table = metrics.metric_table(subs, "raw")
     rows = []
     import numpy as np
@@ -445,7 +446,7 @@ def test_infinite_interconnect_speed_is_unknown(tmp_path, summary_basic):
 
     for line in (out / "pkg.json").read_text().splitlines():
         json.loads(line, parse_constant=reject)
-    (sub,) = ingest.read_manifest_dir(out).values()
+    (sub,) = map(ingest.read_manifest, ingest.manifest_paths(out))
     assert sub.meta.interconnect_gbps is None
     assert ingest.interconnect_class(sub.meta) == "unknown"
 
@@ -939,6 +940,14 @@ BAD_INPUT_CASES = [
     ([*SYNTH, "{f}"], '{"close_models": {"lustre": {"median_s": -1}}}', 1, "close_models.lustre.median_s must be > 0, got -1"),
     ([*SYNTH, "{f}"], '{"close_models": {"lustre": {"sigma": -1}}}', 1, "close_models.lustre.sigma must be >= 0, got -1"),
     ([*SYNTH, "{f}"], '{"node_range": [2, 100000000000000000000]}', 1, "node_range[1] must be below 2**63, got 100000000000000000000"),
+    ([*SYNTH, "{f}"], '{"procs_per_node": 0}', 1, "error: procs_per_node must be >= 1"),
+    ([*SYNTH, "{f}"], '{"phase_sigma": -0.5}', 1, "error: sigmas must be >= 0"),
+    ([*SYNTH, "{f}"], '{"cache_affected_fraction": 1.5}', 1, "error: cache_affected_fraction must be in [0, 1]"),
+    ([*SYNTH, "{f}"], '{"pfind_skew": 0}', 1, "error: pfind_skew must be > 0"),
+    ([*SYNTH, "{f}"], '{"stonewall_s": 0}', 1, "error: stonewall_s must be > 0"),
+    ([*SYNTH, "{f}"], '{"straggler": {"kind": "clustered", "n_clusters": 1}}', 1, "error: clustered model needs >= 2 clusters of size >= 2"),
+    ([*SYNTH, "{f}"], '{"straggler": {"kind": "dispersed", "count": 0}}', 1, "error: count must be >= 1"),
+    ([*SYNTH, "{f}"], '{"straggler": {"kind": "dispersed", "slow_factor": 1}}', 1, "error: slow_factor must be > 1"),
     # At most MAX_RANKS_PER_TABLE ranks per timing table.
     ([*SYNTH, "{f}"], '{"node_range": [2, 9223372036854775807]}', 1, "node_range[1] * procs_per_node must be at most 4194304 ranks per timing table, got 9223372036854775807 * 8"),
     ([*SYNTH, "{f}"], '{"node_range": [1, 1], "procs_per_node": 4194305}', 1, "node_range[1] * procs_per_node must be at most 4194304 ranks per timing table, got 1 * 4194305"),
@@ -997,6 +1006,17 @@ def test_corr_and_groups_run_without_scipy(manifests, tmp_path):
         assert run(cmd, manifests, *rest, "--out", tmp_path / "with") == 0
     assert tree_bytes(tmp_path / "without") == tree_bytes(tmp_path / "with")
     assert any(name.startswith("groups/") for name in tree_bytes(tmp_path / "with"))
+
+
+def test_readme_library_names_exist():
+    # README's Library section, its example and its prose, names these module
+    # attributes; a deletion or a rename must fail here, not in a reader's hands.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Library\n(.*?)^## ", readme, re.M | re.S).group(1)
+    modules = {"ingest": ingest, "report": report, "loginsight": loginsight, "stats": stats, "metrics": metrics, "synth": synth}
+    named = set(re.findall(rf"(?<![\w.])({'|'.join(modules)})\.(\w+)", section))
+    assert len(named) > 10
+    assert [f"{m}.{a}" for m, a in sorted(named) if not hasattr(modules[m], a)] == []
 
 
 def test_bench_hooks_name_existing_functions(tmp_path):

@@ -49,6 +49,12 @@ def test_parse_summary_gbs_unit_warning():
     assert any("GB/s" in w for w in parsed.warnings)
 
 
+def test_parse_summary_unknown_unit_is_error():
+    with pytest.raises(ParseError) as caught:
+        ingest.parse_result_summary("[RESULT] ior-easy-write 113.000 MB/s : time 316.6 seconds\n")
+    assert str(caught.value) == "line 1: unknown unit 'MB/s' for ior-easy-write"
+
+
 def test_parse_summary_skips_unknown_lines(summary_basic):
     noisy = "[preamble] whatever\n" + summary_basic + "result of run: fine\n"
     parsed = ingest.parse_result_summary(noisy)
@@ -150,6 +156,21 @@ def test_parse_timing_missing_column_schema_error():
     text = "rank,start\n0,0.0\n"
     with pytest.raises(SchemaError, match=r"missing required columns \['end'\]"):
         ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
+
+
+def test_parse_timing_comments_only_has_no_header():
+    with pytest.raises(SchemaError) as caught:
+        ingest.parse_process_timing("# stonewall_s = 300\n\n# no table\n", Phase.IOR_EASY_WRITE)
+    assert str(caught.value) == "ior-easy-write: timing CSV has no header"
+
+
+def test_parse_timing_blank_lines_before_the_header_are_counted():
+    text = "\n# stonewall_s = 300\n  \nrank,start,end\n0,0.0,310.0\n1,0.0,x\n"
+    with pytest.raises(ParseError) as caught:
+        ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
+    assert str(caught.value) == "line 6: malformed end 'x'"
+    table, _ = ingest.parse_process_timing(text.replace(",x", ",311.0"), Phase.IOR_EASY_WRITE)
+    assert (table.stonewall_s, table.n_ranks) == (300.0, 2)
 
 
 def test_parse_timing_blank_optional_cells():
@@ -432,6 +453,17 @@ def test_submission_keeps_phases_in_phase_order(tmp_path, summary_basic):
     assert list(Submission(meta=sub.meta, phases=dict(reversed(sub.phases.items()))).phases) == list(Phase)
 
 
+def test_submission_keeps_timing_in_phase_name_order():
+    # Phase order puts find last; phase-name order puts it first.
+    tables = {
+        phase: ProcessTimingTable(phase=phase, rank=[0], start_s=[0.0], end_s=[1.0])
+        for phase in (Phase.IOR_EASY_WRITE, Phase.MDTEST_EASY_WRITE, Phase.FIND)
+    }
+    sub = Submission(meta=SubmissionMeta(submission_id="s"), timing=tables)
+    assert list(sub.timing) == [Phase.FIND, Phase.IOR_EASY_WRITE, Phase.MDTEST_EASY_WRITE]
+    assert sub.timing == tables
+
+
 def test_load_submission_discovers_timing(tmp_path, summary_basic):
     timing = "# stonewall_s=300\nrank,start,end\n0,0,310\n1,0,312\n"
     pkg = _write_package(
@@ -475,6 +507,17 @@ def test_load_submission_parses_only_the_timing_of_phases(tmp_path, summary_basi
         assert parsed == [p for p in whole.timing if p in phases]
         assert sub.timing == {p: t for p, t in whole.timing.items() if p in phases}
         assert (sub.meta, sub.phases) == (whole.meta, whole.phases)
+
+
+def test_load_submission_ignores_a_second_timing_file_for_a_phase(tmp_path, summary_basic):
+    # "-" sorts before "_", so the dashed file is read and the other ignored.
+    csvs = {
+        "ior-easy-write.csv": "rank,start,end\n0,0,310\n",
+        "ior_easy_write.csv": "rank,start,end\n0,0,320\n1,0,320\n",
+    }
+    sub = ingest.load_submission(_write_package(tmp_path, summary_basic, meta=META_BASIC, csvs=csvs))
+    assert sub.timing[Phase.IOR_EASY_WRITE].end_s.tolist() == [310.0]
+    assert sub.warnings == ["ior_easy_write.csv: duplicate timing file for ior-easy-write, ignored"]
 
 
 def test_load_submission_corrupt_timing_degrades(tmp_path, summary_basic):

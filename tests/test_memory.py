@@ -17,6 +17,7 @@ them as floats; quantized as synth writes them, they are held as integers:
 | `write_manifest`, times in microseconds | 0.64x | | 2x |
 | `read_manifest`, times in microseconds | 2.6x | | 7x |
 | `parse_process_timing` | 2.6x | 5.1x | 3.5x |
+| `parse_process_timing`, a bad cell in the first or the last data line | 1.2x, 2.1x | 3.4x, 3.9x (every line at once) | 3x |
 | `render_qq` | 1.9x | 3.9x (whole strings) | 3x |
 | `render_group_box` of a close column, log scale | 0.7x | 1.04x (whole strings) | 0.85x |
 | `_file_lines` of two tables, of the longest line | 3.0x | 4.2x (text mode) | 3.5x |
@@ -52,6 +53,7 @@ import pytest
 
 from io500kit import cli, ingest, loginsight, report, synth
 from conftest import SUMMARY_BASIC
+from io500kit.errors import ParseError
 from io500kit.types import Phase, ProcessTimingTable, Submission, SubmissionMeta
 
 N_RANKS = 65536
@@ -87,13 +89,22 @@ def _kept(table) -> int:
 
 
 def _traced_peak(call) -> int:
-    call()  # once untraced, so that caches and compiled patterns are not counted
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """The smaller traced peak of two calls, after one untraced call, so that
+    caches and compiled patterns are not counted. The interpreter's table of
+    interned strings is process-wide too, and pathlib interns each part of a
+    path: where a call's inserts fill the table, its resize (1.8 MiB late in
+    the whole suite) lands in that call's peak, and the next call runs with
+    the resized table."""
+    call()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
 
 
 def _microsecond_columns(path) -> list[str]:
@@ -143,6 +154,27 @@ def test_file_lines_peak(table, tmp_path):
 def test_parse_process_timing_peak(table):
     text = "".join(synth._timing_pieces(table))
     assert _traced_peak(lambda: ingest.parse_process_timing(text, PHASE)) < 3.5 * _kept(table)
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["first-line", "last-line"])
+def test_failing_parse_process_timing_peak(table, last):
+    # The first line at fault is found by walking the text a slice at a time,
+    # as the columns are converted, not by splitting the whole body into lines.
+    lines = "".join(synth._timing_pieces(table)).splitlines(keepends=True)
+    i = len(lines) - 1 if last else 2  # after the stonewall comment and the header
+    rank, _, rest = lines[i].split(",", 2)
+    lines[i] = f"{rank},x,{rest}"
+    text = "".join(lines)
+    del lines
+    errors = []
+
+    def parse():
+        with pytest.raises(ParseError) as caught:
+            ingest.parse_process_timing(text, PHASE)
+        errors.append(str(caught.value))
+
+    assert _traced_peak(parse) < 3 * _kept(table)
+    assert errors == [f"line {i + 1}: malformed start 'x'"] * 3
 
 
 def _drained(pieces) -> None:

@@ -24,11 +24,13 @@ from io500kit.config import StragglerParams
 from io500kit.errors import ConfigError, Io500KitError, ParseError, SampleSizeError, ValidationError
 from io500kit.types import Filesystem, Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
 from oracles import (
+    HeatmapData,
     _Axis,
     chi_square_sf_closed_form,
     classify_straggler_pattern_oracle,
     correlation_cells_oracle,
     dumps_manifest_v3_oracle,
+    heatmap_from_sidecar,
     joined,
     kruskal_wallis_loop_oracle,
     metric_table_oracle,
@@ -123,8 +125,8 @@ def _outcome(parse):
 
 
 def _scan(text):
-    stonewall, width, col, body, first_line = ingest._timing_layout(text, PHASE)
-    columns, warnings = scan_timing_rows_oracle(body, first_line, width, col, PHASE)
+    stonewall, width, col, start, first_line = ingest._timing_layout(text, PHASE)
+    columns, warnings = scan_timing_rows_oracle(text[start:].splitlines(), first_line, width, col, PHASE)
     return ProcessTimingTable(phase=PHASE, stonewall_s=stonewall, **columns), warnings
 
 
@@ -150,8 +152,8 @@ def test_vectorized_parse_matches_row_scan(text):
     assert _outcome(lambda: ingest.parse_process_timing(text, PHASE)) == want
     if want[0] == "ok":
         # The whole-column conversion handles every valid input by itself.
-        _, width, col, body, _ = ingest._timing_layout(text, PHASE)
-        assert ingest._timing_columns(body, width, col, PHASE) is not None
+        _, width, col, start, _ = ingest._timing_layout(text, PHASE)
+        assert ingest._timing_columns(text, start, width, col, PHASE) is not None
 
 
 CHUNK = 8192  # data lines; the long tables below fill one or two text slices
@@ -196,8 +198,8 @@ LONG_TABLES = [
 def test_chunked_parse_matches_row_scan(text):
     want = _outcome(lambda: _scan(text))
     assert _outcome(lambda: ingest.parse_process_timing(text, PHASE)) == want
-    _, width, col, body, _ = ingest._timing_layout(text, PHASE)
-    assert (ingest._timing_columns(body, width, col, PHASE) is not None) == (want[0] == "ok")
+    _, width, col, start, _ = ingest._timing_layout(text, PHASE)
+    assert (ingest._timing_columns(text, start, width, col, PHASE) is not None) == (want[0] == "ok")
 
 
 def test_chunked_parse_errors_name_the_line():
@@ -982,14 +984,14 @@ def heatmap_input(draw):
     columns = (matrix(COEFFICIENTS), matrix(P_VALUES), matrix(P_VALUES), matrix(st.booleans(), bool))
     if draw(st.booleans()):
         return stats.CorrelationReport(names, "spearman", *columns, alpha=0.05, n_per_pair=np.full((k, k), 30))
-    return report.HeatmapData(names, *columns)
+    return HeatmapData(names, *columns)
 
 
 _CORR_TABLE = np.column_stack([np.arange(12.0), np.arange(12.0) ** 2 % 7, np.r_[np.nan, np.arange(11.0)][::-1]])
 
 
 @PROPERTY
-@example(report.HeatmapData([], *[np.zeros((0, 0))] * 3, np.zeros((0, 0), bool)), None)
+@example(HeatmapData([], *[np.zeros((0, 0))] * 3, np.zeros((0, 0), bool)), None)
 @example(stats.correlation_matrix(["a,b", 'say "hi"', "<&>"], _CORR_TABLE), report.RenderSpec(title="t<&>"))
 @example(stats.correlation_matrix(["x", "y"], np.column_stack([np.arange(9.0)] * 2)), None)
 @given(heatmap_input(), plot_spec())
@@ -997,7 +999,7 @@ def test_render_corr_heatmap_matches_per_cell_oracle(data, spec):
     want = render_corr_heatmap_oracle(data, spec)
     assert joined(report.render_corr_heatmap(data, spec)) == want
     # The same input re-read from its sidecar, as a HeatmapData.
-    rebuilt = report.heatmap_from_sidecar(want[1])
+    rebuilt = heatmap_from_sidecar(want[1])
     assert joined(report.render_corr_heatmap(rebuilt, spec)) == render_corr_heatmap_oracle(rebuilt, spec)
 
 
@@ -1366,10 +1368,10 @@ def test_slice_cuts_match_the_whole_text(text, monkeypatch):
     want = _outcome(lambda: _scan(text))
     for size in range(1, len(text) + 1):
         monkeypatch.setattr(ingest, "_SLICE_CHARS", size)
-        body = ingest._timing_layout(text, PHASE)[3]
-        pieces = list(body.slices())
+        start = ingest._timing_layout(text, PHASE)[3]
+        pieces = list(ingest._slices(text, start))
         assert all(piece.endswith("\n") for piece in pieces[:-1])
-        assert [line for piece in pieces for line in piece.splitlines()] == list(body)
+        assert [line for piece in pieces for line in piece.splitlines()] == text[start:].splitlines()
         assert _outcome(lambda: ingest.parse_process_timing(text, PHASE)) == want, size
 
 

@@ -6,7 +6,14 @@ import pytest
 from io500kit import report, stats
 from io500kit.errors import EmptyInputError
 from io500kit.metrics import SummaryStats, summary_stats
-from oracles import joined
+from oracles import (
+    HeatmapData,
+    groups_from_sidecar,
+    heatmap_from_sidecar,
+    joined,
+    qq_from_sidecar,
+    strip_from_sidecar,
+)
 
 
 def _stats(values):
@@ -85,7 +92,7 @@ def test_heatmap_identity_two_unit_circles():
 
 
 def test_heatmap_zero_coefficient_absent_mark():
-    data = report.HeatmapData(
+    data = HeatmapData(
         variables=["a", "b"],
         coeff=np.array([[1.0, 0.0], [0.0, 1.0]]),
         p_raw=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -97,7 +104,7 @@ def test_heatmap_zero_coefficient_absent_mark():
 
 
 def test_heatmap_hatches_non_significant():
-    data = report.HeatmapData(
+    data = HeatmapData(
         variables=["a", "b"],
         coeff=np.array([[1.0, 0.5], [0.5, 1.0]]),
         p_raw=np.array([[0.0, 0.3], [0.3, 0.0]]),
@@ -114,7 +121,7 @@ def test_heatmap_deterministic_and_sidecar_round_trip():
     svg1, side1 = joined(report.render_corr_heatmap(corr, spec))
     svg2, side2 = joined(report.render_corr_heatmap(corr, spec))
     assert svg1 == svg2 and side1 == side2
-    rebuilt = report.heatmap_from_sidecar(side1)
+    rebuilt = heatmap_from_sidecar(side1)
     svg3, side3 = joined(report.render_corr_heatmap(rebuilt, spec))
     assert svg3 == svg1 and side3 == side1
 
@@ -196,7 +203,7 @@ def test_qq_sidecar_round_trip():
     pairs = [((k + 1) / 25, float(r)) for k, r in enumerate(ratios)]
     spec = report.RenderSpec(title="x", scale="log10")
     svg1, side1 = joined(report.render_qq(pairs, spec))
-    svg2, side2 = joined(report.render_qq(report.qq_from_sidecar(side1), spec))
+    svg2, side2 = joined(report.render_qq(qq_from_sidecar(side1), spec))
     assert svg1 == svg2 and side1 == side2
 
 
@@ -252,7 +259,7 @@ def test_group_box_sidecar_round_trip():
     ]
     spec = report.RenderSpec(title="t", scale="log10", y_label="v")
     svg1, side1 = joined(report.render_group_box(groups, spec))
-    svg2, side2 = joined(report.render_group_box(report.groups_from_sidecar(side1), spec))
+    svg2, side2 = joined(report.render_group_box(groups_from_sidecar(side1), spec))
     assert svg1 == svg2 and side1 == side2
 
 
@@ -272,7 +279,7 @@ def test_score_strip_sidecar_round_trip():
     rows = [(fs, float(v)) for fs, v in zip(["a", "b"] * 10, rng.lognormal(3, 2, 20))]
     spec = report.RenderSpec(title="s", scale="log10")
     svg1, side1 = joined(report.render_score_strip(rows, spec))
-    svg2, side2 = joined(report.render_score_strip(report.strip_from_sidecar(side1), spec))
+    svg2, side2 = joined(report.render_score_strip(strip_from_sidecar(side1), spec))
     assert svg1 == svg2 and side1 == side2
 
 

@@ -244,7 +244,7 @@ def test_corr_matrix_identical_columns_significant():
     col = rng.normal(size=30)
     table = np.column_stack([col, col])
     report = stats.correlation_matrix(["a", "b"], table)
-    assert report.coefficient("a", "b") == 1.0
+    assert report.coeff[0, 1] == 1.0
     assert report.significant[0, 1]
     assert report.p_adjusted[0, 1] >= report.p_raw[0, 1]
 
