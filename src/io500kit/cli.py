@@ -29,7 +29,7 @@ import numpy as np
 from . import ingest, loginsight, metrics, report, stats, synth
 from .config import default_outdir, load_config, read_json_object
 from .errors import EmptyInputError, Io500KitError, NotAvailableError, SampleSizeError
-from .ingest import SUMMARY_FILENAME, interconnect_class
+from .ingest import SUMMARY_FILENAME, Tables, interconnect_class
 from .types import Phase, Submission
 
 
@@ -69,14 +69,14 @@ def _unique(paths: list) -> list:
     return list(first.values())
 
 
-def _load_packages(paths: list[str], phases=None) -> tuple[list[tuple[str, Callable[[], Submission]]], list[str]]:
-    """(file stem, load) for each package in `paths` (a package dir, or a dir
+def _load_packages(paths: list[str], phases=None) -> tuple[list[tuple[str, Callable]], list[str]]:
+    """(file stem, open) for each package in `paths` (a package dir, or a dir
     of packages read in name order) whose summary and meta load, in that
-    order: the stem its manifest takes, and a call that parses its timing
-    CSVs of `phases` (all when None) and returns the whole Submission; and
-    `<package dir>: <reason>` for each package that does not load. Every
-    summary and meta is read here, once, so a bad package is left out
-    before any output is made."""
+    order: the stem its manifest takes, and a call that returns
+    ingest.stream_package's Submission and iterator of its timing tables of
+    `phases` (all when None); and `<package dir>: <reason>` for each package
+    that does not load. Every summary and meta is read here, once, so a bad
+    package is left out before any output is made."""
     found: list[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -91,7 +91,7 @@ def _load_packages(paths: list[str], phases=None) -> tuple[list[tuple[str, Calla
         except Io500KitError as exc:
             errors.append(f"{pkg}: {exc}")
     stems = _file_stems(header for _, header in headers)
-    loaders = [functools.partial(ingest.load_submission, pkg, phases, header) for pkg, header in headers]
+    loaders = [functools.partial(ingest.stream_package, pkg, phases, header) for pkg, header in headers]
     return list(zip(stems, loaders)), errors
 
 
@@ -143,10 +143,10 @@ class _Output:
 
         report.write_render(self.path, analysis, name, claimed())
 
-    def manifest(self, sub: Submission, stem: str) -> None:
+    def manifest(self, sub: Submission, stem: str, tables: Tables) -> None:
         path = self.path / f"{stem}.json"
         self._claim(path)
-        ingest.write_manifest(sub, path)
+        ingest.write_manifest(sub, path, tables)
 
     def __enter__(self) -> "_Output":
         return self
@@ -177,6 +177,13 @@ def _txt(lines: list[str]) -> list[report.Piece]:
 # --- ingest -----------------------------------------------------------------
 
 
+def _then_add(tables: Tables, warnings: list[str], notes: list[str]) -> Tables:
+    """`tables`, then `notes` added to `warnings`, after the warnings the
+    tables add once they are read."""
+    yield from tables
+    warnings.extend(notes)
+
+
 def cmd_ingest(args) -> int:
     config = load_config(args.config)
     cmap = ingest.load_column_map(args.column_map) if args.column_map else None
@@ -191,31 +198,30 @@ def cmd_ingest(args) -> int:
             result = ingest.parse_repo_csv(ingest.read_text(raw), cmap)
             read.extend(result.submissions)
             skipped.extend(f"{raw}: row {n}: {reason}" for n, reason in result.skipped)
-        subs = zip(_file_stems(read), read)
+        subs = ((stem, sub, ()) for stem, sub in zip(_file_stems(read), read))
     else:
         loaders, errors = _load_packages(args.paths)
         if not (loaders or errors):
             raise EmptyInputError(f"no submission packages found under {args.paths}")
-        subs = ((stem, load()) for stem, load in loaders)
+        subs = ((stem, *load()) for stem, load in loaders)
 
-    # One submission at a time is loaded, flagged, written and dropped; only
-    # its findings and warnings are kept, for validation.txt.
+    # One submission at a time is loaded, flagged and written, and one table
+    # at a time parsed, written and dropped; only the findings and warnings
+    # are kept, for validation.txt.
     n_subs = 0
     findings: list[str] = []
     warnings: list[str] = []
     with _Output(args.out) as out:
         out.make(out.path)  # made only once the input is found: a rejected run leaves none
-        for stem, sub in subs:
+        for stem, sub, tables in subs:
             flagged, notes = loginsight.flag_cache_affected(
                 list(sub.phases.values()), config.cache_threshold_s
             )
             sub.phases = {p.phase: p for p in flagged}
-            sub.warnings.extend(notes)
             findings.extend(metrics.recomputation_findings(sub, config.recompute_rel_tol))
-            out.manifest(sub, stem)
+            out.manifest(sub, stem, _then_add(tables, sub.warnings, notes))
             warnings.extend(f"WARN {sub.meta.submission_id}: {w}" for w in sub.warnings)
             n_subs += 1
-            del sub  # before the next package's timing CSVs are parsed
 
         lines = [
             f"submissions: {n_subs}",
@@ -241,25 +247,28 @@ def cmd_ingest(args) -> int:
 
 # --- analyses ------------------------------------------------------------------
 # Each analysis is run(subs, args, config): `subs` is a one-pass iterator of
-# (file stem, Submission) pairs in file-name order, each Submission loaded
-# when the iterator reaches it, with only the timing tables the analysis
-# reads. An analysis writes its files with args.out.write, which takes what
+# (file stem, Submission, tables) triples in file-name order, each
+# Submission loaded, without its timing tables, when the iterator reaches
+# it, and `tables` a one-pass iterator of the (phase, table) pairs of the
+# timing tables the analysis reads, each table read when it is reached.
+# An analysis writes its files with args.out.write, which takes what
 # report.write_render takes less the directory (a plot as the pieces its
 # renderer returns), and returns the line cmd_analysis prints. A log
 # analysis with no rows writes nothing, not even its notes.
 
 
-def _load(path: str, phases) -> tuple[Iterator[tuple[str, Submission]], list[str]]:
+def _load(path: str, phases) -> tuple[Iterator[tuple[str, Submission, Tables]], list[str]]:
     """Each submission under `path` by its file stem, in file-name order,
-    with only the timing tables of `phases`, loaded when the iterator reaches
-    it; and the errors of the packages left out.
+    loaded when the iterator reaches it, with an iterator of its timing
+    tables of `phases`; and the errors of the packages left out.
 
     A path that holds any package (such as a synth output directory with its
     ground_truth.json) is read as packages, as `ingest` reads them: each
     package that loads is named and placed as `ingest` would name its
     manifest, and one that does not is left out and named in the errors.
-    Any other directory is read as manifests, each named by its file stem
-    and read once, in full, when it is reached.
+    Any other directory is read as manifests, each named by its file stem:
+    its header is read when it is reached, and each table line when its
+    iterator reaches it.
     """
     _must_exist(path)
     loaders, errors = _load_packages([path], phases)
@@ -269,26 +278,27 @@ def _load(path: str, phases) -> tuple[Iterator[tuple[str, Submission]], list[str
         manifests = ingest.manifest_paths(path)
         if not manifests:
             raise EmptyInputError(f"no manifests or packages found under {path}")
-        loaders = [(p.stem, functools.partial(ingest.read_manifest, p, phases)) for p in manifests]
-    return ((stem, load()) for stem, load in loaders), errors
+        loaders = [(p.stem, functools.partial(ingest.stream_manifest, p, phases)) for p in manifests]
+    return ((stem, *load()) for stem, load in loaders), errors
 
 
 def _per_table(subs, analyze, noted, notes: list[str]):
-    """(meta, stem, phase, analyze(table)) for each timing table loaded, one
-    at a time: a submission's tables in phase-name order, each submission's
-    dropped before the next submission is loaded. The message of a `noted`
-    exception goes to `notes`, and its table is left out."""
-    for stem, sub in subs:
-        meta, timing = sub.meta, sub.timing
-        del sub  # its tables go with `timing`, before the next submission is loaded
-        for phase in timing:
+    """(meta, stem, phase, analyze(table)) for each timing table, one at a
+    time: a submission's tables in phase-name order, each read when it is
+    reached and dropped before the next is read. The message of a `noted`
+    exception goes to `notes`, and its table is left out. A caller drops
+    each result before it asks for the next."""
+    for stem, sub, tables in subs:
+        for phase, table in tables:
             try:
-                result = analyze(timing[phase])
+                result = analyze(table)
             except noted as exc:
                 notes.append(str(exc))
-            else:
-                yield meta, stem, phase, result
-        del timing
+                continue
+            finally:
+                del table
+            yield sub.meta, stem, phase, result
+            del result
 
 
 def _column_stats(names, table) -> list[tuple[str, metrics.SummaryStats]]:
@@ -303,7 +313,7 @@ def _column_stats(names, table) -> list[tuple[str, metrics.SummaryStats]]:
 
 
 def run_stats(subs, args, config) -> str:
-    subs = [sub for _, sub in subs]
+    subs = [sub for _, sub, _ in subs]
     names, table = metrics.metric_table(subs, args.normalize)
     stats_rows = _column_stats(names, table)
     if not stats_rows:
@@ -333,7 +343,7 @@ def run_stats(subs, args, config) -> str:
 
 
 def run_corr(subs, args, config) -> str:
-    names, table = metrics.metric_table([sub for _, sub in subs], args.normalize)
+    names, table = metrics.metric_table([sub for _, sub, _ in subs], args.normalize)
     corr = stats.correlation_matrix(names, table, method=args.method, alpha=args.alpha)
     spec = report.RenderSpec(
         title=f"{args.method} correlations ({args.normalize}, alpha={args.alpha:g})"
@@ -346,7 +356,7 @@ def run_corr(subs, args, config) -> str:
 
 
 def run_groups(subs, args, config) -> str:
-    subs = [sub for _, sub in subs]
+    subs = [sub for _, sub, _ in subs]
     names, table = metrics.metric_table(subs, args.normalize)
     j = names.index(args.metric)
     grouped: dict[str, list[float]] = {}
@@ -387,7 +397,7 @@ def run_groups(subs, args, config) -> str:
 
 
 def run_runtime(subs, args, config) -> str:
-    subs = [sub for _, sub in subs]
+    subs = [sub for _, sub, _ in subs]
     dist = loginsight.runtime_distribution(subs, config.stonewall_nominal_s, config.stonewall_tolerance_s)
     if not dist.per_phase:
         return "no runtime data available"
@@ -419,6 +429,7 @@ def run_close(subs, args, config) -> str:
             ]
         )
         fs_groups.setdefault(meta.filesystem_norm.value, []).append(rep.close_s_per_rank)
+        del rep  # before the next table is read
     if not rows:
         return "no close-time data available"
     header = ["Submission", "Phase", "N", "MeanClose_s", "MaxClose_s", "MedianFraction"]
@@ -452,6 +463,7 @@ def run_stonewall(subs, args, config) -> str:
                 report.fmt_csv(float(rat.ratios.max())),
             ]
         )
+        del rat  # before the next table is read
     if not rows:
         return "no stonewall timing data available"
     header = ["Submission", "Phase", "Ranks", "MinRatio", "MaxRatio"]
@@ -479,6 +491,7 @@ def run_stragglers(subs, args, config) -> str:
                 ";".join(str(r) for r in sorted(rep.straggler_ranks)),
             ]
         )
+        del rep  # before the next table is read
     if not rows:
         return "no straggler timing data available"
     header = "Submission Phase Ranks Stragglers Pattern Adjacency Runs StragglerRanks".split()
@@ -503,6 +516,7 @@ def run_pfind(subs, args, config) -> str:
                 report.fmt_csv(rep.gini),
             ]
         )
+        del rep  # before the next table is read
     if not rows:
         return "no find-phase item data available"
     header = ["Submission", "Ranks", "MedianItems", "MaxItems", "MaxOverMedian", "Gini"]

@@ -8,17 +8,21 @@ warnings or skip records alongside the parsed data.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import operator
 import re
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterator, Mapping, get_args, get_type_hints
+from typing import Any, Collection, Iterable, Iterator, Mapping, get_args, get_type_hints
 
 import numpy as np
 
@@ -697,11 +701,53 @@ def load_package_header(package_dir: str | Path) -> Submission:
     )
 
 
-def load_submission(
+Tables = Iterator[tuple[Phase, ProcessTimingTable]]
+
+
+def _package_tables(package_dir: Path, phases: Collection[Phase] | None, warnings: list[str]) -> Tables:
+    """The timing tables of `phases` (all when None), one at a time in
+    phase-name order, each CSV parsed when it is reached and let go before
+    the next is read. A phase's table is the first of its `<phase>*.csv`
+    files, in file-name order, that parses. Once the last table has been
+    given, the warnings of the files are added to `warnings` in file-name
+    order, which can differ from phase-name order (`IOR_Easy_Write.csv`
+    sorts before `find.csv`)."""
+    paths = sorted(package_dir.glob("*.csv"))
+    notes: list[list[str]] = [[] for _ in paths]  # each file's warnings
+    files: dict[Phase, list[int]] = {}  # each phase's files, in file-name order
+    for i, csv_path in enumerate(paths):
+        phase = _match_timing_phase(csv_path.name)
+        if phase is None:
+            notes[i].append(f"{csv_path.name}: no phase match, ignored")
+        elif phases is None or phase in phases:
+            files.setdefault(phase, []).append(i)
+    for phase in sorted(files, key=lambda p: p.value):
+        given = []  # popped as it is given, as in _file_lines
+        for i in files[phase]:
+            if given:
+                notes[i].append(f"{paths[i].name}: duplicate timing file for {phase}, ignored")
+                continue
+            try:
+                table, table_warnings = parse_process_timing(read_text(paths[i]), phase)
+            except (LoadError, ParseError, SchemaError, ValidationError) as exc:
+                notes[i].append(f"{paths[i].name}: timing discarded ({exc})")
+                continue
+            notes[i].extend(table_warnings)
+            given.append((phase, table))
+            del table
+        if given:
+            yield given.pop()
+    warnings.extend(itertools.chain.from_iterable(notes))
+
+
+def stream_package(
     package_dir: str | Path, phases: Collection[Phase] | None = None, header: Submission | None = None
-) -> Submission:
-    """Assemble a Submission from a package directory, parsing only the
-    timing CSVs of `phases` (all when None); the others are left out.
+) -> tuple[Submission, Tables]:
+    """A package's Submission without timing tables, and a one-pass
+    iterator of its `(phase, table)` pairs, those of `phases` (all when
+    None), in phase-name order, each timing CSV parsed when the iterator
+    reaches it. The Submission's warnings gain the timing CSVs' once the
+    iterator is exhausted.
 
     Requires `result_summary.txt`; `meta.txt` and per-phase `<phase>*.csv`
     timing files are optional. A corrupt timing CSV degrades to a warning;
@@ -712,26 +758,18 @@ def load_submission(
     """
     if header is None:
         header = load_package_header(package_dir)
-    warnings: list[str] = []
-    timing: dict[Phase, ProcessTimingTable] = {}
-    for csv_path in sorted(Path(package_dir).glob("*.csv")):
-        phase = _match_timing_phase(csv_path.name)
-        if phase is None:
-            warnings.append(f"{csv_path.name}: no phase match, ignored")
-            continue
-        if phases is not None and phase not in phases:
-            continue
-        if phase in timing:
-            warnings.append(f"{csv_path.name}: duplicate timing file for {phase}, ignored")
-            continue
-        try:
-            table, table_warnings = parse_process_timing(read_text(csv_path), phase)
-        except (LoadError, ParseError, SchemaError, ValidationError) as exc:
-            warnings.append(f"{csv_path.name}: timing discarded ({exc})")
-            continue
-        warnings.extend(table_warnings)
-        timing[phase] = table
-    return replace(header, timing=timing, warnings=header.warnings + warnings)
+    sub = replace(header, warnings=list(header.warnings))
+    return sub, _package_tables(Path(package_dir), phases, sub.warnings)
+
+
+def load_submission(
+    package_dir: str | Path, phases: Collection[Phase] | None = None, header: Submission | None = None
+) -> Submission:
+    """Assemble a Submission from a package directory: stream_package's
+    Submission with its tables collected into `timing`."""
+    sub, tables = stream_package(package_dir, phases, header)
+    sub.timing = dict(tables)
+    return sub
 
 
 # --- manifest interchange ------------------------------------------------------
@@ -982,28 +1020,37 @@ def _timing_table(phase_name: str, spec: Any) -> ProcessTimingTable:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _submission(doc: Mapping[str, Any], timing: Callable[[], dict[Phase, ProcessTimingTable]]) -> Submission:
-    """A Submission from a manifest tree whose version is checked. Its fields
-    are checked in a fixed order: meta, phases, then the tables `timing()`
-    returns, then warnings and scores."""
-    meta = _record(SubmissionMeta, _get(doc, "meta", _OBJ, "manifest"), "meta")
-    phases: dict[Phase, PhaseResult] = {}
-    for i, entry in enumerate(_get(doc, "phases", _LIST, "manifest")):
-        result = _record(PhaseResult, entry, f"phases[{i}]")
-        phases[result.phase] = result
-    tables = timing()
-    warnings = _get(doc, "warnings", _LIST, "manifest")
-    if not all(isinstance(w, str) for w in warnings):
-        raise ValidationError("manifest.warnings: expected a list of strings")
-    return Submission(
-        meta=meta,
-        phases=phases,
-        reported_score_bw=_get(doc, "reported_score_bw", _NUM, "manifest", nullable=True),
-        reported_score_md=_get(doc, "reported_score_md", _NUM, "manifest", nullable=True),
-        reported_score_overall=_get(doc, "reported_score_overall", _NUM, "manifest", nullable=True),
-        timing=tables,
-        warnings=list(warnings),
-    )
+Fault = ValidationError | None
+
+
+def _header_submission(doc: Mapping[str, Any]) -> tuple[Submission | None, Fault, Fault]:
+    """The Submission of a manifest tree whose version is checked, less its
+    tables, or None; the fault of its meta or phases; and that of its
+    warnings or scores. A reader reports them in the order of a read of
+    the whole tree: meta, phases, then the tables, then warnings and scores."""
+    try:
+        meta = _record(SubmissionMeta, _get(doc, "meta", _OBJ, "manifest"), "meta")
+        phases: dict[Phase, PhaseResult] = {}
+        for i, entry in enumerate(_get(doc, "phases", _LIST, "manifest")):
+            result = _record(PhaseResult, entry, f"phases[{i}]")
+            phases[result.phase] = result
+    except ValidationError as exc:
+        return None, exc, None
+    try:
+        warnings = _get(doc, "warnings", _LIST, "manifest")
+        if not all(isinstance(w, str) for w in warnings):
+            raise ValidationError("manifest.warnings: expected a list of strings")
+        sub = Submission(
+            meta=meta,
+            phases=phases,
+            reported_score_bw=_get(doc, "reported_score_bw", _NUM, "manifest", nullable=True),
+            reported_score_md=_get(doc, "reported_score_md", _NUM, "manifest", nullable=True),
+            reported_score_overall=_get(doc, "reported_score_overall", _NUM, "manifest", nullable=True),
+            warnings=list(warnings),
+        )
+    except ValidationError as exc:
+        return None, None, exc
+    return sub, None, None
 
 
 def from_manifest(doc: Mapping[str, Any]) -> Submission:
@@ -1012,26 +1059,14 @@ def from_manifest(doc: Mapping[str, Any]) -> Submission:
     Format versions 3, 4 and 5 are read; any shape error raises ValidationError.
     """
     _check_version(doc)
-
-    def timing() -> dict[Phase, ProcessTimingTable]:
-        tables = (_timing_table(name, spec) for name, spec in _get(doc, "timing", _OBJ, "manifest").items())
-        return {table.phase: table for table in tables}
-
-    return _submission(doc, timing)
-
-
-def _manifest_pieces(sub: Submission) -> Iterator[str]:
-    """The manifest's text in pieces: the header line, then each table's line
-    in the pieces of _table_line_pieces.
-
-    The header is the document tree with `timing` replaced by the list of
-    the tables' phase names, in line order; each table line is the table's
-    object plus its `phase`. Every line is strict, compact JSON with sorted
-    keys, a form that keeps the stdlib's C encoder.
-    """
-    yield _json_line(_header_tree(sub, [phase.value for phase in sub.timing]))
-    for phase, table in sub.timing.items():
-        yield from _table_line_pieces(phase.value, table)
+    sub, early, late = _header_submission(doc)
+    if early:
+        raise early
+    tables = (_timing_table(name, spec) for name, spec in _get(doc, "timing", _OBJ, "manifest").items())
+    timing = {table.phase: table for table in tables}
+    if late:
+        raise late
+    return replace(sub, timing=timing)
 
 
 def _json_line(part: dict[str, Any]) -> str:
@@ -1062,17 +1097,48 @@ def _table_line_pieces(name: str, table: ProcessTimingTable) -> Iterator[str]:
 
 
 def dumps_manifest(sub: Submission) -> str:
-    """The manifest text: JSON Lines, a header line and then one line per timing table."""
-    return "".join(_manifest_pieces(sub))
+    """The manifest text, as write_manifest writes it: JSON Lines, a header
+    line and then one line per timing table.
+
+    The header is the document tree with `timing` replaced by the list of
+    the tables' phase names, in line order; each table line is the table's
+    object plus its `phase`. Every line is strict, compact JSON with sorted
+    keys, a form that keeps the stdlib's C encoder.
+    """
+    lines = (_table_line_pieces(phase.value, table) for phase, table in sub.timing.items())
+    header = _json_line(_header_tree(sub, [phase.value for phase in sub.timing]))
+    return header + "".join(itertools.chain.from_iterable(lines))
 
 
-def write_manifest(sub: Submission, path: str | Path) -> None:
+def write_manifest(
+    sub: Submission, path: str | Path, tables: Iterable[tuple[Phase, ProcessTimingTable]] | None = None
+) -> None:
     """Write the manifest a piece at a time, so that one block of a column's
-    Python numbers is alive at once; a write that fails leaves no file behind."""
+    Python numbers is alive at once; a write that fails leaves no file behind.
+
+    The table lines are those of `tables`, `(phase, table)` pairs in
+    phase-name order such as stream_package gives, or of `sub.timing` when
+    None. Each table is encoded when it is reached, and `sub` is read only
+    once the last has been, so its warnings may grow while the tables are
+    read. The header indexes the tables, so their lines go first to an
+    unnamed temporary file beside the manifest, made at the first table,
+    and are copied after the header."""
     path = Path(path)
     try:
-        with path.open("w", encoding="utf-8", newline="\n") as f:
-            f.writelines(_manifest_pieces(sub))
+        with path.open("w", encoding="utf-8", newline="\n") as f, contextlib.ExitStack() as stack:
+            names, spool = [], None
+            for phase, table in sub.timing.items() if tables is None else tables:
+                if spool is None:
+                    spool = stack.enter_context(
+                        tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=path.parent)
+                    )
+                spool.writelines(_table_line_pieces(phase.value, table))
+                names.append(phase.value)
+                del table  # before the next table is read
+            f.write(_json_line(_header_tree(sub, names)))
+            if spool is not None:
+                spool.seek(0)
+                shutil.copyfileobj(spool, f)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -1106,10 +1172,14 @@ def _file_lines(path: Path) -> Iterator[str]:
                 if "\r" in line:
                     *ended, line = line.replace("\r\n", "\n").replace("\r", "\n").split("\n")
                     yield from ended
-                yield line
                 if not terminated:  # the end of a file without a final newline
+                    yield line
                     return
+                # A generator holds what it yields in a local until it is resumed; popped
+                # from a list, the line is held by its user alone, which lets it go.
+                given = [line]
                 del line
+                yield given.pop()
             yield ""
     except OSError as exc:
         raise LoadError(f"{path.name}: {exc.strerror or exc}") from None
@@ -1125,7 +1195,7 @@ def _whole_text_header(path: Path):
     except ValueError as exc:
         raise ValidationError(f"not a JSON manifest ({exc})") from None
     rest, *after = text[end:].split("\n")
-    return header, rest, iter(after)
+    return header, rest, after
 
 
 # JSON whitespace, as the stdlib decoder skips it between tokens.
@@ -1185,78 +1255,117 @@ def _table_line(line: str, line_no: int, phase: Phase) -> dict[str, Any]:
     return spec
 
 
-def _manifest_submission(header: Any, rest: str, lines: Iterator[str], phases) -> Submission:
-    """The Submission of a manifest from its decoded header, the rest of the
-    header's line and an iterator over the lines after it.
+def _manifest_tables(lines: Iterator[str], index: list[Phase], phases, early: Fault, late: Fault) -> Tables:
+    """The tables of the table lines of `phases` (all when None), one at a
+    time in line order, each line decoded when it is reached and let go
+    before the next is read. `lines` are the lines after the header, as many
+    as it indexes tables (or more), and `early` and `late` the faults of
+    _header_submission.
 
-    The lines are read to the end, one at a time, so that an undecodable
-    byte (LoadError) and then a wrong line count are reported before any
-    other fault, as a read of the whole text would. Only the table lines of
-    `phases` (all when None) are decoded, each into its table before the
-    next."""
-    try:
-        _check_version(header)
-        index = _get(header, "timing", _LIST, "manifest")
-        index_phases = [_enum(Phase, name, f"timing.{name}") for name in index]
-        if len(set(index_phases)) != len(index_phases):
-            raise ValidationError("manifest.timing: a phase is listed twice")
-        if rest:
-            raise ValidationError("manifest: line 1 holds more than the header")
-    except ValidationError:
-        for _ in lines:
-            pass
-        raise
-    tables: dict[Phase, ProcessTimingTable] = {}
-    line_error = table_error = None  # the first of each, in line order
-    n_lines, unterminated = 1, False
-    for line in lines:
-        n_lines, unterminated = n_lines + 1, line != ""
-        phase = index_phases[n_lines - 2] if n_lines - 2 < len(index_phases) else None
-        if line_error is None and phase is not None and (phases is None or phase in phases):
+    A fault is the one a read of the whole text reports: the first table
+    line that does not decode to an object of its phase, raised when it is
+    reached, else `early`, else the first table whose columns do not check,
+    else `late`. So while one of the last three is pending no table is
+    given, and the later lines are still decoded."""
+    error = early
+    for line_no, phase in enumerate(index, start=2):
+        line = next(lines, "")  # "" where the file has lost lines since they were counted
+        if phases is not None and phase not in phases:
+            del line  # before the next line is read
+            continue
+        spec = _table_line(line, line_no, phase)
+        del line
+        given = []  # popped as it is given, as in _file_lines
+        if error is None:
             try:
-                spec = _table_line(line, n_lines, phase)
+                given.append((phase, _timing_table(phase.value, spec)))
             except ValidationError as exc:
-                line_error = exc
-            else:
-                if table_error is None:
-                    try:
-                        tables[phase] = _timing_table(phase.value, spec)
-                    except ValidationError as exc:  # reported after the header's meta and phases
-                        table_error = exc
-                del spec  # so that one table's lists are alive at a time
-        del line  # also while the next line is read
+                error = exc
+        del spec  # so that one table's lists are alive at a time
+        if given and late is None:
+            yield given.pop()
+    if error or late:
+        raise error or late
+
+
+def _first_pass(file: Path) -> tuple[Any, list[Phase], list[str] | None]:
+    """A manifest's header, the phases its `timing` index lists and, where
+    the header is not line 1 (see _whole_text_header), the lines after it.
+    The file is read to its end, a line at a time, so that an undecodable
+    byte (LoadError), then a fault in the header's structure, then a wrong
+    line count, is raised first, as a read of the whole text raises them."""
+    with contextlib.closing(_file_lines(file)) as lines:
+        first = next(lines)
+        try:
+            header, end = _JSON.raw_decode(first)
+        except ValueError:
+            header, rest, after = _whole_text_header(file)
+        else:
+            rest, after = first[end:], None
+        del first
+        n_lines, unterminated = 1, False
+        for line in lines if after is None else after:
+            n_lines, unterminated = n_lines + 1, line != ""
+            del line  # also while the next line is read
+    _check_version(header)
+    names = _get(header, "timing", _LIST, "manifest")
+    index = [_enum(Phase, name, f"timing.{name}") for name in names]
+    if len(set(index)) != len(index):
+        raise ValidationError("manifest.timing: a phase is listed twice")
+    if rest:
+        raise ValidationError("manifest: line 1 holds more than the header")
     if unterminated or n_lines != len(index) + 2:
         tail = " and an unterminated one" if unterminated else ""
         raise ValidationError(
             f"manifest: expected {len(index) + 1} complete lines (a header and {len(index)} "
             f"tables), found {n_lines - 1}{tail}; the file is truncated or damaged"
         )
-    if line_error is not None:
-        raise line_error
+    return header, index, after
 
-    def timing() -> dict[Phase, ProcessTimingTable]:
-        if table_error is not None:
-            raise table_error
-        return tables
 
-    return _submission(header, timing)
+def stream_manifest(path: str | Path, phases: Collection[Phase] | None = None) -> tuple[Submission, Tables]:
+    """One manifest's Submission without timing tables, and a one-pass
+    iterator of its `(phase, table)` pairs, those of `phases` (all when
+    None), in phase-name order, each table line decoded when the iterator
+    reaches it.
+
+    The file is read once to its end (_first_pass) and the header's fields
+    are checked before anything is returned. The iterator raises the other
+    faults, in the order read_manifest raises them (_manifest_tables); where
+    the header is at fault, it is drained here, so that no table is given.
+    Errors name the file."""
+    file = Path(path)
+    try:
+        header, index, after = _first_pass(file)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    sub, early, late = _header_submission(header)
+
+    def tables() -> Tables:
+        if after is None:
+            lines = _file_lines(file)
+            next(lines, None)  # the header line
+        else:
+            lines = (line for line in after)
+        with contextlib.closing(lines):
+            try:
+                yield from _manifest_tables(lines, index, phases, early, late)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from None
+
+    if sub is None:
+        collections.deque(tables(), maxlen=0)  # gives no table: raises the fault to report
+    if index != sorted(index, key=lambda phase: phase.value):  # not as this package writes it
+        return sub, iter(sorted(tables(), key=lambda item: item[0].value))
+    return sub, tables()
 
 
 def read_manifest(path: str | Path, phases: Collection[Phase] | None = None) -> Submission:
-    """Load one manifest, reading it a line at a time and decoding only the
-    timing tables of `phases` (all when None); the others are left out of the
-    Submission. Errors name the file."""
-    file = Path(path)
-    try:
-        with contextlib.closing(_file_lines(file)) as lines:
-            first = next(lines)
-            try:
-                header, end = _JSON.raw_decode(first)
-            except ValueError:
-                return _manifest_submission(*_whole_text_header(file), phases)
-            return _manifest_submission(header, first[end:], lines, phases)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    """Load one manifest: stream_manifest's Submission with its tables
+    collected into `timing`, the others left out."""
+    sub, tables = stream_manifest(path, phases)
+    sub.timing = dict(tables)
+    return sub
 
 
 def manifest_paths(directory: str | Path) -> list[Path]:

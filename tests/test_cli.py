@@ -799,6 +799,42 @@ def test_cli_surface_is_unchanged(monkeypatch):
         assert surface[name] == arguments, name
 
 
+# A package whose CSV names sort apart from their phases (`IOR_Easy_Write.csv`
+# before `find.csv`), with a phase whose first file is malformed, so that its
+# second is used and its third ignored, and a file that matches no phase.
+MIXED_CSVS = {
+    "IOR_Easy_Write.csv": "# stonewall_s = 300\nrank,start,end,close\n0,0,310,1.5\n1,0,320,-1\n2,0,315,0.5\n",
+    "find.csv": "rank,start,end,items\n0,0,5,10\n1,0,6,20\n2,0,7,30\n",
+    "ior-hard-write.csv": "rank,start,end\n0,x,310\n",
+    "ior_hard_write.csv": "# stonewall_s = 300\nrank,start,end,close\n0,0,305,0.5\n1,0,306,0.25\n",
+    "ior_hard_write_old.csv": "rank,start,end\n0,0,1\n",
+    "notes.csv": "x\n",
+}
+
+
+def test_streamed_ingest_keeps_table_and_warning_orders(tmp_path, summary_basic):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / SUMMARY_FILENAME).write_text(summary_basic)
+    (pkg / ingest.META_FILENAME).write_text("submission_id = mixed\nfilesystem = lustre\n")
+    for name, text in MIXED_CSVS.items():
+        (pkg / name).write_text(text)
+    sub = ingest.load_submission(pkg)
+    assert list(sub.timing) == [Phase.FIND, Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE]
+    assert sub.timing[Phase.IOR_HARD_WRITE].end_s.tolist() == [305.0, 306.0]
+    assert [w.split(":")[0] for w in sub.warnings] == [
+        "ior-easy-write", "ior-hard-write.csv", "ior_hard_write_old.csv", "notes.csv"
+    ]
+    ingest.write_manifest(sub, tmp_path / "library.json")
+    assert run("ingest", pkg, "--out", tmp_path / "manifests") == 0
+    assert (tmp_path / "manifests" / "mixed.json").read_bytes() == (tmp_path / "library.json").read_bytes()
+    for source, out in ((pkg, "from-package"), (tmp_path / "manifests", "from-manifest")):
+        assert run("logs", source, "--analysis", "close", "--out", tmp_path / out) == 0
+    rows = (tmp_path / "from-package" / "logs" / "close_summary.csv").read_text()
+    assert rows.splitlines()[1:] == ["mixed,ior-easy-write,2,1,1.5,0.00321301", "mixed,ior-hard-write,2,0.375,0.5,0.00122817"]
+    assert tree_bytes(tmp_path / "from-package") == tree_bytes(tmp_path / "from-manifest")
+
+
 def test_ingest_column_map_flag(tmp_path):
     csv_file = tmp_path / "export.csv"
     csv_file.write_text("SubID,List,FS,Nodes\nalpha,SC22,daos,4\n")
@@ -1184,15 +1220,22 @@ def test_ingest_failing_part_way_leaves_earlier_manifests(corpus, manifests, tmp
     out = tmp_path / "out"
     before = _earlier_run(out, manifests)
     paths = _all_paths(out)
-    load, calls = ingest.load_submission, []
+    stream, calls = ingest.stream_package, []
 
     def failing_third(pkg, *rest):
+        # The third package fails after its first table is written.
         calls.append(pkg)
-        if len(calls) == 3:
-            raise ingest.LoadError(f"{pkg}: gone")
-        return load(pkg, *rest)
+        sub, tables = stream(pkg, *rest)
+        if len(calls) < 3:
+            return sub, tables
 
-    monkeypatch.setattr(ingest, "load_submission", failing_third)
+        def failing():
+            yield next(tables)
+            raise ingest.LoadError(f"{pkg}: gone")
+
+        return sub, failing()
+
+    monkeypatch.setattr(ingest, "stream_package", failing_third)
     assert run("ingest", corpus, "--out", out) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {calls[2]}: gone"]
     assert tree_bytes(out) == before

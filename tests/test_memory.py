@@ -253,3 +253,41 @@ def test_close_peak_does_not_grow_with_manifests(copies, tmp_path):
     peak = {k: _traced_peak(lambda: close(k)) for k in copies}
     assert (tmp_path / "8" / "logs" / "close_box.svg").is_file()
     assert peak[8] < 1.3 * peak[2], peak
+
+
+TABLE_PHASES = (Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE, Phase.MDTEST_EASY_WRITE)
+
+
+@pytest.fixture(scope="module")
+def tables_of(table, tmp_path_factory):
+    """{k: (a package with k N_RANKS-rank write tables with close times, a
+    dir of its manifest)} for k = 1 and 3; the tables are the `table`
+    fixture quantized to microseconds, as synth writes them."""
+    root = tmp_path_factory.mktemp("tables")
+    dirs = {}
+    for k in (1, 3):
+        pkg, manifests = root / f"pkg-{k}", root / f"manifests-{k}"
+        pkg.mkdir()
+        (pkg / ingest.SUMMARY_FILENAME).write_text(SUMMARY_BASIC)
+        (pkg / ingest.META_FILENAME).write_text(f"submission_id = tables-{k}\nfilesystem = lustre\n")
+        for phase in TABLE_PHASES[:k]:
+            quantized = {key: synth._r6_array(getattr(table, key)) for key in ("start_s", "end_s", "close_s")}
+            written = dataclasses.replace(table, phase=phase, **quantized)
+            (pkg / f"{phase.value}.csv").write_text("".join(synth._timing_pieces(written)))
+        assert _cli(["ingest", pkg, "--out", manifests]) == 0
+        dirs[k] = pkg, manifests
+    return dirs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ingest"], ["logs", "--analysis", "close"], ["logs", "--analysis", "stonewall"]],
+    ids=["ingest", "close", "stonewall"],
+)
+def test_peak_does_not_grow_with_tables(tables_of, tmp_path, argv):
+    # `ingest` reads the package, and each analysis the manifest `ingest` wrote of it.
+    command, *options = argv
+    source = 0 if command == "ingest" else 1
+    run = lambda k: _cli([command, tables_of[k][source], *options, "--out", tmp_path / str(k)])
+    peak = {k: _traced_peak(lambda: run(k)) for k in tables_of}
+    assert peak[3] < 1.3 * peak[1], peak

@@ -5,7 +5,9 @@ renderers, and the column-wise analysis kernels against their loops.
 Derandomized, so every run checks the same examples.
 """
 
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from io500kit import ingest, loginsight, metrics, report, stats, synth
+from io500kit import cli, ingest, loginsight, metrics, report, stats, synth
 from io500kit.config import StragglerParams
 from io500kit.errors import ConfigError, Io500KitError, ParseError, SampleSizeError, ValidationError
 from io500kit.types import Filesystem, Phase, PhaseResult, ProcessTimingTable, Submission, SubmissionMeta
@@ -664,6 +666,38 @@ def test_line_reader_matches_whole_text_reader(data, phases):
         path = Path(tmp) / "m.json"
         path.write_bytes(data)
         assert _read(ingest.read_manifest, path, phases) == _read(read_manifest_oracle, path, phases)
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+@PROPERTY
+@_pin_manifests
+@given(damaged_manifest(), st.booleans())
+def test_close_on_a_damaged_manifest_fails_as_the_reader(data, premade):
+    # `logs --analysis close` decodes every table, each when it reaches it, so
+    # a table may be analysed before a later line fails. The run reports the
+    # reader's error, alone, and leaves --out as it found it.
+    with tempfile.TemporaryDirectory() as tmp:
+        manifests, out = Path(tmp) / "manifests", Path(tmp) / "out"
+        manifests.mkdir()
+        (manifests / "m.json").write_bytes(data)
+        if premade:  # an earlier run's files, which this run would overwrite, and a file of the user's
+            (out / "logs").mkdir(parents=True)
+            for name in ("close_summary.csv", "close_summary.txt", "close_box.svg", "close_box.csv"):
+                (out / "logs" / name).write_text(f"an earlier run's {name}\n")
+            (out / "keep.txt").write_text("kept\n")
+        before = _tree(out) if premade else None
+        want = _read(read_manifest_oracle, manifests / "m.json", None)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["logs", str(manifests), "--analysis", "close", "--out", str(out)])
+        if isinstance(want, Submission):
+            assert (code, err.getvalue()) == (0, "")
+        else:
+            assert (code, err.getvalue()) == (1, f"error: {want[1]}\n")
+            assert (_tree(out) if premade else out.exists()) == (before if premade else False)
 
 
 # --- the other parsers on odd numbers and arbitrary text ---------------------------------
