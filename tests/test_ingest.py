@@ -723,6 +723,25 @@ def test_damaged_manifest_lines_are_validation_errors(tmp_path, summary_basic, m
     assert message in str(excinfo.value)
 
 
+def test_stream_manifest_gives_tables_in_phase_name_order(tmp_path, summary_basic):
+    # A manifest whose index and lines are in another order, as no writer here makes
+    # them, still gives its tables in phase-name order.
+    timing = "rank,start,end,close,items\n0,0.25,310.5,2.5,1000\n1,0.5,312.25,,\n"
+    csvs = {"ior-easy-write.csv": timing, "find.csv": timing, "ior-hard-write.csv": timing}
+    sub = ingest.load_submission(_write_package(tmp_path, summary_basic, meta=META_BASIC, csvs=csvs))
+    header, find, easy, hard, end = ingest.dumps_manifest(sub).split("\n")
+    tree = json.loads(header)
+    tree["timing"] = ["ior-hard-write", "find", "ior-easy-write"]
+    path = tmp_path / "m.json"
+    path.write_text("\n".join([json.dumps(tree), hard, find, easy, end]))
+    header_only, tables = ingest.stream_manifest(path)
+    assert header_only.timing == {}
+    assert [phase for phase, _ in tables] == [Phase.FIND, Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE]
+    assert ingest.read_manifest(path) == sub
+    _, tables = ingest.stream_manifest(path, (Phase.IOR_HARD_WRITE, Phase.FIND))
+    assert [(phase, table) for phase, table in tables] == [(p, sub.timing[p]) for p in (Phase.FIND, Phase.IOR_HARD_WRITE)]
+
+
 @pytest.mark.parametrize("version, indent", [(1, 2), (2, None)])
 def test_single_document_manifests_are_no_longer_read(tmp_path, summary_basic, version, indent):
     # v1 was one indented document and v2 one compact line, timing included.

@@ -22,12 +22,13 @@ them as floats; quantized as synth writes them, they are held as integers:
 | `render_group_box` of a close column, log scale | 0.7x | 1.04x (whole strings) | 0.85x |
 | `_file_lines` of two tables, of the longest line | 3.0x | 4.2x (text mode) | 3.5x |
 
-The CLI holds one submission's timing tables at a time: `ingest` loads,
-writes and drops one package at a time, and an analysis decodes each
-submission's tables when it reaches them. So the peak of `ingest`, and of
-`logs --analysis close`, which decodes every table, hardly grows with the
-number of submissions. Each is bounded as the peak on 8 copies of one
-submission over the peak on 2 copies; the loaders before held every
+The CLI holds one timing table at a time, so also one submission's
+tables: `ingest` loads, writes and drops one package at a time, and an
+analysis decodes each submission's tables when it reaches them. So the
+peak of `ingest`, and of `logs --analysis close`, which decodes every
+table, hardly grows with the number of submissions. Each is bounded as
+the peak on 8 copies of one submission over the peak on 2 copies; the
+loaders before held every
 submission's tables at once. `close` keeps each table's close times for its
 box plot, 8 bytes a value that no loader can drop, so the fixture's close
 times sit in a small table beside a large find table, whose rows are what
@@ -38,6 +39,19 @@ its three 2,048-rank tables, the streamed `close` reads 1.4x.)
 |---|---|---|---|
 | `ingest` of packages | 1.01x | 1.85x | 1.3x |
 | `logs --analysis close` of manifests | 1.00x | 2.82x | 1.3x |
+
+Nor does it grow with the number of a submission's tables: `ingest`
+parses, writes and drops each table before it parses the next, and an
+analysis decodes each table line when it reaches it. So the peak on a
+submission of three 65,536-rank tables is bounded at 1.3 times the peak on
+one with one such table; the loaders before held one submission's tables
+at once. (`close` keeps each table's close times for its box plot.)
+
+| Run, 3 tables over 1 | Streamed | One submission's tables at once | Bound |
+|---|---|---|---|
+| `ingest` of a package | 1.00x | 1.54x | 1.3x |
+| `logs --analysis close` of its manifest | 1.16x | 1.83x | 1.3x |
+| `logs --analysis stonewall` of its manifest | 1.00x | 1.53x | 1.3x |
 """
 
 import collections
@@ -259,10 +273,9 @@ TABLE_PHASES = (Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE, Phase.MDTEST_EASY_WR
 
 
 @pytest.fixture(scope="module")
-def tables_of(table, tmp_path_factory):
+def tables_of(micro_table, tmp_path_factory):
     """{k: (a package with k N_RANKS-rank write tables with close times, a
-    dir of its manifest)} for k = 1 and 3; the tables are the `table`
-    fixture quantized to microseconds, as synth writes them."""
+    dir of its manifest)} for k = 1 and 3; each table is `micro_table`."""
     root = tmp_path_factory.mktemp("tables")
     dirs = {}
     for k in (1, 3):
@@ -271,8 +284,7 @@ def tables_of(table, tmp_path_factory):
         (pkg / ingest.SUMMARY_FILENAME).write_text(SUMMARY_BASIC)
         (pkg / ingest.META_FILENAME).write_text(f"submission_id = tables-{k}\nfilesystem = lustre\n")
         for phase in TABLE_PHASES[:k]:
-            quantized = {key: synth._r6_array(getattr(table, key)) for key in ("start_s", "end_s", "close_s")}
-            written = dataclasses.replace(table, phase=phase, **quantized)
+            written = dataclasses.replace(micro_table, phase=phase)
             (pkg / f"{phase.value}.csv").write_text("".join(synth._timing_pieces(written)))
         assert _cli(["ingest", pkg, "--out", manifests]) == 0
         dirs[k] = pkg, manifests
