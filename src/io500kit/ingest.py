@@ -8,7 +8,6 @@ warnings or skip records alongside the parsed data.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import csv
 import functools
@@ -636,19 +635,17 @@ def parse_repo_csv(text: str, column_map: Mapping[str, Any] | None = None) -> Re
 # --- package loading ----------------------------------------------------------
 
 
+# A meta.txt line: its key, up to the first "=" or ":", and its value.
+_META_LINE = re.compile(r"([^=:]*)[=:](.*)")
+
+
 def _parse_meta_file(text: str) -> dict[str, str]:
     raw: dict[str, str] = {}
     for line in text.splitlines():
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" in stripped:
-            key, _, value = stripped.partition("=")
-        elif ":" in stripped:
-            key, _, value = stripped.partition(":")
-        else:
-            continue
-        raw[key.strip().lower()] = value.strip()
+        match = _META_LINE.match(stripped)
+        if match and not stripped.startswith("#"):
+            raw[match[1].strip().lower()] = match[2].strip()
     return raw
 
 
@@ -675,7 +672,10 @@ def read_text(path: str | Path) -> str:
 
 def load_package_header(package_dir: str | Path) -> Submission:
     """A package's Submission without its timing tables: its summary and
-    meta. A missing, unreadable or unparseable summary or meta file raises."""
+    meta. A missing, unreadable or unparseable summary raises, and so does an
+    unreadable meta file; a missing one is a warning, and default metadata is
+    used. A meta line without "=" or ":", or one that starts with "#", is
+    skipped."""
     package_dir = Path(package_dir)
     summary_path = package_dir / SUMMARY_FILENAME
     if not summary_path.is_file():
@@ -750,8 +750,8 @@ def stream_package(
     iterator is exhausted.
 
     Requires `result_summary.txt`; `meta.txt` and per-phase `<phase>*.csv`
-    timing files are optional. A corrupt timing CSV degrades to a warning;
-    a missing, unreadable or unparseable summary or meta file is fatal.
+    timing files are optional (see load_package_header). A corrupt timing
+    CSV degrades to a warning, as does a missing meta file.
     `header`, the package's load_package_header where the caller has read
     it already, stands in for reading the summary and meta again; it is
     not changed.
@@ -1020,53 +1020,38 @@ def _timing_table(phase_name: str, spec: Any) -> ProcessTimingTable:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-Fault = ValidationError | None
-
-
-def _header_submission(doc: Mapping[str, Any]) -> tuple[Submission | None, Fault, Fault]:
+def _header_submission(doc: Mapping[str, Any]) -> Submission:
     """The Submission of a manifest tree whose version is checked, less its
-    tables, or None; the fault of its meta or phases; and that of its
-    warnings or scores. A reader reports them in the order of a read of
-    the whole tree: meta, phases, then the tables, then warnings and scores."""
-    try:
-        meta = _record(SubmissionMeta, _get(doc, "meta", _OBJ, "manifest"), "meta")
-        phases: dict[Phase, PhaseResult] = {}
-        for i, entry in enumerate(_get(doc, "phases", _LIST, "manifest")):
-            result = _record(PhaseResult, entry, f"phases[{i}]")
-            phases[result.phase] = result
-    except ValidationError as exc:
-        return None, exc, None
-    try:
-        warnings = _get(doc, "warnings", _LIST, "manifest")
-        if not all(isinstance(w, str) for w in warnings):
-            raise ValidationError("manifest.warnings: expected a list of strings")
-        sub = Submission(
-            meta=meta,
-            phases=phases,
-            reported_score_bw=_get(doc, "reported_score_bw", _NUM, "manifest", nullable=True),
-            reported_score_md=_get(doc, "reported_score_md", _NUM, "manifest", nullable=True),
-            reported_score_overall=_get(doc, "reported_score_overall", _NUM, "manifest", nullable=True),
-            warnings=list(warnings),
-        )
-    except ValidationError as exc:
-        return None, None, exc
-    return sub, None, None
+    tables. Its fields are checked in this order, and the first fault is
+    raised: meta, phases, warnings, then the scores."""
+    meta = _record(SubmissionMeta, _get(doc, "meta", _OBJ, "manifest"), "meta")
+    phases: dict[Phase, PhaseResult] = {}
+    for i, entry in enumerate(_get(doc, "phases", _LIST, "manifest")):
+        result = _record(PhaseResult, entry, f"phases[{i}]")
+        phases[result.phase] = result
+    warnings = _get(doc, "warnings", _LIST, "manifest")
+    if not all(isinstance(w, str) for w in warnings):
+        raise ValidationError("manifest.warnings: expected a list of strings")
+    return Submission(
+        meta=meta,
+        phases=phases,
+        reported_score_bw=_get(doc, "reported_score_bw", _NUM, "manifest", nullable=True),
+        reported_score_md=_get(doc, "reported_score_md", _NUM, "manifest", nullable=True),
+        reported_score_overall=_get(doc, "reported_score_overall", _NUM, "manifest", nullable=True),
+        warnings=list(warnings),
+    )
 
 
 def from_manifest(doc: Mapping[str, Any]) -> Submission:
     """Reconstruct a Submission from a manifest document tree.
 
-    Format versions 3, 4 and 5 are read; any shape error raises ValidationError.
+    Format versions 3, 4 and 5 are read; any shape error raises ValidationError,
+    the header's fields checked first, then the tables.
     """
     _check_version(doc)
-    sub, early, late = _header_submission(doc)
-    if early:
-        raise early
+    sub = _header_submission(doc)
     tables = (_timing_table(name, spec) for name, spec in _get(doc, "timing", _OBJ, "manifest").items())
-    timing = {table.phase: table for table in tables}
-    if late:
-        raise late
-    return replace(sub, timing=timing)
+    return replace(sub, timing={table.phase: table for table in tables})
 
 
 def _json_line(part: dict[str, Any]) -> str:
@@ -1185,19 +1170,6 @@ def _file_lines(path: Path) -> Iterator[str]:
         raise LoadError(f"{path.name}: {exc.strerror or exc}") from None
 
 
-def _whole_text_header(path: Path):
-    """For a file whose line 1 is not one JSON value: the first JSON value of
-    the whole text, such as an older single-document manifest, the rest of the
-    line it ends on, and the lines after that."""
-    text = read_text(path)
-    try:
-        header, end = _JSON.raw_decode(text)
-    except ValueError as exc:
-        raise ValidationError(f"not a JSON manifest ({exc})") from None
-    rest, *after = text[end:].split("\n")
-    return header, rest, after
-
-
 # JSON whitespace, as the stdlib decoder skips it between tokens.
 _WS = re.compile(r"[ \t\n\r]*")
 
@@ -1255,19 +1227,13 @@ def _table_line(line: str, line_no: int, phase: Phase) -> dict[str, Any]:
     return spec
 
 
-def _manifest_tables(lines: Iterator[str], index: list[Phase], phases, early: Fault, late: Fault) -> Tables:
+def _manifest_tables(lines: Iterator[str], index: list[Phase], phases) -> Tables:
     """The tables of the table lines of `phases` (all when None), one at a
     time in line order, each line decoded when it is reached and let go
     before the next is read. `lines` are the lines after the header, as many
-    as it indexes tables (or more), and `early` and `late` the faults of
-    _header_submission.
-
-    A fault is the one a read of the whole text reports: the first table
-    line that does not decode to an object of its phase, raised when it is
-    reached, else `early`, else the first table whose columns do not check,
-    else `late`. So while one of the last three is pending no table is
-    given, and the later lines are still decoded."""
-    error = early
+    as it indexes tables (or more). A line's JSON and phase are checked, then
+    its table's columns; a fault is raised when it is reached, and no later
+    line is decoded."""
     for line_no, phase in enumerate(index, start=2):
         line = next(lines, "")  # "" where the file has lost lines since they were counted
         if phases is not None and phase not in phases:
@@ -1275,44 +1241,34 @@ def _manifest_tables(lines: Iterator[str], index: list[Phase], phases, early: Fa
             continue
         spec = _table_line(line, line_no, phase)
         del line
-        given = []  # popped as it is given, as in _file_lines
-        if error is None:
-            try:
-                given.append((phase, _timing_table(phase.value, spec)))
-            except ValidationError as exc:
-                error = exc
+        given = [(phase, _timing_table(phase.value, spec))]  # popped as it is given, as in _file_lines
         del spec  # so that one table's lists are alive at a time
-        if given and late is None:
-            yield given.pop()
-    if error or late:
-        raise error or late
+        yield given.pop()
 
 
-def _first_pass(file: Path) -> tuple[Any, list[Phase], list[str] | None]:
-    """A manifest's header, the phases its `timing` index lists and, where
-    the header is not line 1 (see _whole_text_header), the lines after it.
-    The file is read to its end, a line at a time, so that an undecodable
-    byte (LoadError), then a fault in the header's structure, then a wrong
-    line count, is raised first, as a read of the whole text raises them."""
+def _first_pass(file: Path) -> tuple[Any, list[Phase]]:
+    """A manifest's header, the JSON value on line 1, and the phases its
+    `timing` index lists. The file is read to its end, a line at a time, so
+    that an undecodable byte (LoadError) is raised first, then a fault in
+    line 1's structure, then a wrong line count."""
     with contextlib.closing(_file_lines(file)) as lines:
         first = next(lines)
-        try:
-            header, end = _JSON.raw_decode(first)
-        except ValueError:
-            header, rest, after = _whole_text_header(file)
-        else:
-            rest, after = first[end:], None
-        del first
-        n_lines, unterminated = 1, False
-        for line in lines if after is None else after:
+        n_lines, unterminated = 1, first != ""  # line 1 is the last line until another follows
+        for line in lines:
             n_lines, unterminated = n_lines + 1, line != ""
             del line  # also while the next line is read
+    try:
+        header, end = _JSON.raw_decode(first)
+    except ValueError as exc:
+        raise ValidationError(
+            f"not a JSON manifest ({exc}); tools/convert_manifest.py converts manifests of format_version 1 and 2"
+        ) from None
     _check_version(header)
     names = _get(header, "timing", _LIST, "manifest")
     index = [_enum(Phase, name, f"timing.{name}") for name in names]
     if len(set(index)) != len(index):
         raise ValidationError("manifest.timing: a phase is listed twice")
-    if rest:
+    if first[end:]:
         raise ValidationError("manifest: line 1 holds more than the header")
     if unterminated or n_lines != len(index) + 2:
         tail = " and an unterminated one" if unterminated else ""
@@ -1320,7 +1276,7 @@ def _first_pass(file: Path) -> tuple[Any, list[Phase], list[str] | None]:
             f"manifest: expected {len(index) + 1} complete lines (a header and {len(index)} "
             f"tables), found {n_lines - 1}{tail}; the file is truncated or damaged"
         )
-    return header, index, after
+    return header, index
 
 
 def stream_manifest(path: str | Path, phases: Collection[Phase] | None = None) -> tuple[Submission, Tables]:
@@ -1329,32 +1285,26 @@ def stream_manifest(path: str | Path, phases: Collection[Phase] | None = None) -
     None), in phase-name order, each table line decoded when the iterator
     reaches it.
 
-    The file is read once to its end (_first_pass) and the header's fields
-    are checked before anything is returned. The iterator raises the other
-    faults, in the order read_manifest raises them (_manifest_tables); where
-    the header is at fault, it is drained here, so that no table is given.
+    Faults are raised in file order. The file is read once to its end
+    (_first_pass) and the header's fields are checked (_header_submission)
+    before anything is returned; the iterator reads the file again and
+    raises the first fault of a table line it reaches (_manifest_tables).
     Errors name the file."""
     file = Path(path)
     try:
-        header, index, after = _first_pass(file)
+        header, index = _first_pass(file)
+        sub = _header_submission(header)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    sub, early, late = _header_submission(header)
 
     def tables() -> Tables:
-        if after is None:
-            lines = _file_lines(file)
+        with contextlib.closing(_file_lines(file)) as lines:
             next(lines, None)  # the header line
-        else:
-            lines = (line for line in after)
-        with contextlib.closing(lines):
             try:
-                yield from _manifest_tables(lines, index, phases, early, late)
+                yield from _manifest_tables(lines, index, phases)
             except ValidationError as exc:
                 raise ValidationError(f"{path}: {exc}") from None
 
-    if sub is None:
-        collections.deque(tables(), maxlen=0)  # gives no table: raises the fault to report
     if index != sorted(index, key=lambda phase: phase.value):  # not as this package writes it
         return sub, iter(sorted(tables(), key=lambda item: item[0].value))
     return sub, tables()

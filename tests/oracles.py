@@ -794,21 +794,22 @@ def render_corr_heatmap_oracle(report, spec: RenderSpec | None = None) -> tuple[
     return svg, sidecar
 
 
-def _manifest_tree_oracle(text, phases):
-    """The document tree of a whole manifest text, with the tables of `phases`."""
+def _manifest_oracle(text, phases):
+    """The Submission of a whole manifest text, with the tables of `phases`."""
+    # lines[0] is the header line and lines[-1] what follows the last newline.
+    lines = text.split("\n")
     try:
-        # The first JSON value: the header line, or the whole of an older single-document manifest.
-        header, end = json.JSONDecoder().raw_decode(text)
+        header, end = json.JSONDecoder().raw_decode(lines[0])
     except ValueError as exc:
-        raise ValidationError(f"not a JSON manifest ({exc})") from None
+        raise ValidationError(
+            f"not a JSON manifest ({exc}); tools/convert_manifest.py converts manifests of format_version 1 and 2"
+        ) from None
     ingest._check_version(header)
     index = ingest._get(header, "timing", ingest._LIST, "manifest")
     index_phases = [ingest._enum(Phase, name, f"timing.{name}") for name in index]
     if len(set(index_phases)) != len(index_phases):
         raise ValidationError("manifest.timing: a phase is listed twice")
-    # lines[0] is the rest of the header line and lines[-1] what follows the last newline.
-    lines = text[end:].split("\n")
-    if lines[0]:
+    if lines[0][end:]:
         raise ValidationError("manifest: line 1 holds more than the header")
     if lines[-1] or len(lines) != len(index) + 2:
         tail = " and an unterminated one" if lines[-1] else ""
@@ -816,7 +817,7 @@ def _manifest_tree_oracle(text, phases):
             f"manifest: expected {len(index) + 1} complete lines (a header and {len(index)} "
             f"tables), found {len(lines) - 1}{tail}; the file is truncated or damaged"
         )
-    tables = {}
+    sub = ingest.from_manifest({**header, "timing": {}})
     for line_no, (phase, line) in enumerate(zip(index_phases, lines[1:-1]), start=2):
         if phases is not None and phase not in phases:
             continue
@@ -828,16 +829,17 @@ def _manifest_tree_oracle(text, phases):
         if ingest._get(table, "phase", ingest._STR, where) != phase.value:
             raise ValidationError(f"{where}: line {line_no} holds phase {table['phase']!r}")
         del table["phase"]
-        tables[phase.value] = table
-    return {**header, "timing": tables}
+        sub.timing[phase] = ingest._timing_table(phase.value, table)
+    return sub
 
 
 def read_manifest_oracle(path, phases=None):
-    """ingest.read_manifest from the whole text: every table line of `phases`
-    decoded before any table is built."""
+    """ingest.read_manifest from the whole text, in file order: line 1's
+    structure and the line count, the header's fields, then each table line
+    of `phases` in turn, its JSON and phase and then its columns."""
     text = ingest.read_text(path)
     try:
-        return ingest.from_manifest(_manifest_tree_oracle(text, phases))
+        return _manifest_oracle(text, phases)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

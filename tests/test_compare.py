@@ -34,6 +34,8 @@ def test_parse_result_takes_the_last_line(compare):
     assert compare.parse_result(stdout) == _line(pipeline_s=2.5)
     with pytest.raises(ValueError):
         compare.parse_result("\n")
+    with pytest.raises(ValueError):
+        compare.parse_result("5\n")  # JSON, but not a result object
 
 
 def test_aggregate_medians_quartiles_and_wins(compare):
@@ -88,11 +90,18 @@ def _fake_git(shas):
 
 @pytest.fixture
 def offline(compare, monkeypatch):
-    """compare.main with git, the exports and the bench runs replaced by canned ones."""
+    """compare.main with git and the exports replaced by canned ones: each
+    export's bench/run.py prints one canned result line, pipeline_s 2.0 in
+    the parent's and 1.0 in the change's."""
     monkeypatch.setattr(compare, "git", _fake_git({"old": "a" * 40, "new": "b" * 40}))
-    monkeypatch.setattr(compare, "export", lambda sha, dest: dest.mkdir(parents=True) or dest)
-    results = iter([_line(pipeline_s=2.0), _line(pipeline_s=1.0)])
-    monkeypatch.setattr(compare, "run_bench", lambda tree, workload, seed: next(results))
+    lines = {"a" * 40: _line(pipeline_s=2.0), "b" * 40: _line(pipeline_s=1.0)}
+
+    def export(sha, dest):
+        (dest / "bench").mkdir(parents=True)
+        (dest / "bench" / "run.py").write_text(f"print({json.dumps(lines[sha])!r})\n")
+        return dest
+
+    monkeypatch.setattr(compare, "export", export)
     return compare
 
 
@@ -113,6 +122,42 @@ def test_compare_unknown_revision_is_one_error_line(offline, tmp_path, capsys, r
     err = capsys.readouterr().err
     assert err == "error: 'nosuch' names no commit\n"
     assert not out.exists() and not (tmp_path / "w").exists()
+
+
+# bench/run.py stand-ins that fail, and the error after "error: w pair 1/2 change: ".
+FAILED_RUNS = [
+    (
+        "import sys\nprint('Traceback (most recent call last):', file=sys.stderr)\n"
+        "print('OSError: no space left', file=sys.stderr)\nsys.exit(3)\n",
+        "bench/run.py exited 3; last stderr line: OSError: no space left",
+    ),
+    (
+        "import sys\nprint('  pipeline_s = 1.0 s')\nprint('stage corr done', file=sys.stderr)\n",
+        "no result line (Expecting value: line 1 column 3 (char 2)); last stderr line: stage corr done",
+    ),
+    ("", "no result line (bench run printed nothing); last stderr line: (none)"),
+]
+
+
+@pytest.mark.parametrize("script, message", FAILED_RUNS)
+def test_compare_failed_run_is_one_error_line(offline, monkeypatch, tmp_path, capsys, script, message):
+    # The change's run of pair 1 fails: the runs so far are dropped, and no --out is written.
+    export = offline.export
+
+    def failing(sha, dest):
+        tree = export(sha, dest)
+        if sha == "b" * 40:
+            (tree / "bench" / "run.py").write_text(script)
+        return tree
+
+    monkeypatch.setattr(offline, "export", failing)
+    work, out = tmp_path / "w", tmp_path / "bench.json"
+    argv = ["old", "new", "--workload", "w", "--pairs", "2", "--out", str(out), "--work", str(work)]
+    assert offline.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [f"error: w pair 1/2 change: {message}"]
+    assert err[-1].startswith("error:")
+    assert not out.exists() and list(work.iterdir()) == []
 
 
 def test_stage_rss_runs_a_chain_on_a_given_corpus(tmp_path):

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import importlib.util
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from io500kit import ingest
+from io500kit import cli, ingest
 from io500kit.errors import (
     EmptyInputError,
     LoadError,
@@ -546,6 +548,15 @@ def test_load_submission_missing_meta_warns(tmp_path, summary_basic):
     assert any("meta.txt missing" in w for w in sub.warnings)
 
 
+def test_meta_lines_split_at_their_first_separator(tmp_path, summary_basic):
+    # A value may hold the other separator: "key: a=b" and "key = a:b".
+    meta = "submission_id: run (id=7)\nfilesystem: Lustre (mount=/lustre)\ninterconnect = IB: HDR\n"
+    sub = ingest.load_submission(_write_package(tmp_path, summary_basic, meta=meta))
+    assert sub.meta.submission_id == "run (id=7)"
+    assert (sub.meta.filesystem_raw, sub.meta.filesystem_norm) == ("Lustre (mount=/lustre)", Filesystem.LUSTRE)
+    assert (sub.meta.interconnect_raw, sub.meta.interconnect_gbps) == ("IB: HDR", 200.0)
+
+
 # --- manifest round trip ----------------------------------------------------------------
 
 
@@ -723,6 +734,45 @@ def test_damaged_manifest_lines_are_validation_errors(tmp_path, summary_basic, m
     assert message in str(excinfo.value)
 
 
+def _bad_meta(header):
+    return json.dumps({**json.loads(header), "meta": []})
+
+
+# Manifests with two faults each, from their lines (header, find, ior-easy-write,
+# ""), and the error after the file name: the first fault in file order.
+TWO_FAULTS = [
+    (lambda h, find, easy: [_bad_meta(h), find, "{", ""], "manifest.meta: unexpected list value"),
+    (
+        lambda h, find, easy: [h, json.dumps({**json.loads(find), "rank": "x"}), "{", ""],
+        "timing.find.rank: unexpected str value",
+    ),
+    (
+        lambda h, find, easy: [h, find, easy[: len(easy) // 2]],
+        "manifest: expected 3 complete lines (a header and 2 tables), found 2 and an unterminated one; "
+        "the file is truncated or damaged",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, message", TWO_FAULTS)
+def test_damaged_manifest_reports_its_first_fault_in_file_order(tmp_path, summary_basic, mutate, message):
+    timing = "rank,start,end,close,items\n0,0.25,310.5,2.5,1000\n1,0.5,312.25,,\n"
+    csvs = {"ior-easy-write.csv": timing, "find.csv": timing}
+    pkg = _write_package(tmp_path, summary_basic, meta=META_BASIC, csvs=csvs)
+    header, find, easy, _ = ingest.dumps_manifest(ingest.load_submission(pkg)).split("\n")
+    manifests, out = tmp_path / "manifests", tmp_path / "out"
+    manifests.mkdir()
+    path = manifests / "bad.json"
+    path.write_text("\n".join(mutate(header, find, easy)))
+    with pytest.raises(ValidationError) as excinfo:
+        ingest.read_manifest(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["logs", str(manifests), "--analysis", "close", "--out", str(out)])
+    assert (code, err.getvalue()) == (1, f"error: {path}: {message}\n")
+    assert not out.exists()
+
+
 def test_stream_manifest_gives_tables_in_phase_name_order(tmp_path, summary_basic):
     # A manifest whose index and lines are in another order, as no writer here makes
     # them, still gives its tables in phase-name order.
@@ -744,15 +794,23 @@ def test_stream_manifest_gives_tables_in_phase_name_order(tmp_path, summary_basi
 
 @pytest.mark.parametrize("version, indent", [(1, 2), (2, None)])
 def test_single_document_manifests_are_no_longer_read(tmp_path, summary_basic, version, indent):
-    # v1 was one indented document and v2 one compact line, timing included.
+    # v1 was one indented document, whose line 1 is not one JSON value, and
+    # v2 one compact line, timing included.
     timing = "rank,start,end\n0,0.25,310.5\n"
     pkg = _write_package(tmp_path, summary_basic, meta=META_BASIC, csvs={"ior-easy-write.csv": timing})
     doc = {**ingest.to_manifest(ingest.load_submission(pkg)), "format_version": version}
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+    message = (
+        f"{path}: not a JSON manifest (Expecting property name enclosed in double quotes: line 1 column 2 (char 1)); "
+        "tools/convert_manifest.py converts manifests of format_version 1 and 2"
+        if indent
+        else f"{path}: manifest format_version 2 is no longer read; re-run `io500kit ingest` to regenerate it"
+    )
     for phases in (None, ()):
-        with pytest.raises(ValidationError, match=f"format_version {version} is no longer read; re-run"):
+        with pytest.raises(ValidationError) as excinfo:
             ingest.read_manifest(path, phases=phases)
+        assert str(excinfo.value) == message
 
 
 def test_unreadable_manifest_names_the_file(tmp_path):

@@ -533,9 +533,9 @@ def damaged_manifest(draw):
 def _pinned_manifests():
     """Manifests whose line ends a whole-text read translates, ones with an
     undecodable byte on line 2 or near the end, and ones with two faults
-    each, where the first that a whole-text read meets is the one to report:
-    byte, header structure, line count, table line, then meta, phases, table
-    columns, warnings and scores."""
+    each, where the first in file order is the one to report: byte, line
+    1's structure, line count, then meta, phases, warnings and scores, then
+    each table line's JSON and phase and then its columns."""
     table = ProcessTimingTable(
         phase=PHASE, rank=np.arange(3), start_s=np.zeros(3), end_s=np.ones(3), stonewall_s=300.0
     )
@@ -661,7 +661,7 @@ def _read(read, path, phases):
 @_pin_manifests
 @given(damaged_manifest(), st.sampled_from([None, (), (Phase.FIND,), (Phase.IOR_EASY_WRITE, Phase.IOR_HARD_WRITE)]))
 def test_line_reader_matches_whole_text_reader(data, phases):
-    # The same Submission, or the same error (the first of several, too), as a read of the whole text.
+    # The same Submission, or the same error (the first of several in file order), as a read of the whole text.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.json"
         path.write_bytes(data)

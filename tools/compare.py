@@ -9,7 +9,10 @@ holds a `__pycache__` or any other untracked file. A revision that names
 no commit is one `error:` line and exit status 1. For each workload, each pair
 then runs `python3 bench/run.py --workload W --seed S --trace 0` once in
 each export, and the side that goes first alternates from pair to pair:
-the host's drift between runs falls on both sides alike.
+the host's drift between runs falls on both sides alike. A run that exits
+non-zero or whose last line is not a JSON object ends the comparison in one
+`error:` line, naming the workload, the pair, the side and the run's last
+stderr line, and exit status 1; no output file is written.
 
 The output file holds, per workload and metric, each side's median and
 quartiles and the number of pairs in which the change was better, the raw
@@ -50,13 +53,22 @@ def export(sha: str, dest: Path) -> Path:
     return dest
 
 
+class RunFailed(Exception):
+    """A bench run that exited non-zero or printed no result line."""
+
+
 def run_bench(tree: Path, workload: str, seed: int) -> dict:
-    """The final JSON line of one `bench/run.py --trace 0` run in `tree`."""
+    """The final JSON line of one `bench/run.py --trace 0` run in `tree`; a
+    run without one raises RunFailed, which quotes its last stderr line."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    last = next((line.strip() for line in reversed(proc.stderr.splitlines()) if line.strip()), "(none)")
     if proc.returncode != 0:
-        raise RuntimeError(f"{tree.name}: bench/run.py exited {proc.returncode}: {proc.stderr.strip()}")
-    return parse_result(proc.stdout)
+        raise RunFailed(f"bench/run.py exited {proc.returncode}; last stderr line: {last}")
+    try:
+        return parse_result(proc.stdout)
+    except ValueError as exc:
+        raise RunFailed(f"no result line ({exc}); last stderr line: {last}") from None
 
 
 def parse_result(stdout: str) -> dict:
@@ -64,7 +76,10 @@ def parse_result(stdout: str) -> dict:
     lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ValueError("bench run printed nothing")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if not isinstance(result, dict):
+        raise ValueError("the last line is not a JSON object")
+    return result
 
 
 def directions() -> dict[str, str]:
@@ -147,7 +162,11 @@ def main(argv: list[str] | None = None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 results = {}
                 for side in order:
-                    results[side] = run_bench(trees[side], workload, args.seed)
+                    try:
+                        results[side] = run_bench(trees[side], workload, args.seed)
+                    except RunFailed as exc:
+                        print(f"error: {workload} pair {i + 1}/{args.pairs} {side}: {exc}", file=sys.stderr)
+                        return 1
                     line = json.dumps(results[side])
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: {line}", file=sys.stderr)
                 pairs.append((results["parent"], results["change"]))
