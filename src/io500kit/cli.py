@@ -247,13 +247,14 @@ def cmd_ingest(args) -> int:
 
 # --- analyses ------------------------------------------------------------------
 # Each analysis is run(subs, args, config): `subs` is a one-pass iterator of
-# (file stem, Submission, tables) triples in file-name order, each
-# Submission loaded, without its timing tables, when the iterator reaches
-# it, and `tables` a one-pass iterator of the (phase, table) pairs of the
-# timing tables the analysis reads, each table read when it is reached.
-# An analysis writes its files with args.out.write, which takes what
-# report.write_render takes less the directory (a plot as the pieces its
-# renderer returns), and returns the line cmd_analysis prints. A log
+# (file stem, Submission, tables) triples in file-name order, each Submission
+# loaded, without its timing tables, when the iterator reaches it, and `tables`
+# a one-pass iterator of the (phase, table) pairs of the timing tables the
+# analysis reads, each table read when it is reached. An analysis writes its
+# files with args.out.write, which takes what report.write_render takes less
+# the directory (a plot as the pieces its renderer returns), and returns the
+# line cmd_analysis prints. The per-table log analyses go through _per_table,
+# which drops each table and its result before it reads the next. A log
 # analysis with no rows writes nothing, not even its notes.
 
 
@@ -282,12 +283,12 @@ def _load(path: str, phases) -> tuple[Iterator[tuple[str, Submission, Tables]], 
     return ((stem, *load()) for stem, load in loaders), errors
 
 
-def _per_table(subs, analyze, noted, notes: list[str]):
-    """(meta, stem, phase, analyze(table)) for each timing table, one at a
-    time: a submission's tables in phase-name order, each read when it is
-    reached and dropped before the next is read. The message of a `noted`
-    exception goes to `notes`, and its table is left out. A caller drops
-    each result before it asks for the next."""
+def _per_table(subs, args, analyze, noted, each, name: str, notes_name: str | None, header: list[str]) -> int:
+    """Run `analyze` on each timing table, leaving out one that raises `noted`,
+    its message a note; each(meta, stem, phase, result) writes a table's own
+    files and returns its summary row. With rows, writes logs/<name>, their
+    table, and logs/<notes_name>, when named, the notes. Returns the row count."""
+    rows, notes = [], []
     for stem, sub, tables in subs:
         for phase, table in tables:
             try:
@@ -297,8 +298,13 @@ def _per_table(subs, analyze, noted, notes: list[str]):
                 continue
             finally:
                 del table
-            yield sub.meta, stem, phase, result
+            rows.append(each(sub.meta, stem, phase, result))
             del result
+    if rows:
+        args.out.write("logs", name, report.tables(header, rows))
+        if notes_name:
+            args.out.write("logs", notes_name, _txt(notes))
+    return len(rows)
 
 
 def _column_stats(names, table) -> list[tuple[str, metrics.SummaryStats]]:
@@ -414,115 +420,89 @@ def run_runtime(subs, args, config) -> str:
 
 
 def run_close(subs, args, config) -> str:
-    rows = []
     fs_groups: dict[str, list[np.ndarray]] = {}
-    # A table without close times is skipped silently: close writes no notes.
-    for meta, _, phase, rep in _per_table(subs, loginsight.close_time_report, NotAvailableError, []):
-        rows.append(
-            [
-                meta.submission_id,
-                phase.value,
-                str(rep.stats.n),
-                report.fmt_csv(rep.stats.mean),
-                report.fmt_csv(rep.stats.max),
-                report.fmt_csv(float(np.median(rep.fraction_of_runtime))),
-            ]
-        )
-        fs_groups.setdefault(meta.filesystem_norm.value, []).append(rep.close_s_per_rank)
-        del rep  # before the next table is read
-    if not rows:
-        return "no close-time data available"
     header = ["Submission", "Phase", "N", "MeanClose_s", "MaxClose_s", "MedianFraction"]
-    args.out.write("logs", "close_summary", report.tables(header, rows))
-    spec = report.RenderSpec(
-        title="close time by filesystem", scale="log10", y_label="close seconds"
-    )
+
+    def each(meta, stem, phase, rep):
+        fs_groups.setdefault(meta.filesystem_norm.value, []).append(rep.close_s_per_rank)
+        return [
+            meta.submission_id,
+            phase.value,
+            str(rep.stats.n),
+            report.fmt_csv(rep.stats.mean),
+            report.fmt_csv(rep.stats.max),
+            report.fmt_csv(float(np.median(rep.fraction_of_runtime))),
+        ]
+    # A table without close times is skipped silently: close writes no notes.
+    n = _per_table(subs, args, loginsight.close_time_report, NotAvailableError, each, "close_summary", None, header)
+    if not n:
+        return "no close-time data available"
+    spec = report.RenderSpec(title="close time by filesystem", scale="log10", y_label="close seconds")
     # Each group's pieces are let go once joined, and the render holds the one
     # reference to each joined column, which it drops once it is quantized.
     groups = [(fs, np.concatenate(fs_groups.pop(fs))) for fs in sorted(fs_groups)]
     box = report.render_group_box(groups, spec, annotate=False)
     del groups
     args.out.write("logs", "close_box", box)
-    return f"close-time summary for {len(rows)} phase tables"
+    return f"close-time summary for {n} phase tables"
 
 
 def run_stonewall(subs, args, config) -> str:
     analyze = functools.partial(loginsight.stonewall_ratios, stonewall_s=args.stonewall)
-    rows, notes = [], []
-    # Io500KitError: no stonewall, an empty table, a ratio that overflows.
-    for meta, stem, phase, rat in _per_table(subs, analyze, Io500KitError, notes):
-        spec = report.RenderSpec(title=f"{meta.submission_id} {phase.value}")
-        # Each table's plot is written, and its ratios dropped, before the next table's are computed.
-        args.out.write("logs", f"qq_{stem}_{phase.value}", report.render_qq(rat.qq, spec))
-        rows.append(
-            [
-                meta.submission_id,
-                phase.value,
-                str(len(rat.ratios)),
-                report.fmt_csv(float(rat.ratios.min())),
-                report.fmt_csv(float(rat.ratios.max())),
-            ]
-        )
-        del rat  # before the next table is read
-    if not rows:
-        return "no stonewall timing data available"
     header = ["Submission", "Phase", "Ranks", "MinRatio", "MaxRatio"]
-    args.out.write("logs", "stonewall_summary", report.tables(header, rows))
-    args.out.write("logs", "stonewall_notes", _txt(notes))
-    return f"stonewall ratios for {len(rows)} write-phase tables"
+
+    def each(meta, stem, phase, rat):
+        spec = report.RenderSpec(title=f"{meta.submission_id} {phase.value}")
+        args.out.write("logs", f"qq_{stem}_{phase.value}", report.render_qq(rat.qq, spec))
+        return [
+            meta.submission_id,
+            phase.value,
+            str(len(rat.ratios)),
+            report.fmt_csv(float(rat.ratios.min())),
+            report.fmt_csv(float(rat.ratios.max())),
+        ]
+    # Io500KitError: no stonewall, an empty table, a ratio that overflows.
+    n = _per_table(subs, args, analyze, Io500KitError, each, "stonewall_summary", "stonewall_notes", header)
+    return f"stonewall ratios for {n} write-phase tables" if n else "no stonewall timing data available"
 
 
 def run_stragglers(subs, args, config) -> str:
-    analyze = functools.partial(
-        loginsight.straggler_report, params=config.straggler, stonewall_s=args.stonewall
-    )
-    rows, notes = [], []
-    # Io500KitError: as for stonewall, and tables too small for the quartiles.
-    for meta, _, phase, rep in _per_table(subs, analyze, Io500KitError, notes):
-        rows.append(
-            [
-                meta.submission_id,
-                phase.value,
-                str(len(rep.ranks)),
-                str(len(rep.straggler_ranks)),
-                rep.pattern.value,
-                report.fmt_csv(rep.adjacency_index),
-                str(rep.run_count),
-                ";".join(str(r) for r in sorted(rep.straggler_ranks)),
-            ]
-        )
-        del rep  # before the next table is read
-    if not rows:
-        return "no straggler timing data available"
+    analyze = functools.partial(loginsight.straggler_report, params=config.straggler, stonewall_s=args.stonewall)
     header = "Submission Phase Ranks Stragglers Pattern Adjacency Runs StragglerRanks".split()
-    args.out.write("logs", "stragglers", report.tables(header, rows))
-    args.out.write("logs", "straggler_notes", _txt(notes))
-    return f"straggler analysis for {len(rows)} write-phase tables"
+
+    def each(meta, stem, phase, rep):
+        return [
+            meta.submission_id,
+            phase.value,
+            str(len(rep.ranks)),
+            str(len(rep.straggler_ranks)),
+            rep.pattern.value,
+            report.fmt_csv(rep.adjacency_index),
+            str(rep.run_count),
+            ";".join(str(r) for r in sorted(rep.straggler_ranks)),
+        ]
+    # Io500KitError: as for stonewall, and tables too small for the quartiles.
+    n = _per_table(subs, args, analyze, Io500KitError, each, "stragglers", "straggler_notes", header)
+    return f"straggler analysis for {n} write-phase tables" if n else "no straggler timing data available"
 
 
 def run_pfind(subs, args, config) -> str:
-    rows, notes = [], []
-    # Io500KitError: missing items, tiny tables, all-zero counts.
-    for meta, stem, _, rep in _per_table(subs, loginsight.pfind_imbalance, Io500KitError, notes):
+    header = ["Submission", "Ranks", "MedianItems", "MaxItems", "MaxOverMedian", "Gini"]
+
+    def each(meta, stem, phase, rep):
         detail = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
         args.out.write("logs", f"pfind_{stem}", detail)
-        rows.append(
-            [
-                meta.submission_id,
-                str(len(rep.items_per_rank)),
-                str(int(np.median(rep.items_per_rank))),
-                str(int(rep.items_per_rank.max())),
-                report.fmt_csv(rep.max_over_median),  # "inf" when the median is zero
-                report.fmt_csv(rep.gini),
-            ]
-        )
-        del rep  # before the next table is read
-    if not rows:
-        return "no find-phase item data available"
-    header = ["Submission", "Ranks", "MedianItems", "MaxItems", "MaxOverMedian", "Gini"]
-    args.out.write("logs", "pfind", report.tables(header, rows))
-    args.out.write("logs", "pfind_notes", _txt(notes))
-    return f"pfind imbalance for {len(rows)} submissions"
+        return [
+            meta.submission_id,
+            str(len(rep.items_per_rank)),
+            str(int(np.median(rep.items_per_rank))),
+            str(int(rep.items_per_rank.max())),
+            report.fmt_csv(rep.max_over_median),  # "inf" when the median is zero
+            report.fmt_csv(rep.gini),
+        ]
+    # Io500KitError: missing items, tiny tables, all-zero counts.
+    n = _per_table(subs, args, loginsight.pfind_imbalance, Io500KitError, each, "pfind", "pfind_notes", header)
+    return f"pfind imbalance for {n} submissions" if n else "no find-phase item data available"
 
 
 # Each analysis with the timing tables it reads: `stats`, `corr` and `groups`

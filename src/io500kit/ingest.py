@@ -229,14 +229,31 @@ _INT64_BOUND = 2.0**63
 _count_commas = operator.methodcaller("count", ",")
 
 
-def _optional_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Values of an optional column (NaN where blank) and its blank-cell mask."""
+def _count(text: str) -> int:
+    """The item count `text` spells: an integer spelling read exactly, in
+    int64's range, or a whole float spelling (`10.0`, `1e3`) of magnitude
+    below 2**63. Raises ValueError for any other, such as `1.5` or `inf`."""
+    try:
+        value = int(text)
+    except ValueError:
+        number = float(text)
+        if not (abs(number) < _INT64_BOUND and number.is_integer()):  # also false for NaN
+            raise ValueError(f"not a count: {text!r}") from None
+        return int(number)
+    if not -_INT64_BOUND <= value < _INT64_BOUND:
+        raise ValueError(f"not a count: {text!r}")
+    return value
+
+
+def _optional_column(cells: list[str], convert, dtype, blank) -> tuple[np.ndarray, np.ndarray]:
+    """Values of an optional column, each cell convert(cell) and `blank`
+    where it is blank, and its blank-cell mask."""
     n = len(cells)
     try:
-        return np.fromiter(map(float, cells), np.float64, n), np.zeros(n, dtype=bool)
+        return np.fromiter(map(convert, cells), dtype, n), np.zeros(n, dtype=bool)
     except ValueError:
         stripped = [c.strip() for c in cells]
-        values = np.fromiter((float(c) if c else np.nan for c in stripped), np.float64, n)
+        values = np.fromiter((convert(c) if c else blank for c in stripped), dtype, n)
         return values, np.fromiter((not c for c in stripped), bool, n)
 
 
@@ -263,9 +280,10 @@ def _chunk_columns(lines: list[str], width: int, col: dict[str, int]):
             "start": np.fromiter(map(float, column("start")), np.float64, n),
             "end": np.fromiter(map(float, column("end")), np.float64, n),
         }
-        for name in ("close", "items"):
-            if name in col:
-                chunk[name], chunk[f"no_{name}"] = _optional_floats(column(name))
+        if "close" in col:
+            chunk["close"], chunk["no_close"] = _optional_column(column("close"), float, np.float64, np.nan)
+        if "items" in col:
+            chunk["items"], chunk["no_items"] = _optional_column(column("items"), _count, np.int64, 0)
     except (ValueError, OverflowError):
         return None
     return chunk
@@ -291,10 +309,7 @@ def _timing_columns(text: str, start: int, width: int, col: dict[str, int], phas
     if close is not None and not np.all(np.isfinite(close) | no_close):
         return None
     if items is not None:
-        # NaN fails both tests: a count is a whole number that an int64 holds.
-        if not np.all(((np.abs(items) < _INT64_BOUND) & (items == np.trunc(items))) | no_items):
-            return None
-        items = np.ma.MaskedArray(np.where(no_items, 0.0, items).astype(np.int64), mask=no_items)
+        items = np.ma.MaskedArray(items, mask=no_items)
     ordered = np.sort(rank)
     if np.any(ordered[1:] == ordered[:-1]):
         return None
@@ -353,11 +368,9 @@ def _raise_first_bad_line(text: str, start: int, first_line: int, width: int, co
             _parse_float(cells[col["close"]], "close", line_no)
         if "items" in col and cells[col["items"]] != "":
             try:
-                value = float(cells[col["items"]])
+                _count(cells[col["items"]])
             except ValueError:
-                value = math.nan
-            if not (abs(value) < _INT64_BOUND and value.is_integer()):  # also false for NaN
-                raise ParseError(f"{phase}: malformed items {cells[col['items']]!r}", line=line_no)
+                raise ParseError(f"{phase}: malformed items {cells[col['items']]!r}", line=line_no) from None
         if rank in seen_ranks:
             raise ValidationError(f"{phase}: duplicate rank {rank} on line {line_no}")
         seen_ranks.add(rank)

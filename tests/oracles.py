@@ -273,13 +273,18 @@ def scan_timing_rows_oracle(
             close = ingest._parse_float(cells[col["close"]], "close", line_no)
         items = None
         if "items" in col and cells[col["items"]] != "":
+            # An integer spelling is read exactly; a float one must be whole.
             try:
-                value = float(cells[col["items"]])
+                items = int(cells[col["items"]])
             except ValueError:
-                value = math.nan
-            if not (abs(value) < ingest._INT64_BOUND and value.is_integer()):  # also false for NaN
+                try:
+                    value = float(cells[col["items"]])
+                except ValueError:
+                    value = math.nan
+                if abs(value) < ingest._INT64_BOUND and value.is_integer():  # also false for NaN
+                    items = int(value)
+            if items is None or not -ingest._INT64_BOUND <= items < ingest._INT64_BOUND:
                 raise ParseError(f"{phase}: malformed items {cells[col['items']]!r}", line=line_no)
-            items = int(value)
         if rank in seen_ranks:
             raise ValidationError(f"{phase}: duplicate rank {rank} on line {line_no}")
         seen_ranks.add(rank)

@@ -195,6 +195,18 @@ def test_parse_timing_fractional_items_is_error(cell):
         ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
 
 
+def test_parse_timing_integer_items_are_exact():
+    # A float holds every integer only up to 2**53; an integer spelling is read exactly.
+    counts = [2**53 + 1, 2**63 - 1, -(2**63)]
+    text = "rank,start,end,items\n" + "".join(f"{r},0.0,310.0,{c}\n" for r, c in enumerate(counts))
+    table, warnings = ingest.parse_process_timing(text, Phase.FIND)
+    assert table.items.tolist() == counts[:2]
+    assert warnings == [f"find: rank 2 rejected (negative items {-(2**63)})"]
+    for cell in (str(2**63), str(-(2**63) - 1)):
+        with pytest.raises(ParseError, match=f"^line 2: find: malformed items '{cell}'$"):
+            ingest.parse_process_timing(f"rank,start,end,items\n0,0.0,310.0,{cell}\n", Phase.FIND)
+
+
 def test_parse_timing_whole_items_spellings():
     text = "rank,start,end,items\n0,0.0,310.0,10.0\n1,0.0,310.0,1e3\n2,0.0,310.0, 7 \n3,0.0,310.0,-0.0\n"
     table, warnings = ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
@@ -956,3 +968,29 @@ def test_convert_manifest_tool_rewrites_v3_and_leaves_a_damaged_file(tmp_path, c
     assert out.count("converted, equal Submission") == 2
     assert f"{damaged}: not read (" in err and "the file is truncated or damaged" in err
 
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"format_version": 1,\n "timing": []}', "timing: expected an object"),
+        (
+            '{"format_version": 1,\n "timing": {"find": {"rows": [1]}}}',
+            "timing.find: expected an object whose rows are a list of objects",
+        ),
+    ],
+    ids=["timing-not-an-object", "row-not-an-object"],
+)
+def test_convert_manifest_tool_refuses_a_bad_version_1_shape(tmp_path, capsys, text, reason):
+    path = tmp_path / "v1.json"
+    path.write_text(text)
+    assert _load_tool().main([str(path)]) == 1
+    assert path.read_text() == text
+    assert [p.name for p in tmp_path.iterdir()] == ["v1.json"]
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{path}: not read ({reason}), left as is\n"
+
+
+def test_convert_manifest_tool_without_a_path_prints_its_usage(capsys):
+    assert _load_tool().main([]) == 2
+    assert capsys.readouterr().err == "usage: python tools/convert_manifest.py MANIFEST...\n"

@@ -293,8 +293,13 @@ def tables_of(micro_table, tmp_path_factory):
 
 @pytest.mark.parametrize(
     "argv",
-    [["ingest"], ["logs", "--analysis", "close"], ["logs", "--analysis", "stonewall"]],
-    ids=["ingest", "close", "stonewall"],
+    [
+        ["ingest"],
+        ["logs", "--analysis", "close"],
+        ["logs", "--analysis", "stonewall"],
+        ["logs", "--analysis", "stragglers"],
+    ],
+    ids=["ingest", "close", "stonewall", "stragglers"],
 )
 def test_peak_does_not_grow_with_tables(tables_of, tmp_path, argv):
     # `ingest` reads the package, and each analysis the manifest `ingest` wrote of it.

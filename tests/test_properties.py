@@ -148,6 +148,8 @@ def _every_odd_token(test):
 @example("rank,start,end,items\n0,0,310,3\n1,0,310,1.5\n")  # a fraction is no item count
 @example("rank,start,end,items\n0,0,310,3\n1,0,310,0.9999\n")
 @example("rank,start,end,items\n0,0,310,-0.5\n1,0,310,3\n")  # not a rejected negative-items row
+@example("rank,start,end,items\n0,0,310,9007199254740993\n1,0,310,-9223372036854775808\n")  # exact counts
+@example("rank,start,end,items\n0,0,310,9223372036854775807\n1,0,310,9223372036854775808\n")
 @given(timing_csv())
 def test_vectorized_parse_matches_row_scan(text):
     want = _outcome(lambda: _scan(text))

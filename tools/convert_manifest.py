@@ -17,7 +17,8 @@ The script writes the Submission with `ingest.write_manifest` to a temporary
 file beside the original and reads that back with `ingest.read_manifest`.
 Only when the result equals the old Submission does the new file replace the
 old one. Otherwise, or when the old file cannot be read, the script reports
-the file, leaves it as it was and exits 1.
+the file, leaves it as it was and exits 1. With no path, it prints its
+usage and exits 2.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ from io500kit.errors import Io500KitError
 from io500kit.types import Submission
 
 
-def _v1_columns(spec: dict) -> dict:
+def _v1_columns(name: str, spec) -> dict:
     """A version 1 table, a list of per-rank row objects, as the version 3
-    table of its five columns."""
-    rows = spec.get("rows", [])
+    table of its five columns. Raises ValueError for any other shape."""
+    rows = spec.get("rows", []) if isinstance(spec, dict) else None
+    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+        raise ValueError(f"timing.{name}: expected an object whose rows are a list of objects")
     columns = {key: [row.get(key) for row in rows] for key in ("rank", "start_s", "end_s", "close_s", "items")}
     return {"stonewall_s": spec.get("stonewall_s"), **columns}
 
@@ -51,11 +54,17 @@ def read(path: Path) -> Submission:
         return ingest.read_manifest(path)
     doc = json.loads(text)
     if version == 1:
-        doc["timing"] = {name: _v1_columns(spec) for name, spec in doc.get("timing", {}).items()}
+        timing = doc.get("timing", {})
+        if not isinstance(timing, dict):
+            raise ValueError("timing: expected an object")
+        doc["timing"] = {name: _v1_columns(name, spec) for name, spec in timing.items()}
     return ingest.from_manifest({**doc, "format_version": ingest.MANIFEST_FORMAT_VERSION})
 
 
 def main(paths: list[str]) -> int:
+    if not paths:
+        print("usage: python tools/convert_manifest.py MANIFEST...", file=sys.stderr)
+        return 2
     status = 0
     for raw in paths:
         path = Path(raw)
