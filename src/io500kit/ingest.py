@@ -8,6 +8,7 @@ warnings or skip records alongside the parsed data.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import functools
@@ -15,7 +16,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import re
 import shutil
 import tempfile
@@ -155,17 +155,50 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
     negative close/items) are rejected individually and reported in the
     returned warnings; duplicate ranks are a hard error.
 
-    The data lines are converted a column at a time, a slice of the text of
-    about _SLICE_CHARS at a time. Only when a cell fails to convert or a rank
-    repeats are the lines checked one at a time, to raise the error for the
-    first offending line.
+    numpy's reader converts the data lines of an ASCII text whose header
+    names distinct columns among `rank,start,end,close,items`. Any other
+    text, and any text numpy refuses (a blank cell, a comment line after the
+    header, a short or long line, a spelling such as `1_0` or `10.0` that
+    int()/float() accept) or reads to a non-finite time or a repeated rank,
+    goes to the row scan, which converts a line at a time and raises the
+    error of the first line at fault.
     """
     stonewall_s, width, col, start, first_line = _timing_layout(text, phase)
-    parsed = _timing_columns(text, start, width, col, phase)
-    if parsed is None:
-        _raise_first_bad_line(text, start, first_line, width, col, phase)
-    columns, warnings = parsed
-    return ProcessTimingTable(phase=phase, stonewall_s=stonewall_s, **columns), warnings
+    columns = None
+    if text.isascii() and len(col) == width and col.keys() <= _DTYPES.keys() and _NON_BLANK.search(text, start):
+        columns = _read_columns(text, start, col)
+    if columns is None:
+        columns = _scan_rows(text, start, first_line, width, col, phase)
+    rank, start_s, end_s, close, items = columns
+
+    # A row is rejected for the first of these that holds, in this order.
+    n = len(rank)
+    reasons = [end_s < start_s, rank < 0]
+    reasons.append(np.zeros(n, dtype=bool) if close is None else close < 0)
+    reasons.append(np.zeros(n, dtype=bool) if items is None else items.filled(0) < 0)
+    rejected = np.logical_or.reduce(reasons)
+    warnings = []
+    for i in np.flatnonzero(rejected).tolist():
+        r = int(rank[i])
+        if reasons[0][i]:
+            warnings.append(f"{phase}: rank {r} rejected (end {float(end_s[i])} < start {float(start_s[i])})")
+        elif reasons[1][i]:
+            warnings.append(f"{phase}: rank {r} rejected (negative rank)")
+        elif reasons[2][i]:
+            warnings.append(f"{phase}: rank {r} rejected (negative close {float(close[i])})")
+        else:
+            warnings.append(f"{phase}: rank {r} rejected (negative items {int(items[i])})")
+    keep = ~rejected
+    table = ProcessTimingTable(
+        phase=phase,
+        rank=rank[keep],
+        start_s=start_s[keep],
+        end_s=end_s[keep],
+        close_s=None if close is None else close[keep],
+        items=None if items is None else items[keep],
+        stonewall_s=stonewall_s,
+    )
+    return table, warnings
 
 
 # Characters of a timing CSV converted at a time: about 7,000 lines of a synth
@@ -226,7 +259,10 @@ def _timing_layout(text: str, phase: Phase):
 
 
 _INT64_BOUND = 2.0**63
-_count_commas = operator.methodcaller("count", ",")
+# The columns numpy's reader converts, and their dtypes.
+_DTYPES = {"rank": np.int64, "start": np.float64, "end": np.float64, "close": np.float64, "items": np.int64}
+# numpy warns on input with no data, so a blank body goes to the row scan.
+_NON_BLANK = re.compile(r"\S")
 
 
 def _count(text: str) -> int:
@@ -245,107 +281,33 @@ def _count(text: str) -> int:
     return value
 
 
-def _optional_column(cells: list[str], convert, dtype, blank) -> tuple[np.ndarray, np.ndarray]:
-    """Values of an optional column, each cell convert(cell) and `blank`
-    where it is blank, and its blank-cell mask."""
-    n = len(cells)
+def _read_columns(text: str, start: int, col: dict[str, int]):
+    """(rank, start, end, close, items) of the data lines from `start`, read by
+    numpy's reader a slice of the text at a time, or None when it refuses a
+    line, or reads a non-finite time or a repeated rank. The header's columns
+    must be distinct and among _DTYPES, and the text ASCII: numpy reads some
+    other characters as digits (U+01FE and then 1 as 4621)."""
+    lines = (line for piece in _slices(text, start) for line in piece.splitlines())
+    dtype = [(name, _DTYPES[name]) for name in col]
     try:
-        return np.fromiter(map(convert, cells), dtype, n), np.zeros(n, dtype=bool)
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError:
-        stripped = [c.strip() for c in cells]
-        values = np.fromiter((convert(c) if c else blank for c in stripped), dtype, n)
-        return values, np.fromiter((not c for c in stripped), bool, n)
-
-
-def _chunk_columns(lines: list[str], width: int, col: dict[str, int]):
-    """The number columns of some data lines, by name (an optional column also
-    gives its blank-cell mask as `no_<name>`), or None when a cell does not convert."""
-    if any("#" in line for line in lines) or set(map(_count_commas, lines)) != {width - 1}:
-        # Drop blank and comment lines and cut extra cells, so that every line has width cells.
-        cells = [
-            line.split(",") for line in lines if line.strip() and not line.lstrip().startswith("#")
-        ]
-        if any(len(row) < width for row in cells):
-            return None
-        lines = [",".join(row[:width]) for row in cells]
-    n = len(lines)
-    flat = ",".join(lines).split(",") if n else []
-
-    def column(name: str) -> list[str]:
-        return flat[col[name] :: width]
-
-    try:
-        chunk = {
-            "rank": np.fromiter(map(int, column("rank")), np.int64, n),
-            "start": np.fromiter(map(float, column("start")), np.float64, n),
-            "end": np.fromiter(map(float, column("end")), np.float64, n),
-        }
-        if "close" in col:
-            chunk["close"], chunk["no_close"] = _optional_column(column("close"), float, np.float64, np.nan)
-        if "items" in col:
-            chunk["items"], chunk["no_items"] = _optional_column(column("items"), _count, np.int64, 0)
-    except (ValueError, OverflowError):
         return None
-    return chunk
-
-
-def _timing_columns(text: str, start: int, width: int, col: dict[str, int], phase: Phase):
-    """Whole-column conversion of the data lines from `start`, a slice of the text at
-    a time: (columns, warnings), or None when some cell does not convert or a rank repeats."""
-    chunks = []
-    for piece in _slices(text, start):
-        chunk = _chunk_columns(piece.splitlines(), width, col)
-        if chunk is None:
-            return None
-        chunks.append(chunk)
-    joined = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
-    del chunks
-    rank, start, end = joined["rank"], joined["start"], joined["end"]
-    close, no_close = joined.get("close"), joined.get("no_close")
-    items, no_items = joined.get("items"), joined.get("no_items")
-    n = len(rank)
-    if not (np.all(np.isfinite(start)) and np.all(np.isfinite(end))):
+    if not all(np.isfinite(table[name]).all() for name in ("start", "end", "close") if name in col):
         return None
-    if close is not None and not np.all(np.isfinite(close) | no_close):
-        return None
-    if items is not None:
-        items = np.ma.MaskedArray(items, mask=no_items)
-    ordered = np.sort(rank)
+    ordered = np.sort(table["rank"])
     if np.any(ordered[1:] == ordered[:-1]):
         return None
-
-    # A row is rejected for the first of these that holds, in this order.
-    reasons = [end < start, rank < 0]
-    reasons.append(np.zeros(n, dtype=bool) if close is None else close < 0)
-    reasons.append(np.zeros(n, dtype=bool) if items is None else items.filled(0) < 0)
-    rejected = np.logical_or.reduce(reasons)
-    warnings = []
-    for i in np.flatnonzero(rejected).tolist():
-        r = int(rank[i])
-        if reasons[0][i]:
-            warnings.append(f"{phase}: rank {r} rejected (end {float(end[i])} < start {float(start[i])})")
-        elif reasons[1][i]:
-            warnings.append(f"{phase}: rank {r} rejected (negative rank)")
-        elif reasons[2][i]:
-            warnings.append(f"{phase}: rank {r} rejected (negative close {float(close[i])})")
-        else:
-            warnings.append(f"{phase}: rank {r} rejected (negative items {int(items[i])})")
-    keep = ~rejected
-    columns = {
-        "rank": rank[keep],
-        "start_s": start[keep],
-        "end_s": end[keep],
-        "close_s": None if close is None else close[keep],
-        "items": None if items is None else items[keep],
-    }
-    return columns, warnings
+    items = np.ma.MaskedArray(table["items"]) if "items" in col else None
+    return table["rank"], table["start"], table["end"], table["close"] if "close" in col else None, items
 
 
-def _raise_first_bad_line(text: str, start: int, first_line: int, width: int, col: dict[str, int], phase: Phase):
-    """Raise the error of the earliest data line whose cells do not convert or
-    whose rank repeats, scanning from the first, a slice of the text at a time:
-    the checks of a row-by-row parse, in its order. Called only when the column
-    conversion has failed."""
+def _scan_rows(text: str, start: int, first_line: int, width: int, col: dict[str, int], phase: Phase):
+    """(rank, start, end, close, items) of the data lines from `start`,
+    converted a line at a time into array.array buffers, a slice of the text
+    at a time: a blank close is NaN and a blank item count masked. Raises the
+    error of the first line whose cells do not convert or whose rank repeats."""
+    rank, start_s, end_s, close, items, no_items = (array.array(code) for code in "qdddqB")
     seen_ranks: set[int] = set()
     lines = (line for piece in _slices(text, start) for line in piece.splitlines())
     for line_no, line in enumerate(lines, start=first_line):
@@ -357,24 +319,35 @@ def _raise_first_bad_line(text: str, start: int, first_line: int, width: int, co
                 f"{phase}: expected {width} cells, got {len(cells)}", line=line_no
             )
         try:
-            rank = int(cells[col["rank"]])
+            r = int(cells[col["rank"]])
         except ValueError:
-            rank = None
-        if rank is None or not -_INT64_BOUND <= rank < _INT64_BOUND:
+            r = None
+        if r is None or not -_INT64_BOUND <= r < _INT64_BOUND:
             raise ParseError(f"{phase}: malformed rank {cells[col['rank']]!r}", line=line_no)
-        _parse_float(cells[col["start"]], "start", line_no)
-        _parse_float(cells[col["end"]], "end", line_no)
-        if "close" in col and cells[col["close"]] != "":
-            _parse_float(cells[col["close"]], "close", line_no)
-        if "items" in col and cells[col["items"]] != "":
+        rank.append(r)
+        start_s.append(_parse_float(cells[col["start"]], "start", line_no))
+        end_s.append(_parse_float(cells[col["end"]], "end", line_no))
+        if "close" in col:
+            cell = cells[col["close"]]
+            close.append(_parse_float(cell, "close", line_no) if cell else math.nan)
+        if "items" in col:
+            cell = cells[col["items"]]
             try:
-                _count(cells[col["items"]])
+                items.append(_count(cell) if cell else 0)
             except ValueError:
-                raise ParseError(f"{phase}: malformed items {cells[col['items']]!r}", line=line_no) from None
-        if rank in seen_ranks:
-            raise ValidationError(f"{phase}: duplicate rank {rank} on line {line_no}")
-        seen_ranks.add(rank)
-    raise ParseError(f"{phase}: timing columns do not convert, yet no line is at fault")
+                raise ParseError(f"{phase}: malformed items {cell!r}", line=line_no) from None
+            no_items.append(not cell)
+        if r in seen_ranks:
+            raise ValidationError(f"{phase}: duplicate rank {r} on line {line_no}")
+        seen_ranks.add(r)
+    masked = np.ma.MaskedArray(np.frombuffer(items, np.int64), mask=np.frombuffer(no_items, bool))
+    return (
+        np.frombuffer(rank, np.int64),
+        np.frombuffer(start_s, np.float64),
+        np.frombuffer(end_s, np.float64),
+        np.frombuffer(close, np.float64) if "close" in col else None,
+        masked if "items" in col else None,
+    )
 
 
 # --- metadata normalization -------------------------------------------------

@@ -3,9 +3,10 @@
 These deliberately use different algorithms from the package: ranks by
 counting comparisons, Kruskal-Wallis via mean-rank deviations, BH by the
 literal step-up definition, Gini by the O(n^2) pairwise-difference sum.
-The timing CSV scan converts one row at a time, as the package did when its
-column conversion failed; the package must return the same columns and
-warnings, or raise the same error for the same line.
+The timing CSV scan converts one row of the whole text at a time, as the
+package's row scan does a slice of the text at a time; the package, through
+numpy's reader or its row scan, must return the same columns and warnings,
+or raise the same error for the same line.
 The Q-Q, box plot and score strip renderers draw one point at a time through
 a per-value axis, and the heatmap quantizes every cell, as the package did
 before its renderers worked on whole columns; the package's renderers,
@@ -243,7 +244,8 @@ def scan_timing_rows_oracle(
     body: list[str], first_line: int, width: int, col: dict[str, int], phase: Phase
 ):
     """Row-by-row conversion of the data lines, raising for the first bad line:
-    the reference for ingest._timing_columns and ingest._raise_first_bad_line."""
+    the reference for ingest.parse_process_timing, through numpy's reader
+    (ingest._read_columns) or the row scan (ingest._scan_rows)."""
     warnings: list[str] = []
     rank_col: list[int] = []
     start_col: list[float] = []

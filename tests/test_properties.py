@@ -53,8 +53,10 @@ PHASE = Phase.IOR_EASY_WRITE
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
 # Tokens that int()/float() accept, and tokens that a timing column must refuse.
-ODD_VALID = [" +1 ", "1_0", "2.7", "-0.5"]
-ODD_INVALID = ["nan", "inf", "1e400", ""]
+# "\x1f" is stripped by str.strip() but refused by int()/float(); "\u0661" is an
+# Arabic-Indic 1, and numpy's integer reader reads "\u01fe1" as 4621.
+ODD_VALID = [" +1 ", "1_0", "2.7", "-0.5", "\x1f1\x1f", "\u0661"]
+ODD_INVALID = ["nan", "inf", "1e400", "", "\u01fe1"]
 NUMBERS = ["0", "0.0", "1.5", "3", "-1", "-2.25", "300.0", "310.5", "1e3", "7"]
 
 
@@ -154,10 +156,6 @@ def _every_odd_token(test):
 def test_vectorized_parse_matches_row_scan(text):
     want = _outcome(lambda: _scan(text))
     assert _outcome(lambda: ingest.parse_process_timing(text, PHASE)) == want
-    if want[0] == "ok":
-        # The whole-column conversion handles every valid input by itself.
-        _, width, col, start, _ = ingest._timing_layout(text, PHASE)
-        assert ingest._timing_columns(text, start, width, col, PHASE) is not None
 
 
 CHUNK = 8192  # data lines; the long tables below fill one or two text slices
@@ -202,8 +200,30 @@ LONG_TABLES = [
 def test_chunked_parse_matches_row_scan(text):
     want = _outcome(lambda: _scan(text))
     assert _outcome(lambda: ingest.parse_process_timing(text, PHASE)) == want
-    _, width, col, start, _ = ingest._timing_layout(text, PHASE)
-    assert (ingest._timing_columns(text, start, width, col, PHASE) is not None) == (want[0] == "ok")
+
+
+def _refuse_row_scan(*args):
+    raise AssertionError("the row scan was reached")
+
+
+def _no_blank_cells(table):
+    """Whether synth writes the table without blank cells: each optional
+    column has a value in every row or in none."""
+    gaps = np.isnan(table.close_s)
+    return (gaps.all() or not gaps.any()) and table.items.count() in (0, table.n_ranks)
+
+
+def test_numpy_reads_every_synth_table_without_blank_cells(monkeypatch):
+    # A numpy path that always failed would still pass every equality test
+    # above, through the row scan; here the row scan must not be reached.
+    corpus = synth.gen_corpus(synth.SynthConfig(seed=3, n_submissions=6, node_range=(2, 4)))
+    tables = [table for gen in corpus for table in gen.submission.timing.values()]
+    whole = [table for table in tables if _no_blank_cells(table)]
+    assert whole
+    monkeypatch.setattr(ingest, "_scan_rows", _refuse_row_scan)
+    for table in whole:
+        parsed, _ = ingest.parse_process_timing("".join(synth._timing_pieces(table)), table.phase)
+        assert parsed == table
 
 
 def test_chunked_parse_errors_name_the_line():
