@@ -340,13 +340,12 @@ def _scan_rows(text: str, start: int, first_line: int, width: int, col: dict[str
         if r in seen_ranks:
             raise ValidationError(f"{phase}: duplicate rank {r} on line {line_no}")
         seen_ranks.add(r)
-    masked = np.ma.MaskedArray(np.frombuffer(items, np.int64), mask=np.frombuffer(no_items, bool))
     return (
         np.frombuffer(rank, np.int64),
         np.frombuffer(start_s, np.float64),
         np.frombuffer(end_s, np.float64),
         np.frombuffer(close, np.float64) if "close" in col else None,
-        masked if "items" in col else None,
+        np.ma.MaskedArray(np.frombuffer(items, np.int64), mask=np.frombuffer(no_items, bool)) if "items" in col else None,
     )
 
 
