@@ -22,6 +22,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Collection, Iterable, Iterator, Mapping, get_args, get_type_hints
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
@@ -75,7 +76,7 @@ def _parse_float(token: str, what: str, line_no: int) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(f"malformed {what} {token!r}", line=line_no) from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise ParseError(f"non-finite {what} {token!r}", line=line_no)
     return value
 
@@ -155,20 +156,15 @@ def parse_process_timing(text: str, phase: Phase) -> tuple[ProcessTimingTable, l
     negative close/items) are rejected individually and reported in the
     returned warnings; duplicate ranks are a hard error.
 
-    numpy's reader converts the data lines of an ASCII text whose header
-    names distinct columns among `rank,start,end,close,items`. Any other
-    text, and any text numpy refuses (a blank cell, a comment line after the
+    numpy's reader converts the data lines when they are ASCII. Any text it
+    refuses (a non-ASCII character, a blank cell, a comment line after the
     header, a short or long line, a spelling such as `1_0` or `10.0` that
-    int()/float() accept) or reads to a non-finite time or a repeated rank,
-    goes to the row scan, which converts a line at a time and raises the
-    error of the first line at fault.
+    int()/float() accept), warns on, or reads to a non-finite time or a
+    repeated rank, goes to the row scan, which converts a line at a time and
+    raises the error of the first line at fault.
     """
     stonewall_s, width, col, start, first_line = _timing_layout(text, phase)
-    columns = None
-    if text.isascii() and len(col) == width and col.keys() <= _DTYPES.keys() and _NON_BLANK.search(text, start):
-        columns = _read_columns(text, start, col)
-    if columns is None:
-        columns = _scan_rows(text, start, first_line, width, col, phase)
+    columns = _read_columns(text, start, width, col) or _scan_rows(text, start, first_line, width, col, phase)
     rank, start_s, end_s, close, items = columns
 
     # A row is rejected for the first of these that holds, in this order.
@@ -259,10 +255,9 @@ def _timing_layout(text: str, phase: Phase):
 
 
 _INT64_BOUND = 2.0**63
-# The columns numpy's reader converts, and their dtypes.
+# The columns numpy's reader converts, and their dtypes; it reads the first
+# character of any other column's cells, to be dropped.
 _DTYPES = {"rank": np.int64, "start": np.float64, "end": np.float64, "close": np.float64, "items": np.int64}
-# numpy warns on input with no data, so a blank body goes to the row scan.
-_NON_BLANK = re.compile(r"\S")
 
 
 def _count(text: str) -> int:
@@ -281,17 +276,28 @@ def _count(text: str) -> int:
     return value
 
 
-def _read_columns(text: str, start: int, col: dict[str, int]):
+def _ascii_lines(text: str, start: int) -> Iterator[str]:
+    """The data lines from `start`, a slice of the text at a time. Raises
+    ValueError at a slice that is not ASCII: numpy reads some other
+    characters as digits (U+01FE and then 1 as 4621)."""
+    for piece in _slices(text, start):
+        if not piece.isascii():
+            raise ValueError("not ASCII")
+        yield from piece.splitlines()
+
+
+def _read_columns(text: str, start: int, width: int, col: dict[str, int]):
     """(rank, start, end, close, items) of the data lines from `start`, read by
-    numpy's reader a slice of the text at a time, or None when it refuses a
-    line, or reads a non-finite time or a repeated rank. The header's columns
-    must be distinct and among _DTYPES, and the text ASCII: numpy reads some
-    other characters as digits (U+01FE and then 1 as 4621)."""
-    lines = (line for piece in _slices(text, start) for line in piece.splitlines())
-    dtype = [(name, _DTYPES[name]) for name in col]
+    numpy's reader, or None when it refuses a line or warns (a release that
+    only deprecates a spelling still reads it, `2.7` as rank 2; a body with no
+    data), or reads a non-finite time or a repeated rank."""
+    named = {i: name for name, i in col.items() if name in _DTYPES}
+    dtype = [(named[i], _DTYPES[named[i]]) if i in named else (f"_{i}", "S1") for i in range(width)]
     try:
-        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
+        with catch_warnings():
+            simplefilter("error")
+            table = np.loadtxt(_ascii_lines(text, start), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
         return None
     if not all(np.isfinite(table[name]).all() for name in ("start", "end", "close") if name in col):
         return None
@@ -313,25 +319,27 @@ def _scan_rows(text: str, start: int, first_line: int, width: int, col: dict[str
     for line_no, line in enumerate(lines, start=first_line):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        cells = [c.strip() for c in line.split(",")]
+        # Only the cells converted are stripped; a hostname cell is only split off.
+        cells = line.split(",")
         if len(cells) < width:
             raise ParseError(
                 f"{phase}: expected {width} cells, got {len(cells)}", line=line_no
             )
+        cell = cells[col["rank"]].strip()
         try:
-            r = int(cells[col["rank"]])
+            r = int(cell)
         except ValueError:
             r = None
         if r is None or not -_INT64_BOUND <= r < _INT64_BOUND:
-            raise ParseError(f"{phase}: malformed rank {cells[col['rank']]!r}", line=line_no)
+            raise ParseError(f"{phase}: malformed rank {cell!r}", line=line_no)
         rank.append(r)
-        start_s.append(_parse_float(cells[col["start"]], "start", line_no))
-        end_s.append(_parse_float(cells[col["end"]], "end", line_no))
+        start_s.append(_parse_float(cells[col["start"]].strip(), "start", line_no))
+        end_s.append(_parse_float(cells[col["end"]].strip(), "end", line_no))
         if "close" in col:
-            cell = cells[col["close"]]
+            cell = cells[col["close"]].strip()
             close.append(_parse_float(cell, "close", line_no) if cell else math.nan)
         if "items" in col:
-            cell = cells[col["items"]]
+            cell = cells[col["items"]].strip()
             try:
                 items.append(_count(cell) if cell else 0)
             except ValueError:

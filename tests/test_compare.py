@@ -176,6 +176,9 @@ def test_stage_rss_runs_a_chain_on_a_given_corpus(tmp_path):
     assert list(stages) == ["ingest", "logs-runtime", "logs-close", "logs-stonewall", "logs-stragglers", "logs-pfind"]
     for figures in stages.values():
         assert figures["rc"] == 0 and figures["max_rss_mb"] > result["floor_mb"] > 0 and figures["wall_s"] > 0
-    # The chain's files are kept under --work: the manifests and the last run's outputs.
-    assert sorted(p.name for p in (tmp_path / "w" / "chain").iterdir()) == ["manifests", "out"]
-    assert len(list((tmp_path / "w" / "chain" / "manifests").glob("*.json"))) == 3
+    # The chain's files are kept in a new directory under --work: the
+    # manifests and the last run's outputs.
+    (work,) = (tmp_path / "w").iterdir()
+    assert work.name.startswith("stage-rss-") and str(work) in proc.stderr
+    assert sorted(p.name for p in (work / "chain").iterdir()) == ["manifests", "out"]
+    assert len(list((work / "chain" / "manifests").glob("*.json"))) == 3

@@ -19,7 +19,7 @@ them as floats; quantized as synth writes them, they are held as integers:
 | `read_manifest` | 5.5x | 9.2x | 7x |
 | `write_manifest`, times in microseconds | 0.64x | | 2x |
 | `read_manifest`, times in microseconds | 2.6x | | 7x |
-| `parse_process_timing`, numpy's reader | 2.4x | 5.1x | 3.5x |
+| `parse_process_timing`, numpy's reader | 2.3x | 5.1x | 3.5x |
 | `parse_process_timing`, a bad cell in the first or the last data line | 0.33x, 2.8x | 3.4x, 3.9x (every line at once) | 3x |
 | `render_qq` | 1.9x | 3.9x (whole strings) | 3x |
 | `render_group_box` of a close column, log scale | 0.7x | 1.04x (whole strings) | 0.85x |

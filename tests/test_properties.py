@@ -14,6 +14,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,34 @@ def test_numpy_reads_every_synth_table_without_blank_cells(monkeypatch):
     for table in whole:
         parsed, _ = ingest.parse_process_timing("".join(synth._timing_pieces(table)), table.phase)
         assert parsed == table
+
+
+def test_numpy_reads_extra_columns_after_a_non_ascii_comment(monkeypatch):
+    # Cells of an extra or repeated column are not converted, and a
+    # non-ASCII character above the data lines is never read as a number.
+    rows = [f"{r},nœud-{r % 9},{r % 7 * 0.25},{300 + r % 11},{r % 3},{r}," for r in range(3 * CHUNK)]
+    text = "# host names: nœud-0..8\nrank,host,start,end,close,rank,\n" + "\n".join(rows).replace("œ", "oe")
+    want = _outcome(lambda: _scan(text))
+    monkeypatch.setattr(ingest, "_scan_rows", _refuse_row_scan)
+    assert want[0] == "ok" and _outcome(lambda: ingest.parse_process_timing(text, PHASE)) == want
+
+
+def test_a_spelling_numpy_only_warns_on_goes_to_the_row_scan(monkeypatch):
+    # A numpy release that deprecates, but still reads, an integer spelled as
+    # a float warns and reads `2.7` as 2; a caller that ignores warnings must
+    # still get the row scan's error.
+    real = np.loadtxt
+
+    def deprecating(lines, dtype, **kwargs):
+        lines = [line.replace("2.7,", "2,") for line in lines]
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return real(lines, dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", deprecating)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ParseError, match="malformed rank '2.7'"):
+            ingest.parse_process_timing("rank,start,end\n0,0,310\n2.7,0,310\n", PHASE)
 
 
 def test_chunked_parse_errors_name_the_line():

@@ -20,9 +20,10 @@ which no stage reading means anything.
 Without `--corpus`, the workload's corpus is made first with `synth`, from
 its synth config and the synth seed the bench takes for `--seed` (default
 61). With `--corpus DIR`, the chain runs on that package directory instead.
-The chain's corpus, manifests, outputs and stage logs are written to
-`--work DIR` and kept there, the outputs of the last run; without
-`--work`, to a new temporary directory that is removed at the end.
+The chain's corpus, manifests, outputs and stage logs are written to a new
+`stage-rss-*` directory, under `--work DIR` and kept there (the outputs of
+the last run; the tool prints its path to stderr), or without `--work` in
+the system's temporary directory and removed at the end.
 
 Prints the floor and one line per stage, `stage  max RSS MB  wall s`, or
 with `--json` one JSON object: `floor_mb`, and `stages`, by stage, of
@@ -114,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=61)
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--corpus", type=Path, help="a package directory to run the chain on")
-    parser.add_argument("--work", type=Path, help="where the chain writes, kept (default: a temporary directory, removed)")
+    parser.add_argument("--work", type=Path, help="keep the chain's files, in a new directory under this one")
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     if args.runs < 1:
@@ -122,12 +123,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.work:
         args.work.mkdir(parents=True, exist_ok=True)
     # Absolute, since the stages run in the repository root.
-    work = (args.work or Path(tempfile.mkdtemp(prefix="stage-rss-"))).resolve()
+    work = Path(tempfile.mkdtemp(prefix="stage-rss-", dir=args.work)).resolve()
     corpus = args.corpus.resolve() if args.corpus else None
     try:
         stages = measure(bench, args.workload, args.seed, args.runs, corpus, work)
     finally:
-        if not args.work:
+        if args.work:
+            print(f"chain files kept in {work}", file=sys.stderr)
+        else:
             shutil.rmtree(work)
     floor_mb = _own_peak_mb()
     if args.json:
