@@ -4,15 +4,19 @@ Stages exchange data through a manifest directory (one JSON Lines file per
 submission: a header line, then one line per timing table) so every
 intermediate is inspectable. Every analysis reads a manifest dir, a package
 dir or a dir of packages through one loader, keeping only the timing tables
-it reads. Exit codes are stable for CI use: 0 success, 1 hard error (a
-package that does not load, a path that is missing or not a directory, or
-a dataset too small for its statistic), 2 when no usable record is left.
+it reads. `ingest` and every analysis write their files into a hidden
+staging directory inside --out and move them into place only when the run
+succeeds, so a run that fails leaves --out as it found it. Exit codes are
+stable for CI use: 0 success, 1 hard error (a package that does not load,
+a path that is missing or not a directory, or a dataset too small for its
+statistic), 2 when no usable record is left.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import itertools
 import math
@@ -96,76 +100,69 @@ def _load_packages(paths: list[str], phases=None) -> tuple[list[tuple[str, Calla
 
 
 class _Output:
-    """A run's --out directory, which records each file the run writes and
-    each directory it makes under it. A file already there is moved aside
-    into a spare directory before the run first writes it. Used as a context
-    manager, it lets those old files go when the run succeeds; when the run
-    fails part way, it removes each file the run wrote, puts each old file
-    back, and removes each directory the run made, so that the run leaves
-    --out as it found it."""
+    """A run's --out directory, written as one transaction: each file goes
+    to a hidden staging directory, made inside --out at the first write.
+    Used as a context manager, it moves the staged files into place when
+    the run succeeds. It always removes the staging directory, and when the
+    run fails, also --out and its parents where the run made them, so that
+    a run that fails leaves --out as it found it."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self.files: dict[Path, Path | None] = {}  # each file written: where its old file waits, if any
-        self.dirs: list[Path] = []  # parents before their children
-        self.spare: Path | None = None
+        self.stage: Path | None = None
+        self.made: list[Path] = []  # --out and the parents the run made, children first
 
-    def make(self, directory: Path) -> None:
-        missing = list(itertools.takewhile(lambda d: not d.exists(), (directory, *directory.parents)))
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        finally:
-            self.dirs.extend(d for d in reversed(missing) if d.is_dir())
-
-    def _claim(self, path: Path) -> None:
-        """Record `path` before the run first writes it, moving a file
-        already there aside. A directory there is left for the write to
-        refuse."""
-        if path in self.files:
-            return
-        old = None
-        if os.path.lexists(path) and not path.is_dir():
-            if self.spare is None:
-                self.spare = Path(tempfile.mkdtemp(prefix=".io500kit-old-", dir=self.path))
-            old = self.spare / str(len(self.files))
-            os.replace(path, old)
-        self.files[path] = old
+    def _staged(self) -> Path:
+        if self.stage is None:
+            self.made = list(itertools.takewhile(lambda d: not os.path.lexists(d), (self.path, *self.path.parents)))
+            self.path.mkdir(parents=True, exist_ok=True)
+            try:
+                self.stage = Path(tempfile.mkdtemp(prefix=".io500kit-run-", dir=self.path))
+            except OSError as exc:
+                exc.filename = str(self.path)  # not the staging directory's random name
+                raise
+        return self.stage
 
     def write(self, analysis: str, name: str, pieces) -> None:
-        """report.write_render under this directory."""
-        directory = self.path / analysis
-        self.make(directory)
-
-        def claimed():
-            for suffix, text in pieces:
-                self._claim(directory / f"{name}.{suffix}")
-                yield suffix, text
-
-        report.write_render(self.path, analysis, name, claimed())
+        """report.write_render into the staging directory."""
+        report.write_render(self._staged(), analysis, name, pieces)
 
     def manifest(self, sub: Submission, stem: str, tables: Tables) -> None:
-        path = self.path / f"{stem}.json"
-        self._claim(path)
-        ingest.write_manifest(sub, path, tables)
+        ingest.write_manifest(sub, self._staged() / f"{stem}.json", tables)
+
+    def _commit(self) -> None:
+        """Make each staged directory and move each staged file into place,
+        parents first, once no target is a file where a directory goes or a
+        directory where a file goes: each raises the error a write in place
+        would raise, naming the target."""
+        staged = {p.relative_to(self.stage): p.is_dir() for p in sorted(self.stage.rglob("*"))}
+        for rel, is_dir in staged.items():
+            target = self.path / rel
+            if is_dir and os.path.lexists(target) and not target.is_dir():
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(target))
+            if not is_dir and target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for rel, is_dir in staged.items():
+            if is_dir:
+                (self.path / rel).mkdir(exist_ok=True)
+            else:  # over an earlier run's file; a copy where the target is on another file system
+                shutil.move(self.stage / rel, self.path / rel)
 
     def __enter__(self) -> "_Output":
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
-        if kind is None:
-            if self.spare is not None:
-                shutil.rmtree(self.spare)
-            return
-        for path, old in self.files.items():
-            with contextlib.suppress(OSError):  # such as a file a failed write removed itself
-                if old is None:
-                    path.unlink()
-                else:
-                    os.replace(old, path)
-        # The spare directory is kept, with what it holds, if an old file did not go back.
-        for directory in ([self.spare] if self.spare else []) + self.dirs[::-1]:
-            with contextlib.suppress(OSError):  # such as a directory another process wrote to
-                directory.rmdir()
+        committed = False
+        try:
+            if kind is None and self.stage is not None:
+                self._commit()
+            committed = kind is None
+        finally:
+            if self.stage is not None:
+                shutil.rmtree(self.stage, ignore_errors=True)
+            for directory in [] if committed else self.made:
+                with contextlib.suppress(OSError):  # such as a directory another process wrote to
+                    directory.rmdir()
 
 
 def _txt(lines: list[str]) -> list[report.Piece]:
@@ -212,7 +209,6 @@ def cmd_ingest(args) -> int:
     findings: list[str] = []
     warnings: list[str] = []
     with _Output(args.out) as out:
-        out.make(out.path)  # made only once the input is found: a rejected run leaves none
         for stem, sub, tables in subs:
             flagged, notes = loginsight.flag_cache_affected(
                 list(sub.phases.values()), config.cache_threshold_s
@@ -492,10 +488,11 @@ def run_pfind(subs, args, config) -> str:
     def each(meta, stem, phase, rep):
         detail = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
         args.out.write("logs", f"pfind_{stem}", detail)
+        median = float(np.median(rep.items_per_rank))  # of whole counts: whole or a half
         return [
             meta.submission_id,
             str(len(rep.items_per_rank)),
-            str(int(np.median(rep.items_per_rank))),
+            str(int(median)) if median.is_integer() else f"{median:.1f}",
             str(int(rep.items_per_rank.max())),
             report.fmt_csv(rep.max_over_median),  # "inf" when the median is zero
             report.fmt_csv(rep.gini),

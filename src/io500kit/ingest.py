@@ -1102,8 +1102,9 @@ def write_manifest(
     unnamed temporary file beside the manifest, made at the first table,
     and are copied after the header."""
     path = Path(path)
+    f = path.open("w", encoding="utf-8", newline="\n")  # a file that does not open is not removed
     try:
-        with path.open("w", encoding="utf-8", newline="\n") as f, contextlib.ExitStack() as stack:
+        with f, contextlib.ExitStack() as stack:
             names, spool = [], None
             for phase, table in sub.timing.items() if tables is None else tables:
                 if spool is None:

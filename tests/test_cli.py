@@ -1,5 +1,6 @@
 import argparse
 import collections
+import errno
 import importlib
 import importlib.util
 import inspect
@@ -9,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,12 @@ from oracles import joined
 
 
 def run(*argv):
-    return cli.main([str(a) for a in argv])
+    argv = [str(a) for a in argv]
+    code = cli.main(argv)
+    if "--out" in argv:  # a run, failed or not, leaves no staging directory behind
+        out = Path(argv[argv.index("--out") + 1])
+        assert not list(out.rglob(".io500kit-*")), sorted(out.rglob(".io500kit-*"))
+    return code
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -1240,3 +1247,82 @@ def test_ingest_failing_part_way_leaves_earlier_manifests(corpus, manifests, tmp
     assert capsys.readouterr().err.splitlines() == [f"error: {calls[2]}: gone"]
     assert tree_bytes(out) == before
     assert _all_paths(out) == paths
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ("logs", "File exists"),  # a file where the run's directory goes
+        ("logs/pfind.csv", "Is a directory"),  # a directory where the run's file goes
+    ],
+)
+def test_commit_blocked_by_a_target_leaves_out_unchanged(manifests, tmp_path, capsys, block, message):
+    # Every file is written to the staging directory; the target is checked
+    # only when the run moves its files into place, before any of them moves.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    if block == "logs":
+        (out / "logs").write_text("a file\n")
+    else:
+        (out / "logs" / "pfind.csv").mkdir(parents=True)
+        (out / "logs" / "pfind.txt").write_text("an earlier run's pfind.txt\n")
+    before, paths = tree_bytes(out), _all_paths(out)
+    assert run("logs", manifests, "--analysis", "pfind", "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {out / block}: {message}\n"
+    assert tree_bytes(out) == before
+    assert _all_paths(out) == paths
+
+
+@pytest.mark.parametrize("premade", [False, True])
+def test_interrupted_run_leaves_out_and_its_parents_as_found(manifests, tmp_path, monkeypatch, premade):
+    intact = tmp_path / "intact"
+    assert run("logs", manifests, "--analysis", "pfind", "--out", intact) == 0
+    top = tmp_path / "new"
+    out = top / "sub" / "out"
+    before = _earlier_run(out, intact) if premade else None
+    paths = _all_paths(out) if premade else None
+    render, calls = report.render_imbalance_table, []
+
+    def interrupted(*args):
+        # The third table's detail is interrupted after two tables' files are staged.
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return render(*args)
+
+    monkeypatch.setattr(report, "render_imbalance_table", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["logs", str(manifests), "--analysis", "pfind", "--out", str(out)])
+    if premade:
+        assert tree_bytes(out) == before
+        assert _all_paths(out) == paths
+    else:
+        assert not top.exists()
+
+
+def test_staging_directory_that_cannot_be_made_names_out(manifests, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+
+    def refused(prefix, dir):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.path.join(dir, f"{prefix}x1y2z3"))
+
+    monkeypatch.setattr(tempfile, "mkdtemp", refused)
+    assert run("logs", manifests, "--analysis", "pfind", "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {out}: Permission denied\n"
+    assert not out.exists()
+
+
+def test_pfind_half_median_keeps_its_half(tmp_path, summary_basic):
+    # A median of whole counts is whole or a half: 2.5 is not written as 2.
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / SUMMARY_FILENAME).write_text(summary_basic)
+    (pkg / "find.csv").write_text("rank,start,end,items\n0,0,5,1\n1,0,5,2\n2,0,5,3\n3,0,5,4\n")
+    out = tmp_path / "out"
+    assert run("logs", pkg, "--analysis", "pfind", "--out", out) == 0
+    header, row = (line.split(",") for line in (out / "logs" / "pfind.csv").read_text().splitlines())
+    summary = dict(zip(header, row))
+    assert (summary["MedianItems"], summary["MaxItems"], summary["MaxOverMedian"]) == ("2.5", "4", "1.6")
+    (detail,) = (out / "logs").glob("pfind_*.csv")
+    assert "items_median,2.5\n" in detail.read_text()

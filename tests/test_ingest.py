@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import errno
 import importlib.util
 import io
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -912,6 +914,17 @@ def test_failed_manifest_write_leaves_no_file(tmp_path):
     assert not path.exists()
 
 
+def test_manifest_write_that_cannot_open_leaves_what_is_there(tmp_path):
+    # A dangling symlink into a directory that does not exist: the open fails,
+    # and the link, which the write never opened, stays.
+    sub = _wide_submission(1, n_ranks=4)
+    path = tmp_path / "m.json"
+    path.symlink_to(tmp_path / "missing" / "m.json")
+    with pytest.raises(FileNotFoundError):
+        ingest.write_manifest(sub, path)
+    assert path.is_symlink()
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -967,6 +980,32 @@ def test_convert_manifest_tool_rewrites_v3_and_leaves_a_damaged_file(tmp_path, c
     out, err = capsys.readouterr()
     assert out.count("converted, equal Submission") == 2
     assert f"{damaged}: not read (" in err and "the file is truncated or damaged" in err
+
+
+@pytest.mark.parametrize("fault", ["tmp-is-a-directory", "replace-fails"])
+def test_convert_manifest_tool_leaves_a_file_it_cannot_write(tmp_path, capsys, monkeypatch, fault):
+    v3_text = dumps_manifest_v3_oracle(ingest.read_manifest(GOLDEN / "p04_timing_full.json"))
+    path, tmp = tmp_path / "v3.json", tmp_path / "v3.json.tmp"
+    path.write_text(v3_text)
+    tool = _load_tool()
+    if fault == "tmp-is-a-directory":
+        tmp.mkdir()
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp)!r}"
+    else:
+        def refused(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(dst))
+
+        monkeypatch.setattr(tool.os, "replace", refused)
+        reason = f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: {str(path)!r}"
+    assert tool.main([str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{path}: not converted ({reason}), left as is\n"
+    assert path.read_text() == v3_text
+    # The temporary file the tool wrote is gone; a directory in its place stays.
+    if fault == "tmp-is-a-directory":
+        assert tmp.is_dir() and sorted(p.name for p in tmp_path.iterdir()) == ["v3.json", "v3.json.tmp"]
+    else:
+        assert [p.name for p in tmp_path.iterdir()] == ["v3.json"]
 
 
 

@@ -16,9 +16,10 @@ values are all exact microseconds as integers, named in the line's `us`.
 The script writes the Submission with `ingest.write_manifest` to a temporary
 file beside the original and reads that back with `ingest.read_manifest`.
 Only when the result equals the old Submission does the new file replace the
-old one. Otherwise, or when the old file cannot be read, the script reports
-the file, leaves it as it was and exits 1. With no path, it prints its
-usage and exits 2.
+old one. Otherwise, or when the old file cannot be read, or the new one
+cannot be written, read back or moved into place, the script reports the
+file, leaves it as it was, removes any temporary file it wrote and exits 1.
+With no path, it prints its usage and exits 2.
 """
 
 from __future__ import annotations
@@ -75,14 +76,25 @@ def main(paths: list[str]) -> int:
             status = 1
             continue
         tmp = path.with_name(path.name + ".tmp")
-        ingest.write_manifest(old, tmp)
-        if ingest.read_manifest(tmp) != old:
+        written = False
+        try:
+            ingest.write_manifest(old, tmp)  # a write that fails removes its own file
+            written = True
+            equal = ingest.read_manifest(tmp) == old
+            if equal:
+                os.replace(tmp, path)
+        except OSError as exc:
+            if written:
+                tmp.unlink(missing_ok=True)
+            print(f"{path}: not converted ({exc}), left as is", file=sys.stderr)
+            status = 1
+            continue
+        if not equal:
             tmp.unlink()
             version = ingest.MANIFEST_FORMAT_VERSION
             print(f"{path}: v{version} decodes to a different Submission, left as is", file=sys.stderr)
             status = 1
             continue
-        os.replace(tmp, path)
         n_rows = sum(t.n_ranks for t in old.timing.values())
         print(f"{path}: converted, equal Submission ({len(old.timing)} tables, {n_rows} ranks)")
     return status
