@@ -160,9 +160,10 @@ class _Output:
         finally:
             if self.stage is not None:
                 shutil.rmtree(self.stage, ignore_errors=True)
-            for directory in [] if committed else self.made:
-                with contextlib.suppress(OSError):  # such as a directory another process wrote to
-                    directory.rmdir()
+            if not committed:
+                for directory in self.made:
+                    with contextlib.suppress(OSError):  # such as a directory another process wrote to
+                        directory.rmdir()
 
 
 def _txt(lines: list[str]) -> list[report.Piece]:
