@@ -523,9 +523,9 @@ def cmd_analysis(args) -> int:
     config = load_config(getattr(args, "config", None))  # before any input is read
     run, phases = ANALYSES[args.analysis if args.command == "logs" else args.command]
     subs, errors = _load(args.path, phases)
-    args.out = _Output(args.out)
-    with args.out:  # a run that fails part way leaves --out as it found it
-        print(run(subs, args, config))
+    with _Output(args.out) as args.out:  # a run that fails part way leaves --out as it found it
+        line = run(subs, args, config)
+    print(line)  # once the files are in place
     for entry in errors:
         print(f"error: {entry}", file=sys.stderr)
     return 1 if errors else 0

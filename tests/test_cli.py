@@ -1269,7 +1269,7 @@ def test_commit_blocked_by_a_target_leaves_out_unchanged(manifests, tmp_path, ca
         (out / "logs" / "pfind.txt").write_text("an earlier run's pfind.txt\n")
     before, paths = tree_bytes(out), _all_paths(out)
     assert run("logs", manifests, "--analysis", "pfind", "--out", out) == 1
-    assert capsys.readouterr().err == f"error: {out / block}: {message}\n"
+    assert capsys.readouterr() == ("", f"error: {out / block}: {message}\n")
     assert tree_bytes(out) == before
     assert _all_paths(out) == paths
 
