@@ -175,13 +175,6 @@ def _txt(lines: list[str]) -> list[report.Piece]:
 # --- ingest -----------------------------------------------------------------
 
 
-def _then_add(tables: Tables, warnings: list[str], notes: list[str]) -> Tables:
-    """`tables`, then `notes` added to `warnings`, after the warnings the
-    tables add once they are read."""
-    yield from tables
-    warnings.extend(notes)
-
-
 def cmd_ingest(args) -> int:
     config = load_config(args.config)
     cmap = ingest.load_column_map(args.column_map) if args.column_map else None
@@ -215,8 +208,11 @@ def cmd_ingest(args) -> int:
                 list(sub.phases.values()), config.cache_threshold_s
             )
             sub.phases = {p.phase: p for p in flagged}
+            # A package's phases all carry a runtime: only a repo-CSV row, which
+            # has no tables, gets notes, so they follow every other warning.
+            sub.warnings.extend(notes)
             findings.extend(metrics.recomputation_findings(sub, config.recompute_rel_tol))
-            out.manifest(sub, stem, _then_add(tables, sub.warnings, notes))
+            out.manifest(sub, stem, tables)
             warnings.extend(f"WARN {sub.meta.submission_id}: {w}" for w in sub.warnings)
             n_subs += 1
 
@@ -489,11 +485,10 @@ def run_pfind(subs, args, config) -> str:
     def each(meta, stem, phase, rep):
         detail = report.render_imbalance_table(rep.items_per_rank, rep.max_over_median, rep.gini)
         args.out.write("logs", f"pfind_{stem}", detail)
-        median = float(np.median(rep.items_per_rank))  # of whole counts: whole or a half
         return [
             meta.submission_id,
             str(len(rep.items_per_rank)),
-            str(int(median)) if median.is_integer() else f"{median:.1f}",
+            report.fmt_median_count(rep.items_per_rank),
             str(int(rep.items_per_rank.max())),
             report.fmt_csv(rep.max_over_median),  # "inf" when the median is zero
             report.fmt_csv(rep.gini),

@@ -896,12 +896,21 @@ def _record_fields(cls) -> tuple[tuple[str, tuple[type, ...], Any, bool], ...]:
     return tuple(out)
 
 
+def _header_value(obj: Any, key: str, kinds: tuple[type, ...], where: str, nullable: bool = False) -> Any:
+    """_get for a header field: a NaN or infinity, which the JSON decoder
+    reads and the writer never writes, is refused."""
+    value = _get(obj, key, kinds, where, nullable)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{where}.{key}: non-finite value {value}")
+    return value
+
+
 def _record(cls, obj: Any, where: str):
     """A SubmissionMeta or PhaseResult from its manifest object, each field
     checked in declaration order against its annotation."""
     values = {}
     for name, kinds, enum, nullable in _record_fields(cls):
-        value = _get(obj, name, kinds, where, nullable)
+        value = _header_value(obj, name, kinds, where, nullable)
         values[name] = value if enum is None or value is None else _enum(enum, value, f"{where}.{name}")
     return cls(**values)
 
@@ -1028,9 +1037,9 @@ def _header_submission(doc: Mapping[str, Any]) -> Submission:
     return Submission(
         meta=meta,
         phases=phases,
-        reported_score_bw=_get(doc, "reported_score_bw", _NUM, "manifest", nullable=True),
-        reported_score_md=_get(doc, "reported_score_md", _NUM, "manifest", nullable=True),
-        reported_score_overall=_get(doc, "reported_score_overall", _NUM, "manifest", nullable=True),
+        reported_score_bw=_header_value(doc, "reported_score_bw", _NUM, "manifest", nullable=True),
+        reported_score_md=_header_value(doc, "reported_score_md", _NUM, "manifest", nullable=True),
+        reported_score_overall=_header_value(doc, "reported_score_overall", _NUM, "manifest", nullable=True),
         warnings=list(warnings),
     )
 

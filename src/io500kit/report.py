@@ -53,6 +53,13 @@ def fmt_csv(x: float | None) -> str:
     return f"{x:.6g}"
 
 
+def fmt_median_count(counts) -> str:
+    """The median of whole counts, which is whole or a half: a whole one as
+    an integer, a half with one decimal."""
+    median = float(np.median(counts))
+    return str(int(median)) if median.is_integer() else f"{median:.1f}"
+
+
 def _finite(values) -> np.ndarray:
     """values as a float array; a NaN or infinite value raises ValueError."""
     column = np.asarray(values, dtype=float)
@@ -175,7 +182,7 @@ def render_imbalance_table(
         ["ranks", str(counts.size)],
         ["items_total", str(int(sum(counts.tolist())))],  # Python ints: no int64 overflow
         ["items_min", str(int(counts.min()))],
-        ["items_median", fmt_csv(float(np.median(counts)))],
+        ["items_median", fmt_median_count(counts)],
         ["items_max", str(int(counts.max()))],
         ["max_over_median", fmt_csv(max_over_median)],
         ["gini", fmt_csv(gini_value)],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, get_args
+from typing import Any, Iterator, get_args
 
 import numpy as np
 
@@ -558,18 +558,28 @@ def _summary_text(sub: Submission) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The raw metadata fields of meta.txt and repo.csv, in order, keyed as ingest
+# reads them (DEFAULT_COLUMN_MAP's keys), each with the SubmissionMeta
+# attribute that holds it.
+_META_FIELDS = {
+    "submission_id": "submission_id",
+    "list_label": "list_label",
+    "institution": "institution",
+    "filesystem": "filesystem_raw",
+    "interconnect": "interconnect_raw",
+    "client_nodes": "client_nodes",
+    "procs_per_node": "procs_per_node",
+    "total_procs": "total_procs",
+}
+
+
+def _raw_meta(meta: SubmissionMeta) -> dict[str, Any]:
+    """meta's raw fields by _META_FIELDS' keys; None where one is unset."""
+    return {key: getattr(meta, attr) for key, attr in _META_FIELDS.items()}
+
+
 def _meta_text(meta: SubmissionMeta) -> str:
-    fields = [
-        ("submission_id", meta.submission_id),
-        ("list_label", meta.list_label),
-        ("institution", meta.institution),
-        ("filesystem", meta.filesystem_raw),
-        ("interconnect", meta.interconnect_raw),
-        ("client_nodes", meta.client_nodes),
-        ("procs_per_node", meta.procs_per_node),
-        ("total_procs", meta.total_procs),
-    ]
-    return "\n".join(f"{key} = {value}" for key, value in fields if value is not None) + "\n"
+    return "\n".join(f"{key} = {value}" for key, value in _raw_meta(meta).items() if value is not None) + "\n"
 
 
 # Rows formatted at a time: one block's cells, never a whole table's, are alive at once.
@@ -614,35 +624,12 @@ def _timing_pieces(table: ProcessTimingTable) -> Iterator[str]:
 
 def _repo_csv_text(subs: list[Submission]) -> str:
     cmap = DEFAULT_COLUMN_MAP
-    header = [
-        cmap["submission_id"],
-        cmap["list_label"],
-        cmap["institution"],
-        cmap["filesystem"],
-        cmap["interconnect"],
-        cmap["client_nodes"],
-        cmap["procs_per_node"],
-        cmap["total_procs"],
-        cmap["score_overall"],
-        cmap["score_bw"],
-        cmap["score_md"],
-    ] + [cmap["phases"][p.value] for p in Phase]
+    scores = ("score_overall", "score_bw", "score_md")
+    header = [cmap[key] for key in (*_META_FIELDS, *scores)] + [cmap["phases"][p.value] for p in Phase]
     lines = [",".join(header)]
     for sub in subs:
-        meta = sub.meta
-        cells = [
-            meta.submission_id,
-            meta.list_label,
-            meta.institution or "",
-            meta.filesystem_raw,
-            meta.interconnect_raw,
-            str(meta.client_nodes),
-            "" if meta.procs_per_node is None else str(meta.procs_per_node),
-            "" if meta.total_procs is None else str(meta.total_procs),
-            repr(sub.reported_score_overall),
-            repr(sub.reported_score_bw),
-            repr(sub.reported_score_md),
-        ]
+        cells = ["" if value is None else str(value) for value in _raw_meta(sub.meta).values()]
+        cells += [repr(getattr(sub, f"reported_{key}")) for key in scores]
         for phase in Phase:
             result = sub.phases.get(phase)
             cells.append("" if result is None else f"{result.value:.6f}")

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import errno
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -1326,3 +1327,86 @@ def test_pfind_half_median_keeps_its_half(tmp_path, summary_basic):
     assert (summary["MedianItems"], summary["MaxItems"], summary["MaxOverMedian"]) == ("2.5", "4", "1.6")
     (detail,) = (out / "logs").glob("pfind_*.csv")
     assert "items_median,2.5\n" in detail.read_text()
+
+
+def test_pfind_median_count_is_written_once_for_both_tables(tmp_path, summary_basic):
+    # pfind.csv's MedianItems and pfind_<stem>.csv's items_median are the same
+    # cell: every digit of a whole median, a half with one decimal.
+    for name, items in (("half", (1, 1234567, 1234568, 9999999)), ("whole", (1, 1234567, 1234567, 9999999))):
+        pkg = tmp_path / "packages" / name
+        pkg.mkdir(parents=True)
+        (pkg / SUMMARY_FILENAME).write_text(summary_basic)
+        rows = "".join(f"{rank},0,5,{n}\n" for rank, n in enumerate(items))
+        (pkg / "find.csv").write_text("rank,start,end,items\n" + rows)
+    out = tmp_path / "out"
+    assert run("logs", tmp_path / "packages", "--analysis", "pfind", "--out", out) == 0
+    header, *rows = (line.split(",") for line in (out / "logs" / "pfind.csv").read_text().splitlines())
+    medians = {row[0]: dict(zip(header, row))["MedianItems"] for row in rows}
+    assert medians == {"half": "1234567.5", "whole": "1234567"}
+    for name, median in medians.items():
+        assert f"items_median,{median}\n" in (out / "logs" / f"pfind_{name}.csv").read_text()
+
+
+# A repo CSV whose rows have no runtimes, so each read or stat phase with a
+# value gets a cache note; row a also has a NaN phase value and an inf score.
+CACHE_NOTE_CSV = (
+    "id,list,institution,filesystem,interconnect,client_nodes,procs_per_node,total_procs,score,score_bw,score_md,"
+    "ior_easy_write,ior_easy_read,ior_hard_write,ior_hard_read,mdtest_easy_write,mdtest_easy_stat,"
+    "mdtest_easy_delete,mdtest_hard_write,mdtest_hard_stat,mdtest_hard_read,mdtest_hard_delete,find"
+    "\na,SC22,site,Lustre,IB HDR,4,16,64,10.5,20.0,inf,100.0,nan,5.0,6.0,50.0,,40.0,10.0,90.0,30.0,8.0,500.0"
+    + "\nb,ISC21,,GPFS,,2,,,,,,1.0,2.0,,,,,,,,,,\n"
+)
+# The sha256 of each file `ingest` writes for tests/fixtures/packages (pk/)
+# and for CACHE_NOTE_CSV (csv/).
+WARNING_ORDER_DIGESTS = {
+    "csv/a.json": "6d11b9ec3530ca6c8d82c7879883db20d94731e18babcea32eea4a7341790d03",
+    "csv/b.json": "cb1d1b07b83b2346d760a0ec5ea9f75b4040785995d7ae0c1572990e5739c78f",
+    "csv/validation.txt": "039a17b36f7d69532bc5fd2d008df6582216a3490f11a4b2fb2f11cd86518d07",
+    "pk/gpfs-site-b.json": "5b0ac8f032af0f83752cc81ee34325df3d58e03344b6036945ee339573ab6d92",
+    "pk/legacy-format.json": "592bdfb5579ae574334ed010c14fd80f787681277c37cc4236d79a4cf0877f95",
+    "pk/lustre-badrow.json": "7825c98b443d7687ba822ae70fd91b1ae0423aa5ea7622b58aa93910edd287c5",
+    "pk/lustre-site-a.json": "609c697df783f19db0d6d8c5f9481a977a303e93cb0230f6519d3b25476e5ed5",
+    "pk/lustre-timing.json": "0f230dc9261624acbeebffb737f205f111a1afc309615f827fd7c11f6c683e90",
+    "pk/p06_no_meta.json": "441ae6ea2da37553aec57452e78a2731f085c129ccddb6de204a9c7c3fa248a0",
+    "pk/validation.txt": "432dd97c6d285271730fa584736701bc31c69cb08da0b16da9dcd85f8ba679b6",
+}
+
+
+def test_ingest_keeps_each_submissions_warning_order(tmp_path):
+    # A submission's warnings are its summary's and meta's, then its timing
+    # CSVs', then its cache notes: a package's table warning and a repo-CSV
+    # row's value warnings come before its notes, in manifests and validation.txt.
+    csv_path = tmp_path / "repo.csv"
+    csv_path.write_text(CACHE_NOTE_CSV)
+    assert run("ingest", Path(__file__).parent / "fixtures" / "packages", "--out", tmp_path / "out" / "pk") == 0
+    assert run("ingest", csv_path, "--format", "repo-csv", "--out", tmp_path / "out" / "csv") == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(tmp_path / "out").items()}
+    assert digests == WARNING_ORDER_DIGESTS
+    assert ingest.read_manifest(tmp_path / "out" / "csv" / "a.json").warnings == [
+        "ior-easy-read: non-finite value 'nan', dropped",
+        "score_md: non-finite value 'inf', dropped",
+        "ior-hard-read: no runtime recorded, cache flag left unset",
+        "mdtest-hard-stat: no runtime recorded, cache flag left unset",
+        "mdtest-hard-read: no runtime recorded, cache flag left unset",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, old, new, message",
+    [
+        (["logs", "--analysis", "runtime"], '"runtime_s":316.631', '"runtime_s":Infinity', "phases[0].runtime_s: non-finite value inf"),
+        (["stats"], '"interconnect_gbps":200.0', '"interconnect_gbps":Infinity', "meta.interconnect_gbps: non-finite value inf"),
+    ],
+    ids=["runtime", "stats"],
+)
+def test_non_finite_manifest_number_is_one_error_line(tmp_path, capsys, argv, old, new, message):
+    # Not a traceback from summary_stats, nor an "inf Gb/s" interconnect class.
+    text = (Path(__file__).parent / "golden" / "p01_dash_full.json").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "manifests" / "m.json"
+    path.parent.mkdir()
+    path.write_text(text.replace(old, new))
+    command, *options = argv
+    assert run(command, path.parent, *options, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()

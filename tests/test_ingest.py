@@ -1030,6 +1030,44 @@ def test_convert_manifest_tool_refuses_a_bad_version_1_shape(tmp_path, capsys, t
     assert out == "" and err == f"{path}: not read ({reason}), left as is\n"
 
 
+# Header numbers spelled NaN, Infinity or -Infinity: the JSON decoder reads
+# these tokens, the writer never writes them.
+NON_FINITE_HEADERS = [
+    ('"interconnect_gbps":200.0', '"interconnect_gbps":Infinity', "meta.interconnect_gbps: non-finite value inf"),
+    ('"runtime_s":316.631', '"runtime_s":-Infinity', "phases[0].runtime_s: non-finite value -inf"),
+    ('"value":113.0', '"value":NaN', "phases[0].value: non-finite value nan"),
+    ('"reported_score_bw":16.82', '"reported_score_bw":Infinity', "manifest.reported_score_bw: non-finite value inf"),
+    ('"reported_score_md":80.73', '"reported_score_md":NaN', "manifest.reported_score_md: non-finite value nan"),
+    ('"reported_score_overall":36.86', '"reported_score_overall":NaN', "manifest.reported_score_overall: non-finite value nan"),
+]
+
+
+def non_finite_manifest(path: Path, old: str, new: str) -> Path:
+    """The p01 golden manifest at `path`, its one `old` member replaced by `new`."""
+    text = (GOLDEN / "p01_dash_full.json").read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize("old, new, message", NON_FINITE_HEADERS, ids=[m.split(":")[0] for _, _, m in NON_FINITE_HEADERS])
+def test_read_manifest_refuses_a_non_finite_header_number(tmp_path, old, new, message):
+    path = non_finite_manifest(tmp_path / "m.json", old, new)
+    with pytest.raises(ValidationError) as info:
+        ingest.read_manifest(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_convert_manifest_tool_leaves_a_non_finite_header_number(tmp_path, capsys):
+    path = non_finite_manifest(tmp_path / "m.json", '"reported_score_overall":36.86', '"reported_score_overall":NaN')
+    text = path.read_text()
+    assert _load_tool().main([str(path)]) == 1
+    assert path.read_text() == text
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{path}: not read ({path}: manifest.reported_score_overall: non-finite value nan), left as is\n"
+
+
 def test_convert_manifest_tool_without_a_path_prints_its_usage(capsys):
     assert _load_tool().main([]) == 2
     assert capsys.readouterr().err == "usage: python tools/convert_manifest.py MANIFEST...\n"

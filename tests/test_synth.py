@@ -139,9 +139,17 @@ def test_repo_csv_round_trips(tmp_path):
     assert result.skipped == []
     assert len(result.submissions) == len(corpus)
     for gen, loaded in zip(corpus, result.submissions):
+        assert loaded.meta == gen.submission.meta  # meta.txt's fields, under the repo CSV's column names
         assert loaded.reported_score_overall == gen.submission.reported_score_overall
         for phase, res in gen.submission.phases.items():
             assert loaded.phases[phase].value == res.value
+
+
+def test_empty_corpus_writes_the_repo_csv_header(tmp_path):
+    assert synth.write_corpus([], tmp_path) == []
+    columns = (tmp_path / "repo.csv").read_text().split(",")
+    assert columns[:9] == ["id", "list", "institution", "filesystem", "interconnect", "client_nodes", "procs_per_node", "total_procs", "score"]
+    assert len(columns) == 11 + len(Phase) and columns[-1] == "find\n"
 
 
 # --- timing generation ------------------------------------------------------------------
