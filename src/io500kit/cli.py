@@ -4,8 +4,8 @@ Stages exchange data through a manifest directory (one JSON Lines file per
 submission: a header line, then one line per timing table) so every
 intermediate is inspectable. Every analysis reads a manifest dir, a package
 dir or a dir of packages through one loader, keeping only the timing tables
-it reads. `ingest` and every analysis write their files into a hidden
-staging directory inside --out and move them into place only when the run
+it reads. Every command, `synth` included, writes its files into a hidden
+staging directory inside --out and moves them into place only when the run
 succeeds, so a run that fails leaves --out as it found it. Exit codes are
 stable for CI use: 0 success, 1 hard error (a package that does not load,
 a path that is missing or not a directory, or a dataset too small for its
@@ -129,6 +129,10 @@ class _Output:
 
     def manifest(self, sub: Submission, stem: str, tables: Tables) -> None:
         ingest.write_manifest(sub, self._staged() / f"{stem}.json", tables)
+
+    def corpus(self, generated: list[synth.GeneratedSubmission]) -> None:
+        """synth.write_corpus into the staging directory."""
+        synth.write_corpus(generated, self._staged())
 
     def _commit(self) -> None:
         """Make each staged directory and move each staged file into place,
@@ -537,7 +541,8 @@ def cmd_synth(args) -> int:
         spec["n_submissions"] = args.n
     config = synth.synth_config_from_dict(spec)
     corpus = synth.gen_corpus(config)
-    synth.write_corpus(corpus, args.out)
+    with _Output(args.out) as out:
+        out.corpus(corpus)
     print(f"wrote {len(corpus)} synthetic submissions to {args.out}")
     return 0
 

@@ -260,20 +260,21 @@ _INT64_BOUND = 2.0**63
 _DTYPES = {"rank": np.int64, "start": np.float64, "end": np.float64, "close": np.float64, "items": np.int64}
 
 
-def _count(text: str) -> int:
-    """The item count `text` spells: an integer spelling read exactly, in
-    int64's range, or a whole float spelling (`10.0`, `1e3`) of magnitude
-    below 2**63. Raises ValueError for any other, such as `1.5` or `inf`."""
+def _whole(text: str, bound: float = math.inf) -> int:
+    """The whole number `text` spells, within a float's range: an integer
+    spelling read exactly, in [-bound, bound), or a whole float spelling
+    (`10.0`, `1e3`) of magnitude below `bound`. Raises ValueError for any
+    other, such as `1.5`, `inf`, `1e400` or a run of 400 digits."""
+    number = float(text)
     try:
         value = int(text)
-    except ValueError:
-        number = float(text)
-        if not (abs(number) < _INT64_BOUND and number.is_integer()):  # also false for NaN
-            raise ValueError(f"not a count: {text!r}") from None
-        return int(number)
-    if not -_INT64_BOUND <= value < _INT64_BOUND:
-        raise ValueError(f"not a count: {text!r}")
-    return value
+    except ValueError:  # `10.0`, `1e3`
+        if abs(number) < bound and number.is_integer():  # also false for NaN
+            return int(number)
+    else:
+        if -bound <= value < bound and math.isfinite(number):
+            return value
+    raise ValueError(f"not a whole number: {text!r}")
 
 
 def _ascii_lines(text: str, start: int) -> Iterator[str]:
@@ -341,7 +342,7 @@ def _scan_rows(text: str, start: int, first_line: int, width: int, col: dict[str
         if "items" in col:
             cell = cells[col["items"]].strip()
             try:
-                items.append(_count(cell) if cell else 0)
+                items.append(_whole(cell, _INT64_BOUND) if cell else 0)
             except ValueError:
                 raise ParseError(f"{phase}: malformed items {cell!r}", line=line_no) from None
             no_items.append(not cell)
@@ -424,23 +425,17 @@ def interconnect_class(meta: SubmissionMeta) -> str:
     return f"{meta.interconnect_gbps:g} Gb/s"
 
 
-def _coerce_int(value: Any) -> int | None:
-    """The whole number `value` spells (`10`, ` 10 `, `10.0`, `1e3`), or None:
-    a fraction such as `2.5`, like `inf` or text, is no count. An integer
-    spelling is read exactly, not through a float."""
+def _count_at_least(raw: Mapping[str, Any], key: str, floor: int) -> int | None:
+    """The whole number raw[key] spells (see _whole) if it is at least
+    `floor`, else None, as for a value that is absent or no whole number."""
+    value = raw.get(key)
     if value is None:
         return None
-    text = str(value).strip()
     try:
-        number = float(text)
+        count = _whole(str(value).strip())
     except ValueError:
         return None
-    if not number.is_integer():  # also false for inf and NaN
-        return None
-    try:
-        return int(text)
-    except ValueError:  # `10.0`, `1e3`
-        return int(number)
+    return count if count >= floor else None
 
 
 def normalize_metadata(raw: Mapping[str, Any]) -> SubmissionMeta:
@@ -451,18 +446,7 @@ def normalize_metadata(raw: Mapping[str, Any]) -> SubmissionMeta:
     """
     fs_raw = str(raw.get("filesystem", "") or "")
     ic_raw = str(raw.get("interconnect", "") or "")
-    client_nodes = _coerce_int(raw.get("client_nodes"))
-    if client_nodes is None or client_nodes < 1:
-        client_nodes = 1
-    procs_per_node = _coerce_int(raw.get("procs_per_node"))
-    if procs_per_node is not None and procs_per_node < 1:
-        procs_per_node = None
-    total_procs = _coerce_int(raw.get("total_procs"))
-    if total_procs is not None and total_procs < client_nodes:
-        total_procs = None
-    nic_count = _coerce_int(raw.get("nic_count"))
-    if nic_count is not None and nic_count < 1:
-        nic_count = None
+    client_nodes = _count_at_least(raw, "client_nodes", 1) or 1
     institution = raw.get("institution")
     institution = str(institution) if institution not in (None, "") else None
     return SubmissionMeta(
@@ -473,10 +457,10 @@ def normalize_metadata(raw: Mapping[str, Any]) -> SubmissionMeta:
         filesystem_norm=normalize_filesystem(fs_raw),
         interconnect_raw=ic_raw,
         interconnect_gbps=normalize_interconnect(ic_raw),
-        nic_count_reported=nic_count,
+        nic_count_reported=_count_at_least(raw, "nic_count", 1),
         client_nodes=client_nodes,
-        procs_per_node=procs_per_node,
-        total_procs=total_procs,
+        procs_per_node=_count_at_least(raw, "procs_per_node", 1),
+        total_procs=_count_at_least(raw, "total_procs", client_nodes),
     )
 
 
@@ -589,19 +573,16 @@ def parse_repo_csv(text: str, column_map: Mapping[str, Any] | None = None) -> Re
             missing.append("list label")
         if raw["filesystem"] is None:
             missing.append("filesystem")
-        nodes = _coerce_int(raw["client_nodes"])
         if raw["client_nodes"] is None:
             missing.append("client_nodes")
-        elif nodes is None or nodes < 1:
+        elif _count_at_least(raw, "client_nodes", 1) is None:
             skipped.append((data_no, f"invalid client_nodes {raw['client_nodes']!r}"))
             continue
         if missing:
             skipped.append((data_no, "missing required fields: " + ", ".join(missing)))
             continue
 
-        meta = normalize_metadata(
-            {**raw, "submission_id": raw["submission_id"] or f"row-{data_no}", "client_nodes": nodes}
-        )
+        meta = normalize_metadata({**raw, "submission_id": raw["submission_id"] or f"row-{data_no}"})
         warnings: list[str] = []
         phases: dict[Phase, PhaseResult] = {}
         for phase in Phase:
@@ -868,6 +849,8 @@ def _get(obj: Any, key: str, kinds: tuple[type, ...], where: str, nullable: bool
         return None
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise ValidationError(f"{where}.{key}: unexpected {type(value).__name__} value")
+    if isinstance(value, float) and not math.isfinite(value):  # a token the writer never writes
+        raise ValidationError(f"{where}.{key}: non-finite value {value}")
     return value
 
 
@@ -896,21 +879,12 @@ def _record_fields(cls) -> tuple[tuple[str, tuple[type, ...], Any, bool], ...]:
     return tuple(out)
 
 
-def _header_value(obj: Any, key: str, kinds: tuple[type, ...], where: str, nullable: bool = False) -> Any:
-    """_get for a header field: a NaN or infinity, which the JSON decoder
-    reads and the writer never writes, is refused."""
-    value = _get(obj, key, kinds, where, nullable)
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{where}.{key}: non-finite value {value}")
-    return value
-
-
 def _record(cls, obj: Any, where: str):
     """A SubmissionMeta or PhaseResult from its manifest object, each field
     checked in declaration order against its annotation."""
     values = {}
     for name, kinds, enum, nullable in _record_fields(cls):
-        value = _header_value(obj, name, kinds, where, nullable)
+        value = _get(obj, name, kinds, where, nullable)
         values[name] = value if enum is None or value is None else _enum(enum, value, f"{where}.{name}")
     return cls(**values)
 
@@ -936,10 +910,11 @@ def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = Fa
     """A timing column from its JSON list, of a kind set by the exact types of
     its values, found in one pass before any numpy conversion: int64 where
     every value is an integer (masked where null; refused if one does not
-    fit), else, for a time column of numbers, float64 (NaN where null);
-    _seconds makes a time column seconds. Any other value, `true` and
-    `false` among them, is refused. A numpy column is one _table_line has
-    converted already; None is a column at its default."""
+    fit), else, for a time column of finite numbers, float64 (NaN where
+    null); _seconds makes a time column seconds. Any other value, `true`,
+    `false`, NaN and the infinities among them, is refused. A numpy column
+    is one _table_line has converted already; None is a column at its
+    default."""
     values = _get(spec, key, (list, np.ndarray), where, nullable=key in _DEFAULTED)
     if values is None or isinstance(values, np.ndarray):
         return values
@@ -954,7 +929,11 @@ def _column(spec: dict, key: str, where: str, integer: bool, nullable: bool = Fa
             data = np.array([0 if v is None else v for v in values], dtype=np.int64)
             return np.ma.MaskedArray(data, mask=np.array([v is None for v in values], dtype=bool))
         if not integer and kinds <= {int, float}:
-            return np.array(values, dtype=np.float64)
+            column = np.array(values, dtype=np.float64)
+            if np.count_nonzero(~np.isfinite(column)) > (values.count(None) if null else 0):
+                bad = next(v for v in values if v is not None and not math.isfinite(v))
+                raise ValidationError(f"{where}.{key}: non-finite value {bad}")
+            return column
     raise ValidationError(f"{where}.{key}: expected a list of {'integers' if integer else 'numbers'}")
 
 
@@ -1037,9 +1016,9 @@ def _header_submission(doc: Mapping[str, Any]) -> Submission:
     return Submission(
         meta=meta,
         phases=phases,
-        reported_score_bw=_header_value(doc, "reported_score_bw", _NUM, "manifest", nullable=True),
-        reported_score_md=_header_value(doc, "reported_score_md", _NUM, "manifest", nullable=True),
-        reported_score_overall=_header_value(doc, "reported_score_overall", _NUM, "manifest", nullable=True),
+        reported_score_bw=_get(doc, "reported_score_bw", _NUM, "manifest", nullable=True),
+        reported_score_md=_get(doc, "reported_score_md", _NUM, "manifest", nullable=True),
+        reported_score_overall=_get(doc, "reported_score_overall", _NUM, "manifest", nullable=True),
         warnings=list(warnings),
     )
 

@@ -1276,25 +1276,31 @@ def test_commit_blocked_by_a_target_leaves_out_unchanged(manifests, tmp_path, ca
 
 
 @pytest.mark.parametrize("premade", [False, True])
-def test_interrupted_run_leaves_out_and_its_parents_as_found(manifests, tmp_path, monkeypatch, premade):
+@pytest.mark.parametrize("command", ["logs", "synth"])
+def test_interrupted_run_leaves_out_and_its_parents_as_found(manifests, tmp_path, monkeypatch, command, premade):
+    # The third table's detail, or the third package's meta.txt, is
+    # interrupted after two tables' or packages' files are staged.
+    argv, module, name = {
+        "logs": (["logs", str(manifests), "--analysis", "pfind"], report, "render_imbalance_table"),
+        "synth": (["synth", "--seed", "11", "--n", "4"], synth, "_meta_text"),
+    }[command]
     intact = tmp_path / "intact"
-    assert run("logs", manifests, "--analysis", "pfind", "--out", intact) == 0
+    assert run(*argv, "--out", intact) == 0
     top = tmp_path / "new"
     out = top / "sub" / "out"
     before = _earlier_run(out, intact) if premade else None
     paths = _all_paths(out) if premade else None
-    render, calls = report.render_imbalance_table, []
+    original, calls = getattr(module, name), []
 
     def interrupted(*args):
-        # The third table's detail is interrupted after two tables' files are staged.
         calls.append(args)
         if len(calls) == 3:
             raise KeyboardInterrupt
-        return render(*args)
+        return original(*args)
 
-    monkeypatch.setattr(report, "render_imbalance_table", interrupted)
+    monkeypatch.setattr(module, name, interrupted)
     with pytest.raises(KeyboardInterrupt):
-        cli.main(["logs", str(manifests), "--analysis", "pfind", "--out", str(out)])
+        cli.main([*argv, "--out", str(out)])
     if premade:
         assert tree_bytes(out) == before
         assert _all_paths(out) == paths
@@ -1392,16 +1398,18 @@ def test_ingest_keeps_each_submissions_warning_order(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, old, new, message",
+    "argv, golden, old, new, message",
     [
-        (["logs", "--analysis", "runtime"], '"runtime_s":316.631', '"runtime_s":Infinity', "phases[0].runtime_s: non-finite value inf"),
-        (["stats"], '"interconnect_gbps":200.0', '"interconnect_gbps":Infinity', "meta.interconnect_gbps: non-finite value inf"),
+        (["logs", "--analysis", "runtime"], "p01_dash_full", '"runtime_s":316.631', '"runtime_s":Infinity', "phases[0].runtime_s: non-finite value inf"),
+        (["stats"], "p01_dash_full", '"interconnect_gbps":200.0', '"interconnect_gbps":Infinity', "meta.interconnect_gbps: non-finite value inf"),
+        (["logs", "--analysis", "stonewall"], "p04_timing_full", '"stonewall_s":300.0', '"stonewall_s":Infinity', "timing.ior-easy-write.stonewall_s: non-finite value inf"),
     ],
-    ids=["runtime", "stats"],
+    ids=["runtime", "stats", "stonewall"],
 )
-def test_non_finite_manifest_number_is_one_error_line(tmp_path, capsys, argv, old, new, message):
-    # Not a traceback from summary_stats, nor an "inf Gb/s" interconnect class.
-    text = (Path(__file__).parent / "golden" / "p01_dash_full.json").read_text()
+def test_non_finite_manifest_number_is_one_error_line(tmp_path, capsys, argv, golden, old, new, message):
+    # Not a traceback from summary_stats, nor an "inf Gb/s" interconnect class,
+    # nor stonewall ratios of 0.
+    text = (Path(__file__).parent / "golden" / f"{golden}.json").read_text()
     assert text.count(old) == 1
     path = tmp_path / "manifests" / "m.json"
     path.parent.mkdir()

@@ -190,7 +190,7 @@ def test_parse_timing_malformed_number_is_error():
         ingest.parse_process_timing(text, Phase.IOR_EASY_WRITE)
 
 
-@pytest.mark.parametrize("cell", ["1.5", "0.9999", "-0.5", "2.7"])
+@pytest.mark.parametrize("cell", ["1.5", "0.9999", "-0.5", "2.7", "-9.223372036854775808e18"])
 def test_parse_timing_fractional_items_is_error(cell):
     text = f"rank,start,end,items\n0,0.0,310.0,3\n1,0.0,310.0,{cell}\n"
     with pytest.raises(ParseError, match=f"^line 3: ior-easy-write: malformed items '{cell}'$"):
@@ -268,7 +268,7 @@ def test_normalize_metadata_total_and_fallbacks():
 
 @pytest.mark.parametrize(
     "raw, count",
-    [("10", 10), (" 10 ", 10), ("10.0", 10), ("1e3", 1000), ("2.5", None), ("7.9", None), ("inf", None), ("x", None)],
+    [("10", 10), (" 10 ", 10), ("10.0", 10), ("1e3", 1000), ("2.5", None), ("7.9", None), ("inf", None), ("x", None), ("1e20", 10**20)],
 )
 def test_counts_are_whole_numbers(raw, count):
     meta = ingest.normalize_metadata({"client_nodes": "1", "procs_per_node": raw, "nic_count": raw})
@@ -288,6 +288,19 @@ def test_repo_csv_fractional_counts():
     assert result.skipped == [(1, "invalid client_nodes '2.5'")]
     (sub,) = result.submissions
     assert (sub.meta.client_nodes, sub.meta.procs_per_node) == (2, None)
+
+
+@pytest.mark.parametrize(
+    "cell, nodes",
+    [("1e20", 10**20), (str(2**63 + 1), 2**63 + 1), ("2.5", None), ("-9.223372036854775808e18", None)],
+)
+def test_repo_csv_client_nodes_is_a_whole_count(cell, nodes):
+    # The rule of test_counts_are_whole_numbers; a cell that is no count skips its row.
+    result = ingest.parse_repo_csv(f"id,list,filesystem,client_nodes\nx,SC22,lustre,{cell}\ny,SC22,lustre,2\n")
+    if nodes is None:
+        assert result.skipped == [(1, f"invalid client_nodes {cell!r}")]
+    else:
+        assert result.submissions[0].meta.client_nodes == nodes
 
 
 def test_normalize_filesystem_idempotent():
@@ -1058,14 +1071,51 @@ def test_read_manifest_refuses_a_non_finite_header_number(tmp_path, old, new, me
     assert str(info.value) == f"{path}: {message}"
 
 
+# Table-line numbers spelled NaN or Infinity, each (member, replacement)
+# pairs on the p04 golden manifest, and its message. A close time not listed
+# in `us` is a float column, where NaN is no absent value: that is null.
+NON_FINITE_TABLE_LINES = [
+    ({'"stonewall_s":300.0': '"stonewall_s":Infinity'}, "timing.ior-easy-write.stonewall_s: non-finite value inf"),
+    ({'"stonewall_s":300.0': '"stonewall_s":NaN'}, "timing.ior-easy-write.stonewall_s: non-finite value nan"),
+    (
+        {
+            '"close_s":[2250000,1500000,4125000,750000]': '"close_s":[2.25,NaN,4.125,0.75]',
+            '"us":["close_s","end_s","start_s"]': '"us":["end_s","start_s"]',
+        },
+        "timing.ior-easy-write.close_s: non-finite value nan",
+    ),
+    ({'"end_s":[311500000,310750000,': '"end_s":[311500000,Infinity,'}, "timing.ior-easy-write.end_s: non-finite value inf"),
+]
+
+
+@pytest.mark.parametrize("edits, message", NON_FINITE_TABLE_LINES, ids=["stonewall-inf", "stonewall-nan", "close-nan", "end-inf"])
+def test_read_manifest_refuses_a_non_finite_table_line_number(tmp_path, edits, message):
+    text = (GOLDEN / "p04_timing_full.json").read_text()
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        ingest.read_manifest(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_convert_manifest_tool_leaves_a_non_finite_header_number(tmp_path, capsys):
     path = non_finite_manifest(tmp_path / "m.json", '"reported_score_overall":36.86', '"reported_score_overall":NaN')
-    text = path.read_text()
-    assert _load_tool().main([str(path)]) == 1
-    assert path.read_text() == text
-    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+    v3_text = dumps_manifest_v3_oracle(ingest.read_manifest(GOLDEN / "p04_timing_full.json"))
+    assert v3_text.count('"stonewall_s":300.0') == 1
+    v3 = tmp_path / "v3.json"
+    v3.write_text(v3_text.replace('"stonewall_s":300.0', '"stonewall_s":Infinity'))
+    texts = {p: p.read_text() for p in (path, v3)}
+    assert _load_tool().main([str(path), str(v3)]) == 1
+    assert {p: p.read_text() for p in texts} == texts
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "v3.json"]
     out, err = capsys.readouterr()
-    assert out == "" and err == f"{path}: not read ({path}: manifest.reported_score_overall: non-finite value nan), left as is\n"
+    assert out == "" and err == (
+        f"{path}: not read ({path}: manifest.reported_score_overall: non-finite value nan), left as is\n"
+        f"{v3}: not read ({v3}: timing.ior-easy-write.stonewall_s: non-finite value inf), left as is\n"
+    )
 
 
 def test_convert_manifest_tool_without_a_path_prints_its_usage(capsys):
